@@ -27,6 +27,7 @@ from .shooting import (
     boundary_residual,
     first_eigenvalue,
     integrate_profile,
+    lambda_at_amplitude,
     profile_admissible,
     self_consistency_residual,
     solve_lambda,

@@ -8,6 +8,9 @@ horizontal lines lambda = const against the polyline, and the bifurcation
 points at zero/infinite amplitude become extrapolated asymptotes of the two
 tails.
 
+Each amplitude has exactly one lambda: shooting.lambda_at_amplitude reads it
+off the first zero of one scaled IVP, so the tracer needs no lambda brackets.
+
 All verification is for radial branches on balls; reports say so explicitly.
 """
 
@@ -15,7 +18,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .core import LimitClass, ProblemSpec
 from .errors import (
@@ -28,9 +31,8 @@ from .shooting import (
     DEFAULT_CONFIG,
     ShootingConfig,
     integrate_profile,
+    lambda_at_amplitude,
     profile_admissible,
-    shoot_boundary_value,
-    solve_lambda,
 )
 
 PLATEAU_REL = 1e-6          # extremum must beat neighbors by this (relative)
@@ -81,7 +83,6 @@ class AsymptoteEstimate:
 class Branch:
     points: list[BranchPoint]
     gaps: list[float] = field(default_factory=list)
-    extra_roots: list[tuple[float, float]] = field(default_factory=list)
     folds: list[Fold] = field(default_factory=list)
     lambda_at_zero: AsymptoteEstimate | None = None
     lambda_at_infinity: AsymptoteEstimate | None = None
@@ -148,7 +149,10 @@ class Branch:
             raise InvalidInputError(f"branch CSV {path} contains no points")
         br = Branch(points=points)
         lams = br.lam_values()
-        br.folds = [Fold(i, lams[i], "max") for i in fold_rows]
+        # the CSV does not store the kind: a fold is a maximum iff it tops its neighbors
+        for i in fold_rows:
+            tops = all(lams[i] >= x for x in lams[max(i - 1, 0):i + 2])
+            br.folds.append(Fold(i, lams[i], "max" if tops else "min"))
         return br
 
 
@@ -534,44 +538,17 @@ def _fmt_limit(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _lambda_predictor(spec: ProblemSpec, lam_scale: float):
-    def pred(d):
-        return lam_scale * d / spec.f(d)
-    return pred
-
-
-def _solve_point(spec, d, cfg, seed, pred):
-    """All lambda roots at amplitude d, expanding the bracket until one is found."""
-    if seed is not None:
-        plans = ((seed, 1.6, 6), (seed, 4.0, 10), (seed, 40.0, 20),
-                 (pred(d), 100.0, 24), (pred(d), 1e4, 48))
-    else:
-        plans = ((pred(d), 30.0, 16), (pred(d), 1e3, 32), (pred(d), 1e6, 64))
-    for center, width, cells in plans:
-        lo, hi = center / width, center * width
-        roots = solve_lambda(spec, d, (lo, hi), cfg, scan_cells=cells)
-        if roots:
-            return roots
-    return []
+def _solve_point(spec, d, cfg, lambda_scale):
+    """lambda(d) from one scaled IVP, or None (a gap) when u has no zero in range."""
+    return lambda_at_amplitude(spec, d, lambda_scale * d / spec.f(d), cfg)
 
 
 def _make_point(spec, d, lam, cfg, seed_flag):
-    residual = shoot_boundary_value(spec, lam, d, cfg)
-    adm_cfg = cfg if cfg.grid_points <= 256 else ShootingConfig(
-        grid_points=256, integrator_tol=cfg.integrator_tol,
-        root_tol=cfg.root_tol, max_root_iter=cfg.max_root_iter,
-        scan_cells=cfg.scan_cells)
-    prof = integrate_profile(spec, lam, d, adm_cfg)
-    return BranchPoint(d=d, lam=lam, residual=residual,
+    # u(R) of the fixed-R admissibility profile is the point's Dirichlet residual
+    prof = integrate_profile(spec, lam, d, replace(cfg, grid_points=min(cfg.grid_points, 256)))
+    return BranchPoint(d=d, lam=lam, residual=prof.boundary_value,
                        admissible=profile_admissible(prof, spec.N, spec.k),
                        seed=seed_flag)
-
-
-def _pick_root(roots, seed):
-    if seed is None or len(roots) == 1:
-        return roots[0], roots[1:]
-    best = min(roots, key=lambda r: abs(math.log(r / seed)))
-    return best, [r for r in roots if r is not best]
 
 
 def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
@@ -579,13 +556,15 @@ def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
                  refine_folds: bool = True, threads: int = 1) -> Branch:
     """Trace lambda(d) over a log grid of amplitudes.
 
-    Brackets are seeded from the previous point (sequential mode) or from the
-    eigenvalue-based predictor lambda1 * d / f(d) (cold starts and threaded
-    mode).  Amplitudes with no root in the fully expanded bracket are recorded
-    as gaps; more than 10% gaps on the base grid raises TracingFailureError.
-    Neighbor jumps above 20% relative trigger local log-grid refinement up to
-    3 levels, and detected folds are localized by golden-section search before
-    the final fold/asymptote summaries are attached.
+    Each amplitude costs one IVP for lambda(d) (see lambda_at_amplitude: the
+    first zero rho of the solution at lambda0 = lambda_scale * d / f(d) gives
+    lambda0 (rho / R)^2, searched out to rho = 10^3 R) and one fixed-R profile
+    for the residual u(R) and the admissibility flag.  lambda_scale defaults
+    to lambda1.  Amplitudes without a zero are recorded as gaps; more than 10%
+    gaps on the base grid raises TracingFailureError.  Neighbor jumps above
+    20% relative trigger local log-grid refinement up to 3 levels, and
+    detected folds are localized by golden-section search before the final
+    fold/asymptote summaries are attached.
     """
     if not (0.0 < d_min < d_max):
         raise InvalidInputError(f"need 0 < d_min < d_max, got {d_min!r}, {d_max!r}")
@@ -595,40 +574,21 @@ def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
         from .shooting import first_eigenvalue
 
         lambda_scale = first_eigenvalue(spec.N, spec.k, spec.R, cfg).lambda1
-    pred = _lambda_predictor(spec, lambda_scale)
 
     ratio = (d_max / d_min) ** (1.0 / (n_points - 1))
     grid = [d_min * ratio**i for i in range(n_points)]
     grid[-1] = d_max
 
-    points: list[BranchPoint] = []
-    gaps: list[float] = []
-    extras: list[tuple[float, float]] = []
+    def solve(d):
+        return _solve_point(spec, d, cfg, lambda_scale)
 
     if threads > 1:
-        def solve_cold(d):
-            return _solve_point(spec, d, cfg, None, pred)
-
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            all_roots = list(pool.map(solve_cold, grid))
-        for d, roots in zip(grid, all_roots):
-            if not roots:
-                gaps.append(d)
-                continue
-            lam, rest = _pick_root(roots, None)
-            extras.extend((d, r) for r in rest)
-            points.append(_make_point(spec, d, lam, cfg, True))
+            lams = list(pool.map(solve, grid))
     else:
-        seed = None
-        for d in grid:
-            roots = _solve_point(spec, d, cfg, seed, pred)
-            if not roots:
-                gaps.append(d)
-                continue
-            lam, rest = _pick_root(roots, seed)
-            extras.extend((d, r) for r in rest)
-            points.append(_make_point(spec, d, lam, cfg, True))
-            seed = lam
+        lams = list(map(solve, grid))
+    points = [_make_point(spec, d, lam, cfg, True) for d, lam in zip(grid, lams) if lam]
+    gaps = [d for d, lam in zip(grid, lams) if not lam]
 
     if len(gaps) > GAP_FRACTION_LIMIT * n_points:
         raise TracingFailureError(
@@ -636,11 +596,9 @@ def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
     if len(points) < 4:
         raise TracingFailureError("too few resolved points to form a branch")
 
-    points = _refine_jumps(spec, points, cfg, pred)
-    branch = Branch(points=points, gaps=gaps, extra_roots=extras)
-
+    branch = Branch(points=_refine_jumps(spec, points, cfg, lambda_scale), gaps=gaps)
     if refine_folds:
-        _refine_folds(spec, branch, cfg, pred)
+        _refine_folds(spec, branch, cfg, lambda_scale)
     branch.folds = detect_folds(branch)
     try:
         branch.lambda_at_zero, branch.lambda_at_infinity = asymptote_estimates(branch)
@@ -649,7 +607,7 @@ def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
     return branch
 
 
-def _refine_jumps(spec, points, cfg, pred):
+def _refine_jumps(spec, points, cfg, lambda_scale):
     work = list(points)
     depth = {id(p): 0 for p in work}
     i = 0
@@ -659,10 +617,8 @@ def _refine_jumps(spec, points, cfg, pred):
         jump = abs(b.lam - a.lam) / min(a.lam, b.lam)
         if jump > JUMP_REL and level < MAX_REFINE_DEPTH:
             d_mid = math.sqrt(a.d * b.d)
-            seed = math.sqrt(a.lam * b.lam)
-            roots = _solve_point(spec, d_mid, cfg, seed, pred)
-            if roots:
-                lam, _ = _pick_root(roots, seed)
+            lam = _solve_point(spec, d_mid, cfg, lambda_scale)
+            if lam:
                 mid = _make_point(spec, d_mid, lam, cfg, False)
                 depth[id(mid)] = level + 1
                 work.insert(i + 1, mid)
@@ -671,7 +627,7 @@ def _refine_jumps(spec, points, cfg, pred):
     return work
 
 
-def _refine_folds(spec, branch, cfg, pred, log_tol=2e-3):
+def _refine_folds(spec, branch, cfg, lambda_scale, log_tol=2e-3):
     """Golden-section localization of each discrete fold apex in log-d."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     folds = detect_folds(branch)
@@ -683,14 +639,11 @@ def _refine_folds(spec, branch, cfg, pred, log_tol=2e-3):
         sign = 1.0 if fold.kind == "max" else -1.0
         a = math.log(branch.points[idx - 1].d)
         b = math.log(branch.points[idx + 1].d)
-        seed = branch.points[idx].lam
-
         cache = {}
 
         def lam_at(ld):
             if ld not in cache:
-                roots = _solve_point(spec, math.exp(ld), cfg, seed, pred)
-                cache[ld] = roots[0] if roots else None
+                cache[ld] = _solve_point(spec, math.exp(ld), cfg, lambda_scale) or None
             return cache[ld]
 
         x1 = b - gr * (b - a)

@@ -73,7 +73,8 @@ def _threads(args) -> int:
         raise InvalidInputError(f"HB_THREADS must be an integer, got {env!r}")
 
 
-def _print_report(rep: VerificationReport, out=sys.stdout) -> None:
+def _print_report(rep: VerificationReport, out=None) -> None:
+    out = sys.stdout if out is None else out
     for c in rep.checks:
         status = "PASS" if c.passed else "FAIL"
         out.write(f"[{status}] {c.name}: predicted {c.predicted}, observed {c.observed}\n")

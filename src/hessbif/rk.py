@@ -8,7 +8,10 @@ an order of magnitude.  Two modes:
   * free stepping to the right endpoint (terminal value only) - the hot path
     inside bisection loops;
   * step clamping onto a fixed output grid, recording the state at every grid
-    point - used when a full profile is requested.
+    point - used when a full profile is requested;
+
+and, in either mode, an optional stop where component 0 first changes sign,
+located inside the last accepted step by re-stepping from its saved state.
 
 Step control is the standard 0.9 * err^(-1/5) rule with growth clamped to
 [0.2, 5.0] per step.
@@ -39,6 +42,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER_EXP = -0.2  # 1 / (embedded order + 1)
+_MAX_LOCATE_ITER = 100
 
 
 class RKResult:
@@ -54,12 +58,89 @@ class RKResult:
         self.n_rejected = n_rejected
 
 
-def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000):
+def _cash_karp(rhs, t, y, h, k0, rtol, atol):
+    """One Cash-Karp step of length h from (t, y), where k0 = rhs(t, y).
+
+    Returns (y5, err): the 5th-order state and the RMS of the scaled
+    4th/5th-order difference, or inf when the new state is not finite.
+    """
+    n = len(y)
+    k = [k0, None, None, None, None, None]
+    for i in range(1, 6):
+        ai = _A[i]
+        yi = list(y)
+        for j, aij in enumerate(ai):
+            kj = k[j]
+            haij = h * aij
+            for c in range(n):
+                yi[c] += haij * kj[c]
+        k[i] = rhs(t + _C[i] * h, yi)
+
+    y5 = list(y)
+    err_acc = 0.0
+    ok = True
+    for c in range(n):
+        inc5 = 0.0
+        inc4 = 0.0
+        for j in range(6):
+            kjc = k[j][c]
+            inc5 += _B5[j] * kjc
+            inc4 += _B4[j] * kjc
+        y5c = y[c] + h * inc5
+        y5[c] = y5c
+        diff = h * (inc5 - inc4)
+        scale = atol[c] + rtol * max(abs(y[c]), abs(y5c))
+        err_acc += (diff / scale) ** 2
+        if not math.isfinite(y5c):
+            ok = False
+    return y5, (math.sqrt(err_acc / n) if ok else math.inf)
+
+
+def _locate_zero(rhs, t, y, k0, h, y_end, rtol, atol, root_tol):
+    """(t*, y*) where component 0 changes sign inside the step (t, y) -> (t + h, y_end).
+
+    Illinois regula falsi on the step length s in [0, h], each trial a fresh
+    Cash-Karp step from the saved state, until the bracket is below root_tol
+    relative to t + s; the state is then interpolated linearly across it.
+    """
+    s_lo, y_lo, f_lo = 0.0, y, y[0]
+    s_hi, y_hi, f_hi = h, y_end, y_end[0]
+    side = 0
+    for _ in range(_MAX_LOCATE_ITER):
+        if s_hi - s_lo <= root_tol * (t + s_hi):
+            break
+        s = s_lo + (s_hi - s_lo) * f_lo / (f_lo - f_hi)
+        if not (s_lo < s < s_hi):
+            s = 0.5 * (s_lo + s_hi)
+        y_s = _cash_karp(rhs, t, y, s, k0, rtol, atol)[0]
+        f = y_s[0]
+        if f == 0.0:
+            return t + s, y_s
+        if (f < 0.0) == (f_lo < 0.0):
+            s_lo, y_lo, f_lo = s, y_s, f
+            if side < 0:
+                f_hi *= 0.5
+            side = -1
+        else:
+            s_hi, y_hi, f_hi = s, y_s, f
+            if side > 0:
+                f_lo *= 0.5
+            side = 1
+    w = y_lo[0] / (y_lo[0] - y_hi[0])
+    return (t + s_lo + w * (s_hi - s_lo),
+            [a + w * (b - a) for a, b in zip(y_lo, y_hi)])
+
+
+def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
+              root_tol=None):
     """Integrate y' = rhs(t, y) from t0 to t1 (t1 > t0).
 
     atol is a per-component sequence (same length as y0).  output_ts, when
     given, must be ascending values in [t0, t1]; the stepper lands on each
-    exactly and records the state there.  Raises NumericalFailureError on
+    exactly and records the state there.  With root_tol, integration stops
+    where component 0 first changes sign: the crossing is located inside the
+    last accepted step to root_tol relative and returned as (t, y), t < t1;
+    outputs beyond it are not recorded.  Raises NumericalFailureError on
     NaN/inf states, step-size underflow, or step-count exhaustion.
     """
     n = len(y0)
@@ -86,7 +167,7 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000):
     h_min = 1e-14 * span
     n_steps = 0
     n_rejected = 0
-    k = [None] * 6
+    k0 = None   # rhs(t, y), kept across rejected attempts
 
     while t < t1:
         if n_steps + n_rejected >= max_steps:
@@ -108,37 +189,11 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000):
         if h < h_min:
             raise NumericalFailureError(f"step size underflow at t={t!r}")
 
-        k[0] = rhs(t, y)
-        ok = True
-        for i in range(1, 6):
-            ai = _A[i]
-            yi = list(y)
-            for j, aij in enumerate(ai):
-                kj = k[j]
-                haij = h * aij
-                for c in range(n):
-                    yi[c] += haij * kj[c]
-            k[i] = rhs(t + _C[i] * h, yi)
+        if k0 is None:
+            k0 = rhs(t, y)
+        y5, err = _cash_karp(rhs, t, y, h, k0, rtol, atol)
 
-        y5 = list(y)
-        err_acc = 0.0
-        for c in range(n):
-            inc5 = 0.0
-            inc4 = 0.0
-            for j in range(6):
-                kjc = k[j][c]
-                inc5 += _B5[j] * kjc
-                inc4 += _B4[j] * kjc
-            y5c = y[c] + h * inc5
-            y5[c] = y5c
-            diff = h * (inc5 - inc4)
-            scale = atol[c] + rtol * max(abs(y[c]), abs(y5c))
-            err_acc += (diff / scale) ** 2
-            if not math.isfinite(y5c):
-                ok = False
-        err = math.sqrt(err_acc / n)
-
-        if not ok or not math.isfinite(err):
+        if not math.isfinite(err):
             n_rejected += 1
             h_ctrl = h * _MIN_FACTOR
             if h_ctrl < h_min:
@@ -146,9 +201,13 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000):
             continue
 
         if err <= 1.0:
+            n_steps += 1
+            if root_tol is not None and (y5[0] < 0.0) != (y[0] < 0.0):
+                t, y = _locate_zero(rhs, t, y, k0, h, y5, rtol, atol, root_tol)
+                return RKResult(t, y, grid_states, n_steps, n_rejected)
             t = t + h
             y = y5
-            n_steps += 1
+            k0 = None
             if hit_output:
                 grid_states.append(list(y))
                 out_idx += 1

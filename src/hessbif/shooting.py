@@ -20,6 +20,16 @@ f is extended below zero by f(max(s, 0)): past the (single) zero crossing of a
 too-strongly-forced profile the forcing switches off, keeping the boundary
 residual u(R) continuous and increasing in lambda.  Accepted Dirichlet
 solutions never use the extension (u <= 0 up to root tolerance).
+
+lambda(d) comes from one IVP by ball-radius scaling (Joseph & Lundgren 1973):
+S_k(D^2 u)^(1/k) is homogeneous of degree 2 under x -> s x, so the solution
+at a reference lambda0 with u(0) = -d, integrated up to its first zero
+r = rho, rescales to the Dirichlet solution on B_R at lambda0 (rho / R)^2.
+Since u' > 0 there is exactly one such zero, hence one lambda per amplitude.
+The search stops at rho = 10^3 R (lambda <= 10^6 lambda0); an amplitude
+without a zero by then has no lambda and becomes a gap.  The fixed-R
+residual u(R; lambda) and its root solvers stay as the independent path that
+the eigenvalue computation and the tests use.
 """
 
 from __future__ import annotations
@@ -30,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rk
-from .core import EigenvalueResult, NonlinearitySpec, ProblemSpec, binom
+from .core import EigenvalueResult, NonlinearitySpec, ProblemSpec, binom, sk_from_radial
 from .errors import InvalidInputError, NumericalFailureError
 
 
@@ -52,15 +62,20 @@ class ShootingConfig:
 
 
 DEFAULT_CONFIG = ShootingConfig()
+HORIZON = 1e3   # lambda_at_amplitude looks for the first zero out to HORIZON * R
 
 
 @dataclass
 class RadialProfile:
-    """Discretized radial solution (r_i, u_i, u'_i) at one (lambda, d)."""
+    """Discretized radial solution (r_i, u_i, u'_i, u''_i) at one (lambda, d).
+
+    upp is u'' evaluated from the integrated flux state, not differenced.
+    """
 
     r: np.ndarray
     u: np.ndarray
     uprime: np.ndarray
+    upp: np.ndarray
     lam: float
     d: float
     max_consistency_residual: float = math.nan
@@ -83,6 +98,26 @@ def _origin_radius(N: int, R: float) -> float:
 
 def _origin_curvature(spec: ProblemSpec, lam: float, d: float) -> float:
     return lam * spec.f(d) / binom(spec.N, spec.k) ** (1.0 / spec.k)
+
+
+def _origin_state(spec: ProblemSpec, lam: float, d: float):
+    """(r0, a, (u, m) at r0) from the quadratic series with curvature a."""
+    r0 = _origin_radius(spec.N, spec.R)
+    a = _origin_curvature(spec, lam, d)
+    return r0, a, (-d + 0.5 * a * r0 * r0, a**spec.k * r0**spec.N)
+
+
+def radial_derivatives(r, m, mprime, N: int, k: int):
+    """(u', u'') on r > 0 from the flux m = r^(N-k) (u')^k and its slope m'.
+
+    u'' = (u'/k) (m'/m - (N-k)/r), the logarithmic derivative of
+    u' = (m r^(k-N))^(1/k); both are 0 where m = 0.
+    """
+    pos = m > 0.0
+    m_safe = np.where(pos, m, 1.0)
+    up = np.where(pos, np.exp(np.log(m_safe) / k + (k - N) / k * np.log(r)), 0.0)
+    upp = np.where(pos, up / k * (mprime / m_safe - (N - k) / r), 0.0)
+    return up, upp
 
 
 def _make_rhs(spec: ProblemSpec, lam: float):
@@ -131,13 +166,32 @@ def shoot_boundary_value(spec: ProblemSpec, lam: float, d: float,
     _check_inputs(spec, lam, d)
     if lam == 0.0:
         return -d
-    r0 = _origin_radius(spec.N, spec.R)
-    a = _origin_curvature(spec, lam, d)
-    y0 = (-d + 0.5 * a * r0 * r0, a**spec.k * r0**spec.N)
+    r0, _, y0 = _origin_state(spec, lam, d)
     res = rk.integrate(_make_rhs(spec, lam), r0, y0, spec.R,
                        rtol=cfg.integrator_tol,
                        atol=_atol_pair(spec, lam, d, cfg.integrator_tol))
     return res.y[0]
+
+
+def lambda_at_amplitude(spec: ProblemSpec, d: float, lam0: float,
+                        cfg: ShootingConfig = DEFAULT_CONFIG) -> float | None:
+    """lambda(d) = lam0 (rho / R)^2 from one IVP at lam0 run to its first zero rho.
+
+    lam0 near lambda(d) keeps rho near R.  None when u has no zero before
+    rho = HORIZON * R, i.e. no lambda <= HORIZON^2 lam0 at this amplitude.
+    """
+    _check_inputs(spec, lam0, d)
+    if lam0 == 0.0:
+        raise InvalidInputError("reference lambda must be positive")
+    r0, _, y0 = _origin_state(spec, lam0, d)
+    horizon = HORIZON * spec.R
+    res = rk.integrate(_make_rhs(spec, lam0), r0, y0, horizon,
+                       rtol=cfg.integrator_tol,
+                       atol=_atol_pair(spec, lam0, d, cfg.integrator_tol),
+                       root_tol=cfg.root_tol)
+    if res.t >= horizon:
+        return None
+    return lam0 * (res.t / spec.R) ** 2
 
 
 def integrate_profile(spec: ProblemSpec, lam: float, d: float,
@@ -146,33 +200,29 @@ def integrate_profile(spec: ProblemSpec, lam: float, d: float,
     _check_inputs(spec, lam, d)
     N, k, R = spec.N, spec.k, spec.R
     grid = np.linspace(0.0, R, cfg.grid_points)
-    r0 = _origin_radius(N, R)
-    a = _origin_curvature(spec, lam, d)
+    r0, a, y0 = _origin_state(spec, lam, d)
 
     series_mask = grid <= r0
     u = np.empty_like(grid)
     uprime = np.empty_like(grid)
+    upp = np.empty_like(grid)
     u[series_mask] = -d + 0.5 * a * grid[series_mask] ** 2
     uprime[series_mask] = a * grid[series_mask]
+    upp[series_mask] = a
 
-    outer = grid[~series_mask]
-    if outer.size:
-        y0 = (-d + 0.5 * a * r0 * r0, a**k * r0**N)
-        res = rk.integrate(_make_rhs(spec, lam), r0, y0, R,
-                           rtol=cfg.integrator_tol,
-                           atol=_atol_pair(spec, lam, d, cfg.integrator_tol),
-                           output_ts=outer)
-        states = np.asarray(res.grid_states)
-        u[~series_mask] = states[:, 0]
-        m = states[:, 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            up = np.where(m > 0.0,
-                          np.exp(np.log(np.maximum(m, 1e-300)) / k
-                                 + (k - N) / k * np.log(outer)),
-                          0.0)
-        uprime[~series_mask] = up
+    outer = grid[~series_mask]   # nonempty: grid_points >= 64 puts grid[1] far beyond r0
+    rhs = _make_rhs(spec, lam)
+    res = rk.integrate(rhs, r0, y0, R,
+                       rtol=cfg.integrator_tol,
+                       atol=_atol_pair(spec, lam, d, cfg.integrator_tol),
+                       output_ts=outer)
+    states = np.asarray(res.grid_states)
+    u[~series_mask] = states[:, 0]
+    mprime = np.array([rhs(r, y)[1] for r, y in zip(outer, res.grid_states)])
+    uprime[~series_mask], upp[~series_mask] = radial_derivatives(
+        outer, states[:, 1], mprime, N, k)
 
-    profile = RadialProfile(r=grid, u=u, uprime=uprime, lam=lam, d=d)
+    profile = RadialProfile(r=grid, u=u, uprime=uprime, upp=upp, lam=lam, d=d)
     profile.max_consistency_residual = self_consistency_residual(profile, spec)
     return profile
 
@@ -182,40 +232,37 @@ def boundary_residual(profile: RadialProfile) -> float:
     return profile.boundary_value
 
 
+def differenced_sk(profile: RadialProfile, N: int, k: int) -> np.ndarray:
+    """S_k(u'', u'/r) at the interior grid points, u'' by central differences of u'."""
+    r, up = profile.r, profile.uprime
+    if len(r) < 3:
+        raise InvalidInputError("profile too short for a consistency check")
+    h = r[1] - r[0]
+    return sk_from_radial((up[2:] - up[:-2]) / (2.0 * h), up[1:-1] / r[1:-1], N, k)
+
+
 def self_consistency_residual(profile: RadialProfile, spec: ProblemSpec) -> float:
     """sup over interior grid points of |S_k(u'', u'/r) - (lambda f(-u))^k|.
 
     u'' comes from second-order central differences of the stored u', so this
     cross-checks the integral-form integration against the differential form.
     """
-    r, u, up = profile.r, profile.u, profile.uprime
-    n = len(r)
-    if n < 3:
-        raise InvalidInputError("profile too short for a consistency check")
-    h = r[1] - r[0]
-    upp = (up[2:] - up[:-2]) / (2.0 * h)
-    q = up[1:-1] / r[1:-1]
-    N, k = spec.N, spec.k
-    sk = binom(N - 1, k) * q**k + binom(N - 1, k - 1) * q ** (k - 1) * upp
-    fs = np.array([spec.f(s) if s > 0.0 else 0.0 for s in -u[1:-1]])
-    target = (profile.lam * fs) ** k
-    return float(np.max(np.abs(sk - target)))
+    sk = differenced_sk(profile, spec.N, spec.k)
+    fs = np.array([spec.f(s) if s > 0.0 else 0.0 for s in -profile.u[1:-1]])
+    return float(np.max(np.abs(sk - (profile.lam * fs) ** spec.k)))
 
 
 def profile_admissible(profile: RadialProfile, N: int, k: int) -> bool:
-    """Cone membership S_j > 0, j = 1..k, at every interior grid point."""
-    r, up = profile.r[1:-1], profile.uprime[1:-1]
-    n = len(profile.r)
-    if n < 3:
+    """Cone membership S_j > 0, j = 1..k, at every interior grid point.
+
+    Uses the profile's u'' from the flux state: near r = R, S_k can be far
+    smaller than the O(h^2) error of a differenced u''.
+    """
+    if len(profile.r) < 3:
         raise InvalidInputError("profile too short for an admissibility check")
-    h = profile.r[1] - profile.r[0]
-    upp = (profile.uprime[2:] - profile.uprime[:-2]) / (2.0 * h)
-    q = up / r
-    for j in range(1, k + 1):
-        sj = binom(N - 1, j) * q**j + binom(N - 1, j - 1) * q ** (j - 1) * upp
-        if not np.all(sj > 0.0):
-            return False
-    return True
+    q = profile.uprime[1:-1] / profile.r[1:-1]
+    upp = profile.upp[1:-1]
+    return all(np.all(sk_from_radial(upp, q, N, j) > 0.0) for j in range(1, k + 1))
 
 
 # ---------------------------------------------------------------------------

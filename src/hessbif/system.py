@@ -51,8 +51,10 @@ from .shooting import (
     DEFAULT_CONFIG,
     RadialProfile,
     ShootingConfig,
+    differenced_sk,
     first_eigenvalue,
     profile_admissible,
+    radial_derivatives,
 )
 
 NEWTON_MAX_ITER = 40
@@ -234,53 +236,41 @@ def _pair_profiles(N, k, R, target_u, target_v, d_u, d_v, lam, cfg):
     a_v = (target_v(d_u, d_v) / c_full) ** (1.0 / k)
     grid = np.linspace(0.0, R, cfg.grid_points)
     mask = grid <= r0
-    arrays = {}
-    for name, d, a in (("u", d_u, a_u), ("v", d_v, a_v)):
+    outer = grid[~mask]   # nonempty: grid_points >= 64 puts grid[1] far beyond r0
+    y0 = (-d_u + 0.5 * a_u * r0 * r0, a_u**k * r0**N,
+          -d_v + 0.5 * a_v * r0 * r0, a_v**k * r0**N)
+    m_u = max(target_u(d_u, d_v) * R**N, 1e-30)
+    m_v = max(target_v(d_u, d_v) * R**N, 1e-30)
+    atol = (cfg.integrator_tol * 1e-3 * max(d_u, 1.0), cfg.integrator_tol * 1e-3 * m_u,
+            cfg.integrator_tol * 1e-3 * max(d_v, 1.0), cfg.integrator_tol * 1e-3 * m_v)
+    res = rk.integrate(_pair_rhs(N, k, target_u, target_v), r0, y0, R,
+                       rtol=cfg.integrator_tol, atol=atol, output_ts=outer)
+    states = np.asarray(res.grid_states)
+    vals = []
+    for d, a, iu in ((d_u, a_u, 0), (d_v, a_v, 2)):
         val = np.empty_like(grid)
-        vp = np.empty_like(grid)
         val[mask] = -d + 0.5 * a * grid[mask] ** 2
+        val[~mask] = states[:, iu]
+        vals.append(val)
+    su = np.maximum(-vals[0], 0.0)
+    sv = np.maximum(-vals[1], 0.0)
+    coef = k / binom(N - 1, k - 1)
+    profiles = []
+    for val, d, a, im, target in ((vals[0], d_u, a_u, 1, target_u),
+                                  (vals[1], d_v, a_v, 3, target_v)):
+        # target is S_k of the component, so m' = coef r^(N-1) target
+        want = np.array([target(x, y) for x, y in zip(su, sv)])
+        vp = np.empty_like(grid)
+        vpp = np.empty_like(grid)
         vp[mask] = a * grid[mask]
-        arrays[name] = (val, vp)
-    outer = grid[~mask]
-    if outer.size:
-        y0 = (-d_u + 0.5 * a_u * r0 * r0, a_u**k * r0**N,
-              -d_v + 0.5 * a_v * r0 * r0, a_v**k * r0**N)
-        m_u = max(target_u(d_u, d_v) * R**N, 1e-30)
-        m_v = max(target_v(d_u, d_v) * R**N, 1e-30)
-        atol = (cfg.integrator_tol * 1e-3 * max(d_u, 1.0), cfg.integrator_tol * 1e-3 * m_u,
-                cfg.integrator_tol * 1e-3 * max(d_v, 1.0), cfg.integrator_tol * 1e-3 * m_v)
-        res = rk.integrate(_pair_rhs(N, k, target_u, target_v), r0, y0, R,
-                           rtol=cfg.integrator_tol, atol=atol, output_ts=outer)
-        states = np.asarray(res.grid_states)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for name, iu, im in (("u", 0, 1), ("v", 2, 3)):
-                val, vp = arrays[name]
-                val[~mask] = states[:, iu]
-                m = states[:, im]
-                vp[~mask] = np.where(
-                    m > 0.0,
-                    np.exp(np.log(np.maximum(m, 1e-300)) / k
-                           + (k - N) / k * np.log(outer)),
-                    0.0)
-    prof_u = RadialProfile(r=grid, u=arrays["u"][0], uprime=arrays["u"][1],
-                           lam=lam, d=d_u)
-    prof_v = RadialProfile(r=grid, u=arrays["v"][0], uprime=arrays["v"][1],
-                           lam=lam, d=d_v)
-    _fill_pair_consistency(prof_u, prof_v, N, k, target_u, target_v)
-    return prof_u, prof_v
-
-
-def _fill_pair_consistency(prof_u, prof_v, N, k, target_u, target_v):
-    r = prof_u.r
-    h = r[1] - r[0]
-    su = np.maximum(-prof_u.u[1:-1], 0.0)
-    sv = np.maximum(-prof_v.u[1:-1], 0.0)
-    for prof, target in ((prof_u, target_u), (prof_v, target_v)):
-        upp = (prof.uprime[2:] - prof.uprime[:-2]) / (2.0 * h)
-        q = prof.uprime[1:-1] / r[1:-1]
-        sk = binom(N - 1, k) * q**k + binom(N - 1, k - 1) * q ** (k - 1) * upp
-        want = np.array([target(a, b) for a, b in zip(su, sv)])
-        prof.max_consistency_residual = float(np.max(np.abs(sk - want)))
+        vpp[mask] = a
+        vp[~mask], vpp[~mask] = radial_derivatives(
+            outer, states[:, im], coef * outer ** (N - 1) * want[~mask], N, k)
+        prof = RadialProfile(r=grid, u=val, uprime=vp, upp=vpp, lam=lam, d=d)
+        prof.max_consistency_residual = float(
+            np.max(np.abs(differenced_sk(prof, N, k) - want[1:-1])))
+        profiles.append(prof)
+    return tuple(profiles)
 
 
 def _system_targets(spec: SystemSpec, lam: float):

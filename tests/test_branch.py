@@ -251,6 +251,35 @@ class TestTraceBranch:
         with pytest.raises(TracingFailureError):
             trace_branch(spec, 1e-2, 1e2, 16, FAST, lambda_scale=lam1)
 
+    def test_supercritical_power_fails(self):
+        # p = 7 > 5 on the 3-ball: no amplitude has a Dirichlet solution
+        spec = ProblemSpec(N=3, k=1, R=1.0, f=NonlinearitySpec("power", {"p": 7.0}))
+        with pytest.raises(TracingFailureError):
+            trace_branch(spec, 1e-2, 1e2, 16, FAST)
+
+    def test_at_most_two_ivps_per_point(self, monkeypatch):
+        # one scaled IVP for lambda(d) and one admissibility profile per point
+        import hessbif.rk as rk
+
+        spec = ProblemSpec(N=2, k=2, R=1.13, f=NonlinearitySpec("log_bump"))
+        lam1 = first_eigenvalue(2, 2, 1.13, FAST).lambda1
+        calls = []
+        real = rk.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rk, "integrate", counting)
+        br = trace_branch(spec, 1e-2, 1e2, 25, FAST, lambda_scale=lam1)
+        assert [f.kind for f in br.folds] == ["min"]
+        assert len(calls) <= 2 * len(br.points)
+
+    def test_power_branch_admissible(self):
+        spec = ProblemSpec(N=3, k=2, R=1.13, f=NonlinearitySpec("power", {"p": 2.0}))
+        br = trace_branch(spec, 1e-2, 1e2, 25, FAST)
+        assert all(p.admissible for p in br.points)
+
     def test_input_validation(self, lam1):
         spec = ProblemSpec(N=1, k=1, R=1.0, f=NonlinearitySpec("linear"))
         with pytest.raises(InvalidInputError):
@@ -305,6 +334,22 @@ class TestBranchCsv:
         assert len(back.points) == len(gelfand_branch.points)
         for a, b in zip(back.points, gelfand_branch.points):
             assert a.d == b.d and a.lam == b.lam
+
+    @pytest.mark.parametrize("kind, params, fold", [
+        ("log_bump", {}, "min"),
+        ("sum_of_powers", {"p": 0.5, "q": 2.0, "c": 1.0}, "max"),
+    ])
+    def test_reloaded_branch_reverifies(self, tmp_path, lam1, kind, params, fold):
+        f = NonlinearitySpec(kind, params)
+        spec = ProblemSpec(N=1, k=1, R=1.0, f=f)
+        traced = trace_branch(spec, 1e-2, 1e2, 17, FAST, lambda_scale=lam1)
+        assert [fo.kind for fo in traced.folds] == [fold]
+        traced.to_csv(tmp_path / "branch.csv")
+        back = Branch.from_csv(tmp_path / "branch.csv")
+        assert back.folds == traced.folds
+        pred = predicted_interval(f.declared_f0, f.declared_finf, lam1)
+        assert verify_predictions(traced, pred).passed
+        assert verify_predictions(back, pred).passed
 
     def test_malformed_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"

@@ -133,6 +133,19 @@ class TestVerify:
         assert r.returncode == 1, r.stderr
         assert "overall: FAIL" in r.stdout
 
+    def test_report_captured_in_process(self, specdir, monkeypatch):
+        import contextlib
+        import io
+
+        from hessbif import cli
+
+        monkeypatch.chdir(specdir)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(["verify", "--spec", "saturating.json", "--n-points", "17"] + FAST)
+        assert rc == 0
+        assert "overall: PASS" in out.getvalue()
+
     def test_missing_spec_invalid(self, tmp_path):
         r = run(["verify", "--spec", "nope.json"], tmp_path)
         assert r.returncode == 3, r.stderr

@@ -55,3 +55,28 @@ class TestIntegrate:
                         rtol=1e-10, atol=[1e-12, 1e-12])
         assert res.y == [3.0, -2.0]
         assert res.n_steps < 50
+
+    def test_zero_crossing_located(self):
+        # y = -cos(t) first crosses zero at pi/2, where y' = 1
+        res = integrate(harmonic, 0.0, [-1.0, 0.0], 10.0, rtol=1e-10,
+                        atol=[1e-13, 1e-13], root_tol=1e-10)
+        assert res.t == pytest.approx(math.pi / 2, rel=1e-11)
+        assert abs(res.y[0]) < 1e-11
+        assert res.y[1] == pytest.approx(1.0, rel=1e-9)
+
+    def test_zero_crossing_stops_output_grid(self):
+        ts = np.linspace(0.0, 3.0, 31)
+        res = integrate(harmonic, 0.0, [-1.0, 0.0], 3.0, rtol=1e-10,
+                        atol=[1e-13, 1e-13], output_ts=ts, root_tol=1e-10)
+        assert res.t == pytest.approx(math.pi / 2, rel=1e-11)
+        assert len(res.grid_states) == 16   # t = 0.0 .. 1.5
+        got = np.array([s[0] for s in res.grid_states])
+        assert np.max(np.abs(got + np.cos(ts[:16]))) < 1e-9
+
+    def test_no_crossing_runs_to_endpoint(self):
+        res = integrate(harmonic, 0.0, [-1.0, 0.0], 1.0, rtol=1e-10,
+                        atol=[1e-13, 1e-13], root_tol=1e-10)
+        plain = integrate(harmonic, 0.0, [-1.0, 0.0], 1.0, rtol=1e-10,
+                          atol=[1e-13, 1e-13])
+        assert res.t == 1.0
+        assert res.y == plain.y

@@ -6,10 +6,12 @@ import pytest
 from hessbif.core import NonlinearitySpec, ProblemSpec
 from hessbif.errors import InvalidInputError
 from hessbif.shooting import (
+    RadialProfile,
     ShootingConfig,
     boundary_residual,
     first_eigenvalue,
     integrate_profile,
+    lambda_at_amplitude,
     profile_admissible,
     self_consistency_residual,
     shoot_boundary_value,
@@ -194,3 +196,95 @@ class TestConsistencyAndAdmissibility:
         r, u = prof.r[mid], prof.u[mid]
         sk = upp[mid] * prof.uprime[mid] / r
         assert sk == pytest.approx(2.0**2 * (u**2 + 0.5 * (-u)), rel=1e-3)
+
+
+class TestLambdaAtAmplitude:
+    R = 1.13   # not a power of two, so the R^-2 scaling is not exact in floating point
+
+    def test_matches_fixed_radius_solver_over_registry(self):
+        from hessbif.core import registry
+
+        for N, k in ((1, 1), (2, 2), (3, 2)):
+            lam1 = first_eigenvalue(N, k, self.R).lambda1
+            for name, f in registry().items():
+                spec = ProblemSpec(N=N, k=k, R=self.R, f=f)
+                for d in (0.03, 1.0, 30.0):
+                    lam = lambda_at_amplitude(spec, d, lam1 * d / f(d))
+                    roots = solve_lambda(spec, d, (lam / 4.0, lam * 4.0), scan_cells=4)
+                    assert len(roots) == 1, (name, N, k, d)
+                    assert abs(lam - roots[0]) <= 1e-9 * roots[0], (name, N, k, d)
+
+    def test_independent_of_reference_lambda(self):
+        spec = ProblemSpec(N=2, k=2, R=self.R, f=NonlinearitySpec("log_bump"))
+        lam_a = lambda_at_amplitude(spec, 3.0, 1.0)
+        lam_b = lambda_at_amplitude(spec, 3.0, 40.0)
+        assert lam_a == pytest.approx(lam_b, rel=1e-9)
+
+    def test_eigenvalue_from_linear_case(self):
+        spec = linear_spec(3, 1, self.R)
+        assert lambda_at_amplitude(spec, 1.0, 1.0) == pytest.approx(
+            LAM_SINC / self.R**2, rel=1e-10)
+
+    def test_no_zero_within_horizon(self):
+        # supercritical Lane-Emden (p = 7 > 5 on the 3-ball): entire solutions
+        # stay negative, so there is no lambda at any amplitude
+        spec = ProblemSpec(N=3, k=1, R=1.0, f=NonlinearitySpec("power", {"p": 7.0}))
+        assert lambda_at_amplitude(spec, 1.0, LAM_SINC) is None
+
+    def test_input_validation(self):
+        spec = linear_spec(1, 1)
+        with pytest.raises(InvalidInputError):
+            lambda_at_amplitude(spec, 1.0, 0.0)
+        with pytest.raises(InvalidInputError):
+            lambda_at_amplitude(spec, -1.0, 1.0)
+
+
+class TestFluxSecondDerivative:
+    def test_cosine_case_exact(self):
+        # u = -cos(r): u'' = cos(r)
+        prof = integrate_profile(linear_spec(1, 1), 1.0, 1.0)
+        assert np.max(np.abs(prof.upp - np.cos(prof.r))) < 1e-9
+
+    def test_sk_from_flux_matches_equation_near_boundary(self):
+        # S_2 of power p=2 on the 3-ball vanishes like (R - r)^4 at r = R;
+        # the flux u'' keeps its sign where a differenced u'' does not
+        spec = ProblemSpec(N=3, k=2, R=1.0, f=NonlinearitySpec("power", {"p": 2.0}))
+        lam = lambda_at_amplitude(spec, 1.0, first_eigenvalue(3, 2, 1.0).lambda1)
+        prof = integrate_profile(spec, lam, 1.0, ShootingConfig(grid_points=256))
+        q = prof.uprime[-2] / prof.r[-2]
+        s2 = q * q + 2.0 * q * prof.upp[-2]
+        assert s2 == pytest.approx((lam * prof.u[-2] ** 2) ** 2, rel=1e-4)
+        assert profile_admissible(prof, 3, 2)
+
+
+def synthetic_profile(r, u, up, upp):
+    return RadialProfile(r=r, u=u, uprime=up, upp=upp, lam=1.0, d=-u[0])
+
+
+class TestAdmissibilityRejects:
+    r = np.linspace(0.0, 1.0, 257)
+
+    def test_flat_plateau(self):
+        # u = -1 on [0, 1/2], then a quadratic rise to u(1) = 0: u' = u'' = 0 inside
+        r = self.r
+        inner = r <= 0.5
+        u = np.where(inner, -1.0, -1.0 + 4.0 * (r - 0.5) ** 2)
+        up = np.where(inner, 0.0, 8.0 * (r - 0.5))
+        upp = np.where(inner, 0.0, 8.0)
+        for N, k in ((1, 1), (2, 1), (3, 2)):
+            assert not profile_admissible(synthetic_profile(r, u, up, upp), N, k)
+
+    def test_overshoot_above_zero(self):
+        # u = -1 + 4 r^2 - 3 r^4 rises to 1/3 > 0 inside, then falls back to 0
+        r = self.r
+        u = -1.0 + 4.0 * r**2 - 3.0 * r**4
+        up = 8.0 * r - 12.0 * r**3
+        upp = 8.0 - 36.0 * r**2
+        assert np.max(u) > 0.0
+        for N, k in ((1, 1), (2, 1), (3, 2)):
+            assert not profile_admissible(synthetic_profile(r, u, up, upp), N, k)
+
+    def test_convex_bowl_accepted(self):
+        r = self.r
+        prof = synthetic_profile(r, r**2 - 1.0, 2.0 * r, np.full_like(r, 2.0))
+        assert profile_admissible(prof, 3, 2)
