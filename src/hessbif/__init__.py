@@ -6,7 +6,6 @@ from .core import (
     NonlinearitySpec,
     ProblemSpec,
     classify_limits,
-    eval_nonlinearity,
     gamma_k_membership,
     registry,
     sk_from_radial,
@@ -24,7 +23,6 @@ from .errors import (
 from .shooting import (
     RadialProfile,
     ShootingConfig,
-    boundary_residual,
     first_eigenvalue,
     integrate_profile,
     lambda_at_amplitude,
@@ -62,6 +60,6 @@ from .system import (
     system_eigenvalue,
     trace_system_branch,
 )
-from .plotting import render_branch_svg, render_branches_svg
+from .plotting import render_branches_svg
 
 __version__ = "0.1.0"

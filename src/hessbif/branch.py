@@ -17,10 +17,9 @@ All verification is for radial branches on balls; reports say so explicitly.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
-from .core import LimitClass, ProblemSpec
+from .core import LimitClass, ProblemSpec, aitken
 from .errors import (
     AtFoldError,
     InvalidInputError,
@@ -243,13 +242,6 @@ def solution_amplitudes(branch: Branch, lam: float) -> list[float]:
 # ---------------------------------------------------------------------------
 
 
-def _aitken(a, b, c):
-    denom = (c - b) - (b - a)
-    if denom == 0.0:
-        return c
-    return c - (c - b) ** 2 / denom
-
-
 def _classify_tail(lams) -> AsymptoteEstimate:
     """lams: three branch values ordered toward the limit, log-spaced in d."""
     a, b, c = lams
@@ -258,12 +250,12 @@ def _classify_tail(lams) -> AsymptoteEstimate:
     d1 = math.log10(b) - math.log10(a)
     d2 = math.log10(c) - math.log10(b)
     if abs(d2) < 1e-4:
-        return AsymptoteEstimate("finite", _aitken(a, b, c))
+        return AsymptoteEstimate("finite", aitken(a, b, c))
     if d1 * d2 < 0.0:
         return AsymptoteEstimate("undetermined")
     if abs(d2) <= 0.75 * abs(d1):
         # contracting in log lambda: geometric approach to a finite limit
-        val = _aitken(a, b, c)
+        val = aitken(a, b, c)
         if val <= 0.02 * c:
             return AsymptoteEstimate("zero")
         return AsymptoteEstimate("finite", val)
@@ -440,8 +432,11 @@ def verify_predictions(branch: Branch, prediction: TheoremPrediction,
     behavior is never asserted), checks multiplicity on both sides of the
     relevant fold for the diagonal cells, compares extrapolated asymptotes
     against the predicted bifurcation points, and runs the norm-bound monitor
-    in the superlinear cases.  Failures are report entries, never exceptions.
+    in the superlinear cases.  Predicate failures are report entries, never
+    exceptions; lambda_samples < 1 is invalid input.
     """
+    if lambda_samples < 1:
+        raise InvalidInputError(f"lambda_samples must be >= 1, got {lambda_samples}")
     rep = VerificationReport(notes=[RADIAL_SCOPE_NOTE])
     folds = branch.folds if branch.folds else detect_folds(branch)
 
@@ -552,8 +547,8 @@ def _make_point(spec, d, lam, cfg, seed_flag):
 
 
 def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
-                 cfg: ShootingConfig = DEFAULT_CONFIG, *, lambda_scale: float | None = None,
-                 refine_folds: bool = True, threads: int = 1) -> Branch:
+                 cfg: ShootingConfig = DEFAULT_CONFIG, *,
+                 lambda_scale: float | None = None) -> Branch:
     """Trace lambda(d) over a log grid of amplitudes.
 
     Each amplitude costs one IVP for lambda(d) (see lambda_at_amplitude: the
@@ -579,14 +574,7 @@ def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
     grid = [d_min * ratio**i for i in range(n_points)]
     grid[-1] = d_max
 
-    def solve(d):
-        return _solve_point(spec, d, cfg, lambda_scale)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            lams = list(pool.map(solve, grid))
-    else:
-        lams = list(map(solve, grid))
+    lams = [_solve_point(spec, d, cfg, lambda_scale) for d in grid]
     points = [_make_point(spec, d, lam, cfg, True) for d, lam in zip(grid, lams) if lam]
     gaps = [d for d, lam in zip(grid, lams) if not lam]
 
@@ -596,9 +584,18 @@ def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
     if len(points) < 4:
         raise TracingFailureError("too few resolved points to form a branch")
 
-    branch = Branch(points=_refine_jumps(spec, points, cfg, lambda_scale), gaps=gaps)
-    if refine_folds:
-        _refine_folds(spec, branch, cfg, lambda_scale)
+    def midpoint(a, b):
+        d = math.sqrt(a.d * b.d)
+        lam = _solve_point(spec, d, cfg, lambda_scale)
+        return _make_point(spec, d, lam, cfg, False) if lam else None
+
+    branch = Branch(points=refine_jumps(points, midpoint), gaps=gaps)
+    _polish_folds(spec, branch, cfg, lambda_scale)
+    return attach_summaries(branch)
+
+
+def attach_summaries(branch: Branch) -> Branch:
+    """Set the branch's folds and, when its span allows, its tail asymptotes."""
     branch.folds = detect_folds(branch)
     try:
         branch.lambda_at_zero, branch.lambda_at_infinity = asymptote_estimates(branch)
@@ -607,7 +604,12 @@ def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
     return branch
 
 
-def _refine_jumps(spec, points, cfg, lambda_scale):
+def refine_jumps(points, midpoint):
+    """Insert midpoints where neighboring lambdas jump by more than JUMP_REL relative.
+
+    midpoint(a, b) returns the point between a and b, or None when there is
+    none; each interval is split at most MAX_REFINE_DEPTH levels deep.
+    """
     work = list(points)
     depth = {id(p): 0 for p in work}
     i = 0
@@ -616,10 +618,8 @@ def _refine_jumps(spec, points, cfg, lambda_scale):
         level = max(depth[id(a)], depth[id(b)])
         jump = abs(b.lam - a.lam) / min(a.lam, b.lam)
         if jump > JUMP_REL and level < MAX_REFINE_DEPTH:
-            d_mid = math.sqrt(a.d * b.d)
-            lam = _solve_point(spec, d_mid, cfg, lambda_scale)
-            if lam:
-                mid = _make_point(spec, d_mid, lam, cfg, False)
+            mid = midpoint(a, b)
+            if mid is not None:
                 depth[id(mid)] = level + 1
                 work.insert(i + 1, mid)
                 continue  # re-examine the left sub-interval
@@ -627,7 +627,7 @@ def _refine_jumps(spec, points, cfg, lambda_scale):
     return work
 
 
-def _refine_folds(spec, branch, cfg, lambda_scale, log_tol=2e-3):
+def _polish_folds(spec, branch, cfg, lambda_scale, log_tol=2e-3):
     """Golden-section localization of each discrete fold apex in log-d."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     folds = detect_folds(branch)

@@ -1,9 +1,9 @@
 """Command-line front end: eigen / trace / verify pipelines with CSV, JSON, SVG output.
 
 Exit codes: 0 success (all checks pass), 1 verification failure (a theorem
-predicate failed on the traced branch), 2 numerical failure, 3 invalid input.
-Runs are randomness-free; identical configurations produce byte-identical
-artifacts.  HB_THREADS caps internal parallelism of branch tracing.
+predicate failed on the traced branch), 2 numerical failure, 3 invalid input,
+malformed command-line arguments included.  Runs are randomness-free;
+identical configurations produce byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .core import ProblemSpec, classify_limits
 from .errors import (
     HessbifError,
     InvalidInputError,
+    LimitConflictError,
     NumericalFailureError,
     OutOfTableError,
     TracingFailureError,
@@ -63,24 +64,13 @@ def _config_from_args(args) -> ShootingConfig:
     )
 
 
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("HB_THREADS", "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
-        raise InvalidInputError(f"HB_THREADS must be an integer, got {env!r}")
-
-
-def _print_report(rep: VerificationReport, out=None) -> None:
-    out = sys.stdout if out is None else out
+def _print_report(rep: VerificationReport) -> None:
     for c in rep.checks:
         status = "PASS" if c.passed else "FAIL"
-        out.write(f"[{status}] {c.name}: predicted {c.predicted}, observed {c.observed}\n")
+        print(f"[{status}] {c.name}: predicted {c.predicted}, observed {c.observed}")
     for note in rep.notes:
-        out.write(f"note: {note}\n")
-    out.write(f"overall: {'PASS' if rep.passed else 'FAIL'}\n")
+        print(f"note: {note}")
+    print(f"overall: {'PASS' if rep.passed else 'FAIL'}")
 
 
 # ---------------------------------------------------------------------------
@@ -116,8 +106,7 @@ def _load_scalar_spec(path) -> ProblemSpec:
 def cmd_trace(args) -> int:
     spec = _load_scalar_spec(args.spec)
     cfg = _config_from_args(args)
-    branch = trace_branch(spec, args.d_min, args.d_max, args.n_points, cfg,
-                          threads=_threads(args))
+    branch = trace_branch(spec, args.d_min, args.d_max, args.n_points, cfg)
     branch.to_csv(args.out_branch)
     print(f"traced {len(branch.points)} points "
           f"({len(branch.folds)} folds, {len(branch.gaps)} gaps) -> {args.out_branch}")
@@ -142,7 +131,7 @@ def cmd_verify(args) -> int:
     cfg = _config_from_args(args)
     lam1 = first_eigenvalue(spec.N, spec.k, spec.R, cfg).lambda1
     branch = trace_branch(spec, args.d_min, args.d_max, args.n_points, cfg,
-                          lambda_scale=lam1, threads=_threads(args))
+                          lambda_scale=lam1)
     if args.out_branch:
         branch.to_csv(args.out_branch)
     try:
@@ -249,8 +238,7 @@ def cmd_sweep_k(args) -> int:
     for k in range(1, spec.N + 1):
         kspec = ProblemSpec(N=spec.N, k=k, R=spec.R, f=spec.f)
         try:
-            branch = trace_branch(kspec, args.d_min, args.d_max, args.n_points, cfg,
-                                  threads=_threads(args))
+            branch = trace_branch(kspec, args.d_min, args.d_max, args.n_points, cfg)
         except (NumericalFailureError, TracingFailureError) as exc:
             print(f"  k={k}: trace failed ({exc})")
             rows.append((k, math.nan, "failed"))
@@ -295,12 +283,18 @@ def _add_trace_args(p):
     p.add_argument("--d-min", type=float, default=1e-2)
     p.add_argument("--d-max", type=float, default=1e2)
     p.add_argument("--n-points", type=int, default=25)
-    p.add_argument("--threads", type=int, default=None,
-                   help="parallel grid-point evaluation (default HB_THREADS or 1)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports malformed arguments as invalid input (exit 3), not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InvalidInputError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="hessbif",
         description="Radial k-Hessian bifurcation toolkit: shooting, branch "
                     "tracing, and machine-checked existence/multiplicity predicates.")
@@ -383,10 +377,11 @@ def main(argv=None) -> int:
     try:
         args = ap.parse_args(argv)
         return args.fn(args)
-    except InvalidInputError as exc:
+    except (InvalidInputError, LimitConflictError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except (NumericalFailureError, TracingFailureError) as exc:
+    except (NumericalFailureError, TracingFailureError, ArithmeticError) as exc:
+        # float overflow or underflow to zero at extreme radii or amplitudes
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except HessbifError as exc:

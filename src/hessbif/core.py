@@ -356,11 +356,6 @@ def _analytic_classes(kind, params):
     return None, None
 
 
-def eval_nonlinearity(spec: NonlinearitySpec, s: float) -> float:
-    """f(s) for s >= 0; exactly 0 at s = 0; negative s is invalid."""
-    return spec(s)
-
-
 # Canonical registry entries used by tests and the sweep tooling.
 def registry() -> dict[str, NonlinearitySpec]:
     return {
@@ -386,7 +381,7 @@ _FLAT_SLOPE = 1e-3        # |dlog10 r| per decade treated as converged
 _TREND_SLOPE = 1e-2       # persistent slope treated as a power-law trend
 
 
-def _aitken(r1, r2, r3):
+def aitken(r1, r2, r3):
     denom = (r3 - r2) - (r2 - r1)
     if denom == 0.0:
         return r3
@@ -410,7 +405,7 @@ def _classify_end(ratios):
         return LimitClass.zero()
 
     if all(abs(x) < _FLAT_SLOPE for x in d_tail):
-        value = _aitken(*ratios[-3:])
+        value = aitken(*ratios[-3:])
         if not (value > 0.0) or not math.isfinite(value):
             raise UnclassifiableLimitError("extrapolated limit not positive")
         return LimitClass.finite(value)
@@ -423,7 +418,7 @@ def _classify_end(ratios):
 
     contracting = abs(d[-1]) <= 0.9 * abs(d[-2])
     if contracting:
-        value = _aitken(*ratios[-3:])
+        value = aitken(*ratios[-3:])
         if not (value > 0.0) or not math.isfinite(value):
             raise UnclassifiableLimitError("extrapolated limit not positive")
         return LimitClass.finite(value)
@@ -469,8 +464,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         _check_order(self.N, self.k)
-        if not (self.R > 0.0):
-            raise InvalidInputError(f"radius must be positive, got {self.R!r}")
+        if not (0.0 < self.R < math.inf):
+            raise InvalidInputError(f"radius must be positive and finite, got {self.R!r}")
         if not isinstance(self.f, NonlinearitySpec):
             raise InvalidInputError("f must be a NonlinearitySpec")
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 
-from .branch import Branch
 from .errors import InvalidInputError
 
 WIDTH = 820.0
@@ -153,7 +152,3 @@ def render_branches_svg(branches, path, interval=None, title=None) -> None:
 def _xml(text: str) -> str:
     return (str(text).replace("&", "&amp;").replace("<", "&lt;")
             .replace(">", "&gt;"))
-
-
-def render_branch_svg(branch: Branch, path, interval=None, title=None) -> None:
-    render_branches_svg([("", branch)], path, interval=interval, title=title)

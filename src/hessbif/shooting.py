@@ -49,20 +49,17 @@ class ShootingConfig:
     grid_points: int = 1024
     integrator_tol: float = 1e-10
     root_tol: float = 1e-10
-    max_root_iter: int = 200
-    scan_cells: int = 64
 
     def __post_init__(self):
         if self.grid_points < 64:
             raise InvalidInputError(f"grid_points must be >= 64, got {self.grid_points}")
         if not (self.integrator_tol > 0.0 and self.root_tol > 0.0):
             raise InvalidInputError("tolerances must be positive")
-        if self.max_root_iter < 8 or self.scan_cells < 2:
-            raise InvalidInputError("max_root_iter >= 8 and scan_cells >= 2 required")
 
 
 DEFAULT_CONFIG = ShootingConfig()
 HORIZON = 1e3   # lambda_at_amplitude looks for the first zero out to HORIZON * R
+MAX_BISECT_ITER = 200
 
 
 @dataclass
@@ -96,14 +93,10 @@ def _origin_radius(N: int, R: float) -> float:
     return R * max(1e-8, 10.0 ** (-280.0 / N))
 
 
-def _origin_curvature(spec: ProblemSpec, lam: float, d: float) -> float:
-    return lam * spec.f(d) / binom(spec.N, spec.k) ** (1.0 / spec.k)
-
-
 def _origin_state(spec: ProblemSpec, lam: float, d: float):
     """(r0, a, (u, m) at r0) from the quadratic series with curvature a."""
     r0 = _origin_radius(spec.N, spec.R)
-    a = _origin_curvature(spec, lam, d)
+    a = lam * spec.f(d) / binom(spec.N, spec.k) ** (1.0 / spec.k)
     return r0, a, (-d + 0.5 * a * r0 * r0, a**spec.k * r0**spec.N)
 
 
@@ -146,9 +139,13 @@ def _make_rhs(spec: ProblemSpec, lam: float):
     return rhs
 
 
-def _atol_pair(spec: ProblemSpec, lam: float, d: float, tol: float):
+def _shoot(spec: ProblemSpec, lam: float, d: float, cfg: ShootingConfig, t1: float, **kw):
+    """rk.integrate of the (u, m) system from the origin series with u(0) = -d out to t1."""
+    r0, _, y0 = _origin_state(spec, lam, d)
+    tol = cfg.integrator_tol
     m_scale = (lam * spec.f(d)) ** spec.k * spec.R**spec.N / binom(spec.N, spec.k)
-    return (tol * 1e-3 * max(d, 1.0), tol * 1e-3 * max(m_scale, 1e-30))
+    atol = (tol * 1e-3 * max(d, 1.0), tol * 1e-3 * max(m_scale, 1e-30))
+    return rk.integrate(_make_rhs(spec, lam), r0, y0, t1, rtol=tol, atol=atol, **kw)
 
 
 def _check_inputs(spec: ProblemSpec, lam: float, d: float) -> None:
@@ -166,11 +163,7 @@ def shoot_boundary_value(spec: ProblemSpec, lam: float, d: float,
     _check_inputs(spec, lam, d)
     if lam == 0.0:
         return -d
-    r0, _, y0 = _origin_state(spec, lam, d)
-    res = rk.integrate(_make_rhs(spec, lam), r0, y0, spec.R,
-                       rtol=cfg.integrator_tol,
-                       atol=_atol_pair(spec, lam, d, cfg.integrator_tol))
-    return res.y[0]
+    return _shoot(spec, lam, d, cfg, spec.R).y[0]
 
 
 def lambda_at_amplitude(spec: ProblemSpec, d: float, lam0: float,
@@ -183,12 +176,8 @@ def lambda_at_amplitude(spec: ProblemSpec, d: float, lam0: float,
     _check_inputs(spec, lam0, d)
     if lam0 == 0.0:
         raise InvalidInputError("reference lambda must be positive")
-    r0, _, y0 = _origin_state(spec, lam0, d)
     horizon = HORIZON * spec.R
-    res = rk.integrate(_make_rhs(spec, lam0), r0, y0, horizon,
-                       rtol=cfg.integrator_tol,
-                       atol=_atol_pair(spec, lam0, d, cfg.integrator_tol),
-                       root_tol=cfg.root_tol)
+    res = _shoot(spec, lam0, d, cfg, horizon, root_tol=cfg.root_tol)
     if res.t >= horizon:
         return None
     return lam0 * (res.t / spec.R) ** 2
@@ -200,7 +189,7 @@ def integrate_profile(spec: ProblemSpec, lam: float, d: float,
     _check_inputs(spec, lam, d)
     N, k, R = spec.N, spec.k, spec.R
     grid = np.linspace(0.0, R, cfg.grid_points)
-    r0, a, y0 = _origin_state(spec, lam, d)
+    r0, a, _ = _origin_state(spec, lam, d)
 
     series_mask = grid <= r0
     u = np.empty_like(grid)
@@ -211,13 +200,10 @@ def integrate_profile(spec: ProblemSpec, lam: float, d: float,
     upp[series_mask] = a
 
     outer = grid[~series_mask]   # nonempty: grid_points >= 64 puts grid[1] far beyond r0
-    rhs = _make_rhs(spec, lam)
-    res = rk.integrate(rhs, r0, y0, R,
-                       rtol=cfg.integrator_tol,
-                       atol=_atol_pair(spec, lam, d, cfg.integrator_tol),
-                       output_ts=outer)
+    res = _shoot(spec, lam, d, cfg, R, output_ts=outer)
     states = np.asarray(res.grid_states)
     u[~series_mask] = states[:, 0]
+    rhs = _make_rhs(spec, lam)
     mprime = np.array([rhs(r, y)[1] for r, y in zip(outer, res.grid_states)])
     uprime[~series_mask], upp[~series_mask] = radial_derivatives(
         outer, states[:, 1], mprime, N, k)
@@ -225,11 +211,6 @@ def integrate_profile(spec: ProblemSpec, lam: float, d: float,
     profile = RadialProfile(r=grid, u=u, uprime=uprime, upp=upp, lam=lam, d=d)
     profile.max_consistency_residual = self_consistency_residual(profile, spec)
     return profile
-
-
-def boundary_residual(profile: RadialProfile) -> float:
-    """u(R): zero within root tolerance iff the profile solves the Dirichlet problem."""
-    return profile.boundary_value
 
 
 def differenced_sk(profile: RadialProfile, N: int, k: int) -> np.ndarray:
@@ -270,10 +251,10 @@ def profile_admissible(profile: RadialProfile, N: int, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _bisect(fun, lo, hi, f_lo, f_hi, rel_tol, max_iter):
+def _bisect(fun, lo, hi, f_lo, f_hi, rel_tol):
     """Bracketing bisection; returns (root, iterations)."""
     it = 0
-    while it < max_iter:
+    while it < MAX_BISECT_ITER:
         mid = 0.5 * (lo + hi)
         if hi - lo <= rel_tol * max(abs(mid), 1e-300):
             return mid, it
@@ -289,7 +270,7 @@ def _bisect(fun, lo, hi, f_lo, f_hi, rel_tol, max_iter):
 
 
 def solve_lambda(spec: ProblemSpec, d: float, bracket, cfg: ShootingConfig = DEFAULT_CONFIG,
-                 scan_cells: int | None = None) -> list[float]:
+                 scan_cells: int = 64) -> list[float]:
     """All lambda roots of the boundary residual at fixed amplitude d.
 
     Log-spaced scan over the bracket followed by bisection on every sign
@@ -303,10 +284,11 @@ def solve_lambda(spec: ProblemSpec, d: float, bracket, cfg: ShootingConfig = DEF
     if lam_lo < 0.0:
         raise InvalidInputError("bracket must lie in lambda >= 0")
     _check_inputs(spec, lam_lo, d)
-    cells = scan_cells if scan_cells is not None else cfg.scan_cells
+    if scan_cells < 2:
+        raise InvalidInputError(f"scan_cells must be >= 2, got {scan_cells}")
 
     lo_eff = max(lam_lo, lam_hi * 1e-15)
-    nodes = np.geomspace(lo_eff, lam_hi, cells + 1)
+    nodes = np.geomspace(lo_eff, lam_hi, scan_cells + 1)
     if lam_lo < lo_eff:
         nodes = np.concatenate([[lam_lo], nodes])
 
@@ -321,7 +303,7 @@ def solve_lambda(spec: ProblemSpec, d: float, bracket, cfg: ShootingConfig = DEF
             roots.append(float(nodes[i]))
         elif (f_a < 0.0) != (f_b < 0.0):
             root, _ = _bisect(res, float(nodes[i]), float(nodes[i + 1]),
-                              f_a, f_b, cfg.root_tol, cfg.max_root_iter)
+                              f_a, f_b, cfg.root_tol)
             roots.append(root)
     if values[-1] == 0.0:
         roots.append(float(nodes[-1]))
@@ -358,5 +340,5 @@ def first_eigenvalue(N: int, k: int, R: float,
         it += 1
         if hi > 1e12 / R**2:
             raise NumericalFailureError("eigenvalue bracket expansion failed (high side)")
-    root, n_bis = _bisect(res, lo, hi, f_lo, f_hi, cfg.root_tol, cfg.max_root_iter)
+    root, n_bis = _bisect(res, lo, hi, f_lo, f_hi, cfg.root_tol)
     return EigenvalueResult(lambda1=root, residual=res(root), iterations=it + n_bis + 1)

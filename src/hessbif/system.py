@@ -32,7 +32,7 @@ where the class pair is (lim_{x->0} w, lim_{x->inf} w) relative to |t| (resp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,8 +41,8 @@ from .branch import (
     Branch,
     BranchPoint,
     VerificationReport,
-    asymptote_estimates,
-    detect_folds,
+    attach_summaries,
+    refine_jumps,
     solution_amplitudes,
 )
 from .core import LimitClass, binom
@@ -51,6 +51,7 @@ from .shooting import (
     DEFAULT_CONFIG,
     RadialProfile,
     ShootingConfig,
+    _origin_radius,
     differenced_sk,
     first_eigenvalue,
     profile_admissible,
@@ -142,8 +143,8 @@ class SystemSpec:
     def __post_init__(self):
         if not (1 <= self.k <= self.N):
             raise InvalidInputError(f"need 1 <= k <= N, got N={self.N}, k={self.k}")
-        if not (self.R > 0.0):
-            raise InvalidInputError(f"radius must be positive, got {self.R!r}")
+        if not (0.0 < self.R < math.inf):
+            raise InvalidInputError(f"radius must be positive and finite, got {self.R!r}")
         if not self.g.couples_in_t:
             raise InvalidInputError("g must couple through t (a *_t kind)")
         if self.h.couples_in_t:
@@ -213,38 +214,33 @@ def _pair_rhs(N, k, target_u, target_v):
     return rhs
 
 
-def _pair_terminal(N, k, R, target_u, target_v, d_u, d_v, tol):
-    r0 = R * max(1e-8, 10.0 ** (-280.0 / N))
+def _pair_ivp(N, k, R, target_u, target_v, d_u, d_v, tol, output_ts=None):
+    """Outward pair integration from the origin series; returns (result, a_u, a_v)."""
+    r0 = _origin_radius(N, R)
     c_full = binom(N, k)
-    a_u = (target_u(d_u, d_v) / c_full) ** (1.0 / k)
-    a_v = (target_v(d_u, d_v) / c_full) ** (1.0 / k)
+    t_u, t_v = target_u(d_u, d_v), target_v(d_u, d_v)
+    a_u = (t_u / c_full) ** (1.0 / k)
+    a_v = (t_v / c_full) ** (1.0 / k)
     y0 = (-d_u + 0.5 * a_u * r0 * r0, a_u**k * r0**N,
           -d_v + 0.5 * a_v * r0 * r0, a_v**k * r0**N)
-    m_u = max(target_u(d_u, d_v) * R**N, 1e-30)
-    m_v = max(target_v(d_u, d_v) * R**N, 1e-30)
-    atol = (tol * 1e-3 * max(d_u, 1.0), tol * 1e-3 * m_u,
-            tol * 1e-3 * max(d_v, 1.0), tol * 1e-3 * m_v)
+    atol = (tol * 1e-3 * max(d_u, 1.0), tol * 1e-3 * max(t_u * R**N, 1e-30),
+            tol * 1e-3 * max(d_v, 1.0), tol * 1e-3 * max(t_v * R**N, 1e-30))
     res = rk.integrate(_pair_rhs(N, k, target_u, target_v), r0, y0, R,
-                       rtol=tol, atol=atol)
+                       rtol=tol, atol=atol, output_ts=output_ts)
+    return res, a_u, a_v
+
+
+def _pair_terminal(N, k, R, target_u, target_v, d_u, d_v, tol):
+    res, _, _ = _pair_ivp(N, k, R, target_u, target_v, d_u, d_v, tol)
     return res.y[0], res.y[2]
 
 
 def _pair_profiles(N, k, R, target_u, target_v, d_u, d_v, lam, cfg):
-    r0 = R * max(1e-8, 10.0 ** (-280.0 / N))
-    c_full = binom(N, k)
-    a_u = (target_u(d_u, d_v) / c_full) ** (1.0 / k)
-    a_v = (target_v(d_u, d_v) / c_full) ** (1.0 / k)
     grid = np.linspace(0.0, R, cfg.grid_points)
-    mask = grid <= r0
+    mask = grid <= _origin_radius(N, R)
     outer = grid[~mask]   # nonempty: grid_points >= 64 puts grid[1] far beyond r0
-    y0 = (-d_u + 0.5 * a_u * r0 * r0, a_u**k * r0**N,
-          -d_v + 0.5 * a_v * r0 * r0, a_v**k * r0**N)
-    m_u = max(target_u(d_u, d_v) * R**N, 1e-30)
-    m_v = max(target_v(d_u, d_v) * R**N, 1e-30)
-    atol = (cfg.integrator_tol * 1e-3 * max(d_u, 1.0), cfg.integrator_tol * 1e-3 * m_u,
-            cfg.integrator_tol * 1e-3 * max(d_v, 1.0), cfg.integrator_tol * 1e-3 * m_v)
-    res = rk.integrate(_pair_rhs(N, k, target_u, target_v), r0, y0, R,
-                       rtol=cfg.integrator_tol, atol=atol, output_ts=outer)
+    res, a_u, a_v = _pair_ivp(N, k, R, target_u, target_v, d_u, d_v,
+                              cfg.integrator_tol, output_ts=outer)
     states = np.asarray(res.grid_states)
     vals = []
     for d, a, iu in ((d_u, a_u, 0), (d_v, a_v, 2)):
@@ -400,10 +396,7 @@ def solve_system_shooting(spec: SystemSpec, d_u: float, init,
     ru, rv = residual(lam, d_v)
     admissible = True
     if check_admissible:
-        adm_cfg = cfg if cfg.grid_points <= 256 else ShootingConfig(
-            grid_points=256, integrator_tol=cfg.integrator_tol,
-            root_tol=cfg.root_tol, max_root_iter=cfg.max_root_iter,
-            scan_cells=cfg.scan_cells)
+        adm_cfg = replace(cfg, grid_points=min(cfg.grid_points, 256))
         pu, pv = integrate_system(spec, lam, d_u, d_v, adm_cfg)
         admissible = (profile_admissible(pu, spec.N, spec.k)
                       and profile_admissible(pv, spec.N, spec.k))
@@ -417,8 +410,9 @@ def system_eigenvalue(N: int, k: int, R: float,
 
     The symmetric reduction u = v collapses the system to the scalar
     eigenproblem; the value is then confirmed by a two-residual solve that does
-    not impose symmetry.  Disagreement beyond 1e-6 relative is an internal
-    inconsistency and raises NumericalFailureError.
+    not impose symmetry.  Disagreement beyond 100 max(root_tol, integrator_tol)
+    relative (1e-8 at the defaults) is an internal inconsistency and raises
+    NumericalFailureError.
     """
     lam_sym = first_eigenvalue(N, k, R, cfg).lambda1
     spec = SystemSpec(N=N, k=k, R=R,
@@ -426,7 +420,7 @@ def system_eigenvalue(N: int, k: int, R: float,
                       h=NonlinearitySpec2("linear_s"))
     point = solve_system_shooting(spec, 1.0, (1.07 * lam_sym, 0.9), cfg,
                                   check_admissible=False)
-    if abs(point.lam - lam_sym) > 1e-6 * lam_sym:
+    if abs(point.lam - lam_sym) > 100.0 * max(cfg.root_tol, cfg.integrator_tol) * lam_sym:
         raise NumericalFailureError(
             f"asymmetric coupled solve gave {point.lam!r}, symmetric reduction {lam_sym!r}")
     return lam_sym
@@ -581,43 +575,23 @@ def trace_system_branch(spec: SystemSpec, d_grid, cfg: ShootingConfig = DEFAULT_
 
     if len(points) < 4:
         raise NumericalFailureError("system trace resolved fewer than 4 points")
-    entries = _refine_system_jumps(spec, points, cfg)
+    def midpoint(a, b):
+        d_u = 0.5 * math.sqrt(a.d_total * b.d_total)
+        init = (math.sqrt(a.lam * b.lam), math.sqrt(a.d_v * b.d_v))
+        try:
+            mid = solve_system_shooting(spec, d_u, init, cfg)
+        except NumericalFailureError:
+            return None
+        return mid if a.d_total < mid.d_total < b.d_total else None
+
+    base = {id(p) for p in points}
+    points = refine_jumps(points, midpoint)
     proj = [BranchPoint(d=p.d_total, lam=p.lam,
                         residual=max(abs(p.res_u), abs(p.res_v)),
-                        admissible=p.admissible, seed=base)
-            for p, base in entries]
-    points = [p for p, _ in entries]
-    branch = Branch(points=proj, gaps=list(gaps))
-    branch.folds = detect_folds(branch)
-    try:
-        branch.lambda_at_zero, branch.lambda_at_infinity = asymptote_estimates(branch)
-    except InvalidInputError:
-        pass
+                        admissible=p.admissible, seed=id(p) in base)
+            for p in points]
+    branch = attach_summaries(Branch(points=proj, gaps=list(gaps)))
     return SystemBranch(points=points, branch=branch, gaps=gaps)
-
-
-def _refine_system_jumps(spec, points, cfg, jump_rel=0.20, max_depth=3):
-    """Insert midpoints where neighbor lambda jumps exceed 20% relative."""
-    entries = [(p, True) for p in points]
-    depth = {id(p): 0 for p in points}
-    i = 0
-    while i < len(entries) - 1:
-        a, b = entries[i][0], entries[i + 1][0]
-        level = max(depth[id(a)], depth[id(b)])
-        jump = abs(b.lam - a.lam) / min(a.lam, b.lam)
-        if jump > jump_rel and level < max_depth:
-            d_u = 0.5 * math.sqrt(a.d_total * b.d_total)
-            init = (math.sqrt(a.lam * b.lam), math.sqrt(a.d_v * b.d_v))
-            try:
-                mid = solve_system_shooting(spec, d_u, init, cfg)
-            except NumericalFailureError:
-                mid = None
-            if mid is not None and a.d_total < mid.d_total < b.d_total:
-                depth[id(mid)] = level + 1
-                entries.insert(i + 1, (mid, False))
-                continue
-        i += 1
-    return entries
 
 
 def _grid_rescue(spec, d_u, lam_center, cfg):

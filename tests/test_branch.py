@@ -14,6 +14,7 @@ from hessbif.branch import (
     count_solutions,
     detect_folds,
     predicted_interval,
+    refine_jumps,
     solution_amplitudes,
     trace_branch,
     verify_predictions,
@@ -22,10 +23,12 @@ from hessbif.core import LimitClass, NonlinearitySpec, ProblemSpec
 from hessbif.errors import (
     AtFoldError,
     InvalidInputError,
+    NumericalFailureError,
     OutOfTableError,
     TracingFailureError,
 )
 from hessbif.shooting import ShootingConfig, first_eigenvalue
+from hessbif.system import NonlinearitySpec2, SystemSpec, trace_system_branch
 
 LAM_COS = 2.4674011002723395
 
@@ -231,17 +234,6 @@ class TestTraceBranch:
                 assert br.lambda_at_infinity.kind == "finite", name
                 assert abs(br.lambda_at_infinity.value - want) <= 1e-2 * want, name
 
-    def test_threaded_trace_matches_sequential(self, lam1):
-        spec = ProblemSpec(N=1, k=1, R=1.0, f=NonlinearitySpec("saturating"))
-        seq = trace_branch(spec, 1e-2, 1e2, 16, FAST, lambda_scale=lam1,
-                           refine_folds=False)
-        par = trace_branch(spec, 1e-2, 1e2, 16, FAST, lambda_scale=lam1,
-                           refine_folds=False, threads=4)
-        assert len(seq.points) == len(par.points)
-        for a, b in zip(seq.points, par.points):
-            assert a.d == b.d
-            assert a.lam == pytest.approx(b.lam, rel=1e-9)
-
     def test_tracing_failure_on_systematic_gaps(self, monkeypatch, lam1):
         import hessbif.branch as branch_mod
 
@@ -288,6 +280,69 @@ class TestTraceBranch:
             trace_branch(spec, 0.1, 1.0, 8, FAST, lambda_scale=lam1)
 
 
+def _scalar_trace(monkeypatch, n_points, drop):
+    """(base amplitudes, d of every point, seed flags, gaps) with amplitude drop made a gap."""
+    import hessbif.branch as branch_mod
+
+    ratio = (1e2 / 1e-2) ** (1.0 / (n_points - 1))
+    grid = [1e-2 * ratio**i for i in range(n_points)]
+    grid[-1] = 1e2
+    solve = branch_mod._solve_point
+    monkeypatch.setattr(branch_mod, "_solve_point",
+                        lambda spec, d, *rest: None if d == grid[drop] else solve(spec, d, *rest))
+    spec = ProblemSpec(N=1, k=1, R=1.0,
+                       f=NonlinearitySpec("sum_of_powers", {"p": 0.5, "q": 2.0, "c": 1.0}))
+    br = trace_branch(spec, 1e-2, 1e2, n_points, FAST)
+    return (grid, [p.d for p in br.points], [p.seed for p in br.points], br.gaps)
+
+
+def _system_trace(monkeypatch, n_points, drop):
+    """As _scalar_trace for a coupled branch; its base amplitudes are d_u = d / 2."""
+    import hessbif.system as system_mod
+
+    grid = [float(d) for d in np.geomspace(1e-2, 1e2, n_points)]
+    solve = system_mod.solve_system_shooting
+
+    def dropping(spec, d_u, *rest, **kwargs):
+        if d_u == 0.5 * grid[drop]:
+            raise NumericalFailureError("injected gap")
+        return solve(spec, d_u, *rest, **kwargs)
+
+    monkeypatch.setattr(system_mod, "solve_system_shooting", dropping)
+    spec = SystemSpec(N=1, k=1, R=1.0, g=NonlinearitySpec2("superlinear_t"),
+                      h=NonlinearitySpec2("superlinear_s"))
+    sb = trace_system_branch(spec, grid, FAST)
+    return ([0.5 * d for d in grid], [p.d_u for p in sb.points],
+            [p.seed for p in sb.branch.points], [0.5 * g for g in sb.gaps])
+
+
+class TestRefineJumps:
+    def test_depth_limit_and_declined_midpoints(self):
+        def point(d, lam, seed):
+            return BranchPoint(d=d, lam=lam, residual=0.0, admissible=True, seed=seed)
+
+        ends = [point(1.0, 1.0, True), point(1e2, 10.0, True)]
+        # every split still jumps by 10^(1/8) - 1 = 33%, so only the depth cap stops it
+        out = refine_jumps(ends, lambda a, b: point(math.sqrt(a.d * b.d),
+                                                     math.sqrt(a.lam * b.lam), False))
+        assert len(out) == 2 + 7
+        assert [p.seed for p in out] == [True] + [False] * 7 + [True]
+        assert all(a.d < b.d for a, b in zip(out, out[1:]))
+        assert refine_jumps(ends, lambda a, b: None) == ends
+
+    @pytest.mark.parametrize("trace", [_scalar_trace, _system_trace],
+                             ids=["scalar", "system"])
+    def test_seed_flags_mark_the_base_grid(self, monkeypatch, trace):
+        n_points, drop = 16, 5
+        grid, keys, seeds, gaps = trace(monkeypatch, n_points, drop)
+        assert gaps == [grid[drop]]
+        assert sum(seeds) == n_points - len(gaps)
+        assert [x for x, seed in zip(keys, seeds) if seed] == grid[:drop] + grid[drop + 1:]
+        inserted = [x for x, seed in zip(keys, seeds) if not seed]
+        assert inserted  # jump refinement (and, on the scalar branch, fold polish) ran
+        assert not set(inserted) & set(grid)
+
+
 class TestVerifyPredictions:
     def test_saturating_report_passes(self, lam1, saturating_branch):
         f = NonlinearitySpec("saturating")
@@ -310,6 +365,13 @@ class TestVerifyPredictions:
         wrong = predicted_interval(LimitClass.finite(100.0), LimitClass.zero(), lam1)
         rep = verify_predictions(saturating_branch, wrong)
         assert not rep.passed
+
+    def test_nonpositive_samples_invalid(self, lam1, saturating_branch):
+        f = NonlinearitySpec("saturating")
+        pred = predicted_interval(f.declared_f0, f.declared_finf, lam1)
+        for n in (0, -3):
+            with pytest.raises(InvalidInputError, match="lambda_samples"):
+                verify_predictions(saturating_branch, pred, n)
 
     def test_report_json_schema(self, lam1, saturating_branch):
         f = NonlinearitySpec("saturating")

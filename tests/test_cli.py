@@ -155,11 +155,52 @@ class TestVerify:
         assert r.returncode == 3, r.stderr
         assert "invalid input" in r.stderr
 
-    def test_bad_threads_env_invalid(self, specdir):
-        env = dict(os.environ, HB_THREADS="many")
-        r = run(["trace", "--spec", "linear.json", "--out-branch", "b.csv",
-                 "--n-points", "17"] + FAST, specdir, env=env)
+
+class TestExitCodes:
+    @pytest.mark.parametrize("args", [
+        ["eigen", "--N", "x", "--k", "1"],
+        ["bogus"],
+        [],
+        ["eigen", "--k", "1"],
+        ["eigen", "--N", "1", "--k", "1", "--threads", "2"],
+    ], ids=["bad-int", "unknown-command", "no-command", "missing-required", "threads"])
+    def test_malformed_arguments_invalid(self, tmp_path, args):
+        r = run(args, tmp_path)
         assert r.returncode == 3, r.stderr
+        assert "invalid input" in r.stderr
+        assert "usage" in r.stderr
+
+    def test_help_exits_zero(self, tmp_path):
+        r = run(["verify", "--help"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert "--samples" in r.stdout
+
+    @pytest.mark.parametrize("command,spec,samples", [
+        ("verify", "saturating.json", "0"),
+        ("verify", "saturating.json", "-3"),
+        ("system-verify", "system.json", "0"),
+    ])
+    def test_nonpositive_samples_invalid(self, specdir, command, spec, samples):
+        r = run([command, "--spec", spec, "--samples", samples,
+                 "--n-points", "16"] + FAST, specdir)
+        assert r.returncode == 3, r.stderr
+        assert "lambda_samples" in r.stderr
+
+    def test_infinite_radius_invalid(self, tmp_path):
+        r = run(["eigen", "--N", "1", "--k", "1", "--R", "inf"], tmp_path)
+        assert r.returncode == 3, r.stderr
+
+    @pytest.mark.parametrize("R", ["1e300", "1e-300"])
+    def test_extreme_radius_is_numerical_failure(self, tmp_path, R):
+        r = run(["eigen", "--N", "1", "--k", "1", "--R", R], tmp_path)
+        assert r.returncode == 2, r.stderr
+        assert "numerical failure" in r.stderr
+
+    def test_loose_tolerance_coupled_eigen(self, tmp_path):
+        r = run(["eigen", "--N", "8", "--k", "4", "--coupled", "--tol", "1e-5",
+                 "--root-tol", "1e-5"], tmp_path)
+        assert r.returncode == 0, r.stderr
+        assert "lambda0 (coupled)" in r.stdout
 
 
 class TestSystemCommands:

@@ -9,7 +9,6 @@ from hessbif.core import (
     ProblemSpec,
     binom,
     classify_limits,
-    eval_nonlinearity,
     gamma_k_membership,
     registry,
     sk_from_radial,
@@ -81,14 +80,14 @@ class TestGammaMembership:
 
 class TestEvalNonlinearity:
     def test_examples(self):
-        assert eval_nonlinearity(NonlinearitySpec("saturating"), 1.0) == 0.5
-        assert eval_nonlinearity(NonlinearitySpec("linear"), 0.0) == 0.0
+        assert NonlinearitySpec("saturating")(1.0) == 0.5
+        assert NonlinearitySpec("linear")(0.0) == 0.0
         f = NonlinearitySpec("sum_of_powers", {"p": 0.5, "q": 2.0, "c": 1.0})
-        assert eval_nonlinearity(f, 4.0) == 18.0
+        assert f(4.0) == 18.0
 
     def test_negative_rejected(self):
         with pytest.raises(InvalidInputError):
-            eval_nonlinearity(NonlinearitySpec("linear"), -1.0)
+            NonlinearitySpec("linear")(-1.0)
 
     def test_sign_condition_on_random_grid(self):
         rng = np.random.default_rng(11)

@@ -8,7 +8,6 @@ from hessbif.errors import InvalidInputError
 from hessbif.shooting import (
     RadialProfile,
     ShootingConfig,
-    boundary_residual,
     first_eigenvalue,
     integrate_profile,
     lambda_at_amplitude,
@@ -80,15 +79,15 @@ class TestIntegrateProfile:
 class TestBoundaryResidual:
     def test_constant_profile(self):
         prof = integrate_profile(linear_spec(2, 2), 0.0, 1.0)
-        assert boundary_residual(prof) == -1.0
+        assert prof.boundary_value == -1.0
 
     def test_eigen_lambda_hits_zero(self):
         prof = integrate_profile(linear_spec(1, 1), LAM_COS, 1.0)
-        assert abs(boundary_residual(prof)) < 1e-8
+        assert abs(prof.boundary_value) < 1e-8
 
     def test_cosine_value(self):
         prof = integrate_profile(linear_spec(1, 1), 1.0, 1.0)
-        assert boundary_residual(prof) == pytest.approx(-0.5403023058681398, abs=1e-10)
+        assert prof.boundary_value == pytest.approx(-0.5403023058681398, abs=1e-10)
 
 
 class TestSolveLambda:

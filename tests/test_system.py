@@ -132,6 +132,31 @@ class TestSystemEigenvalue:
             lam1 = first_eigenvalue(N, k, 1.0, FAST).lambda1
             assert abs(lam0 - lam1) <= 1e-8 * lam1
 
+    @pytest.mark.parametrize("rel,raises", [(1e-7, True), (1e-9, False)])
+    def test_consistency_bound_follows_config(self, monkeypatch, rel, raises):
+        # at the default tolerances the bound is 100 * 1e-10 = 1e-8 relative
+        import hessbif.system as system_mod
+
+        solve = system_mod.solve_system_shooting
+
+        def skewed(*args, **kwargs):
+            point = solve(*args, **kwargs)
+            point.lam *= 1.0 + rel
+            return point
+
+        monkeypatch.setattr(system_mod, "solve_system_shooting", skewed)
+        if raises:
+            with pytest.raises(NumericalFailureError, match="asymmetric"):
+                system_eigenvalue(2, 1, 1.0)
+        else:
+            assert system_eigenvalue(2, 1, 1.0) == first_eigenvalue(2, 1, 1.0).lambda1
+
+    @pytest.mark.parametrize("N,k", [(1, 1), (2, 1), (2, 2), (3, 3), (5, 2), (8, 4)])
+    def test_loose_tolerances_agree(self, N, k):
+        # the asymmetric solve is 7e-7..8e-6 off at 1e-5, above a fixed 1e-6 bound
+        cfg = ShootingConfig(grid_points=128, integrator_tol=1e-5, root_tol=1e-5)
+        assert system_eigenvalue(N, k, 1.0, cfg) == first_eigenvalue(N, k, 1.0, cfg).lambda1
+
 
 class TestPowerPair:
     def test_symmetric_pair_interval(self):
