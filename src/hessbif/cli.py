@@ -36,6 +36,7 @@ from .plotting import render_branches_svg
 from .shooting import ShootingConfig, first_eigenvalue
 from .system import (
     SystemSpec,
+    add_monotonicity_check,
     power_pair_constant,
     system_apriori_monitor,
     system_eigenvalue,
@@ -186,6 +187,7 @@ def cmd_system_verify(args) -> int:
         rep.notes.extend(n for n in monitor.notes if "scope" not in n)
         rep.notes.append(
             "coupled eigenvalue lambda0 equals scalar lambda1 on balls (symmetric reduction)")
+    add_monotonicity_check(rep, spec, max(p.d for p in sys_branch.branch.points))
     _print_report(rep)
     if args.out_report:
         _write_json(rep.to_json(), args.out_report)
@@ -285,6 +287,19 @@ def _add_trace_args(p):
     p.add_argument("--n-points", type=int, default=25)
 
 
+def _count(name: str, low: int):
+    """argparse type for an integer count >= low, so a bad count fails before any work."""
+    def parse(text):
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {n}")
+        return n
+    return parse
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports malformed arguments as invalid input (exit 3), not argparse's exit 2."""
 
@@ -321,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--out-report", help="verification report JSON")
     p.add_argument("--out-branch", help="branch CSV output")
-    p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--samples", type=_count("lambda_samples", 1), default=5)
     _add_trace_args(p)
     _add_cfg_args(p)
     p.set_defaults(fn=cmd_verify)
@@ -337,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--out-report")
     p.add_argument("--out-branch")
-    p.add_argument("--samples", type=int, default=5)
+    p.add_argument("--samples", type=_count("lambda_samples", 1), default=5)
     _add_trace_args(p)
     _add_cfg_args(p)
     p.set_defaults(fn=cmd_system_verify)
@@ -348,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--samples", type=int, default=8)
+    p.add_argument("--samples", type=_count("mu samples", 2), default=8)
     p.add_argument("--mu-lo", type=float, default=None)
     p.add_argument("--mu-hi", type=float, default=None)
     p.add_argument("--out")

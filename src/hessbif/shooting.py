@@ -27,9 +27,10 @@ at a reference lambda0 with u(0) = -d, integrated up to its first zero
 r = rho, rescales to the Dirichlet solution on B_R at lambda0 (rho / R)^2.
 Since u' > 0 there is exactly one such zero, hence one lambda per amplitude.
 The search stops at rho = 10^3 R (lambda <= 10^6 lambda0); an amplitude
-without a zero by then has no lambda and becomes a gap.  The fixed-R
-residual u(R; lambda) and its root solvers stay as the independent path that
-the eigenvalue computation and the tests use.
+without a zero by then has no lambda and becomes a gap.  The first eigenvalue
+comes from the same device; the fixed-R residual u(R; lambda) stays as the
+independent path that confirms it by a sign change, and that solve_lambda and
+the tests use.
 """
 
 from __future__ import annotations
@@ -251,22 +252,20 @@ def profile_admissible(profile: RadialProfile, N: int, k: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _bisect(fun, lo, hi, f_lo, f_hi, rel_tol):
-    """Bracketing bisection; returns (root, iterations)."""
-    it = 0
-    while it < MAX_BISECT_ITER:
+def _bisect(fun, lo, hi, f_lo, rel_tol):
+    """Bracketing bisection of a sign change of fun on [lo, hi]; returns the root."""
+    for _ in range(MAX_BISECT_ITER):
         mid = 0.5 * (lo + hi)
         if hi - lo <= rel_tol * max(abs(mid), 1e-300):
-            return mid, it
+            return mid
         f_mid = fun(mid)
-        it += 1
         if f_mid == 0.0:
-            return mid, it
+            return mid
         if (f_lo < 0.0) == (f_mid < 0.0):
             lo, f_lo = mid, f_mid
         else:
-            hi, f_hi = mid, f_mid
-    return 0.5 * (lo + hi), it
+            hi = mid
+    return 0.5 * (lo + hi)
 
 
 def solve_lambda(spec: ProblemSpec, d: float, bracket, cfg: ShootingConfig = DEFAULT_CONFIG,
@@ -302,43 +301,40 @@ def solve_lambda(spec: ProblemSpec, d: float, bracket, cfg: ShootingConfig = DEF
         if f_a == 0.0:
             roots.append(float(nodes[i]))
         elif (f_a < 0.0) != (f_b < 0.0):
-            root, _ = _bisect(res, float(nodes[i]), float(nodes[i + 1]),
-                              f_a, f_b, cfg.root_tol)
-            roots.append(root)
+            roots.append(_bisect(res, float(nodes[i]), float(nodes[i + 1]), f_a,
+                                 cfg.root_tol))
     if values[-1] == 0.0:
         roots.append(float(nodes[-1]))
     return sorted(roots)
+
+
+def eigen_rel_tol(cfg: ShootingConfig) -> float:
+    """Relative width 100 max(root_tol, integrator_tol) within which two eigenvalue
+    computations must agree (1e-8 at the defaults)."""
+    return 100.0 * max(cfg.root_tol, cfg.integrator_tol)
 
 
 def first_eigenvalue(N: int, k: int, R: float,
                      cfg: ShootingConfig = DEFAULT_CONFIG) -> EigenvalueResult:
     """First eigenvalue: S_k(D^2 v) = lambda1^k |v|^k with v(R) = 0, v < 0 inside.
 
-    Degree-k homogeneity makes the amplitude irrelevant; shooting runs at
-    d = 1.  The bracket is expanded automatically around the 1/R^2 scale.
+    Degree-k homogeneity makes the amplitude irrelevant, so the linear problem
+    runs at d = 1, and ball-radius scaling gives lambda1 = (rho / R)^2 from the
+    first zero rho of one IVP at lambda = 1 / R^2.  The fixed-R residual u(R)
+    must then change sign across lambda1 (1 -/+ eigen_rel_tol(cfg)), an
+    independent check of the scaled value; otherwise NumericalFailureError.
     """
     spec = ProblemSpec(N=N, k=k, R=float(R), f=NonlinearitySpec("linear"))
-    d = 1.0
-
-    def res(lam):
-        return shoot_boundary_value(spec, lam, d, cfg)
-
-    lo, hi = 0.5 / R**2, 8.0 / R**2
-    f_lo, f_hi = res(lo), res(hi)
-    it = 2
-    while f_lo > 0.0:
-        hi, f_hi = lo, f_lo
-        lo *= 0.25
-        f_lo = res(lo)
-        it += 1
-        if lo < 1e-12 / R**2:
-            raise NumericalFailureError("eigenvalue bracket expansion failed (low side)")
-    while f_hi < 0.0:
-        lo, f_lo = hi, f_hi
-        hi *= 4.0
-        f_hi = res(hi)
-        it += 1
-        if hi > 1e12 / R**2:
-            raise NumericalFailureError("eigenvalue bracket expansion failed (high side)")
-    root, n_bis = _bisect(res, lo, hi, f_lo, f_hi, cfg.root_tol)
-    return EigenvalueResult(lambda1=root, residual=res(root), iterations=it + n_bis + 1)
+    lam = lambda_at_amplitude(spec, 1.0, 1.0 / R**2, cfg)
+    if lam is None:
+        raise NumericalFailureError(f"no first eigenvalue found for N={N}, k={k}, R={R!r}")
+    w = eigen_rel_tol(cfg)
+    lam_lo, lam_hi = lam * (1.0 - w), lam * (1.0 + w)
+    r_lo = shoot_boundary_value(spec, lam_lo, 1.0, cfg)
+    r_hi = shoot_boundary_value(spec, lam_hi, 1.0, cfg)
+    if not (r_lo < 0.0 < r_hi):
+        raise NumericalFailureError(
+            f"fixed-R residual does not change sign across the scaled eigenvalue {lam!r}: "
+            f"u(R; {lam_lo!r}) = {r_lo!r}, u(R; {lam_hi!r}) = {r_hi!r}")
+    return EigenvalueResult(lambda1=lam, residual=shoot_boundary_value(spec, lam, 1.0, cfg),
+                            iterations=4)

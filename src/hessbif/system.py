@@ -53,6 +53,7 @@ from .shooting import (
     ShootingConfig,
     _origin_radius,
     differenced_sk,
+    eigen_rel_tol,
     first_eigenvalue,
     profile_admissible,
     radial_derivatives,
@@ -410,9 +411,8 @@ def system_eigenvalue(N: int, k: int, R: float,
 
     The symmetric reduction u = v collapses the system to the scalar
     eigenproblem; the value is then confirmed by a two-residual solve that does
-    not impose symmetry.  Disagreement beyond 100 max(root_tol, integrator_tol)
-    relative (1e-8 at the defaults) is an internal inconsistency and raises
-    NumericalFailureError.
+    not impose symmetry.  Disagreement beyond eigen_rel_tol(cfg) relative (1e-8
+    at the defaults) is an internal inconsistency and raises NumericalFailureError.
     """
     lam_sym = first_eigenvalue(N, k, R, cfg).lambda1
     spec = SystemSpec(N=N, k=k, R=R,
@@ -420,7 +420,7 @@ def system_eigenvalue(N: int, k: int, R: float,
                       h=NonlinearitySpec2("linear_s"))
     point = solve_system_shooting(spec, 1.0, (1.07 * lam_sym, 0.9), cfg,
                                   check_admissible=False)
-    if abs(point.lam - lam_sym) > 100.0 * max(cfg.root_tol, cfg.integrator_tol) * lam_sym:
+    if abs(point.lam - lam_sym) > eigen_rel_tol(cfg) * lam_sym:
         raise NumericalFailureError(
             f"asymmetric coupled solve gave {point.lam!r}, symmetric reduction {lam_sym!r}")
     return lam_sym
@@ -641,6 +641,24 @@ def check_monotonicity(spec: SystemSpec, s_max: float, n: int = 33) -> bool:
     """True iff g is non-decreasing in t and h is non-decreasing in s on [0, s_max]^2."""
     return (fd_nondecreasing(spec.g, "t", s_max, n)
             and fd_nondecreasing(spec.h, "s", s_max, n))
+
+
+def add_monotonicity_check(rep: VerificationReport, spec: SystemSpec, s_max: float) -> None:
+    """Check that the declared monotone flags agree with the numerics on [0, s_max]^2.
+
+    Each flag is compared on its own (g in t, h in s), so flags that are wrong
+    in opposite directions cannot cancel.  A flag declared false adds a note:
+    the system theorems assume both monotonicities.
+    """
+    declared = (spec.monotone_g_in_t, spec.monotone_h_in_s)
+    observed = (fd_nondecreasing(spec.g, "t", s_max), fd_nondecreasing(spec.h, "s", s_max))
+    flags = "g_in_t={}, h_in_s={}".format
+    rep.add(f"g non-decreasing in t, h non-decreasing in s on [0, {s_max:.6g}]",
+            f"declared {flags(*declared)}", f"numeric {flags(*observed)}",
+            observed == declared)
+    if not all(declared):
+        rep.notes.append("monotone flag declared false: the paper's system theorems assume "
+                         "g non-decreasing in t and h non-decreasing in s")
 
 
 def system_apriori_monitor(sys_branch: SystemBranch, spec: SystemSpec,

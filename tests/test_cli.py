@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -157,6 +159,18 @@ class TestVerify:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("N,k", [(1, 1), (2, 2), (8, 8), (60, 1), (60, 60)])
+    def test_loose_tolerance_eigen(self, N, k, tmp_path):
+        from hessbif import cli
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(["eigen", "--N", str(N), "--k", str(k), "--tol", "1e-5",
+                           "--root-tol", "1e-5", "--out", str(tmp_path / "e.json")])
+        assert rc == cli.EXIT_OK
+        assert f"lambda1({N},{k},R=1) = " in out.getvalue()
+        assert json.loads((tmp_path / "e.json").read_text())["iterations"] == 4
+
     @pytest.mark.parametrize("args", [
         ["eigen", "--N", "x", "--k", "1"],
         ["bogus"],
@@ -185,6 +199,38 @@ class TestExitCodes:
                  "--n-points", "16"] + FAST, specdir)
         assert r.returncode == 3, r.stderr
         assert "lambda_samples" in r.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--spec", "saturating.json", "--samples", "0"],
+        ["verify", "--spec", "saturating.json", "--samples", "-3"],
+        ["system-verify", "--spec", "system.json", "--samples", "0"],
+        ["system-verify", "--spec", "mismatched.json", "--samples", "0"],
+        ["power-pair", "--N", "1", "--k", "1", "--alpha", "1", "--beta", "1",
+         "--samples", "1"],
+    ], ids=["verify-0", "verify-neg", "system-verify-0", "system-verify-mismatched-0",
+            "power-pair-1"])
+    def test_bad_samples_rejected_before_any_work(self, specdir, monkeypatch, argv):
+        from hessbif import cli
+        from hessbif.system import SystemSpec
+
+        # g and h with different limit classes: this path never reaches verify_predictions
+        mismatched = {"N": 1, "k": 1, "R": 1.0,
+                      "g": {"kind": "saturating_t"}, "h": {"kind": "superlinear_s"}}
+        assert not SystemSpec.from_json(mismatched).matched_classes
+        (specdir / "mismatched.json").write_text(json.dumps(mismatched))
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --samples was checked")
+
+        for name in ("first_eigenvalue", "trace_branch", "trace_system_branch",
+                     "power_pair_constant"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.chdir(specdir)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(argv)
+        assert rc == cli.EXIT_INVALID
+        assert "argument --samples" in err.getvalue()
 
     def test_infinite_radius_invalid(self, tmp_path):
         r = run(["eigen", "--N", "1", "--k", "1", "--R", "inf"], tmp_path)
@@ -220,6 +266,21 @@ class TestSystemCommands:
         obj = json.loads((specdir / "sr.json").read_text())
         assert obj["pass"] is True
         assert any("lambda0" in n for n in obj["notes"])
+
+
+    def test_system_verify_checks_declared_monotone_flags(self, specdir):
+        spec = json.loads((specdir / "system.json").read_text())
+        spec["monotone"]["g_in_t"] = False   # saturating_t is non-decreasing in t
+        (specdir / "declared_false.json").write_text(json.dumps(spec))
+        r = run(["system-verify", "--spec", "declared_false.json", "--out-report", "sr.json",
+                 "--n-points", "16"] + FAST, specdir)
+        assert r.returncode == 1, r.stderr
+        obj = json.loads((specdir / "sr.json").read_text())
+        [check] = [c for c in obj["checks"] if c["name"].startswith("g non-decreasing in t")]
+        assert check["pass"] is False
+        assert check["observed"] == "numeric g_in_t=True, h_in_s=True"
+        assert any("theorems assume" in n for n in obj["notes"])
+        assert all(c["pass"] for c in obj["checks"] if c is not check)
 
 
 class TestPowerPairAndSweep:

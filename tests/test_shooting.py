@@ -1,10 +1,13 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessbif.core import NonlinearitySpec, ProblemSpec
-from hessbif.errors import InvalidInputError
+from hessbif.errors import InvalidInputError, NumericalFailureError
 from hessbif.shooting import (
     RadialProfile,
     ShootingConfig,
@@ -22,6 +25,9 @@ from _oracles import eigen_value
 LAM_COS = (math.pi / 2) ** 2        # 2.4674011002723395, interval eigenvalue
 LAM_SINC = math.pi**2               # 9.869604401089358, 3-ball eigenvalue
 J0SQ = 5.78318596294678             # squared first zero of J_0, disk eigenvalue
+# squared first zero of J_29, the eigenvalue of the unit 60-ball (N = 60, k = 1);
+# mpmath.besseljzero(29, 1) ** 2
+J29SQ = 1227.6123313243762
 
 
 def linear_spec(N, k, R=1.0):
@@ -157,6 +163,74 @@ class TestFirstEigenvalue:
             lam_1 = first_eigenvalue(N, k, 1.0).lambda1
             lam_2 = first_eigenvalue(N, k, 2.0).lambda1
             assert abs(lam_2 * 4.0 - lam_1) < 1e-8 * max(1.0, lam_1)
+
+
+class TestScaledFirstEigenvalue:
+    # the fixed-R cases of the scaled solve: every (N, k) with N <= 5, plus large N
+    CASES = ([(N, k) for N in range(1, 6) for k in range(1, N + 1)]
+             + [(8, 1), (8, 4), (8, 8), (20, 7), (60, 60)])
+
+    def test_at_most_four_ivps(self, monkeypatch):
+        # one scaled IVP, two fixed-R bracket residuals, one residual at lambda1
+        import hessbif.rk as rk
+
+        calls = []
+        real = rk.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rk, "integrate", counting)
+        res = first_eigenvalue(2, 2, 1.13)
+        assert len(calls) <= 4
+        assert res.iterations == len(calls)
+
+    def test_detuned_scaled_value_fails_the_bracket(self, monkeypatch):
+        import hessbif.shooting as shooting
+
+        real = shooting.lambda_at_amplitude
+        monkeypatch.setattr(shooting, "lambda_at_amplitude",
+                            lambda *args: real(*args) * (1.0 + 1e-3))
+        with pytest.raises(NumericalFailureError) as exc:
+            first_eigenvalue(2, 1, 1.0)
+        message = str(exc.value)
+        assert message.count("u(R; ") == 2 and "does not change sign" in message
+
+    @pytest.mark.parametrize("R", [1.0, 1.37])
+    def test_sixty_ball_against_bessel_zero(self, R):
+        got = first_eigenvalue(60, 1, R).lambda1 * R**2
+        assert abs(got - J29SQ) <= 1e-9 * J29SQ
+
+    @pytest.mark.parametrize("N,k", CASES)
+    def test_matches_fixed_radius_bisection(self, N, k):
+        R = 1.37
+        res = first_eigenvalue(N, k, R)
+        [root] = solve_lambda(linear_spec(N, k, R), 1.0,
+                              (res.lambda1 / 2.0, res.lambda1 * 2.0), scan_cells=2)
+        assert abs(res.lambda1 - root) <= 1e-9 * root
+
+    @pytest.mark.parametrize("N,k", CASES + [(60, 1)])
+    def test_bracket_holds_at_loose_tolerances(self, N, k):
+        cfg = ShootingConfig(grid_points=128, integrator_tol=1e-5, root_tol=1e-5)
+        assert first_eigenvalue(N, k, 0.71, cfg).iterations == 4
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_ball_oracle(N, k):
+    return eigen_value(N, k, 1.0)
+
+
+# radii that are not powers of two, where the R^-2 law is not exact in floating point
+RADII = st.floats(math.log(0.3), math.log(3.0)).map(math.exp).filter(
+    lambda R: math.log2(R) != round(math.log2(R)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(R=RADII, case=st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 2), (3, 3)]))
+def test_scaling_law_against_oracle(R, case):
+    expect = _unit_ball_oracle(*case)
+    assert first_eigenvalue(*case, R).lambda1 * R**2 == pytest.approx(expect, rel=1e-8)
 
 
 class TestConsistencyAndAdmissibility:

@@ -1,14 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from hessbif.branch import VerificationReport
 from hessbif.core import LimitClass
 from hessbif.errors import InvalidInputError, NumericalFailureError
 from hessbif.shooting import ShootingConfig, first_eigenvalue
 from hessbif.system import (
     NonlinearitySpec2,
     SystemSpec,
+    add_monotonicity_check,
     check_monotonicity,
     fd_nondecreasing,
     integrate_system,
@@ -193,6 +196,37 @@ class TestMonotonicity:
                              ("rational", {"b": 0.5}), ("rational", {"b": 2.0}),
                              ("powermix", None), ("logbump", None)):
             assert check_monotonicity(coupled(2, 1, base, params), 5.0), base
+
+
+    @staticmethod
+    def _declared_check(spec, s_max=130.0):
+        rep = VerificationReport()
+        add_monotonicity_check(rep, spec, s_max)
+        assert len(rep.checks) == 1
+        return rep
+
+    def test_declared_flags_agree(self):
+        rep = self._declared_check(coupled(2, 1, "saturating"))
+        assert rep.passed
+        assert rep.checks[0].name.startswith("g non-decreasing in t, h non-decreasing in s")
+        assert rep.notes == []
+
+    @pytest.mark.parametrize("g_in_t,h_in_s", [(False, True), (True, False), (False, False)])
+    def test_flag_declared_false_on_monotone_pair_fails_with_note(self, g_in_t, h_in_s):
+        spec = replace(coupled(2, 1, "saturating"),
+                       monotone_g_in_t=g_in_t, monotone_h_in_s=h_in_s)
+        rep = self._declared_check(spec)
+        assert not rep.passed
+        assert any("theorems assume" in n for n in rep.notes)
+
+    def test_non_monotone_coupling(self):
+        spec = coupled(2, 1, "saturating")
+        spec.g = lambda s, t: t * (2.0 - t)   # a hump in t
+        assert not self._declared_check(spec).passed
+        spec.monotone_g_in_t = False
+        rep = self._declared_check(spec)
+        assert rep.passed
+        assert any("theorems assume" in n for n in rep.notes)
 
 
 @pytest.fixture(scope="module")
