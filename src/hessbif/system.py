@@ -6,14 +6,15 @@ Two coupled components on the same ball,
     S_k(D^2 v) = (lambda h(-u, -v))^k,
 
 integrated simultaneously in integral form (see shooting.py for the scalar
-construction).  At fixed u-amplitude d_u the Dirichlet conditions (u(R), v(R))
-= (0, 0) are solved by a damped Newton iteration over (lambda, d_v) in log
-coordinates, with a finite-difference Jacobian.
+construction).  At fixed u-amplitude d_u, ball-radius scaling (as for lambda(d)
+in shooting.py) turns the Dirichlet conditions (u(R), v(R)) = (0, 0) into one
+root in log d_v: u and v of the pair IVP at a reference lambda_ref vanish at
+the same rho, and lambda = lambda_ref (rho / R)^2 (see _common_zero).
 
 The power-pair eigenproblem S_k(D^2 u) = lambda (-v)^alpha, S_k(D^2 v) =
-mu (-u)^beta (alpha beta = k^2) uses the same machinery with the direct
-right-hand sides; the product lambda mu^(alpha/k) is the scaling invariant
-whose constancy across mu is the checkable claim.
+mu (-u)^beta (alpha beta = k^2) keeps a damped Newton on the fixed-R residuals:
+the constancy of the product lambda mu^(alpha/k) across mu is the checkable
+claim, so it must not come from the same scaling.
 
 Two-argument nonlinearities are weight forms phi(x) * w(s + t), with phi = t
 for the u-equation ("_t" kinds) and phi = s for the v-equation ("_s" kinds):
@@ -36,7 +37,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import rk
+from . import rk, shooting
 from .branch import (
     Branch,
     BranchPoint,
@@ -215,8 +216,8 @@ def _pair_rhs(N, k, target_u, target_v):
     return rhs
 
 
-def _pair_ivp(N, k, R, target_u, target_v, d_u, d_v, tol, output_ts=None):
-    """Outward pair integration from the origin series; returns (result, a_u, a_v)."""
+def _pair_ivp(N, k, R, target_u, target_v, d_u, d_v, tol, t1, **kw):
+    """rk.integrate(**kw) outward from the origin series to t1; returns (result, a_u, a_v)."""
     r0 = _origin_radius(N, R)
     c_full = binom(N, k)
     t_u, t_v = target_u(d_u, d_v), target_v(d_u, d_v)
@@ -226,14 +227,9 @@ def _pair_ivp(N, k, R, target_u, target_v, d_u, d_v, tol, output_ts=None):
           -d_v + 0.5 * a_v * r0 * r0, a_v**k * r0**N)
     atol = (tol * 1e-3 * max(d_u, 1.0), tol * 1e-3 * max(t_u * R**N, 1e-30),
             tol * 1e-3 * max(d_v, 1.0), tol * 1e-3 * max(t_v * R**N, 1e-30))
-    res = rk.integrate(_pair_rhs(N, k, target_u, target_v), r0, y0, R,
-                       rtol=tol, atol=atol, output_ts=output_ts)
+    res = rk.integrate(_pair_rhs(N, k, target_u, target_v), r0, y0, t1,
+                       rtol=tol, atol=atol, **kw)
     return res, a_u, a_v
-
-
-def _pair_terminal(N, k, R, target_u, target_v, d_u, d_v, tol):
-    res, _, _ = _pair_ivp(N, k, R, target_u, target_v, d_u, d_v, tol)
-    return res.y[0], res.y[2]
 
 
 def _pair_profiles(N, k, R, target_u, target_v, d_u, d_v, lam, cfg):
@@ -241,7 +237,7 @@ def _pair_profiles(N, k, R, target_u, target_v, d_u, d_v, lam, cfg):
     mask = grid <= _origin_radius(N, R)
     outer = grid[~mask]   # nonempty: grid_points >= 64 puts grid[1] far beyond r0
     res, a_u, a_v = _pair_ivp(N, k, R, target_u, target_v, d_u, d_v,
-                              cfg.integrator_tol, output_ts=outer)
+                              cfg.integrator_tol, R, output_ts=outer)
     states = np.asarray(res.grid_states)
     vals = []
     for d, a, iu in ((d_u, a_u, 0), (d_v, a_v, 2)):
@@ -302,12 +298,12 @@ def system_boundary_values(spec: SystemSpec, lam: float, d_u: float, d_v: float,
     if lam == 0.0:
         return -d_u, -d_v
     tu, tv = _system_targets(spec, lam)
-    return _pair_terminal(spec.N, spec.k, spec.R, tu, tv, d_u, d_v,
-                          cfg.integrator_tol)
+    y = _pair_ivp(spec.N, spec.k, spec.R, tu, tv, d_u, d_v, cfg.integrator_tol, spec.R)[0].y
+    return y[0], y[2]
 
 
 # ---------------------------------------------------------------------------
-# two-residual Newton
+# Dirichlet points: a scaled 1-D root, and two-residual Newton for power pairs
 # ---------------------------------------------------------------------------
 
 
@@ -325,7 +321,7 @@ class SystemBranchPoint:
         return self.d_u + self.d_v
 
 
-def _newton_pair(residual_fn, lam0, dv0, scale_u, scale_v, tol, max_iter=NEWTON_MAX_ITER):
+def _newton_pair(residual_fn, lam0, dv0, scale_u, scale_v, tol):
     """Damped Newton on (log lambda, log d_v); residual_fn(lam, d_v) -> (ru, rv)."""
 
     def fval(z):
@@ -335,7 +331,7 @@ def _newton_pair(residual_fn, lam0, dv0, scale_u, scale_v, tol, max_iter=NEWTON_
     z = [math.log(lam0), math.log(dv0)]
     f = fval(z)
     norm = max(abs(f[0]), abs(f[1]))
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if norm <= tol:
             return math.exp(z[0]), math.exp(z[1]), norm
         jac = [[0.0, 0.0], [0.0, 0.0]]
@@ -378,29 +374,75 @@ def _newton_pair(residual_fn, lam0, dv0, scale_u, scale_v, tol, max_iter=NEWTON_
         f"system Newton did not converge (residual norm {norm:.3e})")
 
 
+def _common_zero(spec, d_u, lam_ref, dv0, cfg):
+    """(rho, d_v) where u and v of the pair IVP at lam_ref and (d_u, d_v) vanish together.
+
+    F = v(rho_u) / d_v at u's first zero rho_u falls as d_v grows (g rises in t, h in s);
+    no zero before shooting.HORIZON R counts as F > 0.  Steps of 0.1, 0.2, 0.4, ... in
+    log d_v bracket its sign change; Illinois stops at a step within root_tol of an end."""
+    tu, tv = _system_targets(spec, lam_ref)
+    horizon = shooting.HORIZON * spec.R
+
+    def point(d_v):   # (log d_v, d_v, F, rho_u), rho_u None when u has no zero
+        res, _, _ = _pair_ivp(spec.N, spec.k, spec.R, tu, tv, d_u, d_v,
+                              cfg.integrator_tol, horizon, root_tol=cfg.root_tol)
+        z = math.log(d_v)
+        return (z, d_v, math.inf, None) if res.t >= horizon else (z, d_v, res.y[2] / d_v, res.t)
+
+    prev = point(dv0)
+    if prev[2] == 0.0:   # u and v coincide, as on symmetric pairs at d_v = d_u
+        return prev[3], prev[1]
+    up = prev[2] > 0.0
+    for n in range(10):   # ten doublings reach log(d_v / dv0) = +-102.3
+        cur = point(math.exp(prev[0] + (0.1 if up else -0.1) * 2.0**n))
+        if (cur[2] > 0.0) != up:
+            break
+        prev = cur
+    else:
+        reason = (f"u has no zero before {shooting.HORIZON:g} R" if prev[3] is None
+                  else "v(rho_u) did not change sign after 10 doublings")
+        raise NumericalFailureError(
+            f"{reason} from d_v = {dv0!r} (d_u = {d_u!r}, lambda_ref = {lam_ref!r})")
+
+    lo, hi = (prev, cur) if up else (cur, prev)   # F(lo) > 0 >= F(hi)
+    f_lo, f_hi, side = lo[2], hi[2], 0   # Illinois halves F at an end kept twice running
+    for _ in range(shooting.MAX_BISECT_ITER):
+        z = lo[0] + (hi[0] - lo[0]) * f_lo / (f_lo - f_hi)
+        if not (lo[0] <= z <= hi[0]):
+            z = 0.5 * (lo[0] + hi[0])
+        near = lo if z - lo[0] < hi[0] - z and lo[3] is not None else hi
+        if abs(z - near[0]) <= cfg.root_tol:
+            return near[3], near[1]
+        mid = point(math.exp(z))
+        if mid[2] > 0.0:
+            lo, f_lo, f_hi, side = mid, mid[2], f_hi * (0.5 if side < 0 else 1.0), -1
+        else:
+            hi, f_hi, f_lo, side = mid, mid[2], f_lo * (0.5 if side > 0 else 1.0), 1
+    raise NumericalFailureError(f"v(rho_u) root not resolved (d_u = {d_u!r})")
+
+
 def solve_system_shooting(spec: SystemSpec, d_u: float, init,
                           cfg: ShootingConfig = DEFAULT_CONFIG,
                           check_admissible: bool = True) -> SystemBranchPoint:
-    """Converged (lambda, d_v) at fixed d_u from an initial guess in the basin."""
+    """Dirichlet point at d_u from init = (lambda_ref, d_v0): the scaled root of _common_zero,
+    confirmed by one fixed-R shot to eigen_rel_tol(cfg) of the amplitudes."""
     if not (d_u > 0.0):
         raise InvalidInputError(f"d_u must be positive, got {d_u!r}")
-    lam0, dv0 = init
-    if not (lam0 > 0.0 and dv0 > 0.0):
+    lam_ref, dv0 = init
+    if not (lam_ref > 0.0 and dv0 > 0.0):
         raise InvalidInputError(f"init must be positive, got {init!r}")
 
-    def residual(lam, d_v):
-        return system_boundary_values(spec, lam, d_u, d_v, cfg)
-
-    lam, d_v, _ = _newton_pair(residual, lam0, dv0,
-                               scale_u=max(d_u, 1e-12), scale_v=max(dv0, 1e-12),
-                               tol=cfg.root_tol)
-    ru, rv = residual(lam, d_v)
-    admissible = True
-    if check_admissible:
-        adm_cfg = replace(cfg, grid_points=min(cfg.grid_points, 256))
-        pu, pv = integrate_system(spec, lam, d_u, d_v, adm_cfg)
-        admissible = (profile_admissible(pu, spec.N, spec.k)
-                      and profile_admissible(pv, spec.N, spec.k))
+    rho, d_v = _common_zero(spec, d_u, lam_ref, dv0, cfg)
+    lam = lam_ref * (rho / spec.R) ** 2
+    ru, rv = system_boundary_values(spec, lam, d_u, d_v, cfg)
+    if max(abs(ru) / d_u, abs(rv) / d_v) > eigen_rel_tol(cfg):
+        raise NumericalFailureError(
+            f"fixed-R residual check failed at lambda = {lam!r}, d_u = {d_u!r}, "
+            f"d_v = {d_v!r}: res_u = {ru!r}, res_v = {rv!r}")
+    adm_cfg = replace(cfg, grid_points=min(cfg.grid_points, 256))
+    admissible = not check_admissible or all(
+        profile_admissible(p, spec.N, spec.k)
+        for p in integrate_system(spec, lam, d_u, d_v, adm_cfg))
     return SystemBranchPoint(d_u=d_u, d_v=d_v, lam=lam, res_u=ru, res_v=rv,
                              admissible=admissible)
 
@@ -410,7 +452,7 @@ def system_eigenvalue(N: int, k: int, R: float,
     """Coupled eigenvalue lambda0 of (S_k(D^2 u))^(1/k) = |lambda v|, and dually.
 
     The symmetric reduction u = v collapses the system to the scalar
-    eigenproblem; the value is then confirmed by a two-residual solve that does
+    eigenproblem; the value is then confirmed by a coupled solve that does
     not impose symmetry.  Disagreement beyond eigen_rel_tol(cfg) relative (1e-8
     at the defaults) is an internal inconsistency and raises NumericalFailureError.
     """
@@ -489,7 +531,8 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
             def tv(su, sv):
                 return mu * su**beta
 
-            return _pair_terminal(N, k, R, tu, tv, 1.0, d_v, cfg.integrator_tol)
+            y = _pair_ivp(N, k, R, tu, tv, 1.0, d_v, cfg.integrator_tol, R)[0].y
+            return y[0], y[2]
 
         lam, d_v, _ = _newton_pair(residual, lam0, dv0, scale_u=1.0,
                                    scale_v=max(dv0, 1e-12), tol=cfg.root_tol)
@@ -525,53 +568,29 @@ class SystemBranch:
                          f"{1 if i in fold_idx else 0}\n")
 
 
-def _system_lambda_predictor(spec: SystemSpec, lam1: float):
-    def pred(d):
-        half = 0.5 * d
-        val = spec.g(half, half) / half
-        return lam1 / val if val > 0.0 else lam1
-    return pred
-
-
 def trace_system_branch(spec: SystemSpec, d_grid, cfg: ShootingConfig = DEFAULT_CONFIG,
                         *, lambda_scale: float | None = None) -> SystemBranch:
-    """System branch over total amplitude d = d_u + d_v (d_u drives, d_v solved).
+    """System branch over total amplitude d = d_u + d_v (d_u = d / 2 drives, d_v solved).
 
-    Newton is seeded from the previous converged point; cold starts fall back
-    to a coarse (lambda, d_v) grid scan around the eigenvalue-based predictor.
-    Unresolved amplitudes are recorded as gaps.
+    One solve per amplitude, from the last resolved point (d_v scaled with d_u) or,
+    cold, from lambda1 d_u / g(d_u, d_u) and d_v = d_u; a failed solve is a gap.
     """
     d_grid = [float(d) for d in d_grid]
     if len(d_grid) < 4 or any(b <= a for a, b in zip(d_grid, d_grid[1:])):
         raise InvalidInputError("d_grid must be >= 4 strictly increasing amplitudes")
     if lambda_scale is None:
         lambda_scale = first_eigenvalue(spec.N, spec.k, spec.R, cfg).lambda1
-    pred = _system_lambda_predictor(spec, lambda_scale)
 
     points: list[SystemBranchPoint] = []
     gaps: list[float] = []
-    seed = None
     for d in d_grid:
         d_u = 0.5 * d
-        inits = []
-        if seed is not None:
-            lam_s, dv_s, d_prev = seed
-            inits.append((lam_s, dv_s * d / d_prev))
-        inits.append((pred(d), d_u))
-        point = None
-        for init in inits:
-            try:
-                point = solve_system_shooting(spec, d_u, init, cfg)
-                break
-            except NumericalFailureError:
-                continue
-        if point is None:
-            point = _grid_rescue(spec, d_u, pred(d), cfg)
-        if point is None:
+        init = ((points[-1].lam, points[-1].d_v * d_u / points[-1].d_u) if points
+                else (lambda_scale * d_u / spec.g(d_u, d_u), d_u))
+        try:
+            points.append(solve_system_shooting(spec, d_u, init, cfg))
+        except NumericalFailureError:
             gaps.append(d)
-            continue
-        points.append(point)
-        seed = (point.lam, point.d_v, d)
 
     if len(points) < 4:
         raise NumericalFailureError("system trace resolved fewer than 4 points")
@@ -592,25 +611,6 @@ def trace_system_branch(spec: SystemSpec, d_grid, cfg: ShootingConfig = DEFAULT_
             for p in points]
     branch = attach_summaries(Branch(points=proj, gaps=list(gaps)))
     return SystemBranch(points=points, branch=branch, gaps=gaps)
-
-
-def _grid_rescue(spec, d_u, lam_center, cfg):
-    best = None
-    for lam in (lam_center * 10.0**e for e in np.linspace(-2, 2, 9)):
-        for dv in (d_u * 10.0**e for e in np.linspace(-1, 1, 7)):
-            try:
-                ru, rv = system_boundary_values(spec, lam, d_u, dv, cfg)
-            except NumericalFailureError:
-                continue
-            norm = max(abs(ru) / max(d_u, 1e-12), abs(rv) / max(dv, 1e-12))
-            if best is None or norm < best[0]:
-                best = (norm, lam, dv)
-    if best is None:
-        return None
-    try:
-        return solve_system_shooting(spec, d_u, (best[1], best[2]), cfg)
-    except NumericalFailureError:
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -324,3 +324,12 @@ class TestDeterminism:
         r = run(["plot", "--branch", "b2.csv", "--out", "p2.svg"], specdir)
         assert r.returncode == 0, r.stderr
         assert (specdir / "p1.svg").read_bytes() == (specdir / "p2.svg").read_bytes()
+        (specdir / "system_n2.json").write_text(json.dumps(
+            {"N": 2, "k": 1, "R": 1.0,
+             "g": {"kind": "saturating_t"}, "h": {"kind": "saturating_s"}}))
+        for i in (1, 2):
+            r = run(["system-verify", "--spec", "system_n2.json", "--out-report", f"s{i}.json",
+                     "--out-branch", f"s{i}.csv", "--n-points", "16"] + FAST, specdir)
+            assert r.returncode == 0, r.stderr
+        assert (specdir / "s1.json").read_bytes() == (specdir / "s2.json").read_bytes()
+        assert (specdir / "s1.csv").read_bytes() == (specdir / "s2.csv").read_bytes()

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hessbif.branch import VerificationReport
 from hessbif.core import LimitClass
@@ -11,6 +13,7 @@ from hessbif.shooting import ShootingConfig, first_eigenvalue
 from hessbif.system import (
     NonlinearitySpec2,
     SystemSpec,
+    _newton_pair,
     add_monotonicity_check,
     check_monotonicity,
     fd_nondecreasing,
@@ -122,6 +125,102 @@ class TestSolveSystemShooting:
         lam1 = first_eigenvalue(2, 1, 1.0, FAST).lambda1
         point = solve_system_shooting(spec, 5e-4, (lam1, 5e-4), FAST)
         assert point.lam == pytest.approx(lam1, rel=1e-2)
+
+
+SYMMETRIC_PAIRS = (("linear", None), ("saturating", None), ("superlinear", None),
+                   ("rational", {"b": 0.5}), ("rational", {"b": 2.0}),
+                   ("powermix", None), ("logbump", None))
+
+
+def cold_start(spec, d_u):
+    """The tracer's first-point guess (lambda1 d_u / g(d_u, d_u), d_u)."""
+    lam1 = first_eigenvalue(spec.N, spec.k, spec.R, FAST).lambda1
+    return lam1 * d_u / spec.g(d_u, d_u), d_u
+
+
+def asymmetric(N, g, h, h_params=None):
+    return SystemSpec(N=N, k=1, R=1.0, g=NonlinearitySpec2(g),
+                      h=NonlinearitySpec2(h, dict(h_params or {})))
+
+
+class TestOneDimensionalRoot:
+    @pytest.mark.parametrize("N", [2, 3])
+    @pytest.mark.parametrize("g,h,h_params", [("saturating_t", "rational_s", {"b": 3.0}),
+                                              ("linear_t", "superlinear_s", None)])
+    def test_agrees_with_two_residual_newton(self, N, g, h, h_params):
+        # Newton on the fixed-R residuals shares no step with the scaled root.
+        # The points come from a trace, so each reference lambda is the
+        # neighbouring point's and rho stays near R.
+        spec = asymmetric(N, g, h, h_params)
+        sb = trace_system_branch(spec, np.geomspace(0.1, 40.0, 9), FAST)
+        picked = [p for p in sb.points
+                  if any(p.d_u == pytest.approx(d_u, rel=1e-12) for d_u in (0.05, 1.0, 20.0))]
+        assert len(picked) == 3
+        for point in picked:
+
+            def residual(lam, d_v, d_u=point.d_u):
+                return system_boundary_values(spec, lam, d_u, d_v, FAST)
+
+            lam, d_v, _ = _newton_pair(residual, 1.05 * point.lam, 0.95 * point.d_v,
+                                       scale_u=point.d_u, scale_v=point.d_v,
+                                       tol=FAST.root_tol)
+            assert lam == pytest.approx(point.lam, rel=1e-9), point.d_u
+            assert d_v == pytest.approx(point.d_v, rel=1e-9), point.d_u
+
+    def test_detuned_root_fails_the_fixed_radius_check(self, monkeypatch):
+        import hessbif.system as system_mod
+
+        real = system_mod._common_zero
+
+        def detuned(*args):
+            rho, d_v = real(*args)
+            return rho * (1.0 + 1e-6), d_v
+
+        monkeypatch.setattr(system_mod, "_common_zero", detuned)
+        spec = asymmetric(2, "saturating_t", "rational_s", {"b": 3.0})
+        with pytest.raises(NumericalFailureError,
+                           match=r"fixed-R residual check failed.*res_u = .*res_v = "):
+            solve_system_shooting(spec, 1.0, cold_start(spec, 1.0), FAST)
+
+    def test_no_zero_of_u_is_named(self):
+        # N > 2k and saturating g < 1: at lambda_ref = 1e-6, u levels off below
+        # zero however large d_v grows
+        spec = coupled(3, 1, "saturating")
+        with pytest.raises(NumericalFailureError, match="u has no zero before 1000 R"):
+            solve_system_shooting(spec, 1.0, (1e-6, 1.0), FAST)
+
+    def test_at_most_five_ivps_per_point(self, monkeypatch):
+        import hessbif.rk as rk
+
+        spec = coupled(2, 1, "saturating")
+        lam1 = first_eigenvalue(2, 1, 1.0, FAST).lambda1
+        calls = []
+        real = rk.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rk, "integrate", counting)
+        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
+                                 lambda_scale=lam1)
+        assert sb.gaps == []
+        assert len(calls) <= 5 * len(sb.points)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(pair=st.sampled_from(SYMMETRIC_PAIRS),
+       case=st.sampled_from([(1, 1), (2, 1), (2, 2), (3, 1)]),
+       log_d=st.floats(math.log(1e-2), math.log(1e2)),
+       detune=st.floats(0.8, 1.25))
+def test_symmetric_pairs_solve_to_equal_amplitudes(pair, case, log_d, detune):
+    spec = coupled(*case, *pair)
+    d_u = math.exp(log_d)
+    lam_ref, _ = cold_start(spec, d_u)
+    point = solve_system_shooting(spec, d_u, (lam_ref, detune * d_u), FAST,
+                                  check_admissible=False)
+    assert abs(point.d_v / d_u - 1.0) <= 1e-9
+    assert abs(point.res_u) <= 1e-9 * d_u and abs(point.res_v) <= 1e-9 * point.d_v
 
 
 class TestSystemEigenvalue:
