@@ -17,7 +17,7 @@ All verification is for radial branches on balls; reports say so explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .core import LimitClass, ProblemSpec, aitken
 from .errors import (
@@ -29,9 +29,11 @@ from .errors import (
 from .shooting import (
     DEFAULT_CONFIG,
     ShootingConfig,
-    integrate_profile,
+    _make_rhs,
+    _shoot,
+    first_eigenvalue,
     lambda_at_amplitude,
-    profile_admissible,
+    trajectory_admissible,
 )
 
 PLATEAU_REL = 1e-6          # extremum must beat neighbors by this (relative)
@@ -539,10 +541,10 @@ def _solve_point(spec, d, cfg, lambda_scale):
 
 
 def _make_point(spec, d, lam, cfg, seed_flag):
-    # u(R) of the fixed-R admissibility profile is the point's Dirichlet residual
-    prof = integrate_profile(spec, lam, d, replace(cfg, grid_points=min(cfg.grid_points, 256)))
-    return BranchPoint(d=d, lam=lam, residual=prof.boundary_value,
-                       admissible=profile_admissible(prof, spec.N, spec.k),
+    states = []   # one free fixed-R shot: u(R) is the residual, its states the cone check
+    residual = _shoot(spec, lam, d, cfg, spec.R, trajectory=states).y[0]
+    return BranchPoint(d=d, lam=lam, residual=residual,
+                       admissible=trajectory_admissible(_make_rhs(spec, lam), states, (1,)),
                        seed=seed_flag)
 
 
@@ -553,21 +555,19 @@ def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
 
     Each amplitude costs one IVP for lambda(d) (see lambda_at_amplitude: the
     first zero rho of the solution at lambda0 = lambda_scale * d / f(d) gives
-    lambda0 (rho / R)^2, searched out to rho = 10^3 R) and one fixed-R profile
-    for the residual u(R) and the admissibility flag.  lambda_scale defaults
-    to lambda1.  Amplitudes without a zero are recorded as gaps; more than 10%
-    gaps on the base grid raises TracingFailureError.  Neighbor jumps above
-    20% relative trigger local log-grid refinement up to 3 levels, and
-    detected folds are localized by golden-section search before the final
-    fold/asymptote summaries are attached.
+    lambda0 (rho / R)^2, searched out to rho = 10^3 R) and one free fixed-R
+    shot: u(R) is the residual, its states give the admissibility flag.
+    lambda_scale defaults to lambda1.  Amplitudes without a zero are recorded
+    as gaps; more than 10% gaps on the base grid raises TracingFailureError.
+    Neighbor jumps above 20% relative trigger local log-grid refinement up to
+    3 levels, and detected folds are localized by golden-section search
+    before the final fold/asymptote summaries are attached.
     """
     if not (0.0 < d_min < d_max):
         raise InvalidInputError(f"need 0 < d_min < d_max, got {d_min!r}, {d_max!r}")
     if n_points < 16:
         raise InvalidInputError(f"n_points must be >= 16, got {n_points}")
     if lambda_scale is None:
-        from .shooting import first_eigenvalue
-
         lambda_scale = first_eigenvalue(spec.N, spec.k, spec.R, cfg).lambda1
 
     ratio = (d_max / d_min) ** (1.0 / (n_points - 1))
@@ -643,7 +643,7 @@ def _polish_folds(spec, branch, cfg, lambda_scale, log_tol=2e-3):
 
         def lam_at(ld):
             if ld not in cache:
-                cache[ld] = _solve_point(spec, math.exp(ld), cfg, lambda_scale) or None
+                cache[ld] = _solve_point(spec, math.exp(ld), cfg, lambda_scale)
             return cache[ld]
 
         x1 = b - gr * (b - a)

@@ -58,11 +58,7 @@ def _write_json(obj, path) -> None:
 
 
 def _config_from_args(args) -> ShootingConfig:
-    return ShootingConfig(
-        grid_points=args.grid_points,
-        integrator_tol=args.tol,
-        root_tol=args.root_tol,
-    )
+    return ShootingConfig(integrator_tol=args.tol, root_tol=args.root_tol)
 
 
 def _print_report(rep: VerificationReport) -> None:
@@ -273,8 +269,6 @@ def _read_json(path):
 
 
 def _add_cfg_args(p):
-    p.add_argument("--grid-points", type=int, default=1024,
-                   help="output grid size for stored profiles (default 1024)")
     p.add_argument("--tol", type=float, default=1e-10,
                    help="integrator relative tolerance (default 1e-10)")
     p.add_argument("--root-tol", type=float, default=1e-10,

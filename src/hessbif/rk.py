@@ -5,8 +5,8 @@ estimate.  States are plain lists of floats; the radial shooting systems here
 have 2 or 4 components, where python-float arithmetic beats array overhead by
 an order of magnitude.  Two modes:
 
-  * free stepping to the right endpoint (terminal value only) - the hot path
-    inside bisection loops;
+  * free stepping to the right endpoint (terminal value, and on request every
+    accepted state) - the hot path of root solves and branch points;
   * step clamping onto a fixed output grid, recording the state at every grid
     point - used when a full profile is requested;
 
@@ -132,7 +132,7 @@ def _locate_zero(rhs, t, y, k0, h, y_end, rtol, atol, root_tol):
 
 
 def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
-              root_tol=None):
+              root_tol=None, trajectory=None):
     """Integrate y' = rhs(t, y) from t0 to t1 (t1 > t0).
 
     atol is a per-component sequence (same length as y0).  output_ts, when
@@ -140,8 +140,10 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
     exactly and records the state there.  With root_tol, integration stops
     where component 0 first changes sign: the crossing is located inside the
     last accepted step to root_tol relative and returned as (t, y), t < t1;
-    outputs beyond it are not recorded.  Raises NumericalFailureError on
-    NaN/inf states, step-size underflow, or step-count exhaustion.
+    outputs beyond it are not recorded.  A trajectory list receives (t, y) at
+    t0 and after every accepted step, ending with the returned state.  Raises
+    NumericalFailureError on NaN/inf states, step-size underflow, or
+    step-count exhaustion.
     """
     n = len(y0)
     y = [float(v) for v in y0]
@@ -162,6 +164,8 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
         while out_idx < len(outputs) and outputs[out_idx] <= t:
             grid_states.append(list(y))
             out_idx += 1
+    if trajectory is not None:
+        trajectory.append((t, y))
 
     h_ctrl = span / 64.0
     h_min = 1e-14 * span
@@ -204,10 +208,14 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
             n_steps += 1
             if root_tol is not None and (y5[0] < 0.0) != (y[0] < 0.0):
                 t, y = _locate_zero(rhs, t, y, k0, h, y5, rtol, atol, root_tol)
+                if trajectory is not None:
+                    trajectory.append((t, y))
                 return RKResult(t, y, grid_states, n_steps, n_rejected)
             t = t + h
             y = y5
             k0 = None
+            if trajectory is not None:
+                trajectory.append((t, y))
             if hit_output:
                 grid_states.append(list(y))
                 out_idx += 1

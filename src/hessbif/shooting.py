@@ -82,12 +82,6 @@ class RadialProfile:
     def boundary_value(self) -> float:
         return float(self.u[-1])
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write("r,u,uprime\n")
-            for r, u, up in zip(self.r, self.u, self.uprime):
-                fh.write(f"{r:.17g},{u:.17g},{up:.17g}\n")
-
 
 def _origin_radius(N: int, R: float) -> float:
     # keep r0^N representable; series truncation error is O(r0^4) regardless
@@ -245,6 +239,21 @@ def profile_admissible(profile: RadialProfile, N: int, k: int) -> bool:
     q = profile.uprime[1:-1] / profile.r[1:-1]
     upp = profile.upp[1:-1]
     return all(np.all(sk_from_radial(upp, q, N, j) > 0.0) for j in range(1, k + 1))
+
+
+def trajectory_admissible(rhs, trajectory, flux) -> bool:
+    """Cone membership at the interior states (r, y) of an rk.integrate trajectory.
+
+    flux indexes the flux components m of y and their slopes m' in rhs(r, y).
+    S_k = C(N-1,k-1) r^(1-N) m'/k, and u' > 0 with S_k > 0 gives S_j > 0 for
+    j < k, so m > 0 and m' > 0 is the test: no u'', whose S_j cancel to
+    rounding within a step of R.  The end states are dropped, as r = 0 and R
+    are by profile_admissible."""
+    for r, y in trajectory[1:-1]:
+        slope = rhs(r, y)
+        if not all(y[i] > 0.0 and slope[i] > 0.0 for i in flux):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

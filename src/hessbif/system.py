@@ -33,7 +33,7 @@ where the class pair is (lim_{x->0} w, lim_{x->inf} w) relative to |t| (resp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,8 +56,8 @@ from .shooting import (
     differenced_sk,
     eigen_rel_tol,
     first_eigenvalue,
-    profile_admissible,
     radial_derivatives,
+    trajectory_admissible,
 )
 
 NEWTON_MAX_ITER = 40
@@ -422,10 +422,10 @@ def _common_zero(spec, d_u, lam_ref, dv0, cfg):
 
 
 def solve_system_shooting(spec: SystemSpec, d_u: float, init,
-                          cfg: ShootingConfig = DEFAULT_CONFIG,
-                          check_admissible: bool = True) -> SystemBranchPoint:
+                          cfg: ShootingConfig = DEFAULT_CONFIG) -> SystemBranchPoint:
     """Dirichlet point at d_u from init = (lambda_ref, d_v0): the scaled root of _common_zero,
-    confirmed by one fixed-R shot to eigen_rel_tol(cfg) of the amplitudes."""
+    confirmed by one free fixed-R shot to eigen_rel_tol(cfg) of the amplitudes; the accepted
+    states of that shot give the admissibility flag (shooting.trajectory_admissible)."""
     if not (d_u > 0.0):
         raise InvalidInputError(f"d_u must be positive, got {d_u!r}")
     lam_ref, dv0 = init
@@ -434,15 +434,15 @@ def solve_system_shooting(spec: SystemSpec, d_u: float, init,
 
     rho, d_v = _common_zero(spec, d_u, lam_ref, dv0, cfg)
     lam = lam_ref * (rho / spec.R) ** 2
-    ru, rv = system_boundary_values(spec, lam, d_u, d_v, cfg)
+    tu, tv = _system_targets(spec, lam)
+    states = []
+    ru, _, rv, _ = _pair_ivp(spec.N, spec.k, spec.R, tu, tv, d_u, d_v, cfg.integrator_tol,
+                             spec.R, trajectory=states)[0].y
     if max(abs(ru) / d_u, abs(rv) / d_v) > eigen_rel_tol(cfg):
         raise NumericalFailureError(
             f"fixed-R residual check failed at lambda = {lam!r}, d_u = {d_u!r}, "
             f"d_v = {d_v!r}: res_u = {ru!r}, res_v = {rv!r}")
-    adm_cfg = replace(cfg, grid_points=min(cfg.grid_points, 256))
-    admissible = not check_admissible or all(
-        profile_admissible(p, spec.N, spec.k)
-        for p in integrate_system(spec, lam, d_u, d_v, adm_cfg))
+    admissible = trajectory_admissible(_pair_rhs(spec.N, spec.k, tu, tv), states, (1, 3))
     return SystemBranchPoint(d_u=d_u, d_v=d_v, lam=lam, res_u=ru, res_v=rv,
                              admissible=admissible)
 
@@ -460,8 +460,7 @@ def system_eigenvalue(N: int, k: int, R: float,
     spec = SystemSpec(N=N, k=k, R=R,
                       g=NonlinearitySpec2("linear_t"),
                       h=NonlinearitySpec2("linear_s"))
-    point = solve_system_shooting(spec, 1.0, (1.07 * lam_sym, 0.9), cfg,
-                                  check_admissible=False)
+    point = solve_system_shooting(spec, 1.0, (1.07 * lam_sym, 0.9), cfg)
     if abs(point.lam - lam_sym) > eigen_rel_tol(cfg) * lam_sym:
         raise NumericalFailureError(
             f"asymmetric coupled solve gave {point.lam!r}, symmetric reduction {lam_sym!r}")

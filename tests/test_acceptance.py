@@ -185,8 +185,7 @@ def test_criterion_7_coupled_eigenvalue_matches_scalar():
             assert abs(lam0 - lam1) <= 1e-8 * lam1
             # asymmetric confirmation without imposing symmetry
             point = solve_system_shooting(coupled(N, k, "linear"), 1.0,
-                                          (1.07 * lam1, 0.9), CFG,
-                                          check_admissible=False)
+                                          (1.07 * lam1, 0.9), CFG)
             assert abs(point.lam - lam1) <= 1e-6 * lam1
             assert abs(point.d_v - 1.0) <= 1e-6
 
@@ -266,7 +265,7 @@ def test_criterion_10_invariant_suites(tmp_path):
             r = subprocess.run(
                 [sys.executable, "-m", "hessbif", "verify", "--spec", str(specfile),
                  "--out-report", str(rep), "--out-branch", str(csv),
-                 "--n-points", "17", "--grid-points", "128"],
+                 "--n-points", "17"],
                 capture_output=True, text=True, timeout=600)
             assert r.returncode == 0, r.stderr
             r = subprocess.run(

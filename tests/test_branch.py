@@ -15,11 +15,12 @@ from hessbif.branch import (
     detect_folds,
     predicted_interval,
     refine_jumps,
+    _make_point,
     solution_amplitudes,
     trace_branch,
     verify_predictions,
 )
-from hessbif.core import LimitClass, NonlinearitySpec, ProblemSpec
+from hessbif.core import LimitClass, NonlinearitySpec, ProblemSpec, registry
 from hessbif.errors import (
     AtFoldError,
     InvalidInputError,
@@ -27,7 +28,13 @@ from hessbif.errors import (
     OutOfTableError,
     TracingFailureError,
 )
-from hessbif.shooting import ShootingConfig, first_eigenvalue
+from hessbif.shooting import (
+    ShootingConfig,
+    _shoot,
+    first_eigenvalue,
+    integrate_profile,
+    profile_admissible,
+)
 from hessbif.system import NonlinearitySpec2, SystemSpec, trace_system_branch
 
 LAM_COS = 2.4674011002723395
@@ -314,6 +321,82 @@ def _system_trace(monkeypatch, n_points, drop):
     sb = trace_system_branch(spec, grid, FAST)
     return ([0.5 * d for d in grid], [p.d_u for p in sb.points],
             [p.seed for p in sb.branch.points], [0.5 * g for g in sb.gaps])
+
+
+# (kind, N, k) at R = 1.13: N = k puts a long last step before R
+ADMISSIBILITY_CASES = [("log_bump", 3, 2), ("log_bump", 5, 2), ("log_bump", 3, 3),
+                       ("saturating", 2, 1), ("square", 3, 2),
+                       ("quadratic_over_linear", 1, 1)]
+
+
+@pytest.fixture(scope="module", params=ADMISSIBILITY_CASES,
+                ids=["{}-N{}k{}".format(*c) for c in ADMISSIBILITY_CASES])
+def registry_branch(request):
+    kind, N, k = request.param
+    spec = ProblemSpec(N=N, k=k, R=1.13, f=registry()[kind])
+    return spec, trace_branch(spec, 1e-2, 1e2, 25, FAST)
+
+
+GRID_256 = ShootingConfig(grid_points=256)
+
+
+class TestAdmissibility:
+    def test_flags_match_grid_profiles(self, registry_branch):
+        spec, br = registry_branch
+        assert [p.admissible for p in br.points] == [
+            profile_admissible(integrate_profile(spec, p.lam, p.d, GRID_256), spec.N, spec.k)
+            for p in br.points]
+
+    @pytest.mark.parametrize("N,d", [(3, 1.0), (5, 6.81)])
+    def test_log_bump_points_next_to_the_boundary(self, N, d):
+        # The accepted state before R = 1.13 lies 8.5e-8 (N = 3) and 5.5e-6
+        # (N = 5) from R.  S_2 from the flux-form u'' cancels there to 0.0 and
+        # -2.8e-14, so a cone test on u'' that drops only the last state fails.
+        spec = ProblemSpec(N=N, k=2, R=1.13, f=NonlinearitySpec("log_bump"))
+        br = trace_branch(spec, 1e-2, 1e2, 25, FAST)
+        picked = [p for p in br.points if p.d == pytest.approx(d, rel=1e-3)]
+        assert [(p.seed, p.admissible) for p in picked] == [(True, True)]
+
+    def test_overshoot_is_inadmissible(self, registry_branch):
+        # lambda 5% above the root: u crosses zero at R / sqrt(1.05), past which
+        # the forcing is off (m' = 0), so the grid check fails; the free shot
+        # fails wherever an accepted state lies past the crossing, i.e. unless
+        # the crossing falls inside the last step
+        spec, br = registry_branch
+        r_star = spec.R / math.sqrt(1.05)
+        flags = []
+        for p in br.points[::3]:
+            lam = 1.05 * p.lam
+            point = _make_point(spec, p.d, lam, FAST, True)
+            states = []
+            _shoot(spec, lam, p.d, FAST, spec.R, trajectory=states)
+            assert point.residual > 0.0
+            assert not profile_admissible(integrate_profile(spec, lam, p.d, GRID_256),
+                                          spec.N, spec.k)
+            assert point.admissible == (states[-2][0] < r_star)
+            flags.append(point.admissible)
+        assert flags.count(False) > len(flags) / 2
+
+    @pytest.mark.parametrize("kind", ["scalar", "system"])
+    def test_traces_integrate_on_no_output_grid(self, monkeypatch, kind):
+        import hessbif.rk as rk
+
+        gridded = []
+        real = rk.integrate
+
+        def recording(*args, **kwargs):
+            gridded.append(len(args) > 6 or kwargs.get("output_ts") is not None)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rk, "integrate", recording)
+        if kind == "scalar":
+            spec = ProblemSpec(N=2, k=2, R=1.13, f=NonlinearitySpec("log_bump"))
+            trace_branch(spec, 1e-2, 1e2, 16, FAST)
+        else:
+            spec = SystemSpec(N=2, k=1, R=1.0, g=NonlinearitySpec2("saturating_t"),
+                              h=NonlinearitySpec2("saturating_s"))
+            trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST)
+        assert gridded and not any(gridded)
 
 
 class TestRefineJumps:

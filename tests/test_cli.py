@@ -10,7 +10,6 @@ import pytest
 import hessbif
 
 BASE = [sys.executable, "-m", "hessbif"]
-FAST = ["--grid-points", "128"]
 # Absolute path of the directory holding the imported package, so the child
 # runs the tree under test even from another cwd or with a relative PYTHONPATH.
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(hessbif.__file__)))
@@ -69,7 +68,7 @@ class TestEigen:
 class TestTraceAndPlot:
     def test_trace_writes_branch_csv(self, specdir):
         r = run(["trace", "--spec", "saturating.json", "--out-branch", "b.csv",
-                 "--n-points", "17"] + FAST, specdir)
+                 "--n-points", "17"], specdir)
         assert r.returncode == 0, r.stderr
         lines = (specdir / "b.csv").read_text().splitlines()
         assert lines[0] == "index,d,lambda,residual,is_fold"
@@ -77,7 +76,7 @@ class TestTraceAndPlot:
 
     def test_plot_flat_branch_horizontal(self, specdir):
         r = run(["trace", "--spec", "linear.json", "--out-branch", "flat.csv",
-                 "--n-points", "17"] + FAST, specdir)
+                 "--n-points", "17"], specdir)
         assert r.returncode == 0, r.stderr
         r = run(["plot", "--branch", "flat.csv", "--out", "flat.svg"], specdir)
         assert r.returncode == 0, r.stderr
@@ -102,7 +101,7 @@ class TestTraceAndPlot:
 
     def test_plot_bad_interval(self, specdir):
         r = run(["trace", "--spec", "linear.json", "--out-branch", "f.csv",
-                 "--n-points", "17"] + FAST, specdir)
+                 "--n-points", "17"], specdir)
         assert r.returncode == 0, r.stderr
         r = run(["plot", "--branch", "f.csv", "--out", "x.svg",
                  "--interval", "oops"], specdir)
@@ -112,7 +111,7 @@ class TestTraceAndPlot:
 class TestVerify:
     def test_saturating_passes(self, specdir):
         r = run(["verify", "--spec", "saturating.json", "--out-report", "rep.json",
-                 "--out-branch", "b.csv", "--n-points", "17"] + FAST, specdir)
+                 "--out-branch", "b.csv", "--n-points", "17"], specdir)
         assert r.returncode == 0, r.stderr
         assert "overall: PASS" in r.stdout
         obj = json.loads((specdir / "rep.json").read_text())
@@ -122,7 +121,7 @@ class TestVerify:
         assert any("radial" in n for n in obj["notes"])
 
     def test_linear_out_of_table_eigen_report(self, specdir):
-        r = run(["verify", "--spec", "linear.json", "--n-points", "17"] + FAST,
+        r = run(["verify", "--spec", "linear.json", "--n-points", "17"],
                 specdir)
         assert r.returncode == 0, r.stderr
         assert "out of table" in r.stdout
@@ -131,7 +130,7 @@ class TestVerify:
     def test_insufficient_coverage_fails_verification(self, specdir):
         # two decades of d cannot pin the asymptotes: honest exit 1
         r = run(["verify", "--spec", "saturating.json", "--d-min", "0.1",
-                 "--d-max", "10", "--n-points", "16"] + FAST, specdir)
+                 "--d-max", "10", "--n-points", "16"], specdir)
         assert r.returncode == 1, r.stderr
         assert "overall: FAIL" in r.stdout
 
@@ -144,7 +143,7 @@ class TestVerify:
         monkeypatch.chdir(specdir)
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
-            rc = cli.main(["verify", "--spec", "saturating.json", "--n-points", "17"] + FAST)
+            rc = cli.main(["verify", "--spec", "saturating.json", "--n-points", "17"])
         assert rc == 0
         assert "overall: PASS" in out.getvalue()
 
@@ -196,7 +195,7 @@ class TestExitCodes:
     ])
     def test_nonpositive_samples_invalid(self, specdir, command, spec, samples):
         r = run([command, "--spec", spec, "--samples", samples,
-                 "--n-points", "16"] + FAST, specdir)
+                 "--n-points", "16"], specdir)
         assert r.returncode == 3, r.stderr
         assert "lambda_samples" in r.stderr
 
@@ -252,7 +251,7 @@ class TestExitCodes:
 class TestSystemCommands:
     def test_system_trace(self, specdir):
         r = run(["system-trace", "--spec", "system.json", "--out-branch", "sb.csv",
-                 "--n-points", "16"] + FAST, specdir)
+                 "--n-points", "16"], specdir)
         assert r.returncode == 0, r.stderr
         lines = (specdir / "sb.csv").read_text().splitlines()
         assert lines[0] == "index,d_u,d_v,lambda,res_u,res_v,is_fold"
@@ -261,7 +260,7 @@ class TestSystemCommands:
 
     def test_system_verify_passes(self, specdir):
         r = run(["system-verify", "--spec", "system.json", "--out-report", "sr.json",
-                 "--n-points", "16"] + FAST, specdir)
+                 "--n-points", "16"], specdir)
         assert r.returncode == 0, r.stderr
         obj = json.loads((specdir / "sr.json").read_text())
         assert obj["pass"] is True
@@ -273,7 +272,7 @@ class TestSystemCommands:
         spec["monotone"]["g_in_t"] = False   # saturating_t is non-decreasing in t
         (specdir / "declared_false.json").write_text(json.dumps(spec))
         r = run(["system-verify", "--spec", "declared_false.json", "--out-report", "sr.json",
-                 "--n-points", "16"] + FAST, specdir)
+                 "--n-points", "16"], specdir)
         assert r.returncode == 1, r.stderr
         obj = json.loads((specdir / "sr.json").read_text())
         [check] = [c for c in obj["checks"] if c["name"].startswith("g non-decreasing in t")]
@@ -286,7 +285,7 @@ class TestSystemCommands:
 class TestPowerPairAndSweep:
     def test_power_pair(self, tmp_path):
         r = run(["power-pair", "--N", "1", "--k", "1", "--alpha", "1", "--beta", "1",
-                 "--samples", "6", "--out", "pp.json"] + FAST, tmp_path)
+                 "--samples", "6", "--out", "pp.json"], tmp_path)
         assert r.returncode == 0, r.stderr
         obj = json.loads((tmp_path / "pp.json").read_text())
         assert obj["constant"] == pytest.approx(6.088068189625151, rel=1e-7)
@@ -299,7 +298,7 @@ class TestPowerPairAndSweep:
 
     def test_sweep_k(self, specdir):
         r = run(["sweep-k", "--spec", "logbump2.json", "--out", "sweep.csv",
-                 "--n-points", "17"] + FAST, specdir)
+                 "--n-points", "17"], specdir)
         assert r.returncode == 0, r.stderr
         assert "exploratory" in r.stdout
         lines = (specdir / "sweep.csv").read_text().splitlines()
@@ -310,11 +309,11 @@ class TestPowerPairAndSweep:
 class TestDeterminism:
     def test_byte_identical_reruns(self, specdir):
         args = ["verify", "--spec", "saturating.json", "--out-report", "r1.json",
-                "--out-branch", "b1.csv", "--n-points", "17"] + FAST
+                "--out-branch", "b1.csv", "--n-points", "17"]
         r = run(args, specdir)
         assert r.returncode == 0, r.stderr
         args2 = ["verify", "--spec", "saturating.json", "--out-report", "r2.json",
-                 "--out-branch", "b2.csv", "--n-points", "17"] + FAST
+                 "--out-branch", "b2.csv", "--n-points", "17"]
         r = run(args2, specdir)
         assert r.returncode == 0, r.stderr
         assert (specdir / "r1.json").read_bytes() == (specdir / "r2.json").read_bytes()
@@ -329,7 +328,7 @@ class TestDeterminism:
              "g": {"kind": "saturating_t"}, "h": {"kind": "saturating_s"}}))
         for i in (1, 2):
             r = run(["system-verify", "--spec", "system_n2.json", "--out-report", f"s{i}.json",
-                     "--out-branch", f"s{i}.csv", "--n-points", "16"] + FAST, specdir)
+                     "--out-branch", f"s{i}.csv", "--n-points", "16"], specdir)
             assert r.returncode == 0, r.stderr
         assert (specdir / "s1.json").read_bytes() == (specdir / "s2.json").read_bytes()
         assert (specdir / "s1.csv").read_bytes() == (specdir / "s2.csv").read_bytes()

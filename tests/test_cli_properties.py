@@ -40,7 +40,7 @@ BAD_RADIUS = st.one_of(st.floats(max_value=0.0, allow_nan=False).map(repr),
 MALFORMED_ARGV = st.one_of(
     st.text(max_size=12).filter(lambda t: t not in COMMANDS and not t.startswith("-"))
     .map(lambda t: [t]),
-    st.tuples(st.sampled_from(["--N", "--k", "--grid-points"]), _not_parsed_by(int))
+    st.tuples(st.sampled_from(["--N", "--k"]), _not_parsed_by(int))
     .map(lambda opt: ["eigen", "--N", "2", "--k", "1", *opt]),
     st.tuples(st.sampled_from(["--R", "--tol", "--root-tol"]), _not_parsed_by(float))
     .map(lambda opt: ["eigen", "--N", "2", "--k", "1", *opt]),

@@ -80,3 +80,21 @@ class TestIntegrate:
                           atol=[1e-13, 1e-13])
         assert res.t == 1.0
         assert res.y == plain.y
+
+    @pytest.mark.parametrize("root_tol", [None, 1e-10])
+    def test_trajectory_records_every_accepted_state(self, root_tol):
+        # y = -cos(t): with root_tol the run stops at pi/2, the last record
+        traj = []
+        res = integrate(harmonic, 0.0, [-1.0, 0.0], 3.0, rtol=1e-10,
+                        atol=[1e-13, 1e-13], root_tol=root_tol, trajectory=traj)
+        plain = integrate(harmonic, 0.0, [-1.0, 0.0], 3.0, rtol=1e-10,
+                          atol=[1e-13, 1e-13], root_tol=root_tol)
+        assert (res.t, res.y, res.n_steps) == (plain.t, plain.y, plain.n_steps)
+        assert res.grid_states is None
+        assert len(traj) == res.n_steps + 1
+        assert traj[0] == (0.0, [-1.0, 0.0])
+        assert traj[-1] == (res.t, res.y)
+        ts = np.array([t for t, _ in traj])
+        assert np.all(np.diff(ts) > 0.0)
+        got = np.array([y[0] for _, y in traj])
+        assert np.max(np.abs(got + np.cos(ts))) < 1e-9

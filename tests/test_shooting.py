@@ -69,18 +69,6 @@ class TestIntegrateProfile:
         with pytest.raises(InvalidInputError):
             ShootingConfig(grid_points=32)
 
-    def test_csv_dump(self, tmp_path):
-        prof = integrate_profile(linear_spec(1, 1), 1.0, 1.0,
-                                 ShootingConfig(grid_points=64))
-        path = tmp_path / "profile.csv"
-        prof.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "r,u,uprime"
-        assert len(lines) == 65
-        r, u, up = (float(x) for x in lines[-1].split(","))
-        assert r == 1.0
-        assert u == pytest.approx(prof.boundary_value, rel=1e-16)
-
 
 class TestBoundaryResidual:
     def test_constant_profile(self):

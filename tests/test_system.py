@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hessbif.branch import VerificationReport
 from hessbif.core import LimitClass
 from hessbif.errors import InvalidInputError, NumericalFailureError
-from hessbif.shooting import ShootingConfig, first_eigenvalue
+from hessbif.shooting import ShootingConfig, first_eigenvalue, profile_admissible
 from hessbif.system import (
     NonlinearitySpec2,
     SystemSpec,
@@ -189,7 +189,7 @@ class TestOneDimensionalRoot:
         with pytest.raises(NumericalFailureError, match="u has no zero before 1000 R"):
             solve_system_shooting(spec, 1.0, (1e-6, 1.0), FAST)
 
-    def test_at_most_five_ivps_per_point(self, monkeypatch):
+    def test_at_most_four_ivps_per_point(self, monkeypatch):
         import hessbif.rk as rk
 
         spec = coupled(2, 1, "saturating")
@@ -205,7 +205,7 @@ class TestOneDimensionalRoot:
         sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
                                  lambda_scale=lam1)
         assert sb.gaps == []
-        assert len(calls) <= 5 * len(sb.points)
+        assert len(calls) <= 4 * len(sb.points)
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -217,8 +217,7 @@ def test_symmetric_pairs_solve_to_equal_amplitudes(pair, case, log_d, detune):
     spec = coupled(*case, *pair)
     d_u = math.exp(log_d)
     lam_ref, _ = cold_start(spec, d_u)
-    point = solve_system_shooting(spec, d_u, (lam_ref, detune * d_u), FAST,
-                                  check_admissible=False)
+    point = solve_system_shooting(spec, d_u, (lam_ref, detune * d_u), FAST)
     assert abs(point.d_v / d_u - 1.0) <= 1e-9
     assert abs(point.res_u) <= 1e-9 * d_u and abs(point.res_v) <= 1e-9 * point.d_v
 
@@ -389,6 +388,20 @@ class TestTraceSystemBranch:
         assert len(lines) == len(sb.points) + 1
         cells = lines[1].split(",")
         assert len(cells) == 7
+
+
+class TestAdmissibility:
+    @pytest.mark.parametrize("base,params,N,k", [("saturating", None, 2, 1),
+                                                 ("logbump", None, 2, 2),
+                                                 ("rational", {"b": 2.0}, 3, 1)])
+    def test_flags_match_grid_profiles(self, base, params, N, k):
+        spec = coupled(N, k, base, params, R=0.93)
+        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST)
+        grid = ShootingConfig(grid_points=256)
+        assert [p.admissible for p in sb.points] == [
+            all(profile_admissible(q, N, k)
+                for q in integrate_system(spec, p.lam, p.d_u, p.d_v, grid))
+            for p in sb.points]
 
 
 class TestProfileInvariants:
