@@ -29,9 +29,8 @@ from .errors import (
 from .shooting import (
     DEFAULT_CONFIG,
     ShootingConfig,
-    _make_rhs,
-    _shoot,
     first_eigenvalue,
+    flux_ivp,
     lambda_at_amplitude,
     trajectory_admissible,
 )
@@ -542,10 +541,10 @@ def _solve_point(spec, d, cfg, lambda_scale):
 
 def _make_point(spec, d, lam, cfg, seed_flag):
     states = []   # one free fixed-R shot: u(R) is the residual, its states the cone check
-    residual = _shoot(spec, lam, d, cfg, spec.R, trajectory=states).y[0]
-    return BranchPoint(d=d, lam=lam, residual=residual,
-                       admissible=trajectory_admissible(_make_rhs(spec, lam), states, (1,)),
-                       seed=seed_flag)
+    res, rhs, _ = flux_ivp(spec.N, spec.k, spec.R, lam, spec.f, (d,), cfg.integrator_tol,
+                           spec.R, trajectory=states)
+    return BranchPoint(d=d, lam=lam, residual=res.y[0],
+                       admissible=trajectory_admissible(rhs, states), seed=seed_flag)
 
 
 def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,

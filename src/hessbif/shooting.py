@@ -16,6 +16,14 @@ construction, so admissibility holds wherever the right-hand side is positive.
 The origin is seeded by the quadratic series u ~ -d + a r^2/2 with curvature
 a = lambda f(d) / C(N,k)^(1/k).
 
+flux_ivp is the one shooting kernel, for this problem and for the two-component
+system of system.py.  Each component i has forcing F_i = lambda w_i(s) with
+S_k(D^2 u_i) = F_i^k: w = f here, w = g, h of (s_u, s_v) for the system.  It
+seeds every component from its series (a_i = F_i(d) / C(N,k)^(1/k)), refuses a
+negative or non-finite weight w_i, and gives u_i the absolute tolerance
+tol 1e-3 max(d_i, 1) and m_i tol 1e-3 max(F_i^k R^N / C(N,k), 1e-30), the
+value m(R) of constant forcing F_i(d).  flux_profiles samples it on a grid.
+
 f is extended below zero by f(max(s, 0)): past the (single) zero crossing of a
 too-strongly-forced profile the forcing switches off, keeping the boundary
 residual u(R) continuous and increasing in lambda.  Accepted Dirichlet
@@ -88,13 +96,6 @@ def _origin_radius(N: int, R: float) -> float:
     return R * max(1e-8, 10.0 ** (-280.0 / N))
 
 
-def _origin_state(spec: ProblemSpec, lam: float, d: float):
-    """(r0, a, (u, m) at r0) from the quadratic series with curvature a."""
-    r0 = _origin_radius(spec.N, spec.R)
-    a = lam * spec.f(d) / binom(spec.N, spec.k) ** (1.0 / spec.k)
-    return r0, a, (-d + 0.5 * a * r0 * r0, a**spec.k * r0**spec.N)
-
-
 def radial_derivatives(r, m, mprime, N: int, k: int):
     """(u', u'') on r > 0 from the flux m = r^(N-k) (u')^k and its slope m'.
 
@@ -108,39 +109,94 @@ def radial_derivatives(r, m, mprime, N: int, k: int):
     return up, upp
 
 
-def _make_rhs(spec: ProblemSpec, lam: float):
-    N, k = spec.N, spec.k
-    fev = spec.f
+def flux_ivp(N: int, k: int, R: float, lam: float, weights, amplitudes, tol: float,
+             t1: float, **kw):
+    """rk.integrate(**kw) of one or two flux components from the origin series out to t1.
+
+    One component: weights = f, amplitudes = (d,), state (u, m).  Two: weights =
+    (g, h), amplitudes = (d_u, d_v), state (u, m_u, v, m_v).  Forcing, series,
+    tolerances and the weight check are as in the module docstring; s is -u
+    (f taken as 0 for s <= 0), or (-u, -v) clamped at 0.  Returns (result, rhs,
+    curvatures): the closure integrated and the series curvatures a_i = u_i''(0).
+    """
+    c_full = binom(N, k)
     coef = k / binom(N - 1, k - 1)
     k_inv = 1.0 / k
     r_exp = (k - N) / k
     exp = math.exp
     log = math.log
+    isfinite = math.isfinite
 
-    def rhs(r, y):
-        u, m = y
-        s = -u
-        fs = fev(s) if s > 0.0 else 0.0
-        if fs < 0.0 or not math.isfinite(fs):
-            raise NumericalFailureError(
-                f"nonlinearity returned {fs!r} at s={s!r}; refusing a negative integrand")
-        skt = (lam * fs) ** k
-        if m <= 0.0:
-            up = 0.0
-        else:
-            up = exp(k_inv * log(m) + r_exp * log(r))
-        return (up, coef * r ** (N - 1) * skt)
+    if len(amplitudes) == 1:
+        f = weights
+        forcing = (lam * f(amplitudes[0]),)
 
-    return rhs
+        def rhs(r, y):
+            u, m = y
+            s = -u
+            fs = f(s) if s > 0.0 else 0.0
+            if fs < 0.0 or not isfinite(fs):
+                raise NumericalFailureError(
+                    f"nonlinearity returned {fs!r} at s={s!r}; refusing a negative integrand")
+            up = 0.0 if m <= 0.0 else exp(k_inv * log(m) + r_exp * log(r))
+            return (up, coef * r ** (N - 1) * (lam * fs) ** k)
+    else:
+        g, h = weights
+        forcing = (lam * g(*amplitudes), lam * h(*amplitudes))
+
+        def rhs(r, y):
+            u, mu, v, mv = y
+            su = -u if u < 0.0 else 0.0
+            sv = -v if v < 0.0 else 0.0
+            gs = g(su, sv)
+            hs = h(su, sv)
+            if gs < 0.0 or hs < 0.0 or not (isfinite(gs) and isfinite(hs)):
+                raise NumericalFailureError(f"nonlinearity returned {(gs, hs)!r} at "
+                                            f"s={(su, sv)!r}; refusing a negative integrand")
+            ra = coef * r ** (N - 1)
+            up = exp(k_inv * log(mu) + r_exp * log(r)) if mu > 0.0 else 0.0
+            vp = exp(k_inv * log(mv) + r_exp * log(r)) if mv > 0.0 else 0.0
+            return (up, ra * (lam * gs) ** k, vp, ra * (lam * hs) ** k)
+
+    r0 = _origin_radius(N, R)
+    curvatures, y0, atol = [], [], []
+    for d, F in zip(amplitudes, forcing):
+        a = F / c_full ** (1.0 / k)
+        curvatures.append(a)
+        y0 += (-d + 0.5 * a * r0 * r0, a**k * r0**N)
+        atol += (tol * 1e-3 * max(d, 1.0), tol * 1e-3 * max(F**k * R**N / c_full, 1e-30))
+    return rk.integrate(rhs, r0, y0, t1, rtol=tol, atol=atol, **kw), rhs, curvatures
 
 
-def _shoot(spec: ProblemSpec, lam: float, d: float, cfg: ShootingConfig, t1: float, **kw):
-    """rk.integrate of the (u, m) system from the origin series with u(0) = -d out to t1."""
-    r0, _, y0 = _origin_state(spec, lam, d)
-    tol = cfg.integrator_tol
-    m_scale = (lam * spec.f(d)) ** spec.k * spec.R**spec.N / binom(spec.N, spec.k)
-    atol = (tol * 1e-3 * max(d, 1.0), tol * 1e-3 * max(m_scale, 1e-30))
-    return rk.integrate(_make_rhs(spec, lam), r0, y0, t1, rtol=tol, atol=atol, **kw)
+def flux_profiles(N: int, k: int, R: float, lam: float, weights, amplitudes,
+                  cfg: ShootingConfig) -> tuple:
+    """One RadialProfile per component of flux_ivp on cfg.grid_points points of [0, R].
+
+    u'' comes from the flux state and the rhs's m'; each profile's consistency
+    residual is sup over interior grid points of |S_k(u_i'', u_i'/r) - F_i^k|,
+    u_i'' there by central differences of u_i', so it cross-checks the integral
+    form against the differential form.
+    """
+    grid = np.linspace(0.0, R, cfg.grid_points)
+    series = grid <= _origin_radius(N, R)
+    outer = grid[~series]   # nonempty: grid_points >= 64 puts grid[1] far beyond r0
+    res, rhs, curvatures = flux_ivp(N, k, R, lam, weights, amplitudes, cfg.integrator_tol, R,
+                                    output_ts=outer)
+    states = np.asarray(res.grid_states)
+    slopes = np.array([rhs(r, y) for r, y in zip(outer, res.grid_states)])
+    profiles = []
+    for i, (d, a) in enumerate(zip(amplitudes, curvatures)):
+        u, up, upp = np.empty_like(grid), np.empty_like(grid), np.empty_like(grid)
+        u[series] = -d + 0.5 * a * grid[series] ** 2
+        up[series] = a * grid[series]
+        upp[series] = a
+        u[~series] = states[:, 2 * i]
+        up[~series], upp[~series] = radial_derivatives(
+            outer, states[:, 2 * i + 1], slopes[:, 2 * i + 1], N, k)
+        profiles.append(RadialProfile(r=grid, u=u, uprime=up, upp=upp, lam=lam, d=d))
+    for prof, res_i in zip(profiles, _consistency_residuals(profiles, lam, weights, N, k)):
+        prof.max_consistency_residual = res_i
+    return tuple(profiles)
 
 
 def _check_inputs(spec: ProblemSpec, lam: float, d: float) -> None:
@@ -158,7 +214,8 @@ def shoot_boundary_value(spec: ProblemSpec, lam: float, d: float,
     _check_inputs(spec, lam, d)
     if lam == 0.0:
         return -d
-    return _shoot(spec, lam, d, cfg, spec.R).y[0]
+    return flux_ivp(spec.N, spec.k, spec.R, lam, spec.f, (d,), cfg.integrator_tol,
+                    spec.R)[0].y[0]
 
 
 def lambda_at_amplitude(spec: ProblemSpec, d: float, lam0: float,
@@ -172,7 +229,8 @@ def lambda_at_amplitude(spec: ProblemSpec, d: float, lam0: float,
     if lam0 == 0.0:
         raise InvalidInputError("reference lambda must be positive")
     horizon = HORIZON * spec.R
-    res = _shoot(spec, lam0, d, cfg, horizon, root_tol=cfg.root_tol)
+    res = flux_ivp(spec.N, spec.k, spec.R, lam0, spec.f, (d,), cfg.integrator_tol, horizon,
+                   root_tol=cfg.root_tol)[0]
     if res.t >= horizon:
         return None
     return lam0 * (res.t / spec.R) ** 2
@@ -182,30 +240,7 @@ def integrate_profile(spec: ProblemSpec, lam: float, d: float,
                       cfg: ShootingConfig = DEFAULT_CONFIG) -> RadialProfile:
     """Full radial profile on the fixed output grid of cfg.grid_points points."""
     _check_inputs(spec, lam, d)
-    N, k, R = spec.N, spec.k, spec.R
-    grid = np.linspace(0.0, R, cfg.grid_points)
-    r0, a, _ = _origin_state(spec, lam, d)
-
-    series_mask = grid <= r0
-    u = np.empty_like(grid)
-    uprime = np.empty_like(grid)
-    upp = np.empty_like(grid)
-    u[series_mask] = -d + 0.5 * a * grid[series_mask] ** 2
-    uprime[series_mask] = a * grid[series_mask]
-    upp[series_mask] = a
-
-    outer = grid[~series_mask]   # nonempty: grid_points >= 64 puts grid[1] far beyond r0
-    res = _shoot(spec, lam, d, cfg, R, output_ts=outer)
-    states = np.asarray(res.grid_states)
-    u[~series_mask] = states[:, 0]
-    rhs = _make_rhs(spec, lam)
-    mprime = np.array([rhs(r, y)[1] for r, y in zip(outer, res.grid_states)])
-    uprime[~series_mask], upp[~series_mask] = radial_derivatives(
-        outer, states[:, 1], mprime, N, k)
-
-    profile = RadialProfile(r=grid, u=u, uprime=uprime, upp=upp, lam=lam, d=d)
-    profile.max_consistency_residual = self_consistency_residual(profile, spec)
-    return profile
+    return flux_profiles(spec.N, spec.k, spec.R, lam, spec.f, (d,), cfg)[0]
 
 
 def differenced_sk(profile: RadialProfile, N: int, k: int) -> np.ndarray:
@@ -217,15 +252,25 @@ def differenced_sk(profile: RadialProfile, N: int, k: int) -> np.ndarray:
     return sk_from_radial((up[2:] - up[:-2]) / (2.0 * h), up[1:-1] / r[1:-1], N, k)
 
 
+def _consistency_residuals(profiles, lam: float, weights, N: int, k: int) -> list[float]:
+    """sup over interior grid points of |S_k(u_i'', u_i'/r) - (lam w_i(s))^k| per profile,
+    with weights and s as in flux_ivp."""
+    ws = (weights,) if len(profiles) == 1 else weights
+    s = list(zip(*(np.maximum(-p.u[1:-1], 0.0) for p in profiles)))
+    out = []
+    for p, w in zip(profiles, ws):
+        want = np.array([(lam * w(*x)) ** k for x in s])
+        out.append(float(np.max(np.abs(differenced_sk(p, N, k) - want))))
+    return out
+
+
 def self_consistency_residual(profile: RadialProfile, spec: ProblemSpec) -> float:
     """sup over interior grid points of |S_k(u'', u'/r) - (lambda f(-u))^k|.
 
     u'' comes from second-order central differences of the stored u', so this
     cross-checks the integral-form integration against the differential form.
     """
-    sk = differenced_sk(profile, spec.N, spec.k)
-    fs = np.array([spec.f(s) if s > 0.0 else 0.0 for s in -profile.u[1:-1]])
-    return float(np.max(np.abs(sk - (profile.lam * fs) ** spec.k)))
+    return _consistency_residuals((profile,), profile.lam, spec.f, spec.N, spec.k)[0]
 
 
 def profile_admissible(profile: RadialProfile, N: int, k: int) -> bool:
@@ -241,17 +286,17 @@ def profile_admissible(profile: RadialProfile, N: int, k: int) -> bool:
     return all(np.all(sk_from_radial(upp, q, N, j) > 0.0) for j in range(1, k + 1))
 
 
-def trajectory_admissible(rhs, trajectory, flux) -> bool:
-    """Cone membership at the interior states (r, y) of an rk.integrate trajectory.
+def trajectory_admissible(rhs, trajectory) -> bool:
+    """Cone membership at the interior states (r, y) of a flux_ivp trajectory.
 
-    flux indexes the flux components m of y and their slopes m' in rhs(r, y).
+    The flux components m of y, and their slopes m' in rhs(r, y), are its odd entries.
     S_k = C(N-1,k-1) r^(1-N) m'/k, and u' > 0 with S_k > 0 gives S_j > 0 for
     j < k, so m > 0 and m' > 0 is the test: no u'', whose S_j cancel to
     rounding within a step of R.  The end states are dropped, as r = 0 and R
     are by profile_admissible."""
     for r, y in trajectory[1:-1]:
         slope = rhs(r, y)
-        if not all(y[i] > 0.0 and slope[i] > 0.0 for i in flux):
+        if not all(y[i] > 0.0 and slope[i] > 0.0 for i in range(1, len(y), 2)):
             return False
     return True
 

@@ -5,16 +5,18 @@ Two coupled components on the same ball,
     S_k(D^2 u) = (lambda g(-u, -v))^k,
     S_k(D^2 v) = (lambda h(-u, -v))^k,
 
-integrated simultaneously in integral form (see shooting.py for the scalar
-construction).  At fixed u-amplitude d_u, ball-radius scaling (as for lambda(d)
-in shooting.py) turns the Dirichlet conditions (u(R), v(R)) = (0, 0) into one
-root in log d_v: u and v of the pair IVP at a reference lambda_ref vanish at
-the same rho, and lambda = lambda_ref (rho / R)^2 (see _common_zero).
+integrated simultaneously by the scalar problem's kernel, shooting.flux_ivp,
+with forcing F_u = lambda g and F_v = lambda h.  At fixed u-amplitude d_u,
+ball-radius scaling (as for lambda(d) in shooting.py) turns the Dirichlet
+conditions (u(R), v(R)) = (0, 0) into one root in log d_v: u and v of the pair
+IVP at a reference lambda_ref vanish at the same rho, and lambda =
+lambda_ref (rho / R)^2 (see _common_zero).
 
 The power-pair eigenproblem S_k(D^2 u) = lambda (-v)^alpha, S_k(D^2 v) =
-mu (-u)^beta (alpha beta = k^2) keeps a damped Newton on the fixed-R residuals:
-the constancy of the product lambda mu^(alpha/k) across mu is the checkable
-claim, so it must not come from the same scaling.
+mu (-u)^beta (alpha beta = k^2) runs the same kernel at lambda = 1 with weights
+(lambda s_v^alpha)^(1/k) and (mu s_u^beta)^(1/k), and keeps a damped Newton on
+the fixed-R residuals: the constancy of the product lambda mu^(alpha/k) across
+mu is the checkable claim, so it must not come from the same scaling.
 
 Two-argument nonlinearities are weight forms phi(x) * w(s + t), with phi = t
 for the u-equation ("_t" kinds) and phi = s for the v-equation ("_s" kinds):
@@ -37,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rk, shooting
+from . import shooting
 from .branch import (
     Branch,
     BranchPoint,
@@ -46,17 +48,15 @@ from .branch import (
     refine_jumps,
     solution_amplitudes,
 )
-from .core import LimitClass, binom
-from .errors import InvalidInputError, NumericalFailureError
+from .core import LimitClass, _check_order
+from .errors import InvalidInputError, NumericalFailureError, TracingFailureError
 from .shooting import (
     DEFAULT_CONFIG,
-    RadialProfile,
     ShootingConfig,
-    _origin_radius,
-    differenced_sk,
     eigen_rel_tol,
     first_eigenvalue,
-    radial_derivatives,
+    flux_ivp,
+    flux_profiles,
     trajectory_admissible,
 )
 
@@ -143,8 +143,7 @@ class SystemSpec:
     monotone_h_in_s: bool = True
 
     def __post_init__(self):
-        if not (1 <= self.k <= self.N):
-            raise InvalidInputError(f"need 1 <= k <= N, got N={self.N}, k={self.k}")
+        _check_order(self.N, self.k)
         if not (0.0 < self.R < math.inf):
             raise InvalidInputError(f"radius must be positive and finite, got {self.R!r}")
         if not self.g.couples_in_t:
@@ -191,94 +190,6 @@ class SystemSpec:
 # ---------------------------------------------------------------------------
 
 
-def _pair_rhs(N, k, target_u, target_v):
-    """RHS of the 4-state system; target_* return the S_k values from (s_u, s_v)."""
-    coef = k / binom(N - 1, k - 1)
-    k_inv = 1.0 / k
-    r_exp = (k - N) / k
-    exp = math.exp
-    log = math.log
-
-    def rhs(r, y):
-        u, mu, v, mv = y
-        su = -u if u < 0.0 else 0.0
-        sv = -v if v < 0.0 else 0.0
-        tu = target_u(su, sv)
-        tv = target_v(su, sv)
-        if tu < 0.0 or tv < 0.0 or not (math.isfinite(tu) and math.isfinite(tv)):
-            raise NumericalFailureError(
-                f"system right-hand side ({tu!r}, {tv!r}) invalid at (s_u, s_v)=({su!r}, {sv!r})")
-        ra = coef * r ** (N - 1)
-        up = exp(k_inv * log(mu) + r_exp * log(r)) if mu > 0.0 else 0.0
-        vp = exp(k_inv * log(mv) + r_exp * log(r)) if mv > 0.0 else 0.0
-        return (up, ra * tu, vp, ra * tv)
-
-    return rhs
-
-
-def _pair_ivp(N, k, R, target_u, target_v, d_u, d_v, tol, t1, **kw):
-    """rk.integrate(**kw) outward from the origin series to t1; returns (result, a_u, a_v)."""
-    r0 = _origin_radius(N, R)
-    c_full = binom(N, k)
-    t_u, t_v = target_u(d_u, d_v), target_v(d_u, d_v)
-    a_u = (t_u / c_full) ** (1.0 / k)
-    a_v = (t_v / c_full) ** (1.0 / k)
-    y0 = (-d_u + 0.5 * a_u * r0 * r0, a_u**k * r0**N,
-          -d_v + 0.5 * a_v * r0 * r0, a_v**k * r0**N)
-    atol = (tol * 1e-3 * max(d_u, 1.0), tol * 1e-3 * max(t_u * R**N, 1e-30),
-            tol * 1e-3 * max(d_v, 1.0), tol * 1e-3 * max(t_v * R**N, 1e-30))
-    res = rk.integrate(_pair_rhs(N, k, target_u, target_v), r0, y0, t1,
-                       rtol=tol, atol=atol, **kw)
-    return res, a_u, a_v
-
-
-def _pair_profiles(N, k, R, target_u, target_v, d_u, d_v, lam, cfg):
-    grid = np.linspace(0.0, R, cfg.grid_points)
-    mask = grid <= _origin_radius(N, R)
-    outer = grid[~mask]   # nonempty: grid_points >= 64 puts grid[1] far beyond r0
-    res, a_u, a_v = _pair_ivp(N, k, R, target_u, target_v, d_u, d_v,
-                              cfg.integrator_tol, R, output_ts=outer)
-    states = np.asarray(res.grid_states)
-    vals = []
-    for d, a, iu in ((d_u, a_u, 0), (d_v, a_v, 2)):
-        val = np.empty_like(grid)
-        val[mask] = -d + 0.5 * a * grid[mask] ** 2
-        val[~mask] = states[:, iu]
-        vals.append(val)
-    su = np.maximum(-vals[0], 0.0)
-    sv = np.maximum(-vals[1], 0.0)
-    coef = k / binom(N - 1, k - 1)
-    profiles = []
-    for val, d, a, im, target in ((vals[0], d_u, a_u, 1, target_u),
-                                  (vals[1], d_v, a_v, 3, target_v)):
-        # target is S_k of the component, so m' = coef r^(N-1) target
-        want = np.array([target(x, y) for x, y in zip(su, sv)])
-        vp = np.empty_like(grid)
-        vpp = np.empty_like(grid)
-        vp[mask] = a * grid[mask]
-        vpp[mask] = a
-        vp[~mask], vpp[~mask] = radial_derivatives(
-            outer, states[:, im], coef * outer ** (N - 1) * want[~mask], N, k)
-        prof = RadialProfile(r=grid, u=val, uprime=vp, upp=vpp, lam=lam, d=d)
-        prof.max_consistency_residual = float(
-            np.max(np.abs(differenced_sk(prof, N, k) - want[1:-1])))
-        profiles.append(prof)
-    return tuple(profiles)
-
-
-def _system_targets(spec: SystemSpec, lam: float):
-    k = spec.k
-    g, h = spec.g, spec.h
-
-    def target_u(su, sv):
-        return (lam * g(su, sv)) ** k
-
-    def target_v(su, sv):
-        return (lam * h(su, sv)) ** k
-
-    return target_u, target_v
-
-
 def integrate_system(spec: SystemSpec, lam: float, d_u: float, d_v: float,
                      cfg: ShootingConfig = DEFAULT_CONFIG):
     """Simultaneous outward integration; returns the (u, v) profile pair."""
@@ -286,8 +197,7 @@ def integrate_system(spec: SystemSpec, lam: float, d_u: float, d_v: float,
         raise InvalidInputError(f"amplitudes must be positive, got {d_u!r}, {d_v!r}")
     if lam < 0.0:
         raise InvalidInputError(f"lambda must be nonnegative, got {lam!r}")
-    tu, tv = _system_targets(spec, lam)
-    return _pair_profiles(spec.N, spec.k, spec.R, tu, tv, d_u, d_v, lam, cfg)
+    return flux_profiles(spec.N, spec.k, spec.R, lam, (spec.g, spec.h), (d_u, d_v), cfg)
 
 
 def system_boundary_values(spec: SystemSpec, lam: float, d_u: float, d_v: float,
@@ -297,8 +207,8 @@ def system_boundary_values(spec: SystemSpec, lam: float, d_u: float, d_v: float,
         raise InvalidInputError(f"amplitudes must be positive, got {d_u!r}, {d_v!r}")
     if lam == 0.0:
         return -d_u, -d_v
-    tu, tv = _system_targets(spec, lam)
-    y = _pair_ivp(spec.N, spec.k, spec.R, tu, tv, d_u, d_v, cfg.integrator_tol, spec.R)[0].y
+    y = flux_ivp(spec.N, spec.k, spec.R, lam, (spec.g, spec.h), (d_u, d_v),
+                 cfg.integrator_tol, spec.R)[0].y
     return y[0], y[2]
 
 
@@ -380,12 +290,11 @@ def _common_zero(spec, d_u, lam_ref, dv0, cfg):
     F = v(rho_u) / d_v at u's first zero rho_u falls as d_v grows (g rises in t, h in s);
     no zero before shooting.HORIZON R counts as F > 0.  Steps of 0.1, 0.2, 0.4, ... in
     log d_v bracket its sign change; Illinois stops at a step within root_tol of an end."""
-    tu, tv = _system_targets(spec, lam_ref)
     horizon = shooting.HORIZON * spec.R
 
     def point(d_v):   # (log d_v, d_v, F, rho_u), rho_u None when u has no zero
-        res, _, _ = _pair_ivp(spec.N, spec.k, spec.R, tu, tv, d_u, d_v,
-                              cfg.integrator_tol, horizon, root_tol=cfg.root_tol)
+        res = flux_ivp(spec.N, spec.k, spec.R, lam_ref, (spec.g, spec.h), (d_u, d_v),
+                       cfg.integrator_tol, horizon, root_tol=cfg.root_tol)[0]
         z = math.log(d_v)
         return (z, d_v, math.inf, None) if res.t >= horizon else (z, d_v, res.y[2] / d_v, res.t)
 
@@ -434,17 +343,16 @@ def solve_system_shooting(spec: SystemSpec, d_u: float, init,
 
     rho, d_v = _common_zero(spec, d_u, lam_ref, dv0, cfg)
     lam = lam_ref * (rho / spec.R) ** 2
-    tu, tv = _system_targets(spec, lam)
     states = []
-    ru, _, rv, _ = _pair_ivp(spec.N, spec.k, spec.R, tu, tv, d_u, d_v, cfg.integrator_tol,
-                             spec.R, trajectory=states)[0].y
+    res, rhs, _ = flux_ivp(spec.N, spec.k, spec.R, lam, (spec.g, spec.h), (d_u, d_v),
+                           cfg.integrator_tol, spec.R, trajectory=states)
+    ru, _, rv, _ = res.y
     if max(abs(ru) / d_u, abs(rv) / d_v) > eigen_rel_tol(cfg):
         raise NumericalFailureError(
             f"fixed-R residual check failed at lambda = {lam!r}, d_u = {d_u!r}, "
             f"d_v = {d_v!r}: res_u = {ru!r}, res_v = {rv!r}")
-    admissible = trajectory_admissible(_pair_rhs(spec.N, spec.k, tu, tv), states, (1, 3))
     return SystemBranchPoint(d_u=d_u, d_v=d_v, lam=lam, res_u=ru, res_v=rv,
-                             admissible=admissible)
+                             admissible=trajectory_admissible(rhs, states))
 
 
 def system_eigenvalue(N: int, k: int, R: float,
@@ -524,13 +432,9 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
         dv0 *= 0.91
 
         def residual(lam, d_v, mu=mu):
-            def tu(su, sv):
-                return lam * sv**alpha
-
-            def tv(su, sv):
-                return mu * su**beta
-
-            y = _pair_ivp(N, k, R, tu, tv, 1.0, d_v, cfg.integrator_tol, R)[0].y
+            weights = (lambda su, sv: (lam * sv**alpha) ** (1.0 / k),
+                       lambda su, sv: (mu * su**beta) ** (1.0 / k))
+            y = flux_ivp(N, k, R, 1.0, weights, (1.0, d_v), cfg.integrator_tol, R)[0].y
             return y[0], y[2]
 
         lam, d_v, _ = _newton_pair(residual, lam0, dv0, scale_u=1.0,
@@ -592,7 +496,7 @@ def trace_system_branch(spec: SystemSpec, d_grid, cfg: ShootingConfig = DEFAULT_
             gaps.append(d)
 
     if len(points) < 4:
-        raise NumericalFailureError("system trace resolved fewer than 4 points")
+        raise TracingFailureError("system trace resolved fewer than 4 points")
     def midpoint(a, b):
         d_u = 0.5 * math.sqrt(a.d_total * b.d_total)
         init = (math.sqrt(a.lam * b.lam), math.sqrt(a.d_v * b.d_v))

@@ -30,8 +30,8 @@ from hessbif.errors import (
 )
 from hessbif.shooting import (
     ShootingConfig,
-    _shoot,
     first_eigenvalue,
+    flux_ivp,
     integrate_profile,
     profile_admissible,
 )
@@ -369,7 +369,8 @@ class TestAdmissibility:
             lam = 1.05 * p.lam
             point = _make_point(spec, p.d, lam, FAST, True)
             states = []
-            _shoot(spec, lam, p.d, FAST, spec.R, trajectory=states)
+            flux_ivp(spec.N, spec.k, spec.R, lam, spec.f, (p.d,), FAST.integrator_tol, spec.R,
+                     trajectory=states)
             assert point.residual > 0.0
             assert not profile_admissible(integrate_profile(spec, lam, p.d, GRID_256),
                                           spec.N, spec.k)

@@ -12,6 +12,7 @@ from hessbif.shooting import (
     RadialProfile,
     ShootingConfig,
     first_eigenvalue,
+    flux_ivp,
     integrate_profile,
     lambda_at_amplitude,
     profile_admissible,
@@ -298,6 +299,53 @@ class TestLambdaAtAmplitude:
             lambda_at_amplitude(spec, 1.0, 0.0)
         with pytest.raises(InvalidInputError):
             lambda_at_amplitude(spec, -1.0, 1.0)
+
+
+class TestFluxKernel:
+    @pytest.mark.parametrize("weights,amplitudes", [
+        (lambda s: -0.5, (1.0,)),
+        ((lambda su, sv: -0.5, lambda su, sv: su), (1.0, 1.0)),
+    ], ids=["scalar", "pair"])
+    def test_negative_weight_refused(self, weights, amplitudes):
+        # at k = 2 the forcing (lam w)^k is positive: the sign of w itself is checked
+        with pytest.raises(NumericalFailureError,
+                           match=r"nonlinearity returned .*-0\.5.* refusing a negative"):
+            flux_ivp(2, 2, 1.0, 1.0, weights, amplitudes, 1e-10, 1.0)
+
+    def test_only_caller_of_the_integrator(self, monkeypatch):
+        import sys
+
+        import hessbif.rk as rk
+        from hessbif import branch, shooting, system
+
+        callers = set()
+        real = rk.integrate
+
+        def recording(*args, **kwargs):
+            callers.add(sys._getframe(1).f_code)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rk, "integrate", recording)
+        fast = ShootingConfig(grid_points=64)
+        pair = system.SystemSpec(N=2, k=1, R=1.0, g=system.NonlinearitySpec2("saturating_t"),
+                                 h=system.NonlinearitySpec2("saturating_s"))
+        runs = {
+            "trace_branch": lambda: branch.trace_branch(
+                ProblemSpec(N=2, k=1, R=1.0, f=NonlinearitySpec("saturating")),
+                1e-2, 1e2, 16, fast),
+            "trace_system_branch": lambda: system.trace_system_branch(
+                pair, np.geomspace(1e-2, 1e2, 4), fast),
+            "first_eigenvalue": lambda: first_eigenvalue(2, 2, 1.0, fast),
+            "system_eigenvalue": lambda: system.system_eigenvalue(2, 1, 1.0, fast),
+            "power_pair_constant": lambda: system.power_pair_constant(
+                1, 1, 1.0, 1.0, n_samples=2, cfg=fast),
+            "integrate_profile": lambda: integrate_profile(linear_spec(2, 1), 1.0, 1.0, fast),
+            "integrate_system": lambda: system.integrate_system(pair, 1.0, 1.0, 1.0, fast),
+        }
+        for name, run in runs.items():
+            callers.clear()
+            run()
+            assert callers == {shooting.flux_ivp.__code__}, name
 
 
 class TestFluxSecondDerivative:

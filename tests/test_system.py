@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -7,9 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hessbif.branch import VerificationReport
-from hessbif.core import LimitClass
-from hessbif.errors import InvalidInputError, NumericalFailureError
-from hessbif.shooting import ShootingConfig, first_eigenvalue, profile_admissible
+from hessbif.core import LimitClass, NonlinearitySpec, ProblemSpec
+from hessbif.errors import InvalidInputError, NumericalFailureError, TracingFailureError
+from hessbif.shooting import (
+    ShootingConfig,
+    first_eigenvalue,
+    integrate_profile,
+    profile_admissible,
+)
 from hessbif.system import (
     NonlinearitySpec2,
     SystemSpec,
@@ -68,6 +74,13 @@ class TestNonlinearitySpec2:
             SystemSpec(N=2, k=1, R=1.0, g=NonlinearitySpec2("linear_s"),
                        h=NonlinearitySpec2("linear_s"))
 
+    @pytest.mark.parametrize("N,k", [(2.5, 1), (61, 1)])
+    def test_system_spec_order_checked_as_for_scalars(self, N, k):
+        # a non-integer N used to reach math.comb as a TypeError, N = 61 to be integrated
+        with pytest.raises(InvalidInputError):
+            SystemSpec(N=N, k=k, R=1.0, g=NonlinearitySpec2("linear_t"),
+                       h=NonlinearitySpec2("linear_s"))
+
     def test_json_roundtrip(self):
         spec = coupled(2, 1, "rational", {"b": 2.0})
         again = SystemSpec.from_json(spec.to_json())
@@ -87,6 +100,15 @@ class TestIntegrateSystem:
         pu, pv = integrate_system(coupled(1, 1, "linear"), 1.0, 1.0, 1.0, FAST)
         assert np.max(np.abs(pu.u - pv.u)) < 1e-10
         assert np.max(np.abs(pu.u + np.cos(pu.r))) < 1e-9
+        for N, k in ((1, 1), (2, 1), (2, 2), (3, 2), (5, 5)):
+            # the shared kernel integrates both alike; only the error norm's
+            # component count differs
+            pu, pv = integrate_system(coupled(N, k, "linear"), 1.0, 1.0, 1.0, FAST)
+            scalar = integrate_profile(
+                ProblemSpec(N=N, k=k, R=1.0, f=NonlinearitySpec("linear")), 1.0, 1.0, FAST)
+            for prof in (pu, pv):
+                for got, want in ((prof.u, scalar.u), (prof.uprime, scalar.uprime)):
+                    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (N, k)
 
     def test_eigenvalue_boundary_zero(self):
         ru, rv = system_boundary_values(coupled(1, 1, "linear"), LAM_COS, 1.0, 1.0, FAST)
@@ -188,6 +210,28 @@ class TestOneDimensionalRoot:
         spec = coupled(3, 1, "saturating")
         with pytest.raises(NumericalFailureError, match="u has no zero before 1000 R"):
             solve_system_shooting(spec, 1.0, (1e-6, 1.0), FAST)
+
+    def test_too_few_points_is_a_tracing_failure(self, monkeypatch, tmp_path):
+        import hessbif.cli as cli
+        import hessbif.system as system_mod
+
+        solve = system_mod.solve_system_shooting
+        grid = [float(d) for d in np.geomspace(1e-2, 1e2, 16)]
+        kept = {0.5 * d for d in grid[:3]}
+
+        def failing(spec, d_u, *rest):
+            if d_u not in kept:
+                raise NumericalFailureError("injected failure")
+            return solve(spec, d_u, *rest)
+
+        monkeypatch.setattr(system_mod, "solve_system_shooting", failing)
+        spec = coupled(2, 1, "saturating")
+        with pytest.raises(TracingFailureError, match="fewer than 4 points"):
+            trace_system_branch(spec, grid, FAST)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec.to_json()))
+        assert cli.main(["system-trace", "--spec", str(path), "--n-points", "16",
+                         "--out-branch", str(tmp_path / "out.csv")]) == 2
 
     def test_at_most_four_ivps_per_point(self, monkeypatch):
         import hessbif.rk as rk
