@@ -547,10 +547,22 @@ def _make_point(spec, d, lam, cfg, seed_flag):
                        admissible=trajectory_admissible(rhs, states), seed=seed_flag)
 
 
+def log_grid(d_min: float, d_max: float, n: int) -> list[float]:
+    """n amplitudes d_min ratio^i, ratio = (d_max / d_min)^(1/(n-1)), the last pinned to d_max."""
+    if not (0.0 < d_min < d_max):
+        raise InvalidInputError(f"need 0 < d_min < d_max, got {d_min!r}, {d_max!r}")
+    if n < 2:
+        raise InvalidInputError(f"a log grid needs n >= 2 points, got {n}")
+    ratio = (d_max / d_min) ** (1.0 / (n - 1))
+    grid = [d_min * ratio**i for i in range(n)]
+    grid[-1] = d_max
+    return grid
+
+
 def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
                  cfg: ShootingConfig = DEFAULT_CONFIG, *,
                  lambda_scale: float | None = None) -> Branch:
-    """Trace lambda(d) over a log grid of amplitudes.
+    """Trace lambda(d) over log_grid(d_min, d_max, n_points).
 
     Each amplitude costs one IVP for lambda(d) (see lambda_at_amplitude: the
     first zero rho of the solution at lambda0 = lambda_scale * d / f(d) gives
@@ -562,16 +574,11 @@ def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
     3 levels, and detected folds are localized by golden-section search
     before the final fold/asymptote summaries are attached.
     """
-    if not (0.0 < d_min < d_max):
-        raise InvalidInputError(f"need 0 < d_min < d_max, got {d_min!r}, {d_max!r}")
     if n_points < 16:
         raise InvalidInputError(f"n_points must be >= 16, got {n_points}")
+    grid = log_grid(d_min, d_max, n_points)
     if lambda_scale is None:
         lambda_scale = first_eigenvalue(spec.N, spec.k, spec.R, cfg).lambda1
-
-    ratio = (d_max / d_min) ** (1.0 / (n_points - 1))
-    grid = [d_min * ratio**i for i in range(n_points)]
-    grid[-1] = d_max
 
     lams = [_solve_point(spec, d, cfg, lambda_scale) for d in grid]
     points = [_make_point(spec, d, lam, cfg, True) for d, lam in zip(grid, lams) if lam]

@@ -14,11 +14,10 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .branch import (
     Branch,
     VerificationReport,
+    log_grid,
     predicted_interval,
     trace_branch,
     verify_predictions,
@@ -146,7 +145,7 @@ def cmd_verify(args) -> int:
 def cmd_system_trace(args) -> int:
     spec = SystemSpec.from_json(_read_json(args.spec))
     cfg = _config_from_args(args)
-    grid = np.geomspace(args.d_min, args.d_max, args.n_points)
+    grid = log_grid(args.d_min, args.d_max, args.n_points)
     sys_branch = trace_system_branch(spec, grid, cfg)
     sys_branch.to_csv(args.out_branch)
     print(f"traced {len(sys_branch.points)} system points "
@@ -159,7 +158,7 @@ def cmd_system_verify(args) -> int:
     spec = SystemSpec.from_json(_read_json(args.spec))
     cfg = _config_from_args(args)
     lam1 = first_eigenvalue(spec.N, spec.k, spec.R, cfg).lambda1
-    grid = np.geomspace(args.d_min, args.d_max, args.n_points)
+    grid = log_grid(args.d_min, args.d_max, args.n_points)
     sys_branch = trace_system_branch(spec, grid, cfg, lambda_scale=lam1)
     if args.out_branch:
         sys_branch.to_csv(args.out_branch)

@@ -101,18 +101,25 @@ def _locate_zero(rhs, t, y, k0, h, y_end, rtol, atol, root_tol):
 
     Illinois regula falsi on the step length s in [0, h], each trial a fresh
     Cash-Karp step from the saved state, until the bracket is below root_tol
-    relative to t + s; the state is then interpolated linearly across it.
+    relative to t + s; the state is then interpolated linearly across it.  A
+    trial that overflows is retried at _MIN_FACTOR of its distance from s_lo.
     """
     s_lo, y_lo, f_lo = 0.0, y, y[0]
     s_hi, y_hi, f_hi = h, y_end, y_end[0]
     side = 0
+    s_retry = None
     for _ in range(_MAX_LOCATE_ITER):
         if s_hi - s_lo <= root_tol * (t + s_hi):
             break
-        s = s_lo + (s_hi - s_lo) * f_lo / (f_lo - f_hi)
+        s = s_lo + (s_hi - s_lo) * f_lo / (f_lo - f_hi) if s_retry is None else s_retry
         if not (s_lo < s < s_hi):
             s = 0.5 * (s_lo + s_hi)
-        y_s = _cash_karp(rhs, t, y, s, k0, rtol, atol)[0]
+        try:
+            y_s = _cash_karp(rhs, t, y, s, k0, rtol, atol)[0]
+        except OverflowError:   # a rejected trial: retry shorter, the bracket kept
+            s_retry = s_lo + _MIN_FACTOR * (s - s_lo)
+            continue
+        s_retry = None
         f = y_s[0]
         if f == 0.0:
             return t + s, y_s
@@ -141,7 +148,9 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
     where component 0 first changes sign: the crossing is located inside the
     last accepted step to root_tol relative and returned as (t, y), t < t1;
     outputs beyond it are not recorded.  A trajectory list receives (t, y) at
-    t0 and after every accepted step, ending with the returned state.  Raises
+    t0 and after every accepted step, ending with the returned state.  A trial
+    step whose state is not finite, or whose arithmetic raises OverflowError, is
+    rejected and retried at _MIN_FACTOR of its length.  Raises
     NumericalFailureError on NaN/inf states, step-size underflow, or
     step-count exhaustion.
     """
@@ -195,7 +204,10 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
 
         if k0 is None:
             k0 = rhs(t, y)
-        y5, err = _cash_karp(rhs, t, y, h, k0, rtol, atol)
+        try:
+            y5, err = _cash_karp(rhs, t, y, h, k0, rtol, atol)
+        except OverflowError:   # a float power overflowed inside a trial stage
+            err = math.inf
 
         if not math.isfinite(err):
             n_rejected += 1

@@ -39,14 +39,18 @@ without a zero by then has no lambda and becomes a gap.  The first eigenvalue
 comes from the same device; the fixed-R residual u(R; lambda) stays as the
 independent path that confirms it by a sign change, and that solve_lambda and
 the tests use.
+
+numpy is imported only inside radial_derivatives, flux_profiles,
+_consistency_residuals, profile_admissible and solve_lambda, so only the
+grid-profile functions (integrate_profile, self_consistency_residual,
+profile_admissible, system.integrate_system) and solve_lambda load it.  No
+command calls them, so no command loads numpy.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import rk
 from .core import EigenvalueResult, NonlinearitySpec, ProblemSpec, binom, sk_from_radial
@@ -102,6 +106,8 @@ def radial_derivatives(r, m, mprime, N: int, k: int):
     u'' = (u'/k) (m'/m - (N-k)/r), the logarithmic derivative of
     u' = (m r^(k-N))^(1/k); both are 0 where m = 0.
     """
+    import numpy as np
+
     pos = m > 0.0
     m_safe = np.where(pos, m, 1.0)
     up = np.where(pos, np.exp(np.log(m_safe) / k + (k - N) / k * np.log(r)), 0.0)
@@ -177,6 +183,8 @@ def flux_profiles(N: int, k: int, R: float, lam: float, weights, amplitudes,
     u_i'' there by central differences of u_i', so it cross-checks the integral
     form against the differential form.
     """
+    import numpy as np
+
     grid = np.linspace(0.0, R, cfg.grid_points)
     series = grid <= _origin_radius(N, R)
     outer = grid[~series]   # nonempty: grid_points >= 64 puts grid[1] far beyond r0
@@ -255,6 +263,8 @@ def differenced_sk(profile: RadialProfile, N: int, k: int) -> np.ndarray:
 def _consistency_residuals(profiles, lam: float, weights, N: int, k: int) -> list[float]:
     """sup over interior grid points of |S_k(u_i'', u_i'/r) - (lam w_i(s))^k| per profile,
     with weights and s as in flux_ivp."""
+    import numpy as np
+
     ws = (weights,) if len(profiles) == 1 else weights
     s = list(zip(*(np.maximum(-p.u[1:-1], 0.0) for p in profiles)))
     out = []
@@ -279,6 +289,8 @@ def profile_admissible(profile: RadialProfile, N: int, k: int) -> bool:
     Uses the profile's u'' from the flux state: near r = R, S_k can be far
     smaller than the O(h^2) error of a differenced u''.
     """
+    import numpy as np
+
     if len(profile.r) < 3:
         raise InvalidInputError("profile too short for an admissibility check")
     q = profile.uprime[1:-1] / profile.r[1:-1]
@@ -293,7 +305,12 @@ def trajectory_admissible(rhs, trajectory) -> bool:
     S_k = C(N-1,k-1) r^(1-N) m'/k, and u' > 0 with S_k > 0 gives S_j > 0 for
     j < k, so m > 0 and m' > 0 is the test: no u'', whose S_j cancel to
     rounding within a step of R.  The end states are dropped, as r = 0 and R
-    are by profile_admissible."""
+    are by profile_admissible.
+
+    The flag is exact only for a Dirichlet solution, whose u stays <= 0 up to
+    R.  For a detuned lambda, u can overshoot 0 before R, where the forcing
+    switches off and m' = 0; the accepted steps resolve that overshoot only to
+    one step, so profile_admissible on a grid is the reference there."""
     for r, y in trajectory[1:-1]:
         slope = rhs(r, y)
         if not all(y[i] > 0.0 and slope[i] > 0.0 for i in range(1, len(y), 2)):
@@ -331,6 +348,8 @@ def solve_lambda(spec: ProblemSpec, d: float, bracket, cfg: ShootingConfig = DEF
     this amplitude).  Roots are sorted ascending; more than one is unusual but
     reported rather than suppressed.
     """
+    import numpy as np
+
     lam_lo, lam_hi = bracket
     if not (lam_lo < lam_hi):
         raise InvalidInputError(f"empty bracket {bracket!r}")

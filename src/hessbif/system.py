@@ -37,8 +37,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import shooting
 from .branch import (
     Branch,
@@ -526,7 +524,7 @@ def fd_nondecreasing(fun, argument: str, s_max: float, n: int = 33,
     """Finite differences of fun(s, t) in the named argument are >= -tol on [0, s_max]^2."""
     if argument not in ("s", "t"):
         raise InvalidInputError("argument must be 's' or 't'")
-    xs = np.linspace(0.0, s_max, n)
+    xs = [s_max * i / (n - 1) for i in range(n)]
     step = s_max / (8.0 * n)
     scale = tol * max(1.0, s_max)
     for a in xs:

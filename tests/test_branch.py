@@ -13,6 +13,7 @@ from hessbif.branch import (
     asymptote_estimates,
     count_solutions,
     detect_folds,
+    log_grid,
     predicted_interval,
     refine_jumps,
     _make_point,
@@ -287,13 +288,32 @@ class TestTraceBranch:
             trace_branch(spec, 0.1, 1.0, 8, FAST, lambda_scale=lam1)
 
 
+class TestLogGrid:
+    @pytest.mark.parametrize("d_min,d_max,n", [(1e-2, 1e2, 16), (1e-2, 1e2, 25),
+                                               (0.1, 40.0, 9), (3.0, 3.5, 2), (1e-8, 1e8, 101)])
+    def test_pinned_ends_and_one_ratio(self, d_min, d_max, n):
+        grid = log_grid(d_min, d_max, n)
+        assert len(grid) == n
+        assert grid[0] == d_min and grid[-1] == d_max
+        ratio = (d_max / d_min) ** (1.0 / (n - 1))
+        for a, b in zip(grid, grid[1:]):
+            assert b / a == pytest.approx(ratio, rel=1e-12)
+
+    @pytest.mark.parametrize("d_min,d_max,n", [(1.0, 0.1, 16), (0.0, 1.0, 16),
+                                               (-1.0, 1.0, 16), (0.1, 1.0, 1)])
+    def test_invalid(self, d_min, d_max, n):
+        with pytest.raises(InvalidInputError):
+            log_grid(d_min, d_max, n)
+
+
 def _scalar_trace(monkeypatch, n_points, drop):
-    """(base amplitudes, d of every point, seed flags, gaps) with amplitude drop made a gap."""
+    """(base amplitudes, d of every point, seed flags, gaps) with amplitude drop made a gap.
+
+    The base amplitudes are log_grid's, so the seed check pins trace_branch to it bit for bit.
+    """
     import hessbif.branch as branch_mod
 
-    ratio = (1e2 / 1e-2) ** (1.0 / (n_points - 1))
-    grid = [1e-2 * ratio**i for i in range(n_points)]
-    grid[-1] = 1e2
+    grid = log_grid(1e-2, 1e2, n_points)
     solve = branch_mod._solve_point
     monkeypatch.setattr(branch_mod, "_solve_point",
                         lambda spec, d, *rest: None if d == grid[drop] else solve(spec, d, *rest))

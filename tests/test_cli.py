@@ -15,10 +15,10 @@ BASE = [sys.executable, "-m", "hessbif"]
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(hessbif.__file__)))
 
 
-def run(args, cwd, env=None):
+def run(args, cwd, env=None, base=BASE):
     env = dict(os.environ if env is None else env)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [PKG_ROOT, env.get("PYTHONPATH")]))
-    return subprocess.run(BASE + args, cwd=cwd, capture_output=True, text=True,
+    return subprocess.run(base + args, cwd=cwd, capture_output=True, text=True,
                           env=env, timeout=600)
 
 
@@ -248,6 +248,59 @@ class TestExitCodes:
         assert "lambda0 (coupled)" in r.stdout
 
 
+# N = k = 60: the origin flux seed a^k r0^N underflows to 0, so the first trial step
+# of the scaled IVP is span / 64 and its stage arithmetic overflows; it must be rejected
+OVERFLOWING_FIRST_STEP = [{"kind": "linear"}, {"kind": "superlinear"}, {"kind": "log_bump"},
+                          {"kind": "quadratic_over_linear"},
+                          {"kind": "power", "params": {"p": 2.0}}]
+
+
+class TestOverflowingTrialStep:
+    @pytest.mark.parametrize("f", OVERFLOWING_FIRST_STEP, ids=lambda f: f["kind"])
+    def test_verify_at_n_equal_k_60(self, f, tmp_path, monkeypatch):
+        from hessbif import cli
+
+        (tmp_path / "spec.json").write_text(json.dumps({"N": 60, "k": 60, "R": 1.13, "f": f}))
+        monkeypatch.chdir(tmp_path)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(["verify", "--spec", "spec.json"])
+        assert rc == cli.EXIT_OK, out.getvalue()
+        assert "overall: PASS" in out.getvalue()
+
+
+class TestCommandPath:
+    """No command loads numpy: it is needed only by the grid-profile functions."""
+
+    def test_import_leaves_numpy_unloaded(self, tmp_path):
+        r = run(["-c", "import sys, hessbif.cli; print('numpy' in sys.modules)"], tmp_path,
+                base=[sys.executable])
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.strip() == "False"
+
+    def test_commands_leave_numpy_unloaded(self, specdir):
+        runs = [
+            ["eigen", "--N", "2", "--k", "1", "--coupled"],
+            ["verify", "--spec", "logbump2.json", "--n-points", "16", "--out-branch", "b.csv"],
+            ["plot", "--branch", "b.csv", "--out", "b.svg"],
+            ["sweep-k", "--spec", "logbump2.json", "--n-points", "16"],
+            ["system-verify", "--spec", "system.json", "--n-points", "16"],
+            ["power-pair", "--N", "2", "--k", "2", "--alpha", "4", "--beta", "1"],
+        ]
+        code = (
+            "import json, sys\n"
+            "from hessbif import cli\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    rc = cli.main(argv)\n"
+            "    print('RESULT', argv[0], rc, 'numpy' in sys.modules, file=sys.stderr)\n"
+        )
+        r = run(["-c", code, json.dumps(runs)], specdir, base=[sys.executable])
+        assert r.returncode == 0, r.stderr
+        results = [line.split()[1:] for line in r.stderr.splitlines()
+                   if line.startswith("RESULT")]
+        assert results == [[argv[0], "0", "False"] for argv in runs], r.stderr
+
+
 class TestSystemCommands:
     def test_system_trace(self, specdir):
         r = run(["system-trace", "--spec", "system.json", "--out-branch", "sb.csv",
@@ -257,6 +310,20 @@ class TestSystemCommands:
         assert lines[0] == "index,d_u,d_v,lambda,res_u,res_v,is_fold"
         assert len(lines) >= 17  # base grid plus any local refinements
         assert all(len(line.split(",")) == 7 for line in lines[1:])
+
+    def test_system_trace_base_rows_are_the_log_grid(self, specdir, monkeypatch):
+        from hessbif import cli
+        from hessbif.branch import log_grid
+
+        monkeypatch.chdir(specdir)
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["system-trace", "--spec", "system.json", "--out-branch", "sb.csv",
+                           "--n-points", "16"])
+        assert rc == cli.EXIT_OK
+        d_u = [float(line.split(",")[1])
+               for line in (specdir / "sb.csv").read_text().splitlines()[1:]]
+        base = [0.5 * d for d in log_grid(1e-2, 1e2, 16)]
+        assert [x for x in d_u if x in base] == base   # every base row, in order, exactly
 
     def test_system_verify_passes(self, specdir):
         r = run(["system-verify", "--spec", "system.json", "--out-report", "sr.json",

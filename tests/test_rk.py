@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from hessbif import rk
 from hessbif.errors import NumericalFailureError
 from hessbif.rk import integrate
 
@@ -98,3 +99,37 @@ class TestIntegrate:
         assert np.all(np.diff(ts) > 0.0)
         got = np.array([y[0] for _, y in traj])
         assert np.max(np.abs(got + np.cos(ts))) < 1e-9
+
+    def test_overflow_in_a_trial_step_is_a_rejection(self):
+        # y' = -y^3, y(0) = 1: the first trial step, span/64 = 100, drives a stage
+        # state so large that the float power y**3 raises OverflowError
+        raised = []
+
+        def cubic(t, y):
+            try:
+                return [-y[0] ** 3]
+            except OverflowError:
+                raised.append(t)
+                raise
+
+        res = integrate(cubic, 0.0, [1.0], 6400.0, rtol=1e-10, atol=[1e-13])
+        assert raised and raised[0] <= 100.0
+        assert res.n_rejected >= 1
+        assert res.t == 6400.0
+        assert res.y[0] == pytest.approx(1.0 / math.sqrt(1.0 + 2.0 * 6400.0), rel=1e-8)
+
+    def test_overflow_in_a_zero_locating_trial_is_retried(self):
+        # y' = -(1 + t), y(0) = 1/2 crosses zero at sqrt(2) - 1 inside the step [0, 1];
+        # the first trial step raises OverflowError, the retry is shorter
+        raised = []
+
+        def ramp(t, y):
+            if not raised:
+                raised.append(t)
+                raise OverflowError("injected")
+            return [-(1.0 + t)]
+
+        t, y = rk._locate_zero(ramp, 0.0, [0.5], [-1.0], 1.0, [-1.0], 1e-10, [1e-13], 1e-12)
+        assert raised
+        assert t == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-11)
+        assert abs(y[0]) < 1e-11
