@@ -36,7 +36,7 @@ from .shooting import (
 )
 
 PLATEAU_REL = 1e-6          # extremum must beat neighbors by this (relative)
-JUMP_REL = 0.20             # neighbor jump that triggers local grid refinement
+JUMP_REL = 0.20             # log-log bend ln(1 + JUMP_REL) that triggers local grid refinement
 MAX_REFINE_DEPTH = 3
 GAP_FRACTION_LIMIT = 0.10
 RADIAL_SCOPE_NOTE = "scope: radial shooting branches on a ball; non-radial solutions are not examined"
@@ -570,9 +570,11 @@ def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
     shot: u(R) is the residual, its states give the admissibility flag.
     lambda_scale defaults to lambda1.  Amplitudes without a zero are recorded
     as gaps; more than 10% gaps on the base grid raises TracingFailureError.
-    Neighbor jumps above 20% relative trigger local log-grid refinement up to
-    3 levels, and detected folds are localized by golden-section search
-    before the final fold/asymptote summaries are attached.
+    An interval whose log-log increment departs by more than ln(1.2) from a
+    neighbor's slope (a bend: a fold or a kink, never a power law) is bisected
+    in log d, up to 3 levels (refine_jumps), and detected folds are localized
+    by golden-section search before the final fold/asymptote summaries are
+    attached.
     """
     if n_points < 16:
         raise InvalidInputError(f"n_points must be >= 16, got {n_points}")
@@ -611,24 +613,41 @@ def attach_summaries(branch: Branch) -> Branch:
 
 
 def refine_jumps(points, midpoint):
-    """Insert midpoints where neighboring lambdas jump by more than JUMP_REL relative.
+    """Insert midpoints where lambda(d) bends in log-log coordinates.
 
+    An interval [a, b] is split when its increment ln(lam_b / lam_a) differs by
+    more than ln(1 + JUMP_REL) from either neighbor's log-log slope times
+    ln(d_b / d_a): the curvature test of continuation step control (Allgower
+    and Georg, Numerical Continuation Methods, 1990).  A power law needs no
+    split; a fold or a kink gets one.  Points expose the amplitude as p.d.
     midpoint(a, b) returns the point between a and b, or None when there is
-    none; each interval is split at most MAX_REFINE_DEPTH levels deep.
+    none (that interval is not asked again); each interval is split at most
+    MAX_REFINE_DEPTH levels deep.
     """
     work = list(points)
     depth = {id(p): 0 for p in work}
+    declined = set()
+    bend_tol = math.log1p(JUMP_REL)
+
+    def step(j):   # (ln d, ln lambda) increments over interval j
+        a, b = work[j], work[j + 1]
+        return math.log(b.d / a.d), math.log(b.lam / a.lam)
+
     i = 0
     while i < len(work) - 1:
         a, b = work[i], work[i + 1]
         level = max(depth[id(a)], depth[id(b)])
-        jump = abs(b.lam - a.lam) / min(a.lam, b.lam)
-        if jump > JUMP_REL and level < MAX_REFINE_DEPTH:
+        dx, dy = step(i)
+        neighbors = [step(j) for j in (i - 1, i + 1) if 0 <= j < len(work) - 1]
+        bends = any(abs(dy - ny / nx * dx) > bend_tol for nx, ny in neighbors)
+        if bends and level < MAX_REFINE_DEPTH and (id(a), id(b)) not in declined:
             mid = midpoint(a, b)
             if mid is not None:
                 depth[id(mid)] = level + 1
                 work.insert(i + 1, mid)
-                continue  # re-examine the left sub-interval
+                i = max(i - 1, 0)   # the left neighbor's neighbor slope has changed
+                continue
+            declined.add((id(a), id(b)))
         i += 1
     return work
 

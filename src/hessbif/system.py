@@ -225,7 +225,8 @@ class SystemBranchPoint:
     admissible: bool = True
 
     @property
-    def d_total(self) -> float:
+    def d(self) -> float:
+        """Total amplitude d_u + d_v, the branch coordinate."""
         return self.d_u + self.d_v
 
 
@@ -473,8 +474,10 @@ def trace_system_branch(spec: SystemSpec, d_grid, cfg: ShootingConfig = DEFAULT_
                         *, lambda_scale: float | None = None) -> SystemBranch:
     """System branch over total amplitude d = d_u + d_v (d_u = d / 2 drives, d_v solved).
 
-    One solve per amplitude, from the last resolved point (d_v scaled with d_u) or,
-    cold, from lambda1 d_u / g(d_u, d_u) and d_v = d_u; a failed solve is a gap.
+    One solve per amplitude, from the last resolved point (its lambda and its ratio
+    d_v / d_u, so symmetric pairs start at d_v = d_u exactly) or, cold, from
+    lambda1 d_u / g(d_u, d_u) and d_v = d_u; a failed solve is a gap.  Bends are
+    refined as on scalar branches (branch.refine_jumps over d = d_u + d_v).
     """
     d_grid = [float(d) for d in d_grid]
     if len(d_grid) < 4 or any(b <= a for a, b in zip(d_grid, d_grid[1:])):
@@ -486,7 +489,7 @@ def trace_system_branch(spec: SystemSpec, d_grid, cfg: ShootingConfig = DEFAULT_
     gaps: list[float] = []
     for d in d_grid:
         d_u = 0.5 * d
-        init = ((points[-1].lam, points[-1].d_v * d_u / points[-1].d_u) if points
+        init = ((points[-1].lam, d_u * (points[-1].d_v / points[-1].d_u)) if points
                 else (lambda_scale * d_u / spec.g(d_u, d_u), d_u))
         try:
             points.append(solve_system_shooting(spec, d_u, init, cfg))
@@ -496,17 +499,17 @@ def trace_system_branch(spec: SystemSpec, d_grid, cfg: ShootingConfig = DEFAULT_
     if len(points) < 4:
         raise TracingFailureError("system trace resolved fewer than 4 points")
     def midpoint(a, b):
-        d_u = 0.5 * math.sqrt(a.d_total * b.d_total)
-        init = (math.sqrt(a.lam * b.lam), math.sqrt(a.d_v * b.d_v))
+        d_u = 0.5 * math.sqrt(a.d * b.d)
+        init = (math.sqrt(a.lam * b.lam), d_u * math.sqrt((a.d_v / a.d_u) * (b.d_v / b.d_u)))
         try:
             mid = solve_system_shooting(spec, d_u, init, cfg)
         except NumericalFailureError:
             return None
-        return mid if a.d_total < mid.d_total < b.d_total else None
+        return mid if a.d < mid.d < b.d else None
 
     base = {id(p) for p in points}
     points = refine_jumps(points, midpoint)
-    proj = [BranchPoint(d=p.d_total, lam=p.lam,
+    proj = [BranchPoint(d=p.d, lam=p.lam,
                         residual=max(abs(p.res_u), abs(p.res_v)),
                         admissible=p.admissible, seed=id(p) in base)
             for p in points]

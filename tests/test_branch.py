@@ -5,6 +5,8 @@ import pytest
 
 from hessbif.branch import (
     AT_LEAST_ONE,
+    JUMP_REL,
+    MAX_REFINE_DEPTH,
     AsymptoteEstimate,
     Branch,
     BranchPoint,
@@ -420,19 +422,77 @@ class TestAdmissibility:
         assert gridded and not any(gridded)
 
 
+def _refine(lam_of_d, grid, declines=lambda a, b: False):
+    """refine_jumps on exact samples of lam_of_d: (points, amplitudes of midpoint calls)."""
+    def point(d, seed):
+        return BranchPoint(d=d, lam=lam_of_d(d), residual=0.0, admissible=True, seed=seed)
+
+    calls = []
+
+    def midpoint(a, b):
+        calls.append((a.d, b.d))
+        return None if declines(a, b) else point(math.sqrt(a.d * b.d), False)
+
+    return refine_jumps([point(d, True) for d in grid], midpoint), calls
+
+
+def _kink(d):
+    return min(d, 1.0 / d)   # log-log slopes +1 and -1 meet at d = 1
+
+
+def _fold(d):
+    return 1.0 / (d + 1.0 / d)   # smooth maximum at d = 1
+
+
 class TestRefineJumps:
     def test_depth_limit_and_declined_midpoints(self):
-        def point(d, lam, seed):
-            return BranchPoint(d=d, lam=lam, residual=0.0, admissible=True, seed=seed)
+        grid = [10.0**e for e in (-2, -1, 0, 1, 2)]
+        out, _ = _refine(_kink, grid)
+        # the two intervals at the kink stay bent at every level, so only the depth cap
+        # stops them; the power-law flanks are left alone
+        logs = [math.log10(p.d) for p in out]
+        assert logs == pytest.approx([-2, -1, -0.5, -0.25, -0.125, 0, 0.125, 0.25, 0.5, 1, 2],
+                                     abs=1e-12)
+        assert min(b - a for a, b in zip(logs, logs[1:])) == pytest.approx(
+            1.0 / 2**MAX_REFINE_DEPTH)
+        assert [p.seed for p in out] == [True, True] + [False] * 3 + [True] + [False] * 3 + [True, True]
 
-        ends = [point(1.0, 1.0, True), point(1e2, 10.0, True)]
-        # every split still jumps by 10^(1/8) - 1 = 33%, so only the depth cap stops it
-        out = refine_jumps(ends, lambda a, b: point(math.sqrt(a.d * b.d),
-                                                     math.sqrt(a.lam * b.lam), False))
-        assert len(out) == 2 + 7
-        assert [p.seed for p in out] == [True] + [False] * 7 + [True]
-        assert all(a.d < b.d for a, b in zip(out, out[1:]))
-        assert refine_jumps(ends, lambda a, b: None) == ends
+        base = [BranchPoint(d=d, lam=_kink(d), residual=0.0, admissible=True) for d in grid]
+        assert refine_jumps(base, lambda a, b: None) == base
+        # a declined interval is asked once, although its right neighbor's split
+        # sends the scan back over it
+        out, calls = _refine(_kink, grid, declines=lambda a, b: b.d == 1.0)
+        assert calls.count((0.1, 1.0)) == 1
+        assert all(p.d > 1.0 for p in out if not p.seed)
+
+    def test_power_law_gets_no_insertions(self):
+        out, calls = _refine(lambda d: 3.0 * d**-1.7, log_grid(1e-2, 1e2, 25))
+        assert calls == [] and len(out) == 25
+        spec = ProblemSpec(N=3, k=2, R=1.21, f=NonlinearitySpec("power", {"p": 2.0}))
+        br = trace_branch(spec, 1e-2, 1e2, 25, FAST)
+        assert len(br.points) == 25 and all(p.seed for p in br.points)
+
+    def test_no_bend_is_left_above_the_depth_cap(self):
+        # kinks at log10 d = 1, 1.5 and 2: splitting [10, 100] changes the neighbor
+        # slope of [1, 10], which must then be examined again
+        def lam_of_d(d):
+            return 10.0 ** float(np.interp(math.log10(d), [0, 1, 1.5, 2, 3], [0, 1, 1, 2, 5]))
+
+        out, _ = _refine(lam_of_d, [1.0, 10.0, 100.0, 1e3])
+        steps = [(math.log(b.d / a.d), math.log(b.lam / a.lam)) for a, b in zip(out, out[1:])]
+        finest = math.log(10.0) / 2**MAX_REFINE_DEPTH
+        for i, (dx, dy) in enumerate(steps):
+            if dx > 1.5 * finest:
+                for nx, ny in steps[max(i - 1, 0):i] + steps[i + 1:i + 2]:
+                    assert abs(dy - ny / nx * dx) <= math.log1p(JUMP_REL)
+
+    @pytest.mark.parametrize("lam_of_d", [_fold, _kink], ids=["fold", "kink"])
+    def test_interval_straddling_a_fold_or_kink_is_split(self, lam_of_d):
+        grid = log_grid(1e-2, 1e2, 8)   # d = 1 lies inside the middle interval
+        out, _ = _refine(lam_of_d, grid)
+        assert any(grid[3] < p.d < grid[4] for p in out)
+        # the outermost intervals are straight in log-log and stay whole
+        assert [p.d for p in out[:2]] == grid[:2] and [p.d for p in out[-2:]] == grid[-2:]
 
     @pytest.mark.parametrize("trace", [_scalar_trace, _system_trace],
                              ids=["scalar", "system"])
@@ -443,8 +503,39 @@ class TestRefineJumps:
         assert sum(seeds) == n_points - len(gaps)
         assert [x for x, seed in zip(keys, seeds) if seed] == grid[:drop] + grid[drop + 1:]
         inserted = [x for x, seed in zip(keys, seeds) if not seed]
-        assert inserted  # jump refinement (and, on the scalar branch, fold polish) ran
+        assert inserted  # fold polish (scalar) or bend refinement next to the gap (system) ran
         assert not set(inserted) & set(grid)
+
+
+class TestRegridding:
+    """Bend refinement must not lose what a denser base grid sees."""
+
+    @pytest.mark.parametrize("kind, params, N, k, R", [
+        ("log_bump", {}, 2, 2, 1.13),
+        ("sum_of_powers", {"p": 0.5, "q": 2.0, "c": 1.0}, 2, 1, 0.87),
+    ], ids=["log_bump-N2k2", "sum_of_powers-N2k1"])
+    def test_folds_survive_a_finer_base_grid(self, kind, params, N, k, R):
+        spec = ProblemSpec(N=N, k=k, R=R, f=NonlinearitySpec(kind, params))
+        coarse, fine = (trace_branch(spec, 1e-2, 1e2, n, FAST).folds for n in (25, 33))
+        assert len(coarse) == 1
+        assert [f.kind for f in coarse] == [f.kind for f in fine]
+        for a, b in zip(coarse, fine):
+            assert a.lam == pytest.approx(b.lam, rel=1e-6)
+
+    @pytest.mark.parametrize("kind, N, k", [("saturating", 2, 1), ("square", 3, 2),
+                                            ("log_bump", 2, 2)],
+                             ids=["saturating-N2k1", "square-N3k2", "log_bump-N2k2"])
+    def test_solution_counts_match_a_dense_branch(self, kind, N, k):
+        spec = ProblemSpec(N=N, k=k, R=1.13, f=registry()[kind])
+        coarse, dense = (trace_branch(spec, 1e-2, 1e2, n, FAST) for n in (25, 97))
+        lams = dense.lam_values()
+        lo, hi = min(lams), max(lams)
+        folds = [f.lam for f in coarse.folds + dense.folds]
+        samples = [lo * (hi / lo) ** (i / 200) for i in range(1, 200)]
+        away = [lam for lam in samples if all(abs(lam - f) > 1e-2 * f for f in folds)]
+        assert len(away) > 150
+        assert ([count_solutions(coarse, lam) for lam in away]
+                == [count_solutions(dense, lam) for lam in away])
 
 
 class TestVerifyPredictions:

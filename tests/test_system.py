@@ -251,6 +251,30 @@ class TestOneDimensionalRoot:
         assert sb.gaps == []
         assert len(calls) <= 4 * len(sb.points)
 
+    @pytest.mark.parametrize("N, k, base, params", [
+        (2, 1, "saturating", None), (2, 1, "rational", {"b": 2.0}),
+        (2, 1, "superlinear", None), (2, 2, "saturating", None),
+    ], ids=["saturating-N2k1", "rational-N2k1", "superlinear-N2k1", "saturating-N2k2"])
+    def test_symmetric_warm_start_is_exact(self, monkeypatch, N, k, base, params):
+        # d_u (d_v / d_u) of the last point is d_u itself, so every solve takes the
+        # F = 0 return of _common_zero: one root IVP and one fixed-R shot per point
+        import hessbif.rk as rk
+
+        spec = coupled(N, k, base, params)
+        lam1 = first_eigenvalue(N, k, 1.0, FAST).lambda1
+        calls = []
+        real = rk.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rk, "integrate", counting)
+        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
+                                 lambda_scale=lam1)
+        assert len(calls) == 2 * len(sb.points)
+        assert all(p.d_v == p.d_u for p in sb.points)
+
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(pair=st.sampled_from(SYMMETRIC_PAIRS),
