@@ -160,8 +160,9 @@ def flux_ivp(N: int, k: int, R: float, lam: float, weights, amplitudes, tol: flo
                 raise NumericalFailureError(f"nonlinearity returned {(gs, hs)!r} at "
                                             f"s={(su, sv)!r}; refusing a negative integrand")
             ra = coef * r ** (N - 1)
-            up = exp(k_inv * log(mu) + r_exp * log(r)) if mu > 0.0 else 0.0
-            vp = exp(k_inv * log(mv) + r_exp * log(r)) if mv > 0.0 else 0.0
+            rl = r_exp * log(r)
+            up = exp(k_inv * log(mu) + rl) if mu > 0.0 else 0.0
+            vp = exp(k_inv * log(mv) + rl) if mv > 0.0 else 0.0
             return (up, ra * (lam * gs) ** k, vp, ra * (lam * hs) ** k)
 
     r0 = _origin_radius(N, R)

@@ -295,7 +295,11 @@ def _common_zero(spec, d_u, lam_ref, dv0, cfg):
         res = flux_ivp(spec.N, spec.k, spec.R, lam_ref, (spec.g, spec.h), (d_u, d_v),
                        cfg.integrator_tol, horizon, root_tol=cfg.root_tol)[0]
         z = math.log(d_v)
-        return (z, d_v, math.inf, None) if res.t >= horizon else (z, d_v, res.y[2] / d_v, res.t)
+        if res.t >= horizon:
+            return z, d_v, math.inf, None
+        # v(rho_u) == u(rho_u) when u and v coincide, though the located u(rho_u) may be
+        # a tiny nonzero; rho_u is then their common zero
+        return z, d_v, 0.0 if res.y[2] == res.y[0] else res.y[2] / d_v, res.t
 
     prev = point(dv0)
     if prev[2] == 0.0:   # u and v coincide, as on symmetric pairs at d_v = d_u

@@ -3,10 +3,14 @@
 Deliberately different from the package path: classical fixed-step RK4 on the
 *differential* form of the radial equation (solve S_k for u''), while the
 package integrates the integral form with an adaptive embedded pair.  Slow and
-simple; used only to pin expected values.
+simple; used only to pin expected values.  cash_karp_loop is the exception: the
+Cash-Karp step written as loops over the package's own tableau, the reference
+that its generated step must match bit for bit.
 """
 
 import math
+
+from hessbif.rk import _A, _B4, _B5, _C
 
 
 def _binom(n, k):
@@ -65,3 +69,42 @@ def eigen_value(N, k, R, nsteps=8192, rel_tol=1e-12):
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def cash_karp_loop(rhs, t, y, h, k0, rtol, atol):
+    """One Cash-Karp step of length h from (t, y), where k0 = rhs(t, y), by the tableau loops.
+
+    The reference for the package's generated step, which must match it bit for
+    bit: returns (y5, err), the 5th-order state and the RMS of the scaled
+    4th/5th-order difference, or inf when the new state is not finite.
+    """
+    n = len(y)
+    k = [k0, None, None, None, None, None]
+    for i in range(1, 6):
+        ai = _A[i]
+        yi = list(y)
+        for j, aij in enumerate(ai):
+            kj = k[j]
+            haij = h * aij
+            for c in range(n):
+                yi[c] += haij * kj[c]
+        k[i] = rhs(t + _C[i] * h, yi)
+
+    y5 = list(y)
+    err_acc = 0.0
+    ok = True
+    for c in range(n):
+        inc5 = 0.0
+        inc4 = 0.0
+        for j in range(6):
+            kjc = k[j][c]
+            inc5 += _B5[j] * kjc
+            inc4 += _B4[j] * kjc
+        y5c = y[c] + h * inc5
+        y5[c] = y5c
+        diff = h * (inc5 - inc4)
+        scale = atol[c] + rtol * max(abs(y[c]), abs(y5c))
+        err_acc += (diff / scale) ** 2
+        if not math.isfinite(y5c):
+            ok = False
+    return y5, (math.sqrt(err_acc / n) if ok else math.inf)

@@ -1,7 +1,10 @@
 import math
+import random
+import traceback
 
 import numpy as np
 import pytest
+from _oracles import cash_karp_loop
 
 from hessbif import rk
 from hessbif.errors import NumericalFailureError
@@ -133,3 +136,91 @@ class TestIntegrate:
         assert raised
         assert t == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-11)
         assert abs(y[0]) < 1e-11
+
+
+def _hex(result):
+    y5, err = result
+    return [v.hex() for v in y5], err.hex()
+
+
+class TestGeneratedStep:
+    """The generated step against the tableau loops of tests/_oracles.py, bit for bit."""
+
+    @staticmethod
+    def _nonlinear(t, y):
+        n = len(y)
+        return [math.sin(t + y[c]) * y[(c + 1) % n] - 0.5 * y[c] ** 3 for c in range(n)]
+
+    @staticmethod
+    def _flat(t, y):   # -0.0 sums to -0.0, 0.0 + -0.0 to 0.0
+        return [-0.0] * len(y)
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_bit_identical_to_the_tableau_loops(self, n):
+        rng = random.Random(n)
+        step = rk._cash_karp_step(n)
+        for rhs in (self._nonlinear, self._flat):
+            for _ in range(200):
+                t = rng.uniform(0.0, 10.0)
+                y = [rng.choice((0.0, -0.0)) if rng.random() < 0.2 else rng.uniform(-3.0, 3.0)
+                     for _ in range(n)]
+                h = 10.0 ** rng.uniform(-6.0, 0.5)
+                rtol = 10.0 ** rng.uniform(-12.0, -4.0)
+                atol = [10.0 ** rng.uniform(-14.0, -6.0) for _ in range(n)]
+                k0 = rhs(t, y)
+                assert (_hex(step(rhs, t, y, h, k0, rtol, atol))
+                        == _hex(cash_karp_loop(rhs, t, y, h, k0, rtol, atol)))
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize("stage", [1, 2, 3, 4, 5])
+    def test_non_finite_stage_gives_infinite_error(self, n, stage):
+        # one infinite stage slope; a zero weight on it (stages 1 and 4) makes y5 NaN
+        def spike(t, y):
+            return [math.inf if t == rk._C[stage] else 1.0] * len(y)
+
+        y = [1.0 + c for c in range(n)]
+        args = (spike, 0.0, y, 1.0, spike(0.0, y), 1e-10, [1e-13] * n)
+        got = rk._cash_karp_step(n)(*args)
+        assert got[1] == math.inf
+        assert _hex(got) == _hex(cash_karp_loop(*args))
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_overflow_raises_in_both(self, n):
+        def cubic(t, y):   # the float power raises OverflowError beyond ~1e102
+            return [-v ** 3 for v in y]
+
+        def wiggle(t, y):   # an error ratio of ~1e200, whose square raises OverflowError
+            return [1e-100 * math.sin(50.0 * t)] * len(y)
+
+        step = rk._cash_karp_step(n)
+        for rhs, y, atol in ((cubic, [1e60] * n, [1e-13] * n),
+                             (wiggle, [1e-100] * n, [1e-300] * n)):
+            args = (rhs, 0.0, y, 1.0, rhs(0.0, y), 1e-300, atol)
+            with pytest.raises(OverflowError):
+                cash_karp_loop(*args)
+            with pytest.raises(OverflowError):
+                step(*args)
+
+    def test_rhs_calls_per_attempt(self):
+        calls = []
+
+        def counted(t, y):
+            calls.append(t)
+            return harmonic(t, y)
+
+        res = integrate(counted, 0.0, [-1.0, 0.0], 10.0, rtol=1e-10, atol=[1e-13, 1e-13])
+        # six per attempt, but k0 = rhs(t, y) is reused across rejections at the same t
+        assert (res.n_steps, res.n_rejected) == (249, 12)
+        assert len(calls) == 6 * (res.n_steps + res.n_rejected) - res.n_rejected == 1554
+
+    def test_tracebacks_show_the_generated_source(self):
+        def failing(t, y):
+            if t > 0.0:
+                raise NumericalFailureError("injected")
+            return harmonic(t, y)
+
+        with pytest.raises(NumericalFailureError) as info:
+            integrate(failing, 0.0, [1.0, 0.0], 1.0, rtol=1e-10, atol=[1e-13, 1e-13])
+        text = "".join(traceback.format_exception(info.value))
+        assert 'File "<hessbif.rk cash-karp n=2>", line 6, in step' in text
+        assert "k1_0, k1_1, = rhs(t + 0.2 * h, [y_0 + h10 * k0_0, y_1 + h10 * k0_1])" in text

@@ -254,7 +254,9 @@ class TestOneDimensionalRoot:
     @pytest.mark.parametrize("N, k, base, params", [
         (2, 1, "saturating", None), (2, 1, "rational", {"b": 2.0}),
         (2, 1, "superlinear", None), (2, 2, "saturating", None),
-    ], ids=["saturating-N2k1", "rational-N2k1", "superlinear-N2k1", "saturating-N2k2"])
+        (2, 1, "powermix", None), (3, 1, "logbump", None),
+    ], ids=["saturating-N2k1", "rational-N2k1", "superlinear-N2k1", "saturating-N2k2",
+            "powermix-N2k1", "logbump-N3k1"])
     def test_symmetric_warm_start_is_exact(self, monkeypatch, N, k, base, params):
         # d_u (d_v / d_u) of the last point is d_u itself, so every solve takes the
         # F = 0 return of _common_zero: one root IVP and one fixed-R shot per point
