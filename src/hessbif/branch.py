@@ -573,8 +573,8 @@ def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
     An interval whose log-log increment departs by more than ln(1.2) from a
     neighbor's slope (a bend: a fold or a kink, never a power law) is bisected
     in log d, up to 3 levels (refine_jumps), and detected folds are localized
-    by golden-section search before the final fold/asymptote summaries are
-    attached.
+    by golden-section search, which adds the apex as a point, before the final
+    fold/asymptote summaries are attached.
     """
     if n_points < 16:
         raise InvalidInputError(f"n_points must be >= 16, got {n_points}")
@@ -653,7 +653,12 @@ def refine_jumps(points, midpoint):
 
 
 def _polish_folds(spec, branch, cfg, lambda_scale, log_tol=2e-3):
-    """Golden-section localization of each discrete fold apex in log-d."""
+    """Golden-section localization of each discrete fold apex in log-d.
+
+    Only the extreme evaluation of each search becomes a branch point: near
+    the apex the others differ from it in lambda by less than 1e-9 relative,
+    so as points they would only make the fold's row ambiguous.
+    """
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     folds = detect_folds(branch)
     inserted = []
@@ -683,9 +688,10 @@ def _polish_folds(spec, branch, cfg, lambda_scale, log_tol=2e-3):
                 a, x1, f1 = x1, x2, f2
                 x2 = a + gr * (b - a)
                 f2 = lam_at(x2)
-        for ld, lam in cache.items():
-            if lam is not None:
-                inserted.append(_make_point(spec, math.exp(ld), lam, cfg, False))
+        solved = [ld for ld, lam in cache.items() if lam is not None]
+        if solved:
+            ld = max(solved, key=lambda x: sign * cache[x])
+            inserted.append(_make_point(spec, math.exp(ld), cache[ld], cfg, False))
     if inserted:
         merged = {p.d: p for p in branch.points}
         for p in inserted:

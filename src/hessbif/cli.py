@@ -269,7 +269,7 @@ def _read_json(path):
 
 def _add_cfg_args(p):
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="integrator relative tolerance (default 1e-10)")
+                   help="integrator tolerance; IVPs step at 0.1 tol (default 1e-10)")
     p.add_argument("--root-tol", type=float, default=1e-10,
                    help="root-finding relative tolerance (default 1e-10)")
 

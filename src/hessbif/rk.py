@@ -1,9 +1,11 @@
 """Embedded adaptive Runge-Kutta stepping for small ODE systems.
 
-Cash-Karp 5(4) pair: six stages, 5th order propagation, 4th order error
-estimate.  States are plain lists of floats; the radial shooting systems here
-have 2 or 4 components, where python-float arithmetic beats array overhead by
-an order of magnitude.  Two modes:
+Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett & Wanner, Solving ODEs I,
+2nd ed. 1993, II.10): twelve stages, 8th order propagation, and Hairer's error
+estimate from an embedded 5th and 3rd order pair.  States are plain lists of
+floats; the radial shooting systems here have 2 or 4 components, where
+python-float arithmetic beats array overhead by an order of magnitude.  Two
+modes:
 
   * free stepping to the right endpoint (terminal value, and on request every
     accepted state) - the hot path of root solves and branch points;
@@ -13,21 +15,27 @@ an order of magnitude.  Two modes:
 and, in either mode, an optional stop where component 0 first changes sign,
 located inside the last accepted step by re-stepping from its saved state.
 
-Step control is the standard 0.9 * err^(-1/5) rule with growth clamped to
-[0.2, 5.0] per step.
+The error of a step of length h is h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n),
+with e5 = sum E5_j k_j and e3 = sum (B_j - BHH_j) k_j scaled componentwise by
+atol + rtol max(|y|, |y_new|).  Neither weight vector uses a stage at t + h, so
+an attempt costs 11 rhs calls, and the slope at an accepted state is the first
+stage of the next step.  Step control is the rule 0.9 * err^(-1/8) with growth
+clamped to [0.2, 5.0] per step, and no growth on the first accepted step after
+a rejection (as in Hairer's codes).
 
 The step itself is generated from the tableau, once per component count and on
 first use: Python source with every stage and every component unrolled into
-local floats, compiled under the name "<hessbif.rk cash-karp n=...>" and
+local floats, compiled under the name "<hessbif.rk dop853 n=...>" and
 registered with linecache, so tracebacks and profiles show its lines.  On 2-
-and 4-component states this takes about 40% less time per step than loops over
-the tableau, whose indexing costs more than the arithmetic.  Its results are
-bit for bit those of the loops (tests/_oracles.py keeps them as the reference):
-Python adds a + b + c left to right, as the loops accumulate; each weighted sum
-starts from 0.0 + (0.0 + -0.0 is 0.0) and keeps the zero weights (0.0 * inf is
-NaN); the error terms are formed component by component with the float power
-** 2, which raises OverflowError where the loops' did; and a non-finite y5
-gives err = inf.
+and 4-component states this takes about a third of the time per step of loops
+over the tableau, whose indexing costs more than the arithmetic.  Its results
+are bit for bit those of the loops (tests/_oracles.py keeps them as the reference):
+Python adds a + b + c left to right, as the loops accumulate; the stage states
+skip the zero entries of A, while the propagation sum starts from 0.0 + (0.0 +
+-0.0 is 0.0) and keeps the zero weights of B, so a non-finite slope at any
+stage makes y_new non-finite (0.0 * inf is NaN) and gives err = inf; and the
+error terms are formed component by component with the float power ** 2,
+which raises OverflowError where the loops' did.
 """
 
 from __future__ import annotations
@@ -38,25 +46,70 @@ import math
 
 from .errors import NumericalFailureError
 
-# Cash-Karp tableau
-_C = (0.0, 1.0 / 5.0, 3.0 / 10.0, 3.0 / 5.0, 1.0, 7.0 / 8.0)
+# DOP853 tableau, Hairer's published coefficients (as in his dop853.f): nodes C,
+# stage rows A (lower triangle, zeros written out), 8th order weights B, the
+# 5th order error weights E5, and BHH, the 3rd order weights, so E3 = B - BHH.
+_C = (0.0,
+      0.526001519587677318785587544488e-01,
+      0.789002279381515978178381316732e-01,
+      0.118350341907227396726757197510,
+      0.281649658092772603273242802490,
+      0.333333333333333333333333333333,
+      0.25,
+      0.307692307692307692307692307692,
+      0.651282051282051282051282051282,
+      0.6,
+      0.857142857142857142857142857142,
+      1.0)
 _A = (
     (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0),
-    (-11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0),
-    (1631.0 / 55296.0, 175.0 / 512.0, 575.0 / 13824.0,
-     44275.0 / 110592.0, 253.0 / 4096.0),
+    (5.26001519587677318785587544488e-2,),
+    (1.97250569845378994544595329183e-2, 5.91751709536136983633785987549e-2),
+    (2.95875854768068491816892993775e-2, 0.0, 8.87627564304205475450678981324e-2),
+    (2.41365134159266685502369798665e-1, 0.0, -8.84549479328286085344864962717e-1,
+     9.24834003261792003115737966543e-1),
+    (3.7037037037037037037037037037e-2, 0.0, 0.0, 1.70828608729473871279604482173e-1,
+     1.25467687566822425016691814123e-1),
+    (3.7109375e-2, 0.0, 0.0, 1.70252211019544039314978060272e-1,
+     6.02165389804559606850219397283e-2, -1.7578125e-2),
+    (3.70920001185047927108779319836e-2, 0.0, 0.0, 1.70383925712239993810214054705e-1,
+     1.07262030446373284651809199168e-1, -1.53194377486244017527936158236e-2,
+     8.27378916381402288758473766002e-3),
+    (6.24110958716075717114429577812e-1, 0.0, 0.0, -3.36089262944694129406857109825,
+     -8.68219346841726006818189891453e-1, 2.75920996994467083049415600797e1,
+     2.01540675504778934086186788979e1, -4.34898841810699588477366255144e1),
+    (4.77662536438264365890433908527e-1, 0.0, 0.0, -2.48811461997166764192642586468,
+     -5.90290826836842996371446475743e-1, 2.12300514481811942347288949897e1,
+     1.52792336328824235832596922938e1, -3.32882109689848629194453265587e1,
+     -2.03312017085086261358222928593e-2),
+    (-9.3714243008598732571704021658e-1, 0.0, 0.0, 5.18637242884406370830023853209,
+     1.09143734899672957818500254654, -8.14978701074692612513997267357,
+     -1.85200656599969598641566180701e1, 2.27394870993505042818970056734e1,
+     2.49360555267965238987089396762, -3.0467644718982195003823669022),
+    (2.27331014751653820792359768449, 0.0, 0.0, -1.05344954667372501984066689879e1,
+     -2.00087205822486249909675718444, -1.79589318631187989172765950534e1,
+     2.79488845294199600508499808837e1, -2.85899827713502369474065508674,
+     -8.87285693353062954433549289258, 1.23605671757943030647266201528e1,
+     6.43392746015763530355970484046e-1),
 )
-_B5 = (37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0)
-_B4 = (2825.0 / 27648.0, 0.0, 18575.0 / 48384.0, 13525.0 / 55296.0,
-       277.0 / 14336.0, 1.0 / 4.0)
+_B = (5.42937341165687622380535766363e-2, 0.0, 0.0, 0.0, 0.0,
+      4.45031289275240888144113950566, 1.89151789931450038304281599044,
+      -5.8012039600105847814672114227, 3.1116436695781989440891606237e-1,
+      -1.52160949662516078556178806805e-1, 2.01365400804030348374776537501e-1,
+      4.47106157277725905176885569043e-2)
+_E5 = (0.1312004499419488073250102996e-1, 0.0, 0.0, 0.0, 0.0,
+       -0.1225156446376204440720569753e+1, -0.4957589496572501915214079952,
+       0.1664377182454986536961530415e+1, -0.3503288487499736816886487290,
+       0.3341791187130174790297318841, 0.8192320648511571246570742613e-1,
+       -0.2235530786388629525884427845e-1)
+_BHH = (0.244094488188976377952755905512, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0,
+        0.733846688281611857341361741547, 0.0, 0.0,
+        0.220588235294117647058823529412e-1)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
-_ORDER_EXP = -0.2  # 1 / (embedded order + 1)
+_ORDER_EXP = -1.0 / 8.0  # 1 / (error order + 1)
 _MAX_LOCATE_ITER = 100
 
 
@@ -74,11 +127,11 @@ class RKResult:
 
 
 @functools.cache
-def _cash_karp_step(n):
-    """step(rhs, t, y, h, k0, rtol, atol) -> (y5, err) for n-component states, k0 = rhs(t, y).
+def _dop853_step(n):
+    """step(rhs, t, y, h, k0, rtol, atol) -> (y_new, err) for n-component states, k0 = rhs(t, y).
 
-    y5 is the 5th-order state; err is the RMS of the scaled 4th/5th-order
-    difference, or inf when y5 is not finite.  Generated with every stage
+    y_new is the 8th-order state; err is the scaled error of the module
+    docstring, or inf when y_new is not finite.  Generated with every stage
     unrolled on the first call for each n; the source is registered with
     linecache under the step's file name, so tracebacks and profiles show it.
     """
@@ -87,32 +140,39 @@ def _cash_karp_step(n):
     def vec(fmt):
         return ", ".join(fmt.format(c=c) for c in cs)
 
+    def terms(weights, c, sign="+", keep_zeros=False):
+        return "".join(f" {sign} {w!r} * k{j}_{c}" for j, w in enumerate(weights)
+                       if keep_zeros or w != 0.0)
+
     lines = ["def step(rhs, t, y, h, k0, rtol, atol):",
              f"    {vec('y_{c}')}, = y",
              f"    {vec('k0_{c}')}, = k0",
              f"    {vec('atol_{c}')}, = atol"]
-    for i in range(1, 6):
-        for j, aij in enumerate(_A[i]):
-            lines.append(f"    h{i}{j} = h * {aij!r}")
-        state = vec("y_{c}" + "".join(f" + h{i}{j} * k{j}_{{c}}" for j in range(i)))
+    for i in range(1, len(_A)):
+        row = [(j, aij) for j, aij in enumerate(_A[i]) if aij != 0.0]
+        lines += [f"    h{i}_{j} = h * {aij!r}" for j, aij in row]
+        state = vec("y_{c}" + "".join(f" + h{i}_{j} * k{j}_{{c}}" for j, _ in row))
         lines.append(f"    {vec(f'k{i}_{{c}}')}, = rhs(t + {_C[i]!r} * h, [{state}])")
     for c in cs:
-        for name, b in (("i5", _B5), ("i4", _B4)):
-            terms = "".join(f" + {bj!r} * k{j}_{c}" for j, bj in enumerate(b))
-            lines.append(f"    {name}_{c} = 0.0{terms}")
-        lines += [f"    y5_{c} = y_{c} + h * i5_{c}",
+        lines += [f"    i_{c} = 0.0{terms(_B, c, keep_zeros=True)}",
+                  f"    yn_{c} = y_{c} + h * i_{c}",
                   f"    a_{c} = abs(y_{c})",
-                  f"    b_{c} = abs(y5_{c})"]
-    # max(a, b) of the reference loops, which returns b only when b > a
-    terms = "".join(f" + (h * (i5_{c} - i4_{c}) / (atol_{c} + rtol * "
-                    f"(b_{c} if b_{c} > a_{c} else a_{c}))) ** 2" for c in cs)
-    lines += [f"    err = 0.0{terms}",
-              f"    if {' and '.join(f'isfinite(y5_{c})' for c in cs)}:",
-              f"        return [{vec('y5_{c}')}], sqrt(err / {n})",
-              f"    return [{vec('y5_{c}')}], inf",
+                  f"    b_{c} = abs(yn_{c})",
+                  # max(a, b) of the reference loops, which returns b only when b > a
+                  f"    s_{c} = atol_{c} + rtol * (b_{c} if b_{c} > a_{c} else a_{c})",
+                  f"    e5_{c} = 0.0{terms(_E5, c)}",
+                  # e3 = i - sum BHH_j k_j, as dop853.f forms it
+                  f"    e3_{c} = i_{c}{terms(_BHH, c, sign='-')}"]
+    lines += [f"    e5 = 0.0{''.join(f' + (e5_{c} / s_{c}) ** 2' for c in cs)}",
+              f"    e3 = 0.0{''.join(f' + (e3_{c} / s_{c}) ** 2' for c in cs)}",
+              f"    if {' and '.join(f'isfinite(yn_{c})' for c in cs)}:",
+              "        den = e5 + 0.01 * e3",
+              f"        err = h * e5 / sqrt(den * {n}) if den > 0.0 else 0.0",
+              f"        return [{vec('yn_{c}')}], err",
+              f"    return [{vec('yn_{c}')}], inf",
               ""]
     source = "\n".join(lines)
-    filename = f"<hessbif.rk cash-karp n={n}>"
+    filename = f"<hessbif.rk dop853 n={n}>"
     namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "inf": math.inf}
     exec(compile(source, filename, "exec"), namespace)
     linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
@@ -123,7 +183,7 @@ def _locate_zero(rhs, t, y, k0, h, y_end, rtol, atol, root_tol):
     """(t*, y*) where component 0 changes sign inside the step (t, y) -> (t + h, y_end).
 
     Illinois regula falsi on the step length s in [0, h], each trial a fresh
-    Cash-Karp step from the saved state, until the bracket is below root_tol
+    step from the saved state, until the bracket is below root_tol
     relative to t + s; the state is then interpolated linearly across it.  A
     trial that overflows is retried at _MIN_FACTOR of its distance from s_lo.
     """
@@ -131,7 +191,7 @@ def _locate_zero(rhs, t, y, k0, h, y_end, rtol, atol, root_tol):
     s_hi, y_hi, f_hi = h, y_end, y_end[0]
     side = 0
     s_retry = None
-    step = _cash_karp_step(len(y))
+    step = _dop853_step(len(y))
     for _ in range(_MAX_LOCATE_ITER):
         if s_hi - s_lo <= root_tol * (t + s_hi):
             break
@@ -174,7 +234,8 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
     outputs beyond it are not recorded.  A trajectory list receives (t, y) at
     t0 and after every accepted step, ending with the returned state.  A trial
     step whose state is not finite, or whose arithmetic raises OverflowError, is
-    rejected and retried at _MIN_FACTOR of its length.  Raises
+    rejected and retried at _MIN_FACTOR of its length; the first step accepted
+    after a rejection does not grow the step size.  Raises
     NumericalFailureError on NaN/inf states, step-size underflow, or
     step-count exhaustion.
     """
@@ -200,12 +261,13 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
     if trajectory is not None:
         trajectory.append((t, y))
 
-    step = _cash_karp_step(n)
+    step = _dop853_step(n)
     h_ctrl = span / 64.0
     h_min = 1e-14 * span
     n_steps = 0
     n_rejected = 0
     k0 = None   # rhs(t, y), kept across rejected attempts
+    rejected = False   # the last attempt was rejected
 
     while t < t1:
         if n_steps + n_rejected >= max_steps:
@@ -230,12 +292,13 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
         if k0 is None:
             k0 = rhs(t, y)
         try:
-            y5, err = step(rhs, t, y, h, k0, rtol, atol)
+            y_new, err = step(rhs, t, y, h, k0, rtol, atol)
         except OverflowError:   # a float power overflowed inside a trial stage
             err = math.inf
 
         if not math.isfinite(err):
             n_rejected += 1
+            rejected = True
             h_ctrl = h * _MIN_FACTOR
             if h_ctrl < h_min:
                 raise NumericalFailureError(f"non-finite state at t={t!r}")
@@ -243,13 +306,13 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
 
         if err <= 1.0:
             n_steps += 1
-            if root_tol is not None and (y5[0] < 0.0) != (y[0] < 0.0):
-                t, y = _locate_zero(rhs, t, y, k0, h, y5, rtol, atol, root_tol)
+            if root_tol is not None and (y_new[0] < 0.0) != (y[0] < 0.0):
+                t, y = _locate_zero(rhs, t, y, k0, h, y_new, rtol, atol, root_tol)
                 if trajectory is not None:
                     trajectory.append((t, y))
                 return RKResult(t, y, grid_states, n_steps, n_rejected)
             t = t + h
-            y = y5
+            y = y_new
             k0 = None
             if trajectory is not None:
                 trajectory.append((t, y))
@@ -258,6 +321,9 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
                 out_idx += 1
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err**_ORDER_EXP))
+            if rejected:   # no growth on the first step accepted after a rejection
+                factor = min(factor, 1.0)
+            rejected = False
             if clamped:
                 # a grid-shortened step must not erase the controller's memory
                 h_ctrl = max(h_ctrl, h * factor)
@@ -265,6 +331,7 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
                 h_ctrl = h * factor
         else:
             n_rejected += 1
+            rejected = True
             h_ctrl = h * max(_MIN_FACTOR, _SAFETY * err**_ORDER_EXP)
 
     if outputs is not None:

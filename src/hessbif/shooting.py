@@ -20,9 +20,11 @@ flux_ivp is the one shooting kernel, for this problem and for the two-component
 system of system.py.  Each component i has forcing F_i = lambda w_i(s) with
 S_k(D^2 u_i) = F_i^k: w = f here, w = g, h of (s_u, s_v) for the system.  It
 seeds every component from its series (a_i = F_i(d) / C(N,k)^(1/k)), refuses a
-negative or non-finite weight w_i, and gives u_i the absolute tolerance
-tol 1e-3 max(d_i, 1) and m_i tol 1e-3 max(F_i^k R^N / C(N,k), 1e-30), the
-value m(R) of constant forcing F_i(d).  flux_profiles samples it on a grid.
+negative or non-finite weight w_i, and steps one decade tighter than the
+caller's tolerance tol (STEP_TOL_FACTOR = 0.1): relative tolerance 0.1 tol, and
+absolute tolerance 0.1 tol 1e-3 max(d_i, 1) for u_i and 0.1 tol 1e-3
+max(F_i^k R^N / C(N,k), 1e-30) for m_i, the value m(R) of constant forcing
+F_i(d).  flux_profiles samples it on a grid.
 
 f is extended below zero by f(max(s, 0)): past the (single) zero crossing of a
 too-strongly-forced profile the forcing switches off, keeping the boundary
@@ -71,6 +73,14 @@ class ShootingConfig:
 
 
 DEFAULT_CONFIG = ShootingConfig()
+# flux_ivp steps at STEP_TOL_FACTOR times the caller's tolerance (rtol and both
+# atols).  Measured against tol = root_tol = 1e-13 over 280 scalar lambda(d)
+# (8 registry kinds x (N,k) in 11,21,22,32,33,52,84 x d in 1e-2..1e2, R 1.13)
+# and 441 coupled points (16-point traces of 9 pairs x (N,k) in 21,22,31,
+# R 0.93): stepping at the caller's 1e-10 put 14 scalar and 10 coupled values
+# beyond 1e-9 (worst 1.4e-8, saturating N5k2 at d = 100); one decade tighter
+# puts none there (worst 8.7e-10 scalar, 5.1e-10 coupled; medians ~1e-12).
+STEP_TOL_FACTOR = 0.1
 HORIZON = 1e3   # lambda_at_amplitude looks for the first zero out to HORIZON * R
 MAX_BISECT_ITER = 200
 
@@ -125,6 +135,7 @@ def flux_ivp(N: int, k: int, R: float, lam: float, weights, amplitudes, tol: flo
     (f taken as 0 for s <= 0), or (-u, -v) clamped at 0.  Returns (result, rhs,
     curvatures): the closure integrated and the series curvatures a_i = u_i''(0).
     """
+    tol *= STEP_TOL_FACTOR
     c_full = binom(N, k)
     coef = k / binom(N - 1, k - 1)
     k_inv = 1.0 / k

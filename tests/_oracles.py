@@ -3,14 +3,14 @@
 Deliberately different from the package path: classical fixed-step RK4 on the
 *differential* form of the radial equation (solve S_k for u''), while the
 package integrates the integral form with an adaptive embedded pair.  Slow and
-simple; used only to pin expected values.  cash_karp_loop is the exception: the
-Cash-Karp step written as loops over the package's own tableau, the reference
+simple; used only to pin expected values.  dop853_loop is the exception: the
+DOP853 step written as loops over the package's own tableau, the reference
 that its generated step must match bit for bit.
 """
 
 import math
 
-from hessbif.rk import _A, _B4, _B5, _C
+from hessbif.rk import _A, _B, _BHH, _C, _E5
 
 
 def _binom(n, k):
@@ -71,40 +71,48 @@ def eigen_value(N, k, R, nsteps=8192, rel_tol=1e-12):
     return 0.5 * (lo + hi)
 
 
-def cash_karp_loop(rhs, t, y, h, k0, rtol, atol):
-    """One Cash-Karp step of length h from (t, y), where k0 = rhs(t, y), by the tableau loops.
+def dop853_loop(rhs, t, y, h, k0, rtol, atol):
+    """One DOP853 step of length h from (t, y), where k0 = rhs(t, y), by the tableau loops.
 
     The reference for the package's generated step, which must match it bit for
-    bit: returns (y5, err), the 5th-order state and the RMS of the scaled
-    4th/5th-order difference, or inf when the new state is not finite.
+    bit: returns (y_new, err), the 8th-order state and Hairer's error
+    h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n) of the scaled e5 = sum E5_j k_j and
+    e3 = sum (B_j - BHH_j) k_j, or inf when the new state is not finite.  The
+    sums skip the zero entries of A, E5 and BHH; the B sum keeps its zeros.
     """
     n = len(y)
-    k = [k0, None, None, None, None, None]
-    for i in range(1, 6):
-        ai = _A[i]
+    k = [k0]
+    for i in range(1, len(_A)):
         yi = list(y)
-        for j, aij in enumerate(ai):
-            kj = k[j]
-            haij = h * aij
-            for c in range(n):
-                yi[c] += haij * kj[c]
-        k[i] = rhs(t + _C[i] * h, yi)
+        for j, aij in enumerate(_A[i]):
+            if aij != 0.0:
+                haij = h * aij
+                for c in range(n):
+                    yi[c] += haij * k[j][c]
+        k.append(rhs(t + _C[i] * h, yi))
 
-    y5 = list(y)
-    err_acc = 0.0
+    y_new = list(y)
+    e5_acc = 0.0
+    e3_acc = 0.0
     ok = True
     for c in range(n):
-        inc5 = 0.0
-        inc4 = 0.0
-        for j in range(6):
-            kjc = k[j][c]
-            inc5 += _B5[j] * kjc
-            inc4 += _B4[j] * kjc
-        y5c = y[c] + h * inc5
-        y5[c] = y5c
-        diff = h * (inc5 - inc4)
-        scale = atol[c] + rtol * max(abs(y[c]), abs(y5c))
-        err_acc += (diff / scale) ** 2
-        if not math.isfinite(y5c):
+        inc = 0.0
+        e5 = 0.0
+        for j in range(len(_B)):
+            inc += _B[j] * k[j][c]
+            if _E5[j] != 0.0:
+                e5 += _E5[j] * k[j][c]
+        e3 = inc
+        for j, bhh in enumerate(_BHH):
+            if bhh != 0.0:
+                e3 -= bhh * k[j][c]
+        y_new[c] = y[c] + h * inc
+        scale = atol[c] + rtol * max(abs(y[c]), abs(y_new[c]))
+        e5_acc += (e5 / scale) ** 2
+        e3_acc += (e3 / scale) ** 2
+        if not math.isfinite(y_new[c]):
             ok = False
-    return y5, (math.sqrt(err_acc / n) if ok else math.inf)
+    if not ok:
+        return y_new, math.inf
+    den = e5_acc + 0.01 * e3_acc
+    return y_new, (h * e5_acc / math.sqrt(den * n) if den > 0.0 else 0.0)

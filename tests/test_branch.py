@@ -260,22 +260,40 @@ class TestTraceBranch:
             trace_branch(spec, 1e-2, 1e2, 16, FAST)
 
     def test_at_most_two_ivps_per_point(self, monkeypatch):
-        # one scaled IVP for lambda(d) and one admissibility profile per point
+        # one scaled IVP for lambda(d) and one fixed-R shot per point; fold polish
+        # adds one IVP per golden-section lambda solve and keeps only the apex
+        import hessbif.branch as branch_mod
         import hessbif.rk as rk
 
         spec = ProblemSpec(N=2, k=2, R=1.13, f=NonlinearitySpec("log_bump"))
         lam1 = first_eigenvalue(2, 2, 1.13, FAST).lambda1
-        calls = []
-        real = rk.integrate
+        calls, solves, polish = [], [], []
+        real_integrate = rk.integrate
+        real_solve = branch_mod._solve_point
+        real_polish = branch_mod._polish_folds
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return real(*args, **kwargs)
+            return real_integrate(*args, **kwargs)
+
+        def solving(*args):
+            solves.append(1)
+            return real_solve(*args)
+
+        def polishing(spec, branch, *args):
+            polish.append((len(calls), len(solves), len(branch.points)))
+            real_polish(spec, branch, *args)
+            polish.append((len(calls), len(solves), len(branch.points)))
 
         monkeypatch.setattr(rk, "integrate", counting)
+        monkeypatch.setattr(branch_mod, "_solve_point", solving)
+        monkeypatch.setattr(branch_mod, "_polish_folds", polishing)
         br = trace_branch(spec, 1e-2, 1e2, 25, FAST, lambda_scale=lam1)
-        assert [f.kind for f in br.folds] == ["min"]
-        assert len(calls) <= 2 * len(br.points)
+        assert [f.kind for f in br.folds] == ["min"] and not br.gaps
+        (ivps_0, solves_0, points_0), (ivps_1, solves_1, points_1) = polish
+        assert ivps_0 == solves_0 + points_0 == 2 * points_0
+        assert points_1 == len(br.points) == points_0 + 1
+        assert len(calls) == ivps_1 == 2 * len(br.points) + (solves_1 - solves_0 - 1)
 
     def test_power_branch_admissible(self):
         spec = ProblemSpec(N=3, k=2, R=1.13, f=NonlinearitySpec("power", {"p": 2.0}))

@@ -1,10 +1,11 @@
 import math
 import random
 import traceback
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from _oracles import cash_karp_loop
+from _oracles import dop853_loop
 
 from hessbif import rk
 from hessbif.errors import NumericalFailureError
@@ -139,8 +140,16 @@ class TestIntegrate:
 
 
 def _hex(result):
-    y5, err = result
-    return [v.hex() for v in y5], err.hex()
+    y_new, err = result
+    return [v.hex() for v in y_new], err.hex()
+
+
+def _outcome(step, *args):
+    """_hex of step(*args), or "OverflowError" when a float power overflowed in it."""
+    try:
+        return _hex(step(*args))
+    except OverflowError:
+        return "OverflowError"
 
 
 class TestGeneratedStep:
@@ -158,7 +167,7 @@ class TestGeneratedStep:
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_bit_identical_to_the_tableau_loops(self, n):
         rng = random.Random(n)
-        step = rk._cash_karp_step(n)
+        step = rk._dop853_step(n)
         for rhs in (self._nonlinear, self._flat):
             for _ in range(200):
                 t = rng.uniform(0.0, 10.0)
@@ -167,22 +176,21 @@ class TestGeneratedStep:
                 h = 10.0 ** rng.uniform(-6.0, 0.5)
                 rtol = 10.0 ** rng.uniform(-12.0, -4.0)
                 atol = [10.0 ** rng.uniform(-14.0, -6.0) for _ in range(n)]
-                k0 = rhs(t, y)
-                assert (_hex(step(rhs, t, y, h, k0, rtol, atol))
-                        == _hex(cash_karp_loop(rhs, t, y, h, k0, rtol, atol)))
+                args = (rhs, t, y, h, rhs(t, y), rtol, atol)
+                assert _outcome(step, *args) == _outcome(dop853_loop, *args)
 
     @pytest.mark.parametrize("n", [1, 2, 4])
-    @pytest.mark.parametrize("stage", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("stage", range(1, 12))
     def test_non_finite_stage_gives_infinite_error(self, n, stage):
-        # one infinite stage slope; a zero weight on it (stages 1 and 4) makes y5 NaN
+        # one infinite stage slope; a zero weight on it (stages 1 to 4) makes y_new NaN
         def spike(t, y):
             return [math.inf if t == rk._C[stage] else 1.0] * len(y)
 
         y = [1.0 + c for c in range(n)]
         args = (spike, 0.0, y, 1.0, spike(0.0, y), 1e-10, [1e-13] * n)
-        got = rk._cash_karp_step(n)(*args)
+        got = rk._dop853_step(n)(*args)
         assert got[1] == math.inf
-        assert _hex(got) == _hex(cash_karp_loop(*args))
+        assert _hex(got) == _hex(dop853_loop(*args))
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     def test_overflow_raises_in_both(self, n):
@@ -192,12 +200,12 @@ class TestGeneratedStep:
         def wiggle(t, y):   # an error ratio of ~1e200, whose square raises OverflowError
             return [1e-100 * math.sin(50.0 * t)] * len(y)
 
-        step = rk._cash_karp_step(n)
+        step = rk._dop853_step(n)
         for rhs, y, atol in ((cubic, [1e60] * n, [1e-13] * n),
                              (wiggle, [1e-100] * n, [1e-300] * n)):
             args = (rhs, 0.0, y, 1.0, rhs(0.0, y), 1e-300, atol)
             with pytest.raises(OverflowError):
-                cash_karp_loop(*args)
+                dop853_loop(*args)
             with pytest.raises(OverflowError):
                 step(*args)
 
@@ -208,10 +216,11 @@ class TestGeneratedStep:
             calls.append(t)
             return harmonic(t, y)
 
-        res = integrate(counted, 0.0, [-1.0, 0.0], 10.0, rtol=1e-10, atol=[1e-13, 1e-13])
-        # six per attempt, but k0 = rhs(t, y) is reused across rejections at the same t
-        assert (res.n_steps, res.n_rejected) == (249, 12)
-        assert len(calls) == 6 * (res.n_steps + res.n_rejected) - res.n_rejected == 1554
+        res = integrate(counted, 0.0, [-1.0, 0.0], 100.0, rtol=1e-10, atol=[1e-13, 1e-13])
+        # eleven per attempt, plus k0 = rhs(t, y) once per accepted state before the
+        # last: it is reused across rejections at the same t
+        assert (res.n_steps, res.n_rejected) == (313, 1)
+        assert len(calls) == 11 * (res.n_steps + res.n_rejected) + res.n_steps == 3767
 
     def test_tracebacks_show_the_generated_source(self):
         def failing(t, y):
@@ -222,5 +231,50 @@ class TestGeneratedStep:
         with pytest.raises(NumericalFailureError) as info:
             integrate(failing, 0.0, [1.0, 0.0], 1.0, rtol=1e-10, atol=[1e-13, 1e-13])
         text = "".join(traceback.format_exception(info.value))
-        assert 'File "<hessbif.rk cash-karp n=2>", line 6, in step' in text
-        assert "k1_0, k1_1, = rhs(t + 0.2 * h, [y_0 + h10 * k0_0, y_1 + h10 * k0_1])" in text
+        assert 'File "<hessbif.rk dop853 n=2>", line 6, in step' in text
+        assert ("k1_0, k1_1, = rhs(t + 0.05260015195876773 * h, "
+                "[y_0 + h1_0 * k0_0, y_1 + h1_0 * k0_1])") in text
+
+
+def _moment(weights, q):
+    """sum_j w_j c_j^(q-1) over the stored doubles, in exact rational arithmetic."""
+    return sum(Fraction(w) * Fraction(c) ** (q - 1) for w, c in zip(weights, rk._C))
+
+
+class TestTableau:
+    """Order conditions of the transcribed DOP853 coefficients, so that a mistyped
+    digit fails here instead of quietly lowering the order."""
+
+    def test_rows_of_a_sum_to_c(self):
+        # relative to sum |a_ij|: rows 8-11 hold entries up to 43, whose rounding
+        # to doubles alone moves their sums by up to 1.8e-15
+        for row, c in zip(rk._A[1:], rk._C[1:]):
+            excess = float(sum(map(Fraction, row)) - Fraction(c))
+            assert abs(excess) <= 1e-15 * sum(map(abs, row)), row
+
+    @pytest.mark.parametrize("q", range(1, 9))
+    def test_weights_integrate_polynomials_to_degree_7(self, q):
+        assert abs(float(_moment(rk._B, q) - Fraction(1, q))) <= 1e-15
+
+    def test_error_weights_vanish_on_low_degrees(self):
+        e3 = [b - bhh for b, bhh in zip(rk._B, rk._BHH)]
+        for q in range(1, 6):
+            assert abs(float(_moment(rk._E5, q))) <= 1e-15, q
+        for q in range(1, 4):
+            assert abs(float(_moment(e3, q))) <= 1e-15, q
+
+    def test_fixed_step_global_error_falls_as_h_to_the_8th(self):
+        # y = (tan t, 1 + tan^2 t): y0' = y1, y1' = 2 y0 y1, integrated to t = 1
+        step = rk._dop853_step(2)
+
+        def rhs(t, y):
+            return [y[1], 2.0 * y[0] * y[1]]
+
+        errs = []
+        for n in (8, 16, 32):
+            y = [0.0, 1.0]
+            for i in range(n):
+                y = step(rhs, i / n, y, 1.0 / n, rhs(i / n, y), 1e-10, [1e-13] * 2)[0]
+            errs.append(abs(y[0] - math.tan(1.0)))
+        orders = [math.log2(a / b) for a, b in zip(errs, errs[1:])]
+        assert all(7.5 < p < 8.5 for p in orders), orders

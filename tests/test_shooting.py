@@ -287,6 +287,15 @@ class TestLambdaAtAmplitude:
         assert lambda_at_amplitude(spec, 1.0, 1.0) == pytest.approx(
             LAM_SINC / self.R**2, rel=1e-10)
 
+    def test_default_tolerance_within_1e9_of_a_tight_run(self):
+        # the worst scalar case of the sweep behind shooting.STEP_TOL_FACTOR: stepping
+        # at the caller's tolerance puts it 1.4e-8 off, one decade tighter 8.7e-10
+        spec = ProblemSpec(N=5, k=2, R=self.R, f=NonlinearitySpec("saturating"))
+        lam0 = first_eigenvalue(5, 2, self.R).lambda1 * 100.0 / spec.f(100.0)
+        tight = ShootingConfig(integrator_tol=1e-13, root_tol=1e-13)
+        assert lambda_at_amplitude(spec, 100.0, lam0) == pytest.approx(
+            lambda_at_amplitude(spec, 100.0, lam0, tight), rel=1e-9)
+
     def test_no_zero_within_horizon(self):
         # supercritical Lane-Emden (p = 7 > 5 on the 3-ball): entire solutions
         # stay negative, so there is no lambda at any amplitude

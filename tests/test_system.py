@@ -189,6 +189,19 @@ class TestOneDimensionalRoot:
             assert lam == pytest.approx(point.lam, rel=1e-9), point.d_u
             assert d_v == pytest.approx(point.d_v, rel=1e-9), point.d_u
 
+    def test_default_tolerance_within_1e9_of_a_tight_run(self):
+        # the worst coupled case of the sweep behind shooting.STEP_TOL_FACTOR, from the
+        # neighbouring traced point: stepping at the caller's tolerance puts d_v 3.6e-9
+        # off, one decade tighter 5.4e-10
+        spec = SystemSpec(N=3, k=1, R=0.93, g=NonlinearitySpec2("saturating_t"),
+                          h=NonlinearitySpec2("rational_s", {"b": 3.0}))
+        init = (350.8, 5306.0)
+        got = solve_system_shooting(spec, 50.0, init)
+        want = solve_system_shooting(spec, 50.0, init,
+                                     ShootingConfig(integrator_tol=1e-13, root_tol=1e-13))
+        assert got.lam == pytest.approx(want.lam, rel=1e-9)
+        assert got.d_v == pytest.approx(want.d_v, rel=1e-9)
+
     def test_detuned_root_fails_the_fixed_radius_check(self, monkeypatch):
         import hessbif.system as system_mod
 
