@@ -124,6 +124,12 @@ def _eigen_case_report(branch: Branch, lam_target: float) -> VerificationReport:
 
 def cmd_verify(args) -> int:
     spec = _load_scalar_spec(args.spec)
+    # the predictions come from f's limit classes, which a tabulated kind leaves undeclared
+    missing = [name for name, cls in (("f0", spec.f.declared_f0),
+                                      ("finf", spec.f.declared_finf)) if cls is None]
+    if missing:
+        raise InvalidInputError(f"verify needs the limit classes of f: declare {', '.join(missing)} "
+                                f"in the spec (kind {spec.f.kind!r} does not determine them)")
     cfg = _config_from_args(args)
     lam1 = first_eigenvalue(spec.N, spec.k, spec.R, cfg).lambda1
     branch = trace_branch(spec, args.d_min, args.d_max, args.n_points, cfg,

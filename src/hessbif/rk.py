@@ -23,6 +23,17 @@ stage of the next step.  Step control is the rule 0.9 * err^(-1/8) with growth
 clamped to [0.2, 5.0] per step, and no growth on the first accepted step after
 a rejection (as in Hairer's codes).
 
+A stop at a sign change of component 0 is a switching point: the radial
+shooting systems switch their forcing off there, so the solution has a kink,
+and a trial that crosses it far fails the 8th order error test.  In that mode
+the trials step onto the zero rather than across it (Gear & Osterby, ACM TOMS
+10, 1984; Hairer, Norsett & Wanner I, II.6): each trial ends at most 1.001
+times the tangent distance -y0/y0' ahead, so the step that crosses does so by
+a sliver and is accepted, and a rejected trial that crossed is retried at 0.9
+of its length, not cut by the error estimate, which measures the kink and not
+the smoothness of the solution.  Callers may set the first trial step (the
+default is a 64th of the span).
+
 The step itself is generated from the tableau, once per component count and on
 first use: Python source with every stage and every component unrolled into
 local floats, compiled under the name "<hessbif.rk dop853 n=...>" and
@@ -111,19 +122,27 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER_EXP = -1.0 / 8.0  # 1 / (error order + 1)
 _MAX_LOCATE_ITER = 100
+_RHS_PER_ATTEMPT = len(_A) - 1   # stages 1..11; stage 0 is k0
+_TANGENT_REACH = 1.001   # root mode: a trial ends at most this far along the tangent to 0
 
 
 class RKResult:
-    """Terminal state plus, when an output grid was given, the recorded states."""
+    """Terminal state plus, when an output grid was given, the recorded states.
 
-    __slots__ = ("t", "y", "grid_states", "n_steps", "n_rejected")
+    n_steps and n_rejected count the attempts of the stepper.  n_rhs counts
+    its rhs calls: 11 per attempt and per zero-locating trial, and one slope
+    per state stepped from; an attempt cut short by OverflowError counts all 11.
+    """
 
-    def __init__(self, t, y, grid_states, n_steps, n_rejected):
+    __slots__ = ("t", "y", "grid_states", "n_steps", "n_rejected", "n_rhs")
+
+    def __init__(self, t, y, grid_states, n_steps, n_rejected, n_rhs):
         self.t = t
         self.y = y
         self.grid_states = grid_states
         self.n_steps = n_steps
         self.n_rejected = n_rejected
+        self.n_rhs = n_rhs
 
 
 @functools.cache
@@ -180,24 +199,27 @@ def _dop853_step(n):
 
 
 def _locate_zero(rhs, t, y, k0, h, y_end, rtol, atol, root_tol):
-    """(t*, y*) where component 0 changes sign inside the step (t, y) -> (t + h, y_end).
+    """(t*, y*, trials) where component 0 changes sign inside the step (t, y) -> (t + h, y_end).
 
     Illinois regula falsi on the step length s in [0, h], each trial a fresh
     step from the saved state, until the bracket is below root_tol
     relative to t + s; the state is then interpolated linearly across it.  A
     trial that overflows is retried at _MIN_FACTOR of its distance from s_lo.
+    trials counts the trial steps taken, overflowed ones included.
     """
     s_lo, y_lo, f_lo = 0.0, y, y[0]
     s_hi, y_hi, f_hi = h, y_end, y_end[0]
     side = 0
     s_retry = None
     step = _dop853_step(len(y))
+    trials = 0
     for _ in range(_MAX_LOCATE_ITER):
         if s_hi - s_lo <= root_tol * (t + s_hi):
             break
         s = s_lo + (s_hi - s_lo) * f_lo / (f_lo - f_hi) if s_retry is None else s_retry
         if not (s_lo < s < s_hi):
             s = 0.5 * (s_lo + s_hi)
+        trials += 1
         try:
             y_s = step(rhs, t, y, s, k0, rtol, atol)[0]
         except OverflowError:   # a rejected trial: retry shorter, the bracket kept
@@ -206,7 +228,7 @@ def _locate_zero(rhs, t, y, k0, h, y_end, rtol, atol, root_tol):
         s_retry = None
         f = y_s[0]
         if f == 0.0:
-            return t + s, y_s
+            return t + s, y_s, trials
         if (f < 0.0) == (f_lo < 0.0):
             s_lo, y_lo, f_lo = s, y_s, f
             if side < 0:
@@ -219,11 +241,11 @@ def _locate_zero(rhs, t, y, k0, h, y_end, rtol, atol, root_tol):
             side = 1
     w = y_lo[0] / (y_lo[0] - y_hi[0])
     return (t + s_lo + w * (s_hi - s_lo),
-            [a + w * (b - a) for a, b in zip(y_lo, y_hi)])
+            [a + w * (b - a) for a, b in zip(y_lo, y_hi)], trials)
 
 
 def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
-              root_tol=None, trajectory=None):
+              root_tol=None, trajectory=None, first_step=None):
     """Integrate y' = rhs(t, y) from t0 to t1 (t1 > t0).
 
     atol is a per-component sequence (same length as y0).  output_ts, when
@@ -232,12 +254,18 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
     where component 0 first changes sign: the crossing is located inside the
     last accepted step to root_tol relative and returned as (t, y), t < t1;
     outputs beyond it are not recorded.  A trajectory list receives (t, y) at
-    t0 and after every accepted step, ending with the returned state.  A trial
-    step whose state is not finite, or whose arithmetic raises OverflowError, is
+    t0 and after every accepted step, ending with the returned state.  The
+    first trial step is first_step, by default (t1 - t0) / 64.  A trial step
+    whose state is not finite, or whose arithmetic raises OverflowError, is
     rejected and retried at _MIN_FACTOR of its length; the first step accepted
     after a rejection does not grow the step size.  Raises
     NumericalFailureError on NaN/inf states, step-size underflow, or
     step-count exhaustion.
+
+    With root_tol the trials aim at the zero (module docstring): while
+    y[0] < 0 < y'[0], a trial is at most max(h_min, _TANGENT_REACH * -y[0]/y'[0])
+    long, and a rejected trial of length h that crossed the zero is retried at
+    0.9 h.
     """
     n = len(y0)
     y = [float(v) for v in y0]
@@ -262,18 +290,24 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
         trajectory.append((t, y))
 
     step = _dop853_step(n)
-    h_ctrl = span / 64.0
+    h_ctrl = span / 64.0 if first_step is None else float(first_step)
     h_min = 1e-14 * span
     n_steps = 0
     n_rejected = 0
+    n_rhs = 0
     k0 = None   # rhs(t, y), kept across rejected attempts
     rejected = False   # the last attempt was rejected
 
     while t < t1:
         if n_steps + n_rejected >= max_steps:
             raise NumericalFailureError(f"step budget exhausted after {max_steps} steps")
-        # clamp the attempted step onto the next output point / right endpoint
+        if k0 is None:
+            k0 = rhs(t, y)
+            n_rhs += 1
         h = h_ctrl
+        if root_tol is not None and y[0] < 0.0 < k0[0]:
+            h = min(h, max(_TANGENT_REACH * -y[0] / k0[0], h_min))
+        # clamp the attempted step onto the next output point / right endpoint
         hit_output = False
         if outputs is not None and out_idx < len(outputs) and t + h >= outputs[out_idx]:
             h = outputs[out_idx] - t
@@ -289,8 +323,7 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
         if h < h_min:
             raise NumericalFailureError(f"step size underflow at t={t!r}")
 
-        if k0 is None:
-            k0 = rhs(t, y)
+        n_rhs += _RHS_PER_ATTEMPT
         try:
             y_new, err = step(rhs, t, y, h, k0, rtol, atol)
         except OverflowError:   # a float power overflowed inside a trial stage
@@ -304,13 +337,15 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
                 raise NumericalFailureError(f"non-finite state at t={t!r}")
             continue
 
+        crossed = root_tol is not None and (y_new[0] < 0.0) != (y[0] < 0.0)
         if err <= 1.0:
             n_steps += 1
-            if root_tol is not None and (y_new[0] < 0.0) != (y[0] < 0.0):
-                t, y = _locate_zero(rhs, t, y, k0, h, y_new, rtol, atol, root_tol)
+            if crossed:
+                t, y, trials = _locate_zero(rhs, t, y, k0, h, y_new, rtol, atol, root_tol)
+                n_rhs += _RHS_PER_ATTEMPT * trials
                 if trajectory is not None:
                     trajectory.append((t, y))
-                return RKResult(t, y, grid_states, n_steps, n_rejected)
+                return RKResult(t, y, grid_states, n_steps, n_rejected, n_rhs)
             t = t + h
             y = y_new
             k0 = None
@@ -332,7 +367,10 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
         else:
             n_rejected += 1
             rejected = True
-            h_ctrl = h * max(_MIN_FACTOR, _SAFETY * err**_ORDER_EXP)
+            if crossed:
+                h_ctrl = _SAFETY * h
+            else:
+                h_ctrl = h * max(_MIN_FACTOR, _SAFETY * err**_ORDER_EXP)
 
     if outputs is not None:
         while out_idx < len(outputs):
@@ -340,4 +378,4 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
             grid_states.append(list(y))
             out_idx += 1
 
-    return RKResult(t, y, grid_states, n_steps, n_rejected)
+    return RKResult(t, y, grid_states, n_steps, n_rejected, n_rhs)

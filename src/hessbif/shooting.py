@@ -29,7 +29,8 @@ F_i(d).  flux_profiles samples it on a grid.
 f is extended below zero by f(max(s, 0)): past the (single) zero crossing of a
 too-strongly-forced profile the forcing switches off, keeping the boundary
 residual u(R) continuous and increasing in lambda.  Accepted Dirichlet
-solutions never use the extension (u <= 0 up to root tolerance).
+solutions never use the extension (u <= 0 up to root tolerance).  m' has a
+kink at that zero, so a run to it steps onto it, not across (rk.integrate).
 
 lambda(d) comes from one IVP by ball-radius scaling (Joseph & Lundgren 1973):
 S_k(D^2 u)^(1/k) is homogeneous of degree 2 under x -> s x, so the solution
@@ -132,8 +133,12 @@ def flux_ivp(N: int, k: int, R: float, lam: float, weights, amplitudes, tol: flo
     One component: weights = f, amplitudes = (d,), state (u, m).  Two: weights =
     (g, h), amplitudes = (d_u, d_v), state (u, m_u, v, m_v).  Forcing, series,
     tolerances and the weight check are as in the module docstring; s is -u
-    (f taken as 0 for s <= 0), or (-u, -v) clamped at 0.  Returns (result, rhs,
-    curvatures): the closure integrated and the series curvatures a_i = u_i''(0).
+    (f taken as 0 for s <= 0), or (-u, -v) clamped at 0.  The first trial step
+    is (R - r0)/64 whatever t1 is, so a run to the first zero of u, out to
+    HORIZON * R, does not start with a trial 10^3 times too long.  With
+    root_tol, rk.integrate aims its trials at that zero, where the forcing
+    switches off.  Returns (result, rhs, curvatures): the closure integrated
+    and the series curvatures a_i = u_i''(0).
     """
     tol *= STEP_TOL_FACTOR
     c_full = binom(N, k)
@@ -183,7 +188,8 @@ def flux_ivp(N: int, k: int, R: float, lam: float, weights, amplitudes, tol: flo
         curvatures.append(a)
         y0 += (-d + 0.5 * a * r0 * r0, a**k * r0**N)
         atol += (tol * 1e-3 * max(d, 1.0), tol * 1e-3 * max(F**k * R**N / c_full, 1e-30))
-    return rk.integrate(rhs, r0, y0, t1, rtol=tol, atol=atol, **kw), rhs, curvatures
+    res = rk.integrate(rhs, r0, y0, t1, rtol=tol, atol=atol, first_step=(R - r0) / 64.0, **kw)
+    return res, rhs, curvatures
 
 
 def flux_profiles(N: int, k: int, R: float, lam: float, weights, amplitudes,

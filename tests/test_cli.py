@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -155,6 +156,37 @@ class TestVerify:
         r = run(["verify", "--spec", "bad_kind.json"], specdir)
         assert r.returncode == 3, r.stderr
         assert "invalid input" in r.stderr
+
+
+def _tabulated_spec():
+    """s/(1+s) + s^2 e^(-s) at 61 knots on [1e-3, 1e3], with no declared classes."""
+    s = [10.0 ** (-3.0 + 0.1 * j) for j in range(61)]
+    f = [x / (1.0 + x) + x * x * math.exp(-x) for x in s]
+    return {"N": 2, "k": 1, "R": 1.0, "f": {"kind": "tabulated", "params": {"s": s, "f": f}}}
+
+
+class TestVerifyTabulatedWithoutClasses:
+    def test_invalid_input_not_a_traceback(self, tmp_path):
+        (tmp_path / "tab.json").write_text(json.dumps(_tabulated_spec()))
+        r = run(["verify", "--spec", "tab.json"], tmp_path)
+        assert r.returncode == 3, r.stderr
+        assert "Traceback" not in r.stderr
+        assert "declare f0, finf" in r.stderr
+
+    def test_rejected_before_any_work(self, tmp_path, monkeypatch):
+        from hessbif import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the limit classes were checked")
+
+        for name in ("first_eigenvalue", "trace_branch"):
+            monkeypatch.setattr(cli, name, no_work)
+        (tmp_path / "tab.json").write_text(json.dumps(_tabulated_spec()))
+        monkeypatch.chdir(tmp_path)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main(["verify", "--spec", "tab.json"]) == cli.EXIT_INVALID
+        assert "kind 'tabulated' does not determine them" in err.getvalue()
 
 
 class TestExitCodes:

@@ -104,6 +104,18 @@ class TestIntegrate:
         got = np.array([y[0] for _, y in traj])
         assert np.max(np.abs(got + np.cos(ts))) < 1e-9
 
+    def test_root_within_h_min_of_the_start_is_located(self):
+        # u' = 1, and a forcing m' = max(-u, 0) that switches off at the zero of u;
+        # u(0) = -1e-16 is closer to its zero than h_min = 1e-14 * span
+        def kinked(t, y):
+            return [1.0, -y[0] if y[0] < 0.0 else 0.0]
+
+        res = integrate(kinked, 0.0, [-1e-16, 0.0], 10.0, rtol=1e-10, atol=[1e-13, 1e-13],
+                        root_tol=1e-10)
+        assert (res.n_steps, res.n_rejected) == (1, 0)
+        assert res.t == pytest.approx(1e-16, rel=1e-9)
+        assert abs(res.y[0]) < 1e-25
+
     def test_overflow_in_a_trial_step_is_a_rejection(self):
         # y' = -y^3, y(0) = 1: the first trial step, span/64 = 100, drives a stage
         # state so large that the float power y**3 raises OverflowError
@@ -133,8 +145,10 @@ class TestIntegrate:
                 raise OverflowError("injected")
             return [-(1.0 + t)]
 
-        t, y = rk._locate_zero(ramp, 0.0, [0.5], [-1.0], 1.0, [-1.0], 1e-10, [1e-13], 1e-12)
+        t, y, trials = rk._locate_zero(ramp, 0.0, [0.5], [-1.0], 1.0, [-1.0], 1e-10, [1e-13],
+                                       1e-12)
         assert raised
+        assert trials == 10   # the overflowed trial counts
         assert t == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-11)
         assert abs(y[0]) < 1e-11
 
@@ -220,7 +234,20 @@ class TestGeneratedStep:
         # eleven per attempt, plus k0 = rhs(t, y) once per accepted state before the
         # last: it is reused across rejections at the same t
         assert (res.n_steps, res.n_rejected) == (313, 1)
-        assert len(calls) == 11 * (res.n_steps + res.n_rejected) + res.n_steps == 3767
+        assert len(calls) == res.n_rhs == 11 * (res.n_steps + res.n_rejected) + res.n_steps == 3767
+
+    def test_rhs_count_includes_zero_location(self):
+        calls = []
+
+        def counted(t, y):
+            calls.append(t)
+            return harmonic(t, y)
+
+        res = integrate(counted, 0.0, [-1.0, 0.0], 10.0, rtol=1e-10, atol=[1e-13, 1e-13],
+                        root_tol=1e-10)
+        # y = -cos(t) crosses zero in the sixth step; locating it takes four trial steps
+        assert (res.n_steps, res.n_rejected) == (6, 0)
+        assert len(calls) == res.n_rhs == 11 * 6 + 6 + 11 * 4 == 116
 
     def test_tracebacks_show_the_generated_source(self):
         def failing(t, y):

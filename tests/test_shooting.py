@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hessbif.core import NonlinearitySpec, ProblemSpec
 from hessbif.errors import InvalidInputError, NumericalFailureError
 from hessbif.shooting import (
+    HORIZON,
     RadialProfile,
     ShootingConfig,
     first_eigenvalue,
@@ -296,6 +297,16 @@ class TestLambdaAtAmplitude:
         assert lambda_at_amplitude(spec, 100.0, lam0) == pytest.approx(
             lambda_at_amplitude(spec, 100.0, lam0, tight), rel=1e-9)
 
+    @pytest.mark.parametrize("d", [1e-2, 1.0, 1e2])
+    def test_non_smooth_nonlinearity_within_1e9_of_a_tight_run(self, d):
+        # f(s) = s^(1/2) + s^2 has an infinite slope at s = 0, the zero of u
+        f = NonlinearitySpec("sum_of_powers", {"p": 0.5, "q": 2.0, "c": 1.0})
+        spec = ProblemSpec(N=2, k=1, R=self.R, f=f)
+        lam0 = first_eigenvalue(2, 1, self.R).lambda1 * d / f(d)
+        tight = ShootingConfig(integrator_tol=1e-13, root_tol=1e-13)
+        assert lambda_at_amplitude(spec, d, lam0) == pytest.approx(
+            lambda_at_amplitude(spec, d, lam0, tight), rel=1e-9)
+
     def test_no_zero_within_horizon(self):
         # supercritical Lane-Emden (p = 7 > 5 on the 3-ball): entire solutions
         # stay negative, so there is no lambda at any amplitude
@@ -308,6 +319,66 @@ class TestLambdaAtAmplitude:
             lambda_at_amplitude(spec, 1.0, 0.0)
         with pytest.raises(InvalidInputError):
             lambda_at_amplitude(spec, -1.0, 1.0)
+
+
+def _logged_attempts(monkeypatch):
+    """A list that receives (h, u, u_new, err) of every trial step rk takes from here on:
+    the attempts of rk.integrate, then the trials of rk._locate_zero."""
+    import hessbif.rk as rk
+
+    log = []
+    make = rk._dop853_step
+
+    def logging_make(n):
+        step = make(n)
+
+        def logged(rhs, t, y, h, k0, rtol, atol):
+            y_new, err = step(rhs, t, y, h, k0, rtol, atol)
+            log.append((h, y[0], y_new[0], err))
+            return y_new, err
+
+        return logged
+
+    monkeypatch.setattr(rk, "_dop853_step", logging_make)
+    return log
+
+
+class TestRootIvpCounts:
+    """Attempt counts of IVPs run to the first zero of u, on which rk aims its steps.
+
+    The counts are deterministic; the figures in the comments are those of
+    stepping across the zero with a first trial of span/64."""
+
+    R = 1.13
+
+    def test_first_trial_accepted_on_the_horizon_span(self, monkeypatch):
+        # saturating N5k2, d = 100, out to HORIZON * R: a first trial of span/64 = 17.7
+        # was rejected 7 times (35 rejected, 36 accepted in all)
+        f = NonlinearitySpec("saturating")
+        lam0 = first_eigenvalue(5, 2, self.R).lambda1 * 100.0 / f(100.0)
+        log = _logged_attempts(monkeypatch)
+        res = flux_ivp(5, 2, self.R, lam0, f, (100.0,), 1e-10, HORIZON * self.R,
+                       root_tol=1e-10)[0]
+        assert log[0][0] == pytest.approx(self.R / 64.0, rel=1e-6)   # (R - r0) / 64
+        assert log[0][3] <= 1.0   # accepted
+        assert (res.n_steps, res.n_rejected, res.n_rhs) == (34, 20, 661)
+
+    def test_one_rejected_trial_crosses_the_zero(self, monkeypatch):
+        # the tracer's IVP for linear N2k1 at d = 1 (reference lambda1): 11 rejected
+        # trials crossed the zero of u (16 rejected, 21 accepted in all)
+        lin = NonlinearitySpec("linear")
+        lam1 = first_eigenvalue(2, 1, self.R).lambda1
+        log = _logged_attempts(monkeypatch)
+        res = flux_ivp(2, 1, self.R, lam1, lin, (1.0,), 1e-10, HORIZON * self.R,
+                       root_tol=1e-10)[0]
+        attempts = log[:res.n_steps + res.n_rejected]
+        crossing = [i for i, (_, u, u_new, err) in enumerate(attempts)
+                    if err > 1.0 and u < 0.0 <= u_new]
+        assert len(crossing) == 1
+        # retried at 0.9 of its length, not cut by the error estimate of the kink
+        i = crossing[0]
+        assert attempts[i + 1][0] == 0.9 * attempts[i][0]
+        assert (res.n_steps, res.n_rejected, res.n_rhs) == (16, 2, 247)
 
 
 class TestFluxKernel:
