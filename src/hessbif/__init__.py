@@ -52,6 +52,7 @@ from .system import (
     SystemBranchPoint,
     SystemSpec,
     check_monotonicity,
+    confirm_coupled_eigenvalue,
     integrate_system,
     power_pair_constant,
     solve_system_shooting,

@@ -4,11 +4,16 @@ Exit codes: 0 success (all checks pass), 1 verification failure (a theorem
 predicate failed on the traced branch), 2 numerical failure, 3 invalid input,
 malformed command-line arguments included.  Runs are randomness-free;
 identical configurations produce byte-identical artifacts.
+
+main builds its parser on its first call and reuses it for the rest of the
+process, so in-process callers pay for the build once; importing the module
+builds none.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -36,9 +41,9 @@ from .shooting import ShootingConfig, first_eigenvalue
 from .system import (
     SystemSpec,
     add_monotonicity_check,
+    confirm_coupled_eigenvalue,
     power_pair_constant,
     system_apriori_monitor,
-    system_eigenvalue,
     trace_system_branch,
 )
 
@@ -77,7 +82,8 @@ def _print_report(rep: VerificationReport) -> None:
 def cmd_eigen(args) -> int:
     cfg = _config_from_args(args)
     res = first_eigenvalue(args.N, args.k, args.R, cfg)
-    coupled = system_eigenvalue(args.N, args.k, args.R, cfg) if args.coupled else None
+    coupled = (confirm_coupled_eigenvalue(args.N, args.k, args.R, res.lambda1, cfg)
+               if args.coupled else None)
     print(f"lambda1({args.N},{args.k},R={args.R:g}) = {res.lambda1:.17g}")
     if coupled is not None:
         print(f"lambda0 (coupled) = {coupled:.17g}")
@@ -386,8 +392,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# parse_args leaves the parser as it was, so one instance serves every main call
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
         return args.fn(args)

@@ -40,8 +40,9 @@ Since u' > 0 there is exactly one such zero, hence one lambda per amplitude.
 The search stops at rho = 10^3 R (lambda <= 10^6 lambda0); an amplitude
 without a zero by then has no lambda and becomes a gap.  The first eigenvalue
 comes from the same device; the fixed-R residual u(R; lambda) stays as the
-independent path that confirms it by a sign change, and that solve_lambda and
-the tests use.
+independent path that confirms it, and that solve_lambda and the tests use.
+first_eigenvalue shoots u(R) at lambda1, then at lambda1 (1 -/+ w) on the side
+where the residual's root must lie, and requires a sign change between them.
 
 numpy is imported only inside radial_derivatives, flux_profiles,
 _consistency_residuals, profile_admissible and solve_lambda, so only the
@@ -411,21 +412,27 @@ def first_eigenvalue(N: int, k: int, R: float,
 
     Degree-k homogeneity makes the amplitude irrelevant, so the linear problem
     runs at d = 1, and ball-radius scaling gives lambda1 = (rho / R)^2 from the
-    first zero rho of one IVP at lambda = 1 / R^2.  The fixed-R residual u(R)
-    must then change sign across lambda1 (1 -/+ eigen_rel_tol(cfg)), an
-    independent check of the scaled value; otherwise NumericalFailureError.
+    first zero rho of one IVP at lambda = 1 / R^2.  The fixed-R residual
+    r = u(R; lambda1) is shot next, and then u(R) on the far side of its root:
+    at lambda1 (1 - w) when r > 0, at lambda1 (1 + w) when r < 0, with
+    w = eigen_rel_tol(cfg).  The two must differ in sign, an independent check
+    that the fixed-R root lies within relative w of the scaled value;
+    otherwise NumericalFailureError.  iterations counts the IVPs: 3, or 2 when
+    r is exactly 0.
     """
     spec = ProblemSpec(N=N, k=k, R=float(R), f=NonlinearitySpec("linear"))
     lam = lambda_at_amplitude(spec, 1.0, 1.0 / R**2, cfg)
     if lam is None:
         raise NumericalFailureError(f"no first eigenvalue found for N={N}, k={k}, R={R!r}")
+    residual = shoot_boundary_value(spec, lam, 1.0, cfg)
+    if residual == 0.0:
+        return EigenvalueResult(lambda1=lam, residual=residual, iterations=2)
+    # u(R) increases with lambda: r > 0 puts its root below lambda1, r < 0 above
     w = eigen_rel_tol(cfg)
-    lam_lo, lam_hi = lam * (1.0 - w), lam * (1.0 + w)
-    r_lo = shoot_boundary_value(spec, lam_lo, 1.0, cfg)
-    r_hi = shoot_boundary_value(spec, lam_hi, 1.0, cfg)
-    if not (r_lo < 0.0 < r_hi):
+    lam_far = lam * (1.0 - w) if residual > 0.0 else lam * (1.0 + w)
+    r_far = shoot_boundary_value(spec, lam_far, 1.0, cfg)
+    if not (r_far < 0.0 < residual or residual < 0.0 < r_far):
         raise NumericalFailureError(
             f"fixed-R residual does not change sign across the scaled eigenvalue {lam!r}: "
-            f"u(R; {lam_lo!r}) = {r_lo!r}, u(R; {lam_hi!r}) = {r_hi!r}")
-    return EigenvalueResult(lambda1=lam, residual=shoot_boundary_value(spec, lam, 1.0, cfg),
-                            iterations=4)
+            f"u(R; {lam!r}) = {residual!r}, u(R; {lam_far!r}) = {r_far!r}")
+    return EigenvalueResult(lambda1=lam, residual=residual, iterations=3)

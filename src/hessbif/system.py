@@ -363,19 +363,28 @@ def system_eigenvalue(N: int, k: int, R: float,
     """Coupled eigenvalue lambda0 of (S_k(D^2 u))^(1/k) = |lambda v|, and dually.
 
     The symmetric reduction u = v collapses the system to the scalar
-    eigenproblem; the value is then confirmed by a coupled solve that does
-    not impose symmetry.  Disagreement beyond eigen_rel_tol(cfg) relative (1e-8
-    at the defaults) is an internal inconsistency and raises NumericalFailureError.
+    eigenproblem, whose lambda1 confirm_coupled_eigenvalue then checks.
     """
-    lam_sym = first_eigenvalue(N, k, R, cfg).lambda1
+    lam1 = first_eigenvalue(N, k, R, cfg).lambda1
+    return confirm_coupled_eigenvalue(N, k, R, lam1, cfg)
+
+
+def confirm_coupled_eigenvalue(N: int, k: int, R: float, lam1: float,
+                               cfg: ShootingConfig = DEFAULT_CONFIG) -> float:
+    """lam1, the scalar first eigenvalue, as the coupled eigenvalue lambda0.
+
+    A coupled solve that does not impose symmetry must find lam1 again.
+    Disagreement beyond eigen_rel_tol(cfg) relative (1e-8 at the defaults) is
+    an internal inconsistency and raises NumericalFailureError.
+    """
     spec = SystemSpec(N=N, k=k, R=R,
                       g=NonlinearitySpec2("linear_t"),
                       h=NonlinearitySpec2("linear_s"))
-    point = solve_system_shooting(spec, 1.0, (1.07 * lam_sym, 0.9), cfg)
-    if abs(point.lam - lam_sym) > eigen_rel_tol(cfg) * lam_sym:
+    point = solve_system_shooting(spec, 1.0, (1.07 * lam1, 0.9), cfg)
+    if abs(point.lam - lam1) > eigen_rel_tol(cfg) * lam1:
         raise NumericalFailureError(
-            f"asymmetric coupled solve gave {point.lam!r}, symmetric reduction {lam_sym!r}")
-    return lam_sym
+            f"asymmetric coupled solve gave {point.lam!r}, symmetric reduction {lam1!r}")
+    return lam1
 
 
 # ---------------------------------------------------------------------------

@@ -200,7 +200,7 @@ class TestExitCodes:
                            "--root-tol", "1e-5", "--out", str(tmp_path / "e.json")])
         assert rc == cli.EXIT_OK
         assert f"lambda1({N},{k},R=1) = " in out.getvalue()
-        assert json.loads((tmp_path / "e.json").read_text())["iterations"] == 4
+        assert json.loads((tmp_path / "e.json").read_text())["iterations"] == 3
 
     @pytest.mark.parametrize("args", [
         ["eigen", "--N", "x", "--k", "1"],
@@ -431,3 +431,105 @@ class TestDeterminism:
             assert r.returncode == 0, r.stderr
         assert (specdir / "s1.json").read_bytes() == (specdir / "s2.json").read_bytes()
         assert (specdir / "s1.csv").read_bytes() == (specdir / "s2.csv").read_bytes()
+
+
+class TestCachedParser:
+    """main builds its parser once per process; a reused parser answers as a fresh one."""
+
+    SEQUENCE = [
+        (["eigen", "--N", "2", "--k", "1", "--out", "e.json"], "e.json"),
+        (["eigen", "-h"], None),
+        (["verify", "--spec", "linear.json", "--samples", "0"], None),
+        (["bogus"], None),
+        (["eigen", "--N", "2", "--k", "2", "--coupled", "--out", "c.json"], "c.json"),
+        (["power-pair", "--N", "1", "--k", "1", "--alpha", "1", "--beta", "1",
+          "--samples", "2", "--out", "pp.json"], "pp.json"),
+    ]
+
+    @staticmethod
+    def _call(argv, artifact):
+        from hessbif import cli
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                rc = cli.main(argv)
+            except SystemExit as exc:
+                rc = ("SystemExit", exc.code)
+        data = None
+        if artifact is not None:
+            with open(artifact, "rb") as fh:
+                data = fh.read()
+            os.remove(artifact)
+        return rc, out.getvalue(), err.getvalue(), data
+
+    def test_reused_parser_answers_as_a_fresh_one(self, specdir, monkeypatch):
+        from hessbif import cli
+
+        monkeypatch.chdir(specdir)
+        cli._parser.cache_clear()
+        reused = [self._call(argv, artifact) for argv, artifact in self.SEQUENCE]
+        assert cli._parser.cache_info().misses == 1
+        fresh = []
+        for argv, artifact in self.SEQUENCE:
+            cli._parser.cache_clear()
+            fresh.append(self._call(argv, artifact))
+        assert reused == fresh
+        assert [r[0] for r in reused] == [cli.EXIT_OK, ("SystemExit", 0), cli.EXIT_INVALID,
+                                          cli.EXIT_INVALID, cli.EXIT_OK, cli.EXIT_OK]
+        assert json.loads(reused[0][3])["iterations"] == 3
+
+    def test_two_calls_build_nine_parsers(self, monkeypatch):
+        # the top-level parser and its eight subcommands, built once
+        import argparse
+
+        from hessbif import cli
+
+        built = []
+        real = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            real(self, *args, **kwargs)
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        for _ in range(2):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["eigen", "--N", "1", "--k", "1"]) == cli.EXIT_OK
+        assert len(built) == 9
+
+    def test_import_builds_no_parser(self, tmp_path):
+        code = ("import argparse\n"
+                "built = []\n"
+                "real = argparse.ArgumentParser.__init__\n"
+                "def counting(self, *a, **kw):\n"
+                "    built.append(1)\n"
+                "    real(self, *a, **kw)\n"
+                "argparse.ArgumentParser.__init__ = counting\n"
+                "from hessbif import cli\n"
+                "print(len(built), cli._parser.cache_info().currsize)\n")
+        r = run(["-c", code], tmp_path, base=[sys.executable])
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split() == ["0", "0"]
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        from hessbif import cli
+
+        assert cli.build_parser() is not cli.build_parser()
+
+    def test_coupled_eigen_reuses_lambda1(self, tmp_path, monkeypatch):
+        # lambda0 is confirmed against the lambda1 the command already has
+        import hessbif.system as system
+        from hessbif import cli
+
+        def no_second_solve(*args, **kwargs):
+            raise AssertionError("eigen --coupled computed lambda1 a second time")
+
+        monkeypatch.setattr(system, "first_eigenvalue", no_second_solve)
+        out = tmp_path / "c.json"
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = cli.main(["eigen", "--N", "2", "--k", "1", "--coupled", "--out", str(out)])
+        assert rc == cli.EXIT_OK
+        obj = json.loads(out.read_text())
+        assert obj["lambda0"] == obj["lambda1"]

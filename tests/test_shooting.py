@@ -12,6 +12,7 @@ from hessbif.shooting import (
     HORIZON,
     RadialProfile,
     ShootingConfig,
+    eigen_rel_tol,
     first_eigenvalue,
     flux_ivp,
     integrate_profile,
@@ -161,7 +162,7 @@ class TestScaledFirstEigenvalue:
              + [(8, 1), (8, 4), (8, 8), (20, 7), (60, 60)])
 
     def test_at_most_four_ivps(self, monkeypatch):
-        # one scaled IVP, two fixed-R bracket residuals, one residual at lambda1
+        # one scaled IVP, the residual at lambda1 and one fixed-R bracket residual
         import hessbif.rk as rk
 
         calls = []
@@ -173,7 +174,7 @@ class TestScaledFirstEigenvalue:
 
         monkeypatch.setattr(rk, "integrate", counting)
         res = first_eigenvalue(2, 2, 1.13)
-        assert len(calls) <= 4
+        assert len(calls) <= 3
         assert res.iterations == len(calls)
 
     def test_detuned_scaled_value_fails_the_bracket(self, monkeypatch):
@@ -186,6 +187,49 @@ class TestScaledFirstEigenvalue:
             first_eigenvalue(2, 1, 1.0)
         message = str(exc.value)
         assert message.count("u(R; ") == 2 and "does not change sign" in message
+
+    W = eigen_rel_tol(ShootingConfig())
+
+    @pytest.mark.parametrize("detune,fails", [(-1e-3, True), (-2.0 * W, True), (2.0 * W, True),
+                                              (-0.5 * W, False), (0.5 * W, False)])
+    def test_one_bracket_shot_is_w_wide_on_either_side(self, monkeypatch, detune, fails):
+        # a detuned scaled value passes only if the fixed-R root is within relative w
+        import hessbif.shooting as shooting
+
+        real = shooting.lambda_at_amplitude
+        monkeypatch.setattr(shooting, "lambda_at_amplitude",
+                            lambda *args: real(*args) * (1.0 + detune))
+        if not fails:
+            assert first_eigenvalue(2, 1, 1.0).iterations == 3
+            return
+        with pytest.raises(NumericalFailureError) as exc:
+            first_eigenvalue(2, 1, 1.0)
+        message = str(exc.value)
+        assert message.count("u(R; ") == 2 and "does not change sign" in message
+
+    def test_zero_residual_needs_no_bracket_shot(self, monkeypatch):
+        import hessbif.rk as rk
+        import hessbif.shooting as shooting
+
+        lam1 = first_eigenvalue(2, 1, 1.0).lambda1
+        real_shoot = shooting.shoot_boundary_value
+
+        def zero_at_lam1(spec, lam, d, cfg):
+            value = real_shoot(spec, lam, d, cfg)
+            return 0.0 if lam == lam1 else value
+
+        calls = []
+        real = rk.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(shooting, "shoot_boundary_value", zero_at_lam1)
+        monkeypatch.setattr(rk, "integrate", counting)
+        res = first_eigenvalue(2, 1, 1.0)
+        assert (res.lambda1, res.residual) == (lam1, 0.0)
+        assert len(calls) == res.iterations == 2
 
     @pytest.mark.parametrize("R", [1.0, 1.37])
     def test_sixty_ball_against_bessel_zero(self, R):
@@ -203,7 +247,7 @@ class TestScaledFirstEigenvalue:
     @pytest.mark.parametrize("N,k", CASES + [(60, 1)])
     def test_bracket_holds_at_loose_tolerances(self, N, k):
         cfg = ShootingConfig(grid_points=128, integrator_tol=1e-5, root_tol=1e-5)
-        assert first_eigenvalue(N, k, 0.71, cfg).iterations == 4
+        assert first_eigenvalue(N, k, 0.71, cfg).iterations == 3
 
 
 @functools.lru_cache(maxsize=None)
