@@ -21,9 +21,12 @@ interval predictions of the branch tracer.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidInputError, LimitConflictError, UnclassifiableLimitError
 
@@ -186,6 +189,44 @@ def _power_pair_classes(terms):
     return f0, finf
 
 
+# the functions a formula may call, by the names it calls them
+FORMULA_GLOBALS = (("log1p", math.log1p),)
+
+
+class Formula(NamedTuple):
+    """A weight as one Python expression: source over variables and the named params.
+
+    The params' values are not part of it, so one compiled function, and one
+    flux kernel, serves every value.  function(values) compiles source; the flux
+    kernels of shooting.py inline rename(...) of the same source, so the called
+    and the inlined weight agree bit for bit.  Every name in source is a
+    variable, a param or one of FORMULA_GLOBALS.
+    """
+
+    kind: str
+    source: str
+    variables: tuple
+    params: tuple = ()
+
+    def function(self, values):
+        """The weight with its params bound to values, in the order of params."""
+        return _formula_binder(self)(*values)
+
+    def rename(self, names: dict) -> str:
+        """source with each name that is a key of names replaced by its value."""
+        return re.sub(r"\b[A-Za-z_]\w*", lambda m: names.get(m[0], m[0]), self.source)
+
+
+@functools.cache
+def _formula_binder(formula):
+    """bind(*values) -> the weight as a function of formula.variables; compiled once."""
+    source = (f"def bind({', '.join(formula.params)}):\n"
+              f"    return lambda {', '.join(formula.variables)}: {formula.source}\n")
+    namespace = dict(FORMULA_GLOBALS)
+    exec(compile(source, f"<hessbif formula {formula.kind}>", "exec"), namespace)
+    return namespace["bind"]
+
+
 @dataclass
 class NonlinearitySpec:
     """Evaluable right-hand side f with declared limit classes.
@@ -204,6 +245,11 @@ class NonlinearitySpec:
 
     root_sum_powers with a = k expresses eigenvalue-plus-perturbation right-hand
     sides of the form lambda^k (|u|^k + c|u|^b).
+
+    Each kind but tabulated stores f once, as formula (a Formula over s, from
+    _FORMULAS) with its params' floats in formula_values: f(s) for s > 0 is
+    formula.function(formula_values), and the flux kernels inline the same
+    source.  formula is None for tabulated, which is called.
     """
 
     kind: str
@@ -212,7 +258,9 @@ class NonlinearitySpec:
     declared_finf: LimitClass | None = None
 
     def __post_init__(self):
-        self._eval = _build_eval(self.kind, self.params)
+        self.formula, self.formula_values = _build_formula(self.kind, self.params)
+        self._eval = (_build_tabulated(self.params) if self.formula is None
+                      else self.formula.function(self.formula_values))
         if self.declared_f0 is None or self.declared_finf is None:
             f0, finf = _analytic_classes(self.kind, self.params)
             if self.declared_f0 is None:
@@ -248,42 +296,34 @@ class NonlinearitySpec:
                                 declared_f0=f0, declared_finf=finf)
 
 
-def _build_eval(kind, params):
-    def need(*names):
-        missing = [n for n in names if n not in params]
-        if missing:
-            raise InvalidInputError(f"kind {kind!r} requires params {missing}")
-        return [float(params[n]) for n in names]
+# f(s) of each kind for s > 0, as source over s and the kind's params (all > 0)
+_FORMULAS = {
+    "linear": ("s", ()),
+    "saturating": ("s / (1.0 + s)", ()),
+    "superlinear": ("s * (1.0 + s)", ()),
+    "quadratic_over_linear": ("s * s / (1.0 + s)", ()),
+    "power": ("s**p", ("p",)),
+    "sum_of_powers": ("s**p + c * s**q", ("p", "q", "c")),
+    "log_bump": ("log1p(s * s)", ()),
+    "root_sum_powers": ("(s**a + c * s**b) ** (1.0 / a)", ("a", "b", "c")),
+}
 
-    if kind == "linear":
-        return lambda s: s
-    if kind == "saturating":
-        return lambda s: s / (1.0 + s)
-    if kind == "superlinear":
-        return lambda s: s * (1.0 + s)
-    if kind == "quadratic_over_linear":
-        return lambda s: s * s / (1.0 + s)
-    if kind == "power":
-        (p,) = need("p")
-        if p <= 0.0:
-            raise InvalidInputError(f"power kind needs p > 0, got {p}")
-        return lambda s: s**p
-    if kind == "sum_of_powers":
-        p, q, c = need("p", "q", "c")
-        if p <= 0.0 or q <= 0.0 or c <= 0.0:
-            raise InvalidInputError(f"sum_of_powers needs p, q, c > 0, got {p}, {q}, {c}")
-        return lambda s: s**p + c * s**q
-    if kind == "log_bump":
-        return lambda s: math.log1p(s * s)
-    if kind == "root_sum_powers":
-        a, b, c = need("a", "b", "c")
-        if a <= 0.0 or b <= 0.0 or c <= 0.0:
-            raise InvalidInputError(f"root_sum_powers needs a, b, c > 0, got {a}, {b}, {c}")
-        inv = 1.0 / a
-        return lambda s: (s**a + c * s**b) ** inv
+
+def _build_formula(kind, params):
+    """(Formula, param values) of a kind with its params checked; (None, ()) for tabulated."""
     if kind == "tabulated":
-        return _build_tabulated(params)
-    raise InvalidInputError(f"unknown nonlinearity kind {kind!r}")
+        return None, ()
+    if kind not in _FORMULAS:
+        raise InvalidInputError(f"unknown nonlinearity kind {kind!r}")
+    source, names = _FORMULAS[kind]
+    missing = [n for n in names if n not in params]
+    if missing:
+        raise InvalidInputError(f"kind {kind!r} requires params {missing}")
+    values = tuple(float(params[n]) for n in names)
+    if any(v <= 0.0 for v in values):
+        raise InvalidInputError(f"{kind} needs {', '.join(names)} > 0, got "
+                                f"{', '.join(map(str, values))}")
+    return Formula(kind, source, ("s",), names), values
 
 
 def _build_tabulated(params):

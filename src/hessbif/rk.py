@@ -34,13 +34,20 @@ of its length, not cut by the error estimate, which measures the kink and not
 the smoothness of the solution.  Callers may set the first trial step (the
 default is a 64th of the span).
 
-The step itself is generated from the tableau, once per component count and on
-first use: Python source with every stage and every component unrolled into
-local floats, compiled under the name "<hessbif.rk dop853 n=...>" and
-registered with linecache, so tracebacks and profiles show its lines.  On 2-
-and 4-component states this takes about a third of the time per step of loops
-over the tableau, whose indexing costs more than the arithmetic.  Its results
-are bit for bit those of the loops (tests/_oracles.py keeps them as the reference):
+The step itself is generated from the tableau, once per (component count,
+slope) and on first use: Python source with every stage and every component
+unrolled into local floats, compiled under the name "<hessbif.rk dop853 n=...>"
+(with the slope's name appended) and registered with linecache, so tracebacks
+and profiles show its lines.  The slope is a Slope, source text that the
+generator inlines at each stage; its inputs arrive as the step's first
+argument.  The default, CALL, is a call of rhs(t, y), and its inputs are rhs
+itself.  shooting.py inlines its flux slope instead, so those steps make no
+Python call per stage; slope_function compiles the same source as rhs(t, y),
+for the first slope of each step and for callers that need the slope at a
+state.  On 2- and 4-component states the CALL step takes about a third of the
+time per step of loops over the tableau, whose indexing costs more than the
+arithmetic.  Its results are bit for bit those of the loops (tests/_oracles.py
+keeps them as the reference):
 Python adds a + b + c left to right, as the loops accumulate; the stage states
 skip the zero entries of A, while the propagation sum starts from 0.0 + (0.0 +
 -0.0 is 0.0) and keeps the zero weights of B, so a non-finite slope at any
@@ -54,6 +61,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+from typing import NamedTuple
 
 from .errors import NumericalFailureError
 
@@ -145,14 +153,57 @@ class RKResult:
         self.n_rhs = n_rhs
 
 
+class Slope(NamedTuple):
+    """A stage slope as Python source, which the generated step inlines at every stage.
+
+    body is statements that set {k} (or {k0}, {k1}, ...) to the slope at time
+    {t} and state {y} (or {y0}, {y1}, ...): str.format fields that the step
+    fills with expressions and output names.  inputs is the assignment target
+    that the step's first argument is unpacked into, and globals the
+    (name, object) pairs the body reads besides its inputs.  name tags the
+    generated file names.
+    """
+
+    name: str
+    inputs: str
+    body: str
+    globals: tuple = ()
+
+
+CALL = Slope("", "rhs", "{k}, = rhs({t}, [{y}])")   # the slope is a call of rhs(t, y)
+
+
+def _generate(filename, source, slope):
+    """The namespace of source compiled under filename, registered with linecache."""
+    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "inf": math.inf}
+    namespace.update(slope.globals)
+    exec(compile(source, filename, "exec"), namespace)
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    return namespace
+
+
+def _slope_lines(slope, t, state, outs, indent):
+    """slope.body at time t and state expressions state, setting outs, indented."""
+    fields = {"t": t, "y": ", ".join(state), "k": ", ".join(outs)}
+    fields.update((f"y{c}", v) for c, v in enumerate(state))
+    fields.update((f"k{c}", v) for c, v in enumerate(outs))
+    return [indent + line for line in slope.body.format(**fields).splitlines()]
+
+
+def _filename(kind, n, slope):
+    return f"<hessbif.rk {kind} n={n}{' ' + slope.name if slope.name else ''}>"
+
+
 @functools.cache
-def _dop853_step(n):
-    """step(rhs, t, y, h, k0, rtol, atol) -> (y_new, err) for n-component states, k0 = rhs(t, y).
+def _dop853_step(n, slope=CALL):
+    """step(inputs, t, y, h, k0, rtol, atol) -> (y_new, err) for n-component states,
+    k0 the slope at (t, y), inputs what slope.inputs unpacks (rhs itself for CALL).
 
     y_new is the 8th-order state; err is the scaled error of the module
     docstring, or inf when y_new is not finite.  Generated with every stage
-    unrolled on the first call for each n; the source is registered with
-    linecache under the step's file name, so tracebacks and profiles show it.
+    unrolled and slope.body inlined at each, on the first call for each
+    (n, slope); the source is registered with linecache under the step's file
+    name, so tracebacks and profiles show it.
     """
     cs = range(n)
 
@@ -163,15 +214,17 @@ def _dop853_step(n):
         return "".join(f" {sign} {w!r} * k{j}_{c}" for j, w in enumerate(weights)
                        if keep_zeros or w != 0.0)
 
-    lines = ["def step(rhs, t, y, h, k0, rtol, atol):",
+    lines = ["def step(inputs, t, y, h, k0, rtol, atol):",
+             f"    {slope.inputs} = inputs",
              f"    {vec('y_{c}')}, = y",
-             f"    {vec('k0_{c}')}, = k0",
-             f"    {vec('atol_{c}')}, = atol"]
+             f"    {vec('k0_{c}')}, = k0"]
     for i in range(1, len(_A)):
         row = [(j, aij) for j, aij in enumerate(_A[i]) if aij != 0.0]
         lines += [f"    h{i}_{j} = h * {aij!r}" for j, aij in row]
-        state = vec("y_{c}" + "".join(f" + h{i}_{j} * k{j}_{{c}}" for j, _ in row))
-        lines.append(f"    {vec(f'k{i}_{{c}}')}, = rhs(t + {_C[i]!r} * h, [{state}])")
+        state = [f"y_{c}" + "".join(f" + h{i}_{j} * k{j}_{c}" for j, _ in row) for c in cs]
+        lines += _slope_lines(slope, f"t + {_C[i]!r} * h", state,
+                              [f"k{i}_{c}" for c in cs], "    ")
+    lines.append(f"    {vec('atol_{c}')}, = atol")
     for c in cs:
         lines += [f"    i_{c} = 0.0{terms(_B, c, keep_zeros=True)}",
                   f"    yn_{c} = y_{c} + h * i_{c}",
@@ -190,20 +243,31 @@ def _dop853_step(n):
               f"        return [{vec('yn_{c}')}], err",
               f"    return [{vec('yn_{c}')}], inf",
               ""]
-    source = "\n".join(lines)
-    filename = f"<hessbif.rk dop853 n={n}>"
-    namespace = {"isfinite": math.isfinite, "sqrt": math.sqrt, "inf": math.inf}
-    exec(compile(source, filename, "exec"), namespace)
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    return namespace["step"]
+    return _generate(_filename("dop853", n, slope), "\n".join(lines), slope)["step"]
 
 
-def _locate_zero(rhs, t, y, k0, h, y_end, rtol, atol, root_tol):
+@functools.cache
+def slope_function(n, slope):
+    """bind(inputs) -> rhs(t, y), the slope of the n-component step _dop853_step(n, slope)
+    as a function: generated from the same slope.body, so its values are bit for
+    bit those the step inlines.  rhs returns a tuple."""
+    outs = [f"k_{c}" for c in range(n)]
+    lines = ["def bind(inputs):",
+             f"    {slope.inputs} = inputs",
+             "    def rhs(t, y):",
+             f"        {', '.join(f'y_{c}' for c in range(n))}, = y"]
+    lines += _slope_lines(slope, "t", [f"y_{c}" for c in range(n)], outs, "        ")
+    lines += [f"        return ({', '.join(outs)},)", "    return rhs", ""]
+    return _generate(_filename("slope", n, slope), "\n".join(lines), slope)["bind"]
+
+
+def _locate_zero(inputs, t, y, k0, h, y_end, rtol, atol, root_tol, slope=CALL):
     """(t*, y*, trials) where component 0 changes sign inside the step (t, y) -> (t + h, y_end).
 
     Illinois regula falsi on the step length s in [0, h], each trial a fresh
-    step from the saved state, until the bracket is below root_tol
-    relative to t + s; the state is then interpolated linearly across it.  A
+    step of _dop853_step(len(y), slope) from the saved state, until the
+    bracket is below root_tol relative to t + s; the state is then
+    interpolated linearly across it.  A
     trial that overflows is retried at _MIN_FACTOR of its distance from s_lo.
     trials counts the trial steps taken, overflowed ones included.
     """
@@ -211,7 +275,7 @@ def _locate_zero(rhs, t, y, k0, h, y_end, rtol, atol, root_tol):
     s_hi, y_hi, f_hi = h, y_end, y_end[0]
     side = 0
     s_retry = None
-    step = _dop853_step(len(y))
+    step = _dop853_step(len(y), slope)
     trials = 0
     for _ in range(_MAX_LOCATE_ITER):
         if s_hi - s_lo <= root_tol * (t + s_hi):
@@ -221,7 +285,7 @@ def _locate_zero(rhs, t, y, k0, h, y_end, rtol, atol, root_tol):
             s = 0.5 * (s_lo + s_hi)
         trials += 1
         try:
-            y_s = step(rhs, t, y, s, k0, rtol, atol)[0]
+            y_s = step(inputs, t, y, s, k0, rtol, atol)[0]
         except OverflowError:   # a rejected trial: retry shorter, the bracket kept
             s_retry = s_lo + _MIN_FACTOR * (s - s_lo)
             continue
@@ -245,8 +309,13 @@ def _locate_zero(rhs, t, y, k0, h, y_end, rtol, atol, root_tol):
 
 
 def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
-              root_tol=None, trajectory=None, first_step=None):
+              root_tol=None, trajectory=None, first_step=None, slope=CALL, inputs=None):
     """Integrate y' = rhs(t, y) from t0 to t1 (t1 > t0).
+
+    The step inlines slope at its stages, unpacking inputs into slope.inputs;
+    by default the slope calls rhs.  Otherwise rhs must be
+    slope_function(len(y0), slope)(inputs), which gives the slope at each
+    state stepped from.
 
     atol is a per-component sequence (same length as y0).  output_ts, when
     given, must be ascending values in [t0, t1]; the stepper lands on each
@@ -289,7 +358,9 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
     if trajectory is not None:
         trajectory.append((t, y))
 
-    step = _dop853_step(n)
+    step = _dop853_step(n, slope)
+    if inputs is None:
+        inputs = rhs
     h_ctrl = span / 64.0 if first_step is None else float(first_step)
     h_min = 1e-14 * span
     n_steps = 0
@@ -325,7 +396,7 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
 
         n_rhs += _RHS_PER_ATTEMPT
         try:
-            y_new, err = step(rhs, t, y, h, k0, rtol, atol)
+            y_new, err = step(inputs, t, y, h, k0, rtol, atol)
         except OverflowError:   # a float power overflowed inside a trial stage
             err = math.inf
 
@@ -341,7 +412,8 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
         if err <= 1.0:
             n_steps += 1
             if crossed:
-                t, y, trials = _locate_zero(rhs, t, y, k0, h, y_new, rtol, atol, root_tol)
+                t, y, trials = _locate_zero(inputs, t, y, k0, h, y_new, rtol, atol, root_tol,
+                                            slope)
                 n_rhs += _RHS_PER_ATTEMPT * trials
                 if trajectory is not None:
                     trajectory.append((t, y))

@@ -26,6 +26,18 @@ absolute tolerance 0.1 tol 1e-3 max(d_i, 1) for u_i and 0.1 tol 1e-3
 max(F_i^k R^N / C(N,k), 1e-30) for m_i, the value m(R) of constant forcing
 F_i(d).  flux_profiles samples it on a grid.
 
+The slope is one source template (_flux_slope), which rk inlines at every
+stage of its step and also compiles as the rhs(r, y) that flux_ivp returns, so
+the two cannot drift apart.  One kernel is compiled per (component count,
+weight formula), on first use.  A weight with a formula (core.Formula: every
+registry kind but tabulated, and every two-argument kind) is inlined from the
+same source that its call evaluates, so the called and the inlined weight
+agree bit for bit; its params are kernel inputs, so one kernel serves every
+param value.  Any other weight is called.  u' = (m / r^(N-k))^(1/k) takes one
+float power where r^(N-k) and the quotient are normal floats, and
+exp(log(m)/k + (k-N)/k log(r)) elsewhere: r0^59 underflows to 0.0 at N = 60,
+k = 1, R = 1e-3, where the quotient would divide by zero.
+
 f is extended below zero by f(max(s, 0)): past the (single) zero crossing of a
 too-strongly-forced profile the forcing switches off, keeping the boundary
 residual u(R) continuous and increasing in lambda.  Accepted Dirichlet
@@ -53,11 +65,20 @@ command calls them, so no command loads numpy.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 
 from . import rk
-from .core import EigenvalueResult, NonlinearitySpec, ProblemSpec, binom, sk_from_radial
+from .core import (
+    FORMULA_GLOBALS,
+    EigenvalueResult,
+    NonlinearitySpec,
+    ProblemSpec,
+    binom,
+    sk_from_radial,
+)
 from .errors import InvalidInputError, NumericalFailureError
 
 
@@ -127,60 +148,93 @@ def radial_derivatives(r, m, mprime, N: int, k: int):
     return up, upp
 
 
+def _refuse(w, s):
+    raise NumericalFailureError(
+        f"nonlinearity returned {w!r} at s={s!r}; refusing a negative integrand")
+
+
+_FLUX_GLOBALS = (("exp", math.exp), ("log", math.log), ("refuse", _refuse)) + FORMULA_GLOBALS
+
+
+@functools.cache
+def _flux_slope(formulas) -> rk.Slope:
+    """The flux slope of len(formulas) components as an rk.Slope: the one template
+    of the module docstring, with weight i inlined from formulas[i] or, where that
+    is None, called as the input fn<i>."""
+    n = len(formulas)
+    ss = [f"s{i}" for i in range(n)]
+    # the inputs, in the order flux_kernel passes them
+    names = ["N1", "Nk", "k", "k_inv", "r_exp", "coef", "lam", "r_lo", "r_hi"]
+    weights = []
+    for i, formula in enumerate(formulas):
+        if formula is None:
+            names.append(f"fn{i}")
+            weights.append(f"fn{i}({', '.join(ss)})")
+        else:
+            params = [f"w{i}_{p}" for p in formula.params]
+            names += params
+            weights.append(formula.rename(dict(zip(formula.variables + formula.params,
+                                                   ss + params))))
+    ws = [f"w{i}" for i in range(n)]
+    lines = ["r = {t}"]
+    if n == 1:   # s = -u, and the forcing is off past the zero of u
+        lines += ["m0 = {y1}", "s0 = -({y0})",
+                  f"w0 = ({weights[0]}) if s0 > 0.0 else 0.0"]
+    else:   # each s_i = -u_i clamped at 0, where the weights vanish
+        for i in range(n):
+            lines += [f"u{i} = {{y{2 * i}}}", f"m{i} = {{y{2 * i + 1}}}",
+                      f"s{i} = -u{i} if u{i} < 0.0 else 0.0"]
+        lines += [f"w{i} = {w}" for i, w in enumerate(weights)]
+    lines += [f"if not ({' and '.join(f'0.0 <= {w} < inf' for w in ws)}):",   # < 0, inf or NaN
+              f"    refuse({ws[0]}, s0)" if n == 1 else
+              f"    refuse(({', '.join(ws)}), ({', '.join(ss)}))",
+              "ra = coef * r ** N1",
+              "rNk = r ** Nk if r_lo < r < r_hi else inf"]
+    for i in range(n):
+        # u' = (m / r^(N-k))^(1/k) where r^(N-k) and the quotient are normal floats
+        lines += [f"{{k{2 * i}}} = (q ** k_inv if {sys.float_info.min!r} <= (q := m{i} / rNk) < inf"
+                  f" else exp(k_inv * log(m{i}) + r_exp * log(r)) if m{i} > 0.0 else 0.0)",
+                  f"{{k{2 * i + 1}}} = ra * (lam * w{i}) ** k"]
+    label = " ".join("call" if f is None else f.kind for f in formulas)
+    return rk.Slope(f"flux {label}", ", ".join(names) + ",", "\n".join(lines), _FLUX_GLOBALS)
+
+
+def flux_kernel(N: int, k: int, lam: float, weights):
+    """(slope, inputs, rhs) of the flux system with forcing lam * weights: the rk.Slope
+    that rk.integrate inlines, the inputs it unpacks, and the same slope as
+    rhs(r, y).  weights is f, or (g, h)."""
+    ws = (weights,) if callable(weights) else tuple(weights)
+    formulas = tuple(getattr(w, "formula", None) for w in ws)
+    slope = _flux_slope(formulas)
+    # r^(N-k) is a normal float, by a wide margin, for r_lo < r < r_hi
+    r_lo, r_hi = (0.0, math.inf) if N == k else (1e-300 ** (1.0 / (N - k)),
+                                                 1e300 ** (1.0 / (N - k)))
+    inputs = (N - 1, N - k, k, 1.0 / k, (k - N) / k, k / binom(N - 1, k - 1), lam, r_lo, r_hi)
+    for w, formula in zip(ws, formulas):
+        inputs += (w,) if formula is None else w.formula_values
+    return slope, inputs, rk.slope_function(2 * len(ws), slope)(inputs)
+
+
 def flux_ivp(N: int, k: int, R: float, lam: float, weights, amplitudes, tol: float,
              t1: float, **kw):
     """rk.integrate(**kw) of one or two flux components from the origin series out to t1.
 
     One component: weights = f, amplitudes = (d,), state (u, m).  Two: weights =
     (g, h), amplitudes = (d_u, d_v), state (u, m_u, v, m_v).  Forcing, series,
-    tolerances and the weight check are as in the module docstring; s is -u
-    (f taken as 0 for s <= 0), or (-u, -v) clamped at 0.  The first trial step
-    is (R - r0)/64 whatever t1 is, so a run to the first zero of u, out to
-    HORIZON * R, does not start with a trial 10^3 times too long.  With
-    root_tol, rk.integrate aims its trials at that zero, where the forcing
-    switches off.  Returns (result, rhs, curvatures): the closure integrated
-    and the series curvatures a_i = u_i''(0).
+    tolerances, the slope kernel and the weight check are as in the module
+    docstring.  The first trial step is (R - r0)/64 whatever t1 is, so a run to
+    the first zero of u, out to HORIZON * R, does not start with a trial 10^3
+    times too long.  With root_tol, rk.integrate aims its trials at that zero,
+    where the forcing switches off.  Returns (result, rhs, curvatures): the
+    slope as a function and the series curvatures a_i = u_i''(0).
     """
     tol *= STEP_TOL_FACTOR
     c_full = binom(N, k)
-    coef = k / binom(N - 1, k - 1)
-    k_inv = 1.0 / k
-    r_exp = (k - N) / k
-    exp = math.exp
-    log = math.log
-    isfinite = math.isfinite
-
+    slope, inputs, rhs = flux_kernel(N, k, lam, weights)
     if len(amplitudes) == 1:
-        f = weights
-        forcing = (lam * f(amplitudes[0]),)
-
-        def rhs(r, y):
-            u, m = y
-            s = -u
-            fs = f(s) if s > 0.0 else 0.0
-            if fs < 0.0 or not isfinite(fs):
-                raise NumericalFailureError(
-                    f"nonlinearity returned {fs!r} at s={s!r}; refusing a negative integrand")
-            up = 0.0 if m <= 0.0 else exp(k_inv * log(m) + r_exp * log(r))
-            return (up, coef * r ** (N - 1) * (lam * fs) ** k)
+        forcing = (lam * weights(amplitudes[0]),)
     else:
-        g, h = weights
-        forcing = (lam * g(*amplitudes), lam * h(*amplitudes))
-
-        def rhs(r, y):
-            u, mu, v, mv = y
-            su = -u if u < 0.0 else 0.0
-            sv = -v if v < 0.0 else 0.0
-            gs = g(su, sv)
-            hs = h(su, sv)
-            if gs < 0.0 or hs < 0.0 or not (isfinite(gs) and isfinite(hs)):
-                raise NumericalFailureError(f"nonlinearity returned {(gs, hs)!r} at "
-                                            f"s={(su, sv)!r}; refusing a negative integrand")
-            ra = coef * r ** (N - 1)
-            rl = r_exp * log(r)
-            up = exp(k_inv * log(mu) + rl) if mu > 0.0 else 0.0
-            vp = exp(k_inv * log(mv) + rl) if mv > 0.0 else 0.0
-            return (up, ra * (lam * gs) ** k, vp, ra * (lam * hs) ** k)
+        forcing = tuple(lam * w(*amplitudes) for w in weights)
 
     r0 = _origin_radius(N, R)
     curvatures, y0, atol = [], [], []
@@ -189,7 +243,8 @@ def flux_ivp(N: int, k: int, R: float, lam: float, weights, amplitudes, tol: flo
         curvatures.append(a)
         y0 += (-d + 0.5 * a * r0 * r0, a**k * r0**N)
         atol += (tol * 1e-3 * max(d, 1.0), tol * 1e-3 * max(F**k * R**N / c_full, 1e-30))
-    res = rk.integrate(rhs, r0, y0, t1, rtol=tol, atol=atol, first_step=(R - r0) / 64.0, **kw)
+    res = rk.integrate(rhs, r0, y0, t1, rtol=tol, atol=atol, first_step=(R - r0) / 64.0,
+                       slope=slope, inputs=inputs, **kw)
     return res, rhs, curvatures
 
 

@@ -46,7 +46,7 @@ from .branch import (
     refine_jumps,
     solution_amplitudes,
 )
-from .core import LimitClass, _check_order
+from .core import Formula, LimitClass, _check_order
 from .errors import InvalidInputError, NumericalFailureError, TracingFailureError
 from .shooting import (
     DEFAULT_CONFIG,
@@ -68,25 +68,26 @@ NEWTON_MAX_HALVINGS = 8
 # ---------------------------------------------------------------------------
 
 def _weight(kind_base, params):
+    """(w as source over s + t, its params, lim0, liminf) of a kind base.
+
+    w is evaluated only where the coupling variable is positive, so s + t > 0.
+    """
     if kind_base == "linear":
-        return lambda x: 1.0, LimitClass.finite(1.0), LimitClass.finite(1.0)
+        return "1.0", {}, LimitClass.finite(1.0), LimitClass.finite(1.0)
     if kind_base == "saturating":
-        return (lambda x: 1.0 / (1.0 + x),
-                LimitClass.finite(1.0), LimitClass.zero())
+        return "1.0 / (1.0 + (s + t))", {}, LimitClass.finite(1.0), LimitClass.zero()
     if kind_base == "superlinear":
-        return (lambda x: 1.0 + x,
-                LimitClass.finite(1.0), LimitClass.infinite())
+        return "1.0 + (s + t)", {}, LimitClass.finite(1.0), LimitClass.infinite()
     if kind_base == "rational":
         b = float(params.get("b", 0.0))
         if b <= 0.0:
             raise InvalidInputError("rational kind needs param b > 0")
-        return (lambda x: (1.0 + b * x) / (1.0 + x),
+        return ("(1.0 + b * (s + t)) / (1.0 + (s + t))", {"b": b},
                 LimitClass.finite(1.0), LimitClass.finite(b))
     if kind_base == "powermix":
-        return (lambda x: x**-0.5 + x if x > 0.0 else math.inf,
-                LimitClass.infinite(), LimitClass.infinite())
+        return "(s + t)**-0.5 + (s + t)", {}, LimitClass.infinite(), LimitClass.infinite()
     if kind_base == "logbump":
-        return (lambda x: math.log1p(x * x) / x if x > 0.0 else 0.0,
+        return ("log1p((s + t) * (s + t)) / (s + t)", {},
                 LimitClass.zero(), LimitClass.zero())
     raise InvalidInputError(f"unknown two-argument kind base {kind_base!r}")
 
@@ -97,6 +98,10 @@ class NonlinearitySpec2:
 
     Zeros exactly where the coupling variable vanishes; limit classes are
     relative to |t| (for g) or |s| (for h) as |s + t| tends to 0 / infinity.
+    The weight is stored once, as formula (a core.Formula over s, t: phi w,
+    and 0 where phi = 0) with its params' floats in formula_values; the call
+    evaluates formula.function(formula_values), and the flux kernels inline
+    the same source.
     """
 
     kind: str
@@ -108,15 +113,17 @@ class NonlinearitySpec2:
             raise InvalidInputError(
                 f"two-argument kind must end in _t or _s, got {self.kind!r}")
         self.couples_in_t = suffix == "t"
-        self._w, self.lim0, self.liminf = _weight(base, self.params)
+        w, params, self.lim0, self.liminf = _weight(base, self.params)
+        phi = "t" if self.couples_in_t else "s"
+        self.formula = Formula(self.kind, f"0.0 if {phi} == 0.0 else {phi} * ({w})",
+                               ("s", "t"), tuple(params))
+        self.formula_values = tuple(params.values())
+        self._eval = self.formula.function(self.formula_values)
 
     def __call__(self, s: float, t: float) -> float:
         if s < 0.0 or t < 0.0:
             raise InvalidInputError(f"evaluated at negative arguments ({s!r}, {t!r})")
-        phi = t if self.couples_in_t else s
-        if phi == 0.0:
-            return 0.0
-        return phi * self._w(s + t)
+        return self._eval(s, t)
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params)}

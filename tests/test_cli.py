@@ -513,6 +513,28 @@ class TestCachedParser:
         assert r.returncode == 0, r.stderr
         assert r.stdout.split() == ["0", "0"]
 
+    def test_kernels_compile_on_first_use(self, specdir):
+        # none at import; after one verify, one step and one rhs per (state size, formula)
+        from hessbif import cli
+
+        code = ("import contextlib, io, json, linecache\n"
+                "from hessbif import cli, core, rk\n"
+                "def compiled():\n"
+                "    return [rk._dop853_step.cache_info().currsize,\n"
+                "            rk.slope_function.cache_info().currsize,\n"
+                "            sorted(f for f in linecache.cache if f.startswith('<hessbif'))]\n"
+                "print(json.dumps([core._formula_binder.cache_info().currsize] + compiled()))\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    rc = cli.main(['verify', '--spec', 'saturating.json'])\n"
+                "print(json.dumps([rc] + compiled()))\n")
+        r = run(["-c", code], specdir, base=[sys.executable])
+        assert r.returncode == 0, r.stderr
+        at_import, after_verify = map(json.loads, r.stdout.splitlines())
+        assert at_import == [0, 0, 0, []]
+        assert after_verify == [cli.EXIT_OK, 2, 2, [
+            "<hessbif.rk dop853 n=2 flux linear>", "<hessbif.rk dop853 n=2 flux saturating>",
+            "<hessbif.rk slope n=2 flux linear>", "<hessbif.rk slope n=2 flux saturating>"]]
+
     def test_build_parser_returns_a_fresh_parser(self):
         from hessbif import cli
 

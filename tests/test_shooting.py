@@ -1,11 +1,14 @@
 import functools
 import math
+import random
+import traceback
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hessbif import core, rk, system
 from hessbif.core import NonlinearitySpec, ProblemSpec
 from hessbif.errors import InvalidInputError, NumericalFailureError
 from hessbif.shooting import (
@@ -15,6 +18,7 @@ from hessbif.shooting import (
     eigen_rel_tol,
     first_eigenvalue,
     flux_ivp,
+    flux_kernel,
     integrate_profile,
     lambda_at_amplitude,
     profile_admissible,
@@ -250,6 +254,25 @@ class TestScaledFirstEigenvalue:
         assert first_eigenvalue(N, k, 0.71, cfg).iterations == 3
 
 
+
+class TestExtremeRadii:
+    """first_eigenvalue where r^(N-k) leaves the normal floats near the origin or far
+    out: at N = 60, k = 1, R = 1e-3 the series radius r0 = 2.2e-8 has r0^59 = 0.0,
+    so the slope u' = (m / r^(N-k))^(1/k) must fall back to its log form there."""
+
+    @pytest.mark.parametrize("R", [1e-3, 0.1, 1e3])
+    def test_sixty_ball_against_bessel_zero(self, R):
+        got = first_eigenvalue(60, 1, R).lambda1 * R**2
+        assert abs(got - J29SQ) <= 1e-9 * J29SQ
+
+    # lambda1 R^2 with u' from exp(log(m)/k + (k-N)/k log(r)) at every r
+    @pytest.mark.parametrize("N,k,want", [(20, 7, 25.456704816532483),
+                                          (8, 8, 3.3335198951867824)])
+    def test_small_ball_matches_the_log_form(self, N, k, want):
+        R = 1e-3
+        got = first_eigenvalue(N, k, R).lambda1 * R * R
+        assert abs(got - want) <= 1e-12 * want
+
 @functools.lru_cache(maxsize=None)
 def _unit_ball_oracle(N, k):
     return eigen_value(N, k, 1.0)
@@ -373,11 +396,11 @@ def _logged_attempts(monkeypatch):
     log = []
     make = rk._dop853_step
 
-    def logging_make(n):
-        step = make(n)
+    def logging_make(n, slope=rk.CALL):
+        step = make(n, slope)
 
-        def logged(rhs, t, y, h, k0, rtol, atol):
-            y_new, err = step(rhs, t, y, h, k0, rtol, atol)
+        def logged(inputs, t, y, h, k0, rtol, atol):
+            y_new, err = step(inputs, t, y, h, k0, rtol, atol)
             log.append((h, y[0], y_new[0], err))
             return y_new, err
 
@@ -435,6 +458,16 @@ class TestFluxKernel:
         with pytest.raises(NumericalFailureError,
                            match=r"nonlinearity returned .*-0\.5.* refusing a negative"):
             flux_ivp(2, 2, 1.0, 1.0, weights, amplitudes, 1e-10, 1.0)
+
+    def test_tracebacks_show_the_kernel_source(self):
+        # s (1 + s) overflows to inf at s = 1e200, which the inlined weight check refuses
+        slope, inputs, _ = flux_kernel(2, 1, 1.0, NonlinearitySpec("superlinear"))
+        step = rk._dop853_step(2, slope)
+        with pytest.raises(NumericalFailureError) as info:
+            step(inputs, 0.5, [-1e200, 1.0], 0.1, (0.0, 0.0), 1e-10, [1e-13, 1e-13])
+        text = "".join(traceback.format_exception(info.value))
+        assert 'File "<hessbif.rk dop853 n=2 flux superlinear>", line 11, in step' in text
+        assert "refuse(w0, s0)" in text
 
     def test_only_caller_of_the_integrator(self, monkeypatch):
         import sys
@@ -521,3 +554,86 @@ class TestAdmissibilityRejects:
         r = self.r
         prof = synthetic_profile(r, r**2 - 1.0, 2.0 * r, np.full_like(r, 2.0))
         assert profile_admissible(prof, 3, 2)
+
+
+def _bits(fn, *args):
+    """fn(*args) with its floats as hex, or the name of the exception it raised."""
+    def hexed(v):
+        return [hexed(x) for x in v] if isinstance(v, (list, tuple)) else v.hex()
+
+    try:
+        return hexed(fn(*args))
+    except (OverflowError, NumericalFailureError) as exc:
+        return type(exc).__name__
+
+
+LOG_GRID = [10.0 ** e for e in range(-300, 301, 10)]
+SCALAR_PARAMS = {"power": {"p": 2.5}, "sum_of_powers": {"p": 0.5, "q": 2.0, "c": 3.0},
+                 "root_sum_powers": {"a": 2.0, "b": 5.0, "c": 0.5}}
+PAIR_BASES = ["linear", "saturating", "superlinear", "rational", "powermix", "logbump"]
+
+
+def _pair(base):
+    params = {"b": 3.0} if base == "rational" else {}
+    return system.NonlinearitySpec2(base + "_t", params), system.NonlinearitySpec2(base + "_s",
+                                                                                  params)
+
+
+class TestSingleSource:
+    """Each weight formula is stored once: the called weight and the one the flux kernel
+    inlines agree bit for bit, and the kernel's inlined stages are its rhs."""
+
+    @pytest.mark.parametrize("kind", sorted(core._FORMULAS))
+    def test_called_and_inlined_weight_agree(self, kind):
+        f = NonlinearitySpec(kind, SCALAR_PARAMS.get(kind, {}))
+        # at N = k = 1 and lam = 1 the m-slope is 1.0 * 1.0 * (1.0 * f(s)) ** 1 = f(s)
+        rhs = flux_kernel(1, 1, 1.0, f)[2]
+        for s in LOG_GRID:
+            want = _bits(f, s)
+            if want in ("inf", "nan"):
+                want = "NumericalFailureError"   # the kernel refuses a non-finite weight
+            got = _bits(lambda: rhs(1.0, [-s, 1.0])[1])
+            assert got == want, s
+
+    @pytest.mark.parametrize("base", PAIR_BASES)
+    def test_called_and_inlined_pair_weights_agree(self, base):
+        g, h = _pair(base)
+        rhs = flux_kernel(1, 1, 1.0, (g, h))[2]
+        grid = [0.0] + LOG_GRID
+        for s in grid:
+            for t in grid:
+                want = [_bits(g, s, t), _bits(h, s, t)]
+                if any(w in ("inf", "nan") for w in want):
+                    want = "NumericalFailureError"
+                got = _bits(lambda: rhs(1.0, [-s, 1.0, -t, 1.0])[1::2])
+                assert got == want, (s, t)
+
+    WEIGHTS = {
+        "sum_of_powers": NonlinearitySpec("sum_of_powers", SCALAR_PARAMS["sum_of_powers"]),
+        "tabulated": NonlinearitySpec("tabulated", {"s": [0.1, 1.0, 10.0],
+                                                    "f": [0.05, 1.0, 5.0]}),
+        "lambda": lambda s: s * s / (1.0 + s),
+        "rational pair": _pair("rational"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(WEIGHTS))
+    @pytest.mark.parametrize("N,k", [(2, 1), (3, 2), (4, 4), (60, 1)])
+    def test_inlined_stages_equal_the_rhs(self, name, N, k):
+        # the generic step calling rhs at its stages against the kernel inlining it
+        weights = self.WEIGHTS[name]
+        slope, inputs, rhs = flux_kernel(N, k, 3.7, weights)
+        n = 2 if callable(weights) else 4
+        called, inlined = rk._dop853_step(n), rk._dop853_step(n, slope)
+        rng = random.Random(f"{name} {N} {k}")
+        for _ in range(200):
+            t = 10.0 ** rng.uniform(-9.0, 0.3)   # r^59 underflows below r = 1e-5
+            y = []
+            for _ in range(n // 2):
+                y += [rng.uniform(-3.0, 0.2), rng.choice([0.0, 10.0 ** rng.uniform(-300.0, 2.0)])]
+            h = 10.0 ** rng.uniform(-6.0, -0.5) * t
+            try:
+                k0 = rhs(t, y)
+            except OverflowError:   # u' beyond the floats, from the log form
+                continue
+            args = (t, y, h, k0, 1e-10, [1e-13] * n)
+            assert _bits(called, rhs, *args) == _bits(inlined, inputs, *args)
