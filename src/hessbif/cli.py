@@ -368,9 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--beta", type=float, required=True)
     p.add_argument("--R", type=float, default=1.0)
-    p.add_argument("--samples", type=_count("mu samples", 2), default=8)
-    p.add_argument("--mu-lo", type=float, default=None)
-    p.add_argument("--mu-hi", type=float, default=None)
+    p.add_argument("--samples", type=_count("mu samples", 2), default=8,
+                   help="number of samples, seeded at mu_ref on a log grid over "
+                        "[mu_lo, mu_hi]; each lands at mu_ref (rho/R)^(2k)")
+    p.add_argument("--mu-lo", type=float, default=None,
+                   help="low end of the log grid of sample seeds, finite "
+                        "(default 1e-2 lambda1^k)")
+    p.add_argument("--mu-hi", type=float, default=None,
+                   help="high end of the log grid of sample seeds, finite "
+                        "(default 1e2 lambda1^k)")
     p.add_argument("--out")
     _add_cfg_args(p)
     p.set_defaults(fn=cmd_power_pair)

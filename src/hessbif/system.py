@@ -13,10 +13,12 @@ IVP at a reference lambda_ref vanish at the same rho, and lambda =
 lambda_ref (rho / R)^2 (see _common_zero).
 
 The power-pair eigenproblem S_k(D^2 u) = lambda (-v)^alpha, S_k(D^2 v) =
-mu (-u)^beta (alpha beta = k^2) runs the same kernel at lambda = 1 with weights
-(lambda s_v^alpha)^(1/k) and (mu s_u^beta)^(1/k), and keeps a damped Newton on
-the fixed-R residuals: the constancy of the product lambda mu^(alpha/k) across
-mu is the checkable claim, so it must not come from the same scaling.
+mu (-u)^beta (alpha beta = k^2) takes the same root at lambda = 1 with weights
+(lambda_ref s_v^alpha)^(1/k) and (mu_ref s_u^beta)^(1/k), and (lambda, mu) =
+(lambda_ref, mu_ref) (rho / R)^(2k).  That scaling moves a sample along the ray
+mu / lambda = const and multiplies lambda mu^(alpha/k) by (rho / R)^(2k + 2 alpha),
+so the product is constant across samples only through amplitude homogeneity,
+which the root never applies: the checked claim stays independent of it.
 
 Two-argument nonlinearities are weight forms phi(x) * w(s + t), with phi = t
 for the u-equation ("_t" kinds) and phi = s for the v-equation ("_s" kinds):
@@ -57,10 +59,6 @@ from .shooting import (
     flux_profiles,
     trajectory_admissible,
 )
-
-NEWTON_MAX_ITER = 40
-NEWTON_FD_STEP = 1e-6
-NEWTON_MAX_HALVINGS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +216,7 @@ def system_boundary_values(spec: SystemSpec, lam: float, d_u: float, d_v: float,
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet points: a scaled 1-D root, and two-residual Newton for power pairs
+# Dirichlet points: one scaled 1-D root, confirmed by a fixed-R shot
 # ---------------------------------------------------------------------------
 
 
@@ -237,70 +235,20 @@ class SystemBranchPoint:
         return self.d_u + self.d_v
 
 
-def _newton_pair(residual_fn, lam0, dv0, scale_u, scale_v, tol):
-    """Damped Newton on (log lambda, log d_v); residual_fn(lam, d_v) -> (ru, rv)."""
-
-    def fval(z):
-        ru, rv = residual_fn(math.exp(z[0]), math.exp(z[1]))
-        return (ru / scale_u, rv / scale_v)
-
-    z = [math.log(lam0), math.log(dv0)]
-    f = fval(z)
-    norm = max(abs(f[0]), abs(f[1]))
-    for _ in range(NEWTON_MAX_ITER):
-        if norm <= tol:
-            return math.exp(z[0]), math.exp(z[1]), norm
-        jac = [[0.0, 0.0], [0.0, 0.0]]
-        for j in range(2):
-            zp = list(z)
-            zp[j] += NEWTON_FD_STEP
-            fp = fval(zp)
-            jac[0][j] = (fp[0] - f[0]) / NEWTON_FD_STEP
-            jac[1][j] = (fp[1] - f[1]) / NEWTON_FD_STEP
-        det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
-        if det == 0.0 or not math.isfinite(det):
-            raise NumericalFailureError("singular Jacobian in system shooting")
-        dz0 = -(jac[1][1] * f[0] - jac[0][1] * f[1]) / det
-        dz1 = -(-jac[1][0] * f[0] + jac[0][0] * f[1]) / det
-        # trust region in log space keeps amplitudes/lambda positive and sane
-        cap = 2.0
-        biggest = max(abs(dz0), abs(dz1))
-        if biggest > cap:
-            dz0 *= cap / biggest
-            dz1 *= cap / biggest
-        step = 1.0
-        for _ in range(NEWTON_MAX_HALVINGS + 1):
-            zn = [z[0] + step * dz0, z[1] + step * dz1]
-            try:
-                fn = fval(zn)
-            except NumericalFailureError:
-                step *= 0.5
-                continue
-            nn = max(abs(fn[0]), abs(fn[1]))
-            if nn < norm or nn <= tol:
-                z, f, norm = zn, fn, nn
-                break
-            step *= 0.5
-        else:
-            raise NumericalFailureError(
-                f"system Newton stalled at residual norm {norm:.3e}")
-    if norm <= tol:
-        return math.exp(z[0]), math.exp(z[1]), norm
-    raise NumericalFailureError(
-        f"system Newton did not converge (residual norm {norm:.3e})")
-
-
-def _common_zero(spec, d_u, lam_ref, dv0, cfg):
-    """(rho, d_v) where u and v of the pair IVP at lam_ref and (d_u, d_v) vanish together.
+def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg):
+    """(rho, d_v) where u and v of the pair IVP at lam_ref, weights (g, h) and (d_u, d_v)
+    vanish together.
 
     F = v(rho_u) / d_v at u's first zero rho_u falls as d_v grows (g rises in t, h in s);
     no zero before shooting.HORIZON R counts as F > 0.  Steps of 0.1, 0.2, 0.4, ... in
     log d_v bracket its sign change; Illinois stops at a step within root_tol of an end."""
-    horizon = shooting.HORIZON * spec.R
+    horizon = shooting.HORIZON * R
 
     def point(d_v):   # (log d_v, d_v, F, rho_u), rho_u None when u has no zero
-        res = flux_ivp(spec.N, spec.k, spec.R, lam_ref, (spec.g, spec.h), (d_u, d_v),
-                       cfg.integrator_tol, horizon, root_tol=cfg.root_tol)[0]
+        if not d_v > 0.0:
+            raise NumericalFailureError(f"d_v underflows to {d_v!r} (d_u = {d_u!r})")
+        res = flux_ivp(N, k, R, lam_ref, weights, (d_u, d_v), cfg.integrator_tol, horizon,
+                       root_tol=cfg.root_tol)[0]
         z = math.log(d_v)
         if res.t >= horizon:
             return z, d_v, math.inf, None
@@ -351,7 +299,7 @@ def solve_system_shooting(spec: SystemSpec, d_u: float, init,
     if not (lam_ref > 0.0 and dv0 > 0.0):
         raise InvalidInputError(f"init must be positive, got {init!r}")
 
-    rho, d_v = _common_zero(spec, d_u, lam_ref, dv0, cfg)
+    rho, d_v = _common_zero(spec.N, spec.k, spec.R, (spec.g, spec.h), d_u, lam_ref, dv0, cfg)
     lam = lam_ref * (rho / spec.R) ** 2
     states = []
     res, rhs, _ = flux_ivp(spec.N, spec.k, spec.R, lam, (spec.g, spec.h), (d_u, d_v),
@@ -414,10 +362,12 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
     """Constancy of lambda * mu^(alpha/k) for S_k(D^2 u) = lambda (-v)^alpha,
     S_k(D^2 v) = mu (-u)^beta with alpha beta = k^2.
 
-    Each mu on the log grid is solved independently by two-residual shooting
-    with the u-amplitude normalized to 1 (degree-k^2 homogeneity); the
-    constant is the geometric mean of the products and the maximum relative
-    deviation quantifies the constancy.
+    Each sample, seeded at mu_ref on the log grid over [mu_lo, mu_hi], is the scaled root
+    of _common_zero with the u-amplitude normalized to 1 (degree-k^2 homogeneity), so it
+    lands at mu = mu_ref (rho / R)^(2k), and one fixed-R shot confirms it to
+    eigen_rel_tol(cfg) of the amplitudes.  Samples come in increasing mu; the constant is
+    the geometric mean of the products and the maximum relative deviation quantifies the
+    constancy.
     """
     if not (alpha > 0.0 and beta > 0.0):
         raise InvalidInputError("alpha and beta must be positive")
@@ -426,40 +376,41 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
             f"alpha*beta must equal k^2, got {alpha}*{beta} != {k*k}")
     if n_samples < 2:
         raise InvalidInputError("need at least 2 mu samples")
+    if not all(m is None or 0.0 < m < math.inf for m in (mu_lo, mu_hi)):
+        raise InvalidInputError(
+            f"mu range must be positive and finite, got ({mu_lo!r}, {mu_hi!r})")
     lam1 = first_eigenvalue(N, k, R, cfg).lambda1
     if mu_lo is None:
         mu_lo = 1e-2 * lam1**k
     if mu_hi is None:
         mu_hi = 1e2 * lam1**k
-    if not (0.0 < mu_lo < mu_hi):
+    if not (mu_lo < mu_hi):
         raise InvalidInputError(f"bad mu range ({mu_lo!r}, {mu_hi!r})")
 
-    mus = [mu_lo * (mu_hi / mu_lo) ** (i / (n_samples - 1)) for i in range(n_samples)]
+    def weights(lam, mu):
+        return (lambda su, sv: (lam * sv**alpha) ** (1.0 / k),
+                lambda su, sv: (mu * su**beta) ** (1.0 / k))
+
     samples = []
-    seed = None
-    for mu in mus:
-        if seed is None:
-            lam0 = lam1 ** (k + alpha) * mu ** (-alpha / k)
-            dv0 = (mu / lam1**k) ** (1.0 / k)
-        else:
-            lam_prev, dv_prev, mu_prev = seed
-            lam0 = lam_prev * (mu_prev / mu) ** (alpha / k)
-            dv0 = dv_prev * (mu / mu_prev) ** (1.0 / k)
-        # detune the seed so every sample genuinely re-converges instead of
-        # inheriting the scaling orbit of its neighbor
-        lam0 *= 1.17
-        dv0 *= 0.91
-
-        def residual(lam, d_v, mu=mu):
-            weights = (lambda su, sv: (lam * sv**alpha) ** (1.0 / k),
-                       lambda su, sv: (mu * su**beta) ** (1.0 / k))
-            y = flux_ivp(N, k, R, 1.0, weights, (1.0, d_v), cfg.integrator_tol, R)[0].y
-            return y[0], y[2]
-
-        lam, d_v, _ = _newton_pair(residual, lam0, dv0, scale_u=1.0,
-                                   scale_v=max(dv0, 1e-12), tol=cfg.root_tol)
+    lam_prev, dv_prev, mu_prev = lam1**k, 1.0, lam1**k   # the eigenpoint at alpha = beta = k
+    for i in range(n_samples):
+        t = i / (n_samples - 1)
+        mu_ref = mu_lo ** (1.0 - t) * mu_hi**t   # mu_hi / mu_lo may overflow
+        # seeded on the previous sample's product and ray, and detuned so that every root
+        # moves rho off R instead of the sample inheriting its neighbour's product
+        lam_ref = 1.17 * lam_prev * (mu_prev / mu_ref) ** (alpha / k)
+        dv0 = 0.91 * dv_prev * (mu_ref / mu_prev) ** (1.0 / k)
+        rho, d_v = _common_zero(N, k, R, weights(lam_ref, mu_ref), 1.0, 1.0, dv0, cfg)
+        lam, mu = lam_ref * (rho / R) ** (2 * k), mu_ref * (rho / R) ** (2 * k)
+        ru, _, rv, _ = flux_ivp(N, k, R, 1.0, weights(lam, mu), (1.0, d_v),
+                                cfg.integrator_tol, R)[0].y
+        if max(abs(ru), abs(rv) / d_v) > eigen_rel_tol(cfg):
+            raise NumericalFailureError(
+                f"fixed-R residual check failed at lambda = {lam!r}, mu = {mu!r}, "
+                f"d_v = {d_v!r}: res_u = {ru!r}, res_v = {rv!r}")
         samples.append((lam, mu))
-        seed = (lam, d_v, mu)
+        lam_prev, dv_prev, mu_prev = lam, d_v, mu
+    samples.sort(key=lambda sample: sample[1])
 
     products = [lam * mu ** (alpha / k) for lam, mu in samples]
     log_mean = sum(math.log(p) for p in products) / len(products)

@@ -5,11 +5,14 @@ Deliberately different from the package path: classical fixed-step RK4 on the
 package integrates the integral form with an adaptive embedded pair.  Slow and
 simple; used only to pin expected values.  dop853_loop is the exception: the
 DOP853 step written as loops over the package's own tableau, the reference
-that its generated step must match bit for bit.
+that its generated step must match bit for bit.  newton_pair is a damped
+finite-difference Newton on the two fixed-R residuals of a coupled point, the
+reference for the package's scaled 1-D root.
 """
 
 import math
 
+from hessbif.errors import NumericalFailureError
 from hessbif.rk import _A, _B, _BHH, _C, _E5
 
 
@@ -116,3 +119,58 @@ def dop853_loop(rhs, t, y, h, k0, rtol, atol):
         return y_new, math.inf
     den = e5_acc + 0.01 * e3_acc
     return y_new, (h * e5_acc / math.sqrt(den * n) if den > 0.0 else 0.0)
+
+
+def newton_pair(residual_fn, lam0, dv0, scale_u, scale_v, tol):
+    """(lambda, d_v, norm): damped Newton on (log lambda, log d_v) for residual_fn(lam, d_v)
+    -> (u(R), v(R)), scaled by (scale_u, scale_v), until both are within tol.
+
+    Forward-difference Jacobian (step 1e-6), steps capped at 2 in log space and halved
+    up to 8 times until the max-norm falls, at most 40 iterations; NumericalFailureError
+    when it stalls.
+    """
+
+    def fval(z):
+        ru, rv = residual_fn(math.exp(z[0]), math.exp(z[1]))
+        return (ru / scale_u, rv / scale_v)
+
+    z = [math.log(lam0), math.log(dv0)]
+    f = fval(z)
+    norm = max(abs(f[0]), abs(f[1]))
+    for _ in range(40):
+        if norm <= tol:
+            break
+        jac = [[0.0, 0.0], [0.0, 0.0]]
+        for j in range(2):
+            zp = list(z)
+            zp[j] += 1e-6
+            fp = fval(zp)
+            jac[0][j] = (fp[0] - f[0]) / 1e-6
+            jac[1][j] = (fp[1] - f[1]) / 1e-6
+        det = jac[0][0] * jac[1][1] - jac[0][1] * jac[1][0]
+        if det == 0.0 or not math.isfinite(det):
+            raise NumericalFailureError("singular Jacobian in the reference Newton")
+        dz0 = -(jac[1][1] * f[0] - jac[0][1] * f[1]) / det
+        dz1 = -(-jac[1][0] * f[0] + jac[0][0] * f[1]) / det
+        biggest = max(abs(dz0), abs(dz1))
+        if biggest > 2.0:
+            dz0 *= 2.0 / biggest
+            dz1 *= 2.0 / biggest
+        step = 1.0
+        for _ in range(9):
+            zn = [z[0] + step * dz0, z[1] + step * dz1]
+            try:
+                fn = fval(zn)
+            except NumericalFailureError:
+                step *= 0.5
+                continue
+            nn = max(abs(fn[0]), abs(fn[1]))
+            if nn < norm or nn <= tol:
+                z, f, norm = zn, fn, nn
+                break
+            step *= 0.5
+        else:
+            raise NumericalFailureError(f"reference Newton stalled at residual norm {norm:.3e}")
+    if norm > tol:
+        raise NumericalFailureError(f"reference Newton did not converge (norm {norm:.3e})")
+    return math.exp(z[0]), math.exp(z[1]), norm

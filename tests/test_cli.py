@@ -395,6 +395,35 @@ class TestPowerPairAndSweep:
                 tmp_path)
         assert r.returncode == 3, r.stderr
 
+    @pytest.mark.parametrize("mu_range", [["--mu-hi", "inf"], ["--mu-lo", "nan"],
+                                          ["--mu-lo=-inf", "--mu-hi", "1"]],
+                             ids=["hi-inf", "lo-nan", "lo-minus-inf"])
+    def test_non_finite_mu_range_invalid_before_any_eigenvalue(self, monkeypatch, mu_range):
+        from hessbif import cli
+        from hessbif import system as system_mod
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("an eigenvalue was computed before the mu range was checked")
+
+        monkeypatch.setattr(system_mod, "first_eigenvalue", no_work)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(["power-pair", "--N", "1", "--k", "1", "--alpha", "1",
+                           "--beta", "1"] + mu_range)
+        assert rc == cli.EXIT_INVALID
+        assert "mu range must be positive and finite" in err.getvalue()
+
+    @pytest.mark.parametrize("pair,mu_range", [
+        (["1", "1", "1", "1"], ["1e-300", "1e300"]),
+        (["2", "2", "1", "4"], ["5e-324", "1.7e308"]),
+    ], ids=["N1k1-1e-300-1e300", "N2k2-alpha1-5e-324-1.7e308"])
+    def test_extreme_finite_mu_range_has_no_traceback(self, tmp_path, pair, mu_range):
+        N, k, alpha, beta = pair
+        r = run(["power-pair", "--N", N, "--k", k, "--alpha", alpha, "--beta", beta,
+                 "--mu-lo", mu_range[0], "--mu-hi", mu_range[1]], tmp_path)
+        assert r.returncode in (0, 2), r.stderr
+        assert "Traceback" not in r.stderr
+
     def test_sweep_k(self, specdir):
         r = run(["sweep-k", "--spec", "logbump2.json", "--out", "sweep.csv",
                  "--n-points", "17"], specdir)

@@ -13,13 +13,13 @@ from hessbif.errors import InvalidInputError, NumericalFailureError, TracingFail
 from hessbif.shooting import (
     ShootingConfig,
     first_eigenvalue,
+    flux_ivp,
     integrate_profile,
     profile_admissible,
 )
 from hessbif.system import (
     NonlinearitySpec2,
     SystemSpec,
-    _newton_pair,
     add_monotonicity_check,
     check_monotonicity,
     fd_nondecreasing,
@@ -31,6 +31,8 @@ from hessbif.system import (
     system_eigenvalue,
     trace_system_branch,
 )
+
+from _oracles import newton_pair
 
 LAM_COS = 2.4674011002723395
 FAST = ShootingConfig(grid_points=128)
@@ -183,9 +185,9 @@ class TestOneDimensionalRoot:
             def residual(lam, d_v, d_u=point.d_u):
                 return system_boundary_values(spec, lam, d_u, d_v, FAST)
 
-            lam, d_v, _ = _newton_pair(residual, 1.05 * point.lam, 0.95 * point.d_v,
-                                       scale_u=point.d_u, scale_v=point.d_v,
-                                       tol=FAST.root_tol)
+            lam, d_v, _ = newton_pair(residual, 1.05 * point.lam, 0.95 * point.d_v,
+                                      scale_u=point.d_u, scale_v=point.d_v,
+                                      tol=FAST.root_tol)
             assert lam == pytest.approx(point.lam, rel=1e-9), point.d_u
             assert d_v == pytest.approx(point.d_v, rel=1e-9), point.d_u
 
@@ -363,6 +365,72 @@ class TestPowerPair:
             power_pair_constant(2, 2, 3.0, 1.0, cfg=FAST)
         with pytest.raises(InvalidInputError):
             power_pair_constant(1, 1, -1.0, -1.0, cfg=FAST)
+
+    @pytest.mark.parametrize("N,k,alpha,beta", [(1, 1, 1.0, 1.0), (2, 2, 4.0, 1.0)])
+    def test_samples_agree_with_two_residual_newton(self, monkeypatch, N, k, alpha, beta):
+        # Newton on the fixed-R residuals at each sample's mu shares no step with the
+        # scaled root; d_v is read from the root as it returns
+        import hessbif.system as system_mod
+
+        real = system_mod._common_zero
+        roots = []
+
+        def recording(*args):
+            roots.append(real(*args))
+            return roots[-1]
+
+        monkeypatch.setattr(system_mod, "_common_zero", recording)
+        res = power_pair_constant(N, k, alpha, beta, cfg=FAST)
+        assert len(roots) == len(res.samples)
+        for (lam_pp, mu), (_, dv_pp) in zip(res.samples, roots):
+
+            def residual(lam, d_v, mu=mu):
+                weights = (lambda su, sv: (lam * sv**alpha) ** (1.0 / k),
+                           lambda su, sv: (mu * su**beta) ** (1.0 / k))
+                y = flux_ivp(N, k, 1.0, 1.0, weights, (1.0, d_v), FAST.integrator_tol,
+                             1.0)[0].y
+                return y[0], y[2]
+
+            lam, d_v, _ = newton_pair(residual, 1.17 * lam_pp, 0.91 * dv_pp,
+                                      scale_u=1.0, scale_v=dv_pp, tol=FAST.root_tol)
+            assert lam == pytest.approx(lam_pp, rel=1e-9), mu
+            assert d_v == pytest.approx(dv_pp, rel=1e-9), mu
+
+    def test_detuned_root_fails_the_fixed_radius_check(self, monkeypatch, tmp_path):
+        import hessbif.cli as cli
+        import hessbif.system as system_mod
+
+        real = system_mod._common_zero
+
+        def detuned(*args):
+            rho, d_v = real(*args)
+            return rho * (1.0 + 1e-6), d_v
+
+        monkeypatch.setattr(system_mod, "_common_zero", detuned)
+        with pytest.raises(NumericalFailureError,
+                           match=r"fixed-R residual check failed.*res_u = .*res_v = "):
+            power_pair_constant(1, 1, 1.0, 1.0, cfg=FAST)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["power-pair", "--N", "2", "--k", "2", "--alpha", "4",
+                         "--beta", "1", "--out", "pp.json"]) == cli.EXIT_NUMERICAL
+        assert not (tmp_path / "pp.json").exists()
+
+    @pytest.mark.parametrize("N,k,alpha,beta,ivps", [(1, 1, 1.0, 1.0, 67),
+                                                     (2, 2, 4.0, 1.0, 84)])
+    def test_ivp_count(self, monkeypatch, N, k, alpha, beta, ivps):
+        # three for first_eigenvalue, then per sample the root's IVPs and one fixed-R shot
+        import hessbif.rk as rk
+
+        calls = []
+        real = rk.integrate
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rk, "integrate", counting)
+        power_pair_constant(N, k, alpha, beta)
+        assert len(calls) == ivps
 
 
 class TestMonotonicity:
