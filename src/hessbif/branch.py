@@ -8,8 +8,12 @@ horizontal lines lambda = const against the polyline, and the bifurcation
 points at zero/infinite amplitude become extrapolated asymptotes of the two
 tails.
 
-Each amplitude has exactly one lambda: shooting.lambda_at_amplitude reads it
-off the first zero of one scaled IVP, so the tracer needs no lambda brackets.
+Each amplitude has exactly one lambda: shooting.point_at_amplitude reads it,
+and the point's admissibility flag, off one scaled IVP run to the first zero of
+u, so the tracer needs no lambda brackets and no second shot.  The counts that
+verify_predictions reads off the polyline are certified, when it is given the
+spec, by sign changes of the independent fixed-R residual u(R; lambda, d)
+across each crossing (_certify_crossings).
 
 All verification is for radial branches on balls; reports say so explicitly.
 """
@@ -29,10 +33,10 @@ from .errors import (
 from .shooting import (
     DEFAULT_CONFIG,
     ShootingConfig,
+    eigen_rel_tol,
     first_eigenvalue,
-    flux_ivp,
-    lambda_at_amplitude,
-    trajectory_admissible,
+    point_at_amplitude,
+    shoot_boundary_value,
 )
 
 PLATEAU_REL = 1e-6          # extremum must beat neighbors by this (relative)
@@ -40,13 +44,18 @@ JUMP_REL = 0.20             # log-log bend ln(1 + JUMP_REL) that triggers local 
 MAX_REFINE_DEPTH = 3
 GAP_FRACTION_LIMIT = 0.10
 RADIAL_SCOPE_NOTE = "scope: radial shooting branches on a ball; non-radial solutions are not examined"
+CERTIFICATE_NOTE = ("certificates: u(R; lambda, d) of opposite signs at the ends of a crossing's "
+                    "interval prove a solution inside it, so n sign changes prove count >= n "
+                    "(a vertex within tolerance is a solution to |u(R)|/d, not a proof); "
+                    "'count = 0' and the upper bound of 'count = 2' are polyline readings")
+CSV_HEADER = "index,d,lambda,is_fold"
+OLD_CSV_HEADER = "index,d,lambda,residual,is_fold"   # read only: the residual column is ignored
 
 
 @dataclass
 class BranchPoint:
     d: float
     lam: float
-    residual: float
     admissible: bool
     seed: bool = True   # True for points of the base log grid (tails use these)
 
@@ -113,18 +122,19 @@ class Branch:
     def to_csv(self, path) -> None:
         fold_idx = {f.index for f in self.folds}
         with open(path, "w", newline="") as fh:
-            fh.write("index,d,lambda,residual,is_fold\n")
+            fh.write(CSV_HEADER + "\n")
             for i, p in enumerate(self.points):
-                fh.write(f"{i},{p.d:.17g},{p.lam:.17g},{p.residual:.17g},"
-                         f"{1 if i in fold_idx else 0}\n")
+                fh.write(f"{i},{p.d:.17g},{p.lam:.17g},{1 if i in fold_idx else 0}\n")
 
     @staticmethod
     def from_csv(path) -> "Branch":
+        """The branch of a CSV written by to_csv, or with the older header OLD_CSV_HEADER."""
         try:
             with open(path) as fh:
                 header = fh.readline().strip()
-                if header != "index,d,lambda,residual,is_fold":
+                if header not in (CSV_HEADER, OLD_CSV_HEADER):
                     raise InvalidInputError(f"bad branch CSV header: {header!r}")
+                n_cells = header.count(",") + 1
                 points = []
                 fold_rows = []
                 for line in fh:
@@ -132,11 +142,10 @@ class Branch:
                     if not line:
                         continue
                     cells = line.split(",")
-                    if len(cells) != 5:
+                    if len(cells) != n_cells:
                         raise InvalidInputError(f"bad branch CSV row: {line!r}")
-                    idx, d, lam, res, is_fold = cells
-                    points.append(BranchPoint(d=float(d), lam=float(lam),
-                                              residual=float(res), admissible=True))
+                    d, lam, is_fold = cells[1], cells[2], cells[-1]
+                    points.append(BranchPoint(d=float(d), lam=float(lam), admissible=True))
                     if is_fold.strip() not in ("0", "1"):
                         raise InvalidInputError(f"bad is_fold flag in row: {line!r}")
                     if is_fold.strip() == "1":
@@ -398,14 +407,44 @@ class VerificationReport:
         }
 
 
-def _count_off_fold(branch: Branch, lam: float) -> int:
-    # nudge off a fold value if a sample accidentally lands on one
+def _count_off_fold(branch: Branch, lam: float) -> tuple[float, int]:
+    """(lambda counted, count): lam, or lam nudged off a fold value it accidentally hits."""
     for bump in (1.0, 1.0 + 1e-4, 1.0 - 1e-4, 1.0 + 1e-3):
         try:
-            return count_solutions(branch, lam * bump)
+            return lam * bump, count_solutions(branch, lam * bump)
         except AtFoldError:
             continue
     raise AtFoldError(lam, lam, 1, 0)
+
+
+def _certify_crossings(rep: VerificationReport, branch: Branch, lam: float,
+                       spec: ProblemSpec, cfg: ShootingConfig) -> None:
+    """One check per crossing of lambda = lam: the fixed-R residual changes sign across it.
+
+    A crossing in the polyline interval [d_i, d_i+1] (a vertex hit: the
+    interval from that vertex, or into it at a branch's last point) costs two
+    shots, u(R; lam, d_i) and u(R; lam, d_i+1).  u(R) is continuous in d and
+    vanishes exactly at a Dirichlet solution, so opposite signs prove a
+    solution with amplitude inside the interval, whatever the monotonicity of
+    f.  Otherwise the check passes only as "vertex within tolerance", where
+    |u(R)| / d <= eigen_rel_tol(cfg) at an end: lam then sits on a vertex
+    lambda to rounding, and u(R) there is noise around 0.
+    """
+    tol = eigen_rel_tol(cfg)
+    points = branch.points
+    for _, i in _crossings(branch, lam):
+        a, b = (points[i], points[i + 1]) if i + 1 < len(points) else (points[i - 1], points[i])
+        ua = shoot_boundary_value(spec, lam, a.d, cfg)
+        ub = shoot_boundary_value(spec, lam, b.d, cfg)
+        name = f"certificate at lambda={lam:.6g}, d in [{a.d:.6g}, {b.d:.6g}]"
+        if ua < 0.0 < ub or ub < 0.0 < ua:
+            rep.add(name, "u(R) changes sign", f"sign change: u(R) = {ua:.3e}, {ub:.3e}",
+                    True, tol)
+            continue
+        near, d = min((abs(ua) / a.d, a.d), (abs(ub) / b.d, b.d))
+        observed = (f"vertex within tolerance: |u(R)|/d = {near:.3e} at d = {d:.6g}"
+                    if near <= tol else f"no sign change: u(R) = {ua:.3e}, {ub:.3e}")
+        rep.add(name, "u(R) changes sign", observed, near <= tol, tol)
 
 
 def _sample_inside(lam_lo, lam_hi, branch: Branch, n: int):
@@ -426,20 +465,29 @@ def _sample_inside(lam_lo, lam_hi, branch: Branch, n: int):
 
 
 def verify_predictions(branch: Branch, prediction: TheoremPrediction,
-                       lambda_samples: int = 5) -> VerificationReport:
+                       lambda_samples: int = 5, spec: ProblemSpec | None = None,
+                       cfg: ShootingConfig = DEFAULT_CONFIG) -> VerificationReport:
     """Check a traced branch against its predicted interval and profile.
 
     Samples the existence interval one tolerance-width inside (endpoint
     behavior is never asserted), checks multiplicity on both sides of the
     relevant fold for the diagonal cells, compares extrapolated asymptotes
     against the predicted bifurcation points, and runs the norm-bound monitor
-    in the superlinear cases.  Predicate failures are report entries, never
-    exceptions; lambda_samples < 1 is invalid input.
+    in the superlinear cases.  Given the branch's spec, every crossing behind
+    a "count >= 1" or "count = 2" check is also certified by two fixed-R shots
+    under cfg (_certify_crossings).  Predicate failures are report entries,
+    never exceptions; lambda_samples < 1 is invalid input.
     """
     if lambda_samples < 1:
         raise InvalidInputError(f"lambda_samples must be >= 1, got {lambda_samples}")
     rep = VerificationReport(notes=[RADIAL_SCOPE_NOTE])
     folds = branch.folds if branch.folds else detect_folds(branch)
+
+    def count(name, lam, predicted, holds):
+        lam, n = _count_off_fold(branch, lam)
+        rep.add(name, predicted, f"count = {n}", holds(n))
+        if spec is not None:   # a "count = 0" that holds has no crossing to certify
+            _certify_crossings(rep, branch, lam, spec, cfg)
 
     if prediction.profile == AT_LEAST_ONE:
         samples = _sample_inside(prediction.lam_lo, prediction.lam_hi,
@@ -447,35 +495,31 @@ def verify_predictions(branch: Branch, prediction: TheoremPrediction,
         rep.add("interval-sample-coverage", f"{lambda_samples} samples",
                 f"{len(samples)} samples", len(samples) == lambda_samples)
         for lam in samples:
-            n = _count_off_fold(branch, lam)
-            rep.add(f"existence at lambda={lam:.6g}", "count >= 1", f"count = {n}",
-                    n >= 1)
+            count(f"existence at lambda={lam:.6g}", lam, "count >= 1", lambda n: n >= 1)
     elif prediction.profile == TWO_BELOW_MAX_FOLD:
         maxima = [f for f in folds if f.kind == "max"]
         rep.add("fold-count", ">= 1 maximum", f"{len(maxima)} maxima", len(maxima) >= 1)
         if maxima:
             lam_star = max(f.lam for f in maxima)
             rep.notes.append(f"radial lambda* = {lam_star:.10g}")
-            n_below = _count_off_fold(branch, 0.5 * lam_star)
-            rep.add("multiplicity below radial lambda*", "count = 2",
-                    f"count = {n_below}", n_below == 2)
-            n_above = _count_off_fold(branch, 2.0 * lam_star)
-            rep.add("non-existence above radial lambda*", "count = 0",
-                    f"count = {n_above}", n_above == 0)
+            count("multiplicity below radial lambda*", 0.5 * lam_star, "count = 2",
+                  lambda n: n == 2)
+            count("non-existence above radial lambda*", 2.0 * lam_star, "count = 0",
+                  lambda n: n == 0)
     elif prediction.profile == TWO_ABOVE_MIN_FOLD:
         minima = [f for f in folds if f.kind == "min"]
         rep.add("fold-count", ">= 1 minimum", f"{len(minima)} minima", len(minima) >= 1)
         if minima:
             lam_low = min(f.lam for f in minima)
             rep.notes.append(f"radial lambda_* = {lam_low:.10g}")
-            n_above = _count_off_fold(branch, 2.0 * lam_low)
-            rep.add("multiplicity above radial lambda_*", "count = 2",
-                    f"count = {n_above}", n_above == 2)
-            n_below = _count_off_fold(branch, 0.5 * lam_low)
-            rep.add("non-existence below radial lambda_*", "count = 0",
-                    f"count = {n_below}", n_below == 0)
+            count("multiplicity above radial lambda_*", 2.0 * lam_low, "count = 2",
+                  lambda n: n == 2)
+            count("non-existence below radial lambda_*", 0.5 * lam_low, "count = 0",
+                  lambda n: n == 0)
     else:
         raise InvalidInputError(f"unknown profile {prediction.profile!r}")
+    if spec is not None:
+        rep.notes.append(CERTIFICATE_NOTE)
 
     at_zero = branch.lambda_at_zero
     at_inf = branch.lambda_at_infinity
@@ -534,17 +578,12 @@ def _fmt_limit(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _solve_point(spec, d, cfg, lambda_scale):
-    """lambda(d) from one scaled IVP, or None (a gap) when u has no zero in range."""
-    return lambda_at_amplitude(spec, d, lambda_scale * d / spec.f(d), cfg)
-
-
-def _make_point(spec, d, lam, cfg, seed_flag):
-    states = []   # one free fixed-R shot: u(R) is the residual, its states the cone check
-    res, rhs, _ = flux_ivp(spec.N, spec.k, spec.R, lam, spec.f, (d,), cfg.integrator_tol,
-                           spec.R, trajectory=states)
-    return BranchPoint(d=d, lam=lam, residual=res.y[0],
-                       admissible=trajectory_admissible(rhs, states), seed=seed_flag)
+def _solve_point(spec, d, cfg, lambda_scale, seed):
+    """The point at amplitude d from one scaled IVP (shooting.point_at_amplitude: lambda(d)
+    and the admissibility flag of its trajectory to the zero of u), or None (a gap) when
+    u has no zero in range."""
+    solved = point_at_amplitude(spec, d, lambda_scale * d / spec.f(d), cfg)
+    return None if solved is None else BranchPoint(d, *solved, seed=seed)
 
 
 def log_grid(d_min: float, d_max: float, n: int) -> list[float]:
@@ -564,12 +603,12 @@ def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
                  lambda_scale: float | None = None) -> Branch:
     """Trace lambda(d) over log_grid(d_min, d_max, n_points).
 
-    Each amplitude costs one IVP for lambda(d) (see lambda_at_amplitude: the
-    first zero rho of the solution at lambda0 = lambda_scale * d / f(d) gives
-    lambda0 (rho / R)^2, searched out to rho = 10^3 R) and one free fixed-R
-    shot: u(R) is the residual, its states give the admissibility flag.
-    lambda_scale defaults to lambda1.  Amplitudes without a zero are recorded
-    as gaps; more than 10% gaps on the base grid raises TracingFailureError.
+    Each amplitude costs one IVP (see point_at_amplitude: the first zero rho of
+    the solution at lambda0 = lambda_scale * d / f(d) gives lambda0 (rho / R)^2,
+    searched out to rho = 10^3 R, and the states up to that zero give the
+    admissibility flag).  No fixed-R shot is made.  lambda_scale defaults to
+    lambda1.  Amplitudes without a zero are recorded as gaps; more than 10%
+    gaps on the base grid raises TracingFailureError.
     An interval whose log-log increment departs by more than ln(1.2) from a
     neighbor's slope (a bend: a fold or a kink, never a power law) is bisected
     in log d, up to 3 levels (refine_jumps), and detected folds are localized
@@ -582,9 +621,9 @@ def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
     if lambda_scale is None:
         lambda_scale = first_eigenvalue(spec.N, spec.k, spec.R, cfg).lambda1
 
-    lams = [_solve_point(spec, d, cfg, lambda_scale) for d in grid]
-    points = [_make_point(spec, d, lam, cfg, True) for d, lam in zip(grid, lams) if lam]
-    gaps = [d for d, lam in zip(grid, lams) if not lam]
+    solved = [_solve_point(spec, d, cfg, lambda_scale, True) for d in grid]
+    points = [p for p in solved if p]
+    gaps = [d for d, p in zip(grid, solved) if not p]
 
     if len(gaps) > GAP_FRACTION_LIMIT * n_points:
         raise TracingFailureError(
@@ -593,9 +632,7 @@ def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
         raise TracingFailureError("too few resolved points to form a branch")
 
     def midpoint(a, b):
-        d = math.sqrt(a.d * b.d)
-        lam = _solve_point(spec, d, cfg, lambda_scale)
-        return _make_point(spec, d, lam, cfg, False) if lam else None
+        return _solve_point(spec, math.sqrt(a.d * b.d), cfg, lambda_scale, False)
 
     branch = Branch(points=refine_jumps(points, midpoint), gaps=gaps)
     _polish_folds(spec, branch, cfg, lambda_scale)
@@ -669,12 +706,12 @@ def _polish_folds(spec, branch, cfg, lambda_scale, log_tol=2e-3):
         sign = 1.0 if fold.kind == "max" else -1.0
         a = math.log(branch.points[idx - 1].d)
         b = math.log(branch.points[idx + 1].d)
-        cache = {}
+        cache = {}   # log d -> point or None
 
         def lam_at(ld):
             if ld not in cache:
-                cache[ld] = _solve_point(spec, math.exp(ld), cfg, lambda_scale)
-            return cache[ld]
+                cache[ld] = _solve_point(spec, math.exp(ld), cfg, lambda_scale, False)
+            return None if cache[ld] is None else cache[ld].lam
 
         x1 = b - gr * (b - a)
         x2 = a + gr * (b - a)
@@ -688,10 +725,9 @@ def _polish_folds(spec, branch, cfg, lambda_scale, log_tol=2e-3):
                 a, x1, f1 = x1, x2, f2
                 x2 = a + gr * (b - a)
                 f2 = lam_at(x2)
-        solved = [ld for ld, lam in cache.items() if lam is not None]
+        solved = [p for p in cache.values() if p is not None]
         if solved:
-            ld = max(solved, key=lambda x: sign * cache[x])
-            inserted.append(_make_point(spec, math.exp(ld), cache[ld], cfg, False))
+            inserted.append(max(solved, key=lambda p: sign * p.lam))
     if inserted:
         merged = {p.d: p for p in branch.points}
         for p in inserted:

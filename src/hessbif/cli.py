@@ -147,7 +147,7 @@ def cmd_verify(args) -> int:
     except OutOfTableError:
         rep = _eigen_case_report(branch, spec.f.declared_f0.ratio_under(lam1))
     else:
-        rep = verify_predictions(branch, pred, args.samples)
+        rep = verify_predictions(branch, pred, args.samples, spec, cfg)
     _print_report(rep)
     if args.out_report:
         _write_json(rep.to_json(), args.out_report)

@@ -50,9 +50,13 @@ at a reference lambda0 with u(0) = -d, integrated up to its first zero
 r = rho, rescales to the Dirichlet solution on B_R at lambda0 (rho / R)^2.
 Since u' > 0 there is exactly one such zero, hence one lambda per amplitude.
 The search stops at rho = 10^3 R (lambda <= 10^6 lambda0); an amplitude
-without a zero by then has no lambda and becomes a gap.  The first eigenvalue
-comes from the same device; the fixed-R residual u(R; lambda) stays as the
-independent path that confirms it, and that solve_lambda and the tests use.
+without a zero by then has no lambda and becomes a gap.  The same IVP gives a
+branch point its admissibility flag (point_at_amplitude): the scaling maps it
+exactly onto the Dirichlet solution, the cone test is invariant under it, and
+its accepted states end at the zero, so none lies past it.  The first
+eigenvalue comes from the same device.  The fixed-R residual u(R; lambda)
+stays as the independent path: it confirms lambda1, certifies the solution
+counts of branch.verify_predictions, and solve_lambda and the tests use it.
 first_eigenvalue shoots u(R) at lambda1, then at lambda1 (1 -/+ w) on the side
 where the residual's root must lie, and requires a sign change between them.
 
@@ -149,8 +153,10 @@ def radial_derivatives(r, m, mprime, N: int, k: int):
 
 
 def _refuse(w, s):
+    ws = w if isinstance(w, tuple) else (w,)
+    cause = "negative" if all(math.isfinite(x) for x in ws) else "non-finite"
     raise NumericalFailureError(
-        f"nonlinearity returned {w!r} at s={s!r}; refusing a negative integrand")
+        f"nonlinearity returned {w!r} at s={s!r}; refusing a {cause} integrand")
 
 
 _FLUX_GLOBALS = (("exp", math.exp), ("log", math.log), ("refuse", _refuse)) + FORMULA_GLOBALS
@@ -300,6 +306,19 @@ def shoot_boundary_value(spec: ProblemSpec, lam: float, d: float,
                     spec.R)[0].y[0]
 
 
+def _first_zero(spec: ProblemSpec, d: float, lam0: float, cfg: ShootingConfig,
+                trajectory=None):
+    """(lambda(d) or None, rhs) of the IVP of lambda_at_amplitude; trajectory as in
+    rk.integrate."""
+    _check_inputs(spec, lam0, d)
+    if lam0 == 0.0:
+        raise InvalidInputError("reference lambda must be positive")
+    horizon = HORIZON * spec.R
+    res, rhs, _ = flux_ivp(spec.N, spec.k, spec.R, lam0, spec.f, (d,), cfg.integrator_tol,
+                           horizon, root_tol=cfg.root_tol, trajectory=trajectory)
+    return (None if res.t >= horizon else lam0 * (res.t / spec.R) ** 2), rhs
+
+
 def lambda_at_amplitude(spec: ProblemSpec, d: float, lam0: float,
                         cfg: ShootingConfig = DEFAULT_CONFIG) -> float | None:
     """lambda(d) = lam0 (rho / R)^2 from one IVP at lam0 run to its first zero rho.
@@ -307,15 +326,20 @@ def lambda_at_amplitude(spec: ProblemSpec, d: float, lam0: float,
     lam0 near lambda(d) keeps rho near R.  None when u has no zero before
     rho = HORIZON * R, i.e. no lambda <= HORIZON^2 lam0 at this amplitude.
     """
-    _check_inputs(spec, lam0, d)
-    if lam0 == 0.0:
-        raise InvalidInputError("reference lambda must be positive")
-    horizon = HORIZON * spec.R
-    res = flux_ivp(spec.N, spec.k, spec.R, lam0, spec.f, (d,), cfg.integrator_tol, horizon,
-                   root_tol=cfg.root_tol)[0]
-    if res.t >= horizon:
-        return None
-    return lam0 * (res.t / spec.R) ** 2
+    return _first_zero(spec, d, lam0, cfg)[0]
+
+
+def point_at_amplitude(spec: ProblemSpec, d: float, lam0: float,
+                       cfg: ShootingConfig = DEFAULT_CONFIG) -> tuple[float, bool] | None:
+    """(lambda(d), admissibility flag) from the one IVP of lambda_at_amplitude, or None.
+
+    The flag is trajectory_admissible on that IVP's accepted states, which end
+    at the first zero of u: ball-radius scaling maps them onto the Dirichlet
+    solution at lambda(d), and the cone test is invariant under it.
+    """
+    states = []
+    lam, rhs = _first_zero(spec, d, lam0, cfg, states)
+    return None if lam is None else (lam, trajectory_admissible(rhs, states))
 
 
 def integrate_profile(spec: ProblemSpec, lam: float, d: float,
@@ -379,12 +403,14 @@ def trajectory_admissible(rhs, trajectory) -> bool:
     S_k = C(N-1,k-1) r^(1-N) m'/k, and u' > 0 with S_k > 0 gives S_j > 0 for
     j < k, so m > 0 and m' > 0 is the test: no u'', whose S_j cancel to
     rounding within a step of R.  The end states are dropped, as r = 0 and R
-    are by profile_admissible.
+    are by profile_admissible: the last is at R or at the zero of u.
 
-    The flag is exact only for a Dirichlet solution, whose u stays <= 0 up to
-    R.  For a detuned lambda, u can overshoot 0 before R, where the forcing
-    switches off and m' = 0; the accepted steps resolve that overshoot only to
-    one step, so profile_admissible on a grid is the reference there."""
+    The flag is exact for a run that stops at the first zero of u, as
+    point_at_amplitude's does, and for a Dirichlet solution, whose u stays
+    <= 0 up to R.  A fixed-R run at a detuned lambda can overshoot 0 before R,
+    where the forcing switches off and m' = 0; its accepted steps resolve that
+    overshoot only to one step, so profile_admissible on a grid is the
+    reference there."""
     for r, y in trajectory[1:-1]:
         slope = rhs(r, y)
         if not all(y[i] > 0.0 and slope[i] > 0.0 for i in range(1, len(y), 2)):

@@ -480,9 +480,7 @@ def trace_system_branch(spec: SystemSpec, d_grid, cfg: ShootingConfig = DEFAULT_
 
     base = {id(p) for p in points}
     points = refine_jumps(points, midpoint)
-    proj = [BranchPoint(d=p.d, lam=p.lam,
-                        residual=max(abs(p.res_u), abs(p.res_v)),
-                        admissible=p.admissible, seed=id(p) in base)
+    proj = [BranchPoint(d=p.d, lam=p.lam, admissible=p.admissible, seed=id(p) in base)
             for p in points]
     branch = attach_summaries(Branch(points=proj, gaps=list(gaps)))
     return SystemBranch(points=points, branch=branch, gaps=gaps)

@@ -18,7 +18,6 @@ from hessbif.branch import (
     log_grid,
     predicted_interval,
     refine_jumps,
-    _make_point,
     solution_amplitudes,
     trace_branch,
     verify_predictions,
@@ -37,6 +36,8 @@ from hessbif.shooting import (
     flux_ivp,
     integrate_profile,
     profile_admissible,
+    shoot_boundary_value,
+    trajectory_admissible,
 )
 from hessbif.system import NonlinearitySpec2, SystemSpec, trace_system_branch
 
@@ -49,7 +50,7 @@ def synthetic(lams, d0=1e-3, decades=6.0):
     n = len(lams)
     ds = [d0 * 10.0 ** (decades * i / (n - 1)) for i in range(n)]
     return Branch(points=[
-        BranchPoint(d=d, lam=lam, residual=0.0, admissible=True)
+        BranchPoint(d=d, lam=lam, admissible=True)
         for d, lam in zip(ds, lams)
     ])
 
@@ -122,8 +123,8 @@ class TestCountSolutions:
     def test_amplitude_interpolation(self):
         # lambda = d on a two-point branch: crossing at the geometric scale
         br = Branch(points=[
-            BranchPoint(d=1.0, lam=1.0, residual=0.0, admissible=True),
-            BranchPoint(d=100.0, lam=100.0, residual=0.0, admissible=True),
+            BranchPoint(d=1.0, lam=1.0, admissible=True),
+            BranchPoint(d=100.0, lam=100.0, admissible=True),
         ])
         amps = solution_amplitudes(br, 10.0)
         assert len(amps) == 1
@@ -203,7 +204,7 @@ class TestTraceBranch:
         assert br.lambda_at_zero.value == pytest.approx(lam1, rel=1e-6)
         assert br.lambda_at_infinity.value == pytest.approx(lam1, rel=1e-6)
         assert all(p.admissible for p in br.points)
-        assert all(abs(p.residual) < 1e-7 for p in br.points)
+        assert all(abs(shoot_boundary_value(spec, p.lam, p.d, FAST)) < 1e-7 for p in br.points)
 
     def test_saturating_increasing_from_lambda1(self, lam1, saturating_branch):
         br = saturating_branch
@@ -259,9 +260,10 @@ class TestTraceBranch:
         with pytest.raises(TracingFailureError):
             trace_branch(spec, 1e-2, 1e2, 16, FAST)
 
-    def test_at_most_two_ivps_per_point(self, monkeypatch):
-        # one scaled IVP for lambda(d) and one fixed-R shot per point; fold polish
-        # adds one IVP per golden-section lambda solve and keeps only the apex
+    def test_one_ivp_per_point(self, monkeypatch):
+        # one IVP to the first zero of u per point, which gives lambda(d) and the
+        # admissibility flag; fold polish adds one per golden-section solve and keeps
+        # only the apex; no fixed-R shot is made
         import hessbif.branch as branch_mod
         import hessbif.rk as rk
 
@@ -273,7 +275,7 @@ class TestTraceBranch:
         real_polish = branch_mod._polish_folds
 
         def counting(*args, **kwargs):
-            calls.append(1)
+            calls.append(kwargs.get("root_tol"))
             return real_integrate(*args, **kwargs)
 
         def solving(*args):
@@ -291,9 +293,10 @@ class TestTraceBranch:
         br = trace_branch(spec, 1e-2, 1e2, 25, FAST, lambda_scale=lam1)
         assert [f.kind for f in br.folds] == ["min"] and not br.gaps
         (ivps_0, solves_0, points_0), (ivps_1, solves_1, points_1) = polish
-        assert ivps_0 == solves_0 + points_0 == 2 * points_0
+        assert ivps_0 == solves_0 == points_0
         assert points_1 == len(br.points) == points_0 + 1
-        assert len(calls) == ivps_1 == 2 * len(br.points) + (solves_1 - solves_0 - 1)
+        assert len(calls) == ivps_1 == points_0 + (solves_1 - solves_0)
+        assert calls == [FAST.root_tol] * len(calls)
 
     def test_power_branch_admissible(self):
         spec = ProblemSpec(N=3, k=2, R=1.13, f=NonlinearitySpec("power", {"p": 2.0}))
@@ -399,23 +402,23 @@ class TestAdmissibility:
 
     def test_overshoot_is_inadmissible(self, registry_branch):
         # lambda 5% above the root: u crosses zero at R / sqrt(1.05), past which
-        # the forcing is off (m' = 0), so the grid check fails; the free shot
-        # fails wherever an accepted state lies past the crossing, i.e. unless
-        # the crossing falls inside the last step
+        # the forcing is off (m' = 0), so the grid check fails; a fixed-R shot's
+        # trajectory fails wherever an accepted state lies past the crossing,
+        # i.e. unless the crossing falls inside the last step
         spec, br = registry_branch
         r_star = spec.R / math.sqrt(1.05)
         flags = []
         for p in br.points[::3]:
             lam = 1.05 * p.lam
-            point = _make_point(spec, p.d, lam, FAST, True)
             states = []
-            flux_ivp(spec.N, spec.k, spec.R, lam, spec.f, (p.d,), FAST.integrator_tol, spec.R,
-                     trajectory=states)
-            assert point.residual > 0.0
+            res, rhs, _ = flux_ivp(spec.N, spec.k, spec.R, lam, spec.f, (p.d,),
+                                   FAST.integrator_tol, spec.R, trajectory=states)
+            admissible = trajectory_admissible(rhs, states)
+            assert res.y[0] > 0.0
             assert not profile_admissible(integrate_profile(spec, lam, p.d, GRID_256),
                                           spec.N, spec.k)
-            assert point.admissible == (states[-2][0] < r_star)
-            flags.append(point.admissible)
+            assert admissible == (states[-2][0] < r_star)
+            flags.append(admissible)
         assert flags.count(False) > len(flags) / 2
 
     @pytest.mark.parametrize("kind", ["scalar", "system"])
@@ -443,7 +446,7 @@ class TestAdmissibility:
 def _refine(lam_of_d, grid, declines=lambda a, b: False):
     """refine_jumps on exact samples of lam_of_d: (points, amplitudes of midpoint calls)."""
     def point(d, seed):
-        return BranchPoint(d=d, lam=lam_of_d(d), residual=0.0, admissible=True, seed=seed)
+        return BranchPoint(d=d, lam=lam_of_d(d), admissible=True, seed=seed)
 
     calls = []
 
@@ -475,7 +478,7 @@ class TestRefineJumps:
             1.0 / 2**MAX_REFINE_DEPTH)
         assert [p.seed for p in out] == [True, True] + [False] * 3 + [True] + [False] * 3 + [True, True]
 
-        base = [BranchPoint(d=d, lam=_kink(d), residual=0.0, admissible=True) for d in grid]
+        base = [BranchPoint(d=d, lam=_kink(d), admissible=True) for d in grid]
         assert refine_jumps(base, lambda a, b: None) == base
         # a declined interval is asked once, although its right neighbor's split
         # sends the scan back over it
@@ -598,17 +601,122 @@ class TestVerifyPredictions:
         assert any("radial" in n for n in obj["notes"])
 
 
+SQUARE_N3K2 = ProblemSpec(N=3, k=2, R=1.13, f=NonlinearitySpec("power", {"p": 2.0}))
+
+
+@pytest.fixture(scope="module")
+def square_branch():
+    # lambda = lambda(1) / d exactly, so d = 1 (row 12 of 25) is the geometric middle of the
+    # traced lambdas, and the middle of 5 samples lands on its vertex to rounding
+    return trace_branch(SQUARE_N3K2, 1e-2, 1e2, 25, FAST)
+
+
+def _certificates(rep):
+    return [c for c in rep.checks if c.name.startswith("certificate")]
+
+
+class TestCertificates:
+    @pytest.mark.parametrize("kind, params, n_certs", [
+        ("saturating", {}, 5),
+        ("sum_of_powers", {"p": 0.5, "q": 2.0, "c": 1.0}, 2),
+        ("log_bump", {}, 2),
+    ])
+    def test_two_fixed_r_shots_per_crossing(self, monkeypatch, lam1, kind, params, n_certs):
+        import hessbif.rk as rk
+
+        spec = ProblemSpec(N=1, k=1, R=1.0, f=NonlinearitySpec(kind, params))
+        br = trace_branch(spec, 1e-2, 1e2, 17, FAST, lambda_scale=lam1)
+        pred = predicted_interval(spec.f.declared_f0, spec.f.declared_finf, lam1)
+        calls = []
+        real = rk.integrate
+
+        def counting(rhs, t0, y0, t1, *args, **kwargs):
+            calls.append((t1, kwargs.get("root_tol")))
+            return real(rhs, t0, y0, t1, *args, **kwargs)
+
+        monkeypatch.setattr(rk, "integrate", counting)
+        assert verify_predictions(br, pred).passed and calls == []
+        rep = verify_predictions(br, pred, spec=spec, cfg=FAST)
+        assert rep.passed
+        certs = _certificates(rep)
+        # one per crossing behind each "count >= 1" and each "count = 2"
+        counted = [int(c.observed.split()[-1]) for c in rep.checks
+                   if c.predicted in ("count >= 1", "count = 2")]
+        assert len(certs) == sum(counted) == n_certs
+        assert all(c.observed.startswith("sign change") for c in certs)
+        assert calls == [(spec.R, None)] * (2 * n_certs)
+        assert any(n.startswith("certificates:") for n in rep.notes)
+
+    def test_wrong_lambda_fails_its_certificate(self, square_branch):
+        # One sample at 3e-7 above the vertex lambda at d = 1 crosses the polyline
+        # left of that vertex.  Raising the vertex lambda by 1e-6 moves the crossing to
+        # its right, where u(R) keeps its sign: the count still reads 1, the
+        # certificate fails, and so does the report.
+        import dataclasses
+
+        br, j = square_branch, 12
+        assert br.points[j].d == pytest.approx(1.0) and not br.folds
+        lam1 = first_eigenvalue(3, 2, 1.13, FAST).lambda1
+        f = SQUARE_N3K2.f
+        target = br.points[j].lam * (1.0 + 3e-7)
+        # one sample sits at sqrt(1.01 lam_lo 0.99 lam_hi)
+        pred = dataclasses.replace(predicted_interval(f.declared_f0, f.declared_finf, lam1),
+                                   lam_lo=target / (1.01 * 1.001), lam_hi=target * 1.001 / 0.99)
+        rep = verify_predictions(br, pred, 1, SQUARE_N3K2, FAST)
+        assert rep.passed
+        [cert] = _certificates(rep)
+        assert cert.name.endswith(f"[{br.points[j - 1].d:.6g}, {br.points[j].d:.6g}]")
+        assert cert.observed.startswith("sign change")
+
+        points = list(br.points)
+        points[j] = dataclasses.replace(points[j], lam=points[j].lam * (1.0 + 1e-6))
+        moved = verify_predictions(Branch(points=points), pred, 1, SQUARE_N3K2, FAST)
+        assert not moved.passed
+        [failed] = [c for c in moved.checks if not c.passed]
+        assert failed.name.endswith(f"[{br.points[j].d:.6g}, {br.points[j + 1].d:.6g}]")
+        assert failed.observed.startswith("no sign change")
+        assert [c.observed for c in moved.checks if c.name.startswith("existence")] == ["count = 1"]
+
+    def test_sample_on_a_vertex_is_within_tolerance(self, monkeypatch, square_branch):
+        # the vertex rule: u(R) at a vertex whose lambda the sample matches to rounding
+        # is ~2e-13 d, of either sign; it passes as "vertex within tolerance" only
+        import hessbif.branch as branch_mod
+
+        lam1 = first_eigenvalue(3, 2, 1.13, FAST).lambda1
+        f = SQUARE_N3K2.f
+        pred = predicted_interval(f.declared_f0, f.declared_finf, lam1)
+        rep = verify_predictions(square_branch, pred, 5, SQUARE_N3K2, FAST)
+        assert rep.passed
+        observed = [c.observed.split(":")[0] for c in _certificates(rep)]
+        assert sorted(observed) == ["sign change"] * 4 + ["vertex within tolerance"]
+        monkeypatch.setattr(branch_mod, "eigen_rel_tol", lambda cfg: 0.0)
+        strict = verify_predictions(square_branch, pred, 5, SQUARE_N3K2, FAST)
+        assert [c.observed.split(":")[0] for c in strict.checks if not c.passed] == [
+            "no sign change"]
+
+
 class TestBranchCsv:
     def test_roundtrip(self, tmp_path, gelfand_branch):
         path = tmp_path / "branch.csv"
         gelfand_branch.to_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "index,d,lambda,residual,is_fold"
+        assert lines[0] == "index,d,lambda,is_fold"
         assert sum(line.endswith(",1") for line in lines[1:]) == 1
         back = Branch.from_csv(path)
         assert len(back.points) == len(gelfand_branch.points)
         for a, b in zip(back.points, gelfand_branch.points):
             assert a.d == b.d and a.lam == b.lam
+
+    def test_reads_the_residual_header(self, tmp_path, gelfand_branch):
+        # CSVs written before the residual column was dropped: index,d,lambda,residual,is_fold
+        gelfand_branch.to_csv(tmp_path / "new.csv")
+        rows = [line.split(",") for line in (tmp_path / "new.csv").read_text().splitlines()[1:]]
+        old = tmp_path / "old.csv"
+        old.write_text("index,d,lambda,residual,is_fold\n"
+                       + "".join(f"{i},{d},{lam},-1.5e-12,{fold}\n" for i, d, lam, fold in rows))
+        back, new = Branch.from_csv(old), Branch.from_csv(tmp_path / "new.csv")
+        assert [(p.d, p.lam) for p in back.points] == [(p.d, p.lam) for p in new.points]
+        assert back.folds == new.folds == gelfand_branch.folds
 
     @pytest.mark.parametrize("kind, params, fold", [
         ("log_bump", {}, "min"),
@@ -627,11 +735,11 @@ class TestBranchCsv:
         assert verify_predictions(back, pred).passed
 
     def test_malformed_rejected(self, tmp_path):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("index,d,lambda,residual,is_fold\n0,1.0,2.0\n")
-        with pytest.raises(InvalidInputError):
-            Branch.from_csv(bad)
-        empty = tmp_path / "empty.csv"
-        empty.write_text("index,d,lambda,residual,is_fold\n")
-        with pytest.raises(InvalidInputError):
-            Branch.from_csv(empty)
+        bad, empty = tmp_path / "bad.csv", tmp_path / "empty.csv"
+        for header in ("index,d,lambda,is_fold", "index,d,lambda,residual,is_fold"):
+            bad.write_text(header + "\n0,1.0,2.0\n")
+            with pytest.raises(InvalidInputError):
+                Branch.from_csv(bad)
+            empty.write_text(header + "\n")
+            with pytest.raises(InvalidInputError):
+                Branch.from_csv(empty)

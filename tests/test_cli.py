@@ -72,7 +72,7 @@ class TestTraceAndPlot:
                  "--n-points", "17"], specdir)
         assert r.returncode == 0, r.stderr
         lines = (specdir / "b.csv").read_text().splitlines()
-        assert lines[0] == "index,d,lambda,residual,is_fold"
+        assert lines[0] == "index,d,lambda,is_fold"
         assert len(lines) > 17
 
     def test_plot_flat_branch_horizontal(self, specdir):
@@ -87,6 +87,26 @@ class TestTraceAndPlot:
         pts = poly[0].split('points="')[1].split('"')[0].split()
         ys = {p.split(",")[1] for p in pts}
         assert len(ys) == 1
+
+    def test_plot_renders_a_csv_with_the_residual_column(self, specdir, monkeypatch):
+        # a branch CSV with the older header index,d,lambda,residual,is_fold plots as the
+        # same branch without that column does
+        from hessbif import cli
+
+        monkeypatch.chdir(specdir)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["trace", "--spec", "logbump2.json", "--out-branch", "new.csv",
+                             "--n-points", "17"]) == 0
+            rows = [line.split(",") for line in (specdir / "new.csv").read_text().splitlines()]
+            assert rows[0] == ["index", "d", "lambda", "is_fold"]
+            (specdir / "old.csv").write_text("".join(
+                f"{i},{d},{lam},{'residual' if i == 'index' else '0'},{fold}\n"
+                for i, d, lam, fold in rows))
+            for name in ("new", "old"):
+                assert cli.main(["plot", "--branch", f"{name}.csv", "--out", f"{name}.svg"]) == 0
+        svg = (specdir / "new.svg").read_text()
+        assert "<circle" in svg   # the log_bump fold
+        assert (specdir / "old.svg").read_text() == svg
 
     def test_plot_missing_and_malformed_csv(self, tmp_path):
         r = run(["plot", "--branch", "missing.csv", "--out", "x.svg"], tmp_path)
@@ -120,6 +140,10 @@ class TestVerify:
         assert obj["schema_version"] == 1
         assert {"name", "predicted", "observed", "pass", "tol"} == set(obj["checks"][0])
         assert any("radial" in n for n in obj["notes"])
+        # each of the 5 existence samples crosses once, and its crossing is certified
+        certs = [c for c in obj["checks"] if c["name"].startswith("certificate")]
+        assert len(certs) == 5 and all(c["observed"].startswith("sign change") for c in certs)
+        assert any(n.startswith("certificates:") for n in obj["notes"])
 
     def test_linear_out_of_table_eigen_report(self, specdir):
         r = run(["verify", "--spec", "linear.json", "--n-points", "17"],
@@ -423,6 +447,16 @@ class TestPowerPairAndSweep:
                  "--mu-lo", mu_range[0], "--mu-hi", mu_range[1]], tmp_path)
         assert r.returncode in (0, 2), r.stderr
         assert "Traceback" not in r.stderr
+
+    def test_non_finite_weight_is_named(self, capsys):
+        # mu_ref = 1e300 at R = 1e-3 makes the weight (mu_ref s_u)^(1/k) overflow to inf
+        from hessbif import cli
+
+        rc = cli.main(["power-pair", "--N", "1", "--k", "1", "--alpha", "1", "--beta", "1",
+                       "--mu-lo", "1e-300", "--mu-hi", "1e300", "--R", "1e-3"])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert "returned (inf, 0.0)" in err and "refusing a non-finite integrand" in err
 
     def test_sweep_k(self, specdir):
         r = run(["sweep-k", "--spec", "logbump2.json", "--out", "sweep.csv",

@@ -459,6 +459,16 @@ class TestFluxKernel:
                            match=r"nonlinearity returned .*-0\.5.* refusing a negative"):
             flux_ivp(2, 2, 1.0, 1.0, weights, amplitudes, 1e-10, 1.0)
 
+    @pytest.mark.parametrize("weights,amplitudes", [
+        (lambda s: math.nan if s < 0.99 else 1.0, (1.0,)),
+        ((lambda su, sv: math.inf if su < 0.99 else su, lambda su, sv: sv), (1.0, 1.0)),
+    ], ids=["scalar-nan", "pair-inf"])
+    def test_non_finite_weight_refused_as_non_finite(self, weights, amplitudes):
+        # finite at the seed s = 1, non-finite once s falls below 0.99
+        with pytest.raises(NumericalFailureError,
+                           match=r"nonlinearity returned .*(nan|inf).* refusing a non-finite"):
+            flux_ivp(2, 2, 1.0, 1.0, weights, amplitudes, 1e-10, 1.0)
+
     def test_tracebacks_show_the_kernel_source(self):
         # s (1 + s) overflows to inf at s = 1e200, which the inlined weight check refuses
         slope, inputs, _ = flux_kernel(2, 1, 1.0, NonlinearitySpec("superlinear"))
