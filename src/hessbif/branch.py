@@ -10,10 +10,12 @@ tails.
 
 Each amplitude has exactly one lambda: shooting.point_at_amplitude reads it,
 and the point's admissibility flag, off one scaled IVP run to the first zero of
-u, so the tracer needs no lambda brackets and no second shot.  The counts that
-verify_predictions reads off the polyline are certified, when it is given the
-spec, by sign changes of the independent fixed-R residual u(R; lambda, d)
-across each crossing (_certify_crossings).
+u, so the tracer needs no lambda brackets and no second shot.  One tracer, trace,
+serves scalar and coupled branches; trace_branch and system.trace_system_branch
+supply only its point solver.  The counts that verify_predictions reads off the
+polyline are certified, when it is given the spec, by sign changes of the
+independent fixed-R residual u(R; lambda, d) across each crossing
+(_certify_crossings).
 
 All verification is for radial branches on balls; reports say so explicitly.
 """
@@ -578,12 +580,12 @@ def _fmt_limit(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _solve_point(spec, d, cfg, lambda_scale, seed):
+def _solve_point(spec, d, cfg, lambda_scale):
     """The point at amplitude d from one scaled IVP (shooting.point_at_amplitude: lambda(d)
     and the admissibility flag of its trajectory to the zero of u), or None (a gap) when
     u has no zero in range."""
     solved = point_at_amplitude(spec, d, lambda_scale * d / spec.f(d), cfg)
-    return None if solved is None else BranchPoint(d, *solved, seed=seed)
+    return None if solved is None else BranchPoint(d, *solved)
 
 
 def log_grid(d_min: float, d_max: float, n: int) -> list[float]:
@@ -598,45 +600,61 @@ def log_grid(d_min: float, d_max: float, n: int) -> list[float]:
     return grid
 
 
+def trace(grid, solve) -> Branch:
+    """The branch of solve's points over an amplitude grid, scalar or coupled.
+
+    solve(d, near) returns the point at amplitude d (.d, .lam, .admissible,
+    .seed) or a falsy gap; near holds its resolved neighbours for a warm start:
+    the last resolved base point, or the two ends of a refined interval or of a
+    fold bracket.  More than 10% gaps, or fewer than 4 points, raise
+    TracingFailureError.  Points inserted by refine_jumps and _polish_folds lie
+    strictly between the two they were solved from and get seed = False.
+    """
+    grid = [float(d) for d in grid]
+    if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
+        raise InvalidInputError("grid must be >= 4 strictly increasing amplitudes")
+    points, gaps = [], []
+    for d in grid:
+        point = solve(d, points[-1:])
+        if point:
+            points.append(point)
+        else:
+            gaps.append(d)
+
+    few = len(points) < 4
+    if few or len(gaps) > GAP_FRACTION_LIMIT * len(grid):
+        raise TracingFailureError(f"{len(gaps)}/{len(grid)} amplitudes have no lambda root"
+                                  + ("; resolved fewer than 4 points" if few else ""))
+
+    def between(d, near):
+        point = solve(d, near)
+        if not (point and near[0].d < point.d < near[1].d):
+            return None
+        point.seed = False
+        return point
+
+    points = refine_jumps(points, lambda a, b: between(math.sqrt(a.d * b.d), (a, b)))
+    branch = Branch(points=points, gaps=gaps)
+    _polish_folds(branch, between)
+    return attach_summaries(branch)
+
+
 def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
                  cfg: ShootingConfig = DEFAULT_CONFIG, *,
                  lambda_scale: float | None = None) -> Branch:
-    """Trace lambda(d) over log_grid(d_min, d_max, n_points).
+    """Trace lambda(d) over log_grid(d_min, d_max, n_points) with trace.
 
-    Each amplitude costs one IVP (see point_at_amplitude: the first zero rho of
-    the solution at lambda0 = lambda_scale * d / f(d) gives lambda0 (rho / R)^2,
-    searched out to rho = 10^3 R, and the states up to that zero give the
-    admissibility flag).  No fixed-R shot is made.  lambda_scale defaults to
-    lambda1.  Amplitudes without a zero are recorded as gaps; more than 10%
-    gaps on the base grid raises TracingFailureError.
-    An interval whose log-log increment departs by more than ln(1.2) from a
-    neighbor's slope (a bend: a fold or a kink, never a power law) is bisected
-    in log d, up to 3 levels (refine_jumps), and detected folds are localized
-    by golden-section search, which adds the apex as a point, before the final
-    fold/asymptote summaries are attached.
+    A point is one IVP with no warm start (point_at_amplitude: the first zero rho
+    of the solution at lambda0 = lambda_scale * d / f(d), searched out to 10^3 R,
+    gives lambda0 (rho / R)^2, and the states up to it the admissibility flag);
+    no zero is a gap.  No fixed-R shot is made.  lambda_scale defaults to lambda1.
     """
     if n_points < 16:
         raise InvalidInputError(f"n_points must be >= 16, got {n_points}")
     grid = log_grid(d_min, d_max, n_points)
     if lambda_scale is None:
         lambda_scale = first_eigenvalue(spec.N, spec.k, spec.R, cfg).lambda1
-
-    solved = [_solve_point(spec, d, cfg, lambda_scale, True) for d in grid]
-    points = [p for p in solved if p]
-    gaps = [d for d, p in zip(grid, solved) if not p]
-
-    if len(gaps) > GAP_FRACTION_LIMIT * n_points:
-        raise TracingFailureError(
-            f"{len(gaps)}/{n_points} amplitudes have no lambda root")
-    if len(points) < 4:
-        raise TracingFailureError("too few resolved points to form a branch")
-
-    def midpoint(a, b):
-        return _solve_point(spec, math.sqrt(a.d * b.d), cfg, lambda_scale, False)
-
-    branch = Branch(points=refine_jumps(points, midpoint), gaps=gaps)
-    _polish_folds(spec, branch, cfg, lambda_scale)
-    return attach_summaries(branch)
+    return trace(grid, lambda d, near: _solve_point(spec, d, cfg, lambda_scale))
 
 
 def attach_summaries(branch: Branch) -> Branch:
@@ -689,9 +707,10 @@ def refine_jumps(points, midpoint):
     return work
 
 
-def _polish_folds(spec, branch, cfg, lambda_scale, log_tol=2e-3):
+def _polish_folds(branch, solve, log_tol=2e-3):
     """Golden-section localization of each discrete fold apex in log-d.
 
+    The search calls solve(d, (the fold's two neighbors)) and stops at a gap.
     Only the extreme evaluation of each search becomes a branch point: near
     the apex the others differ from it in lambda by less than 1e-9 relative,
     so as points they would only make the fold's row ambiguous.
@@ -704,14 +723,15 @@ def _polish_folds(spec, branch, cfg, lambda_scale, log_tol=2e-3):
         if idx <= 0 or idx >= len(branch.points) - 1:
             continue
         sign = 1.0 if fold.kind == "max" else -1.0
-        a = math.log(branch.points[idx - 1].d)
-        b = math.log(branch.points[idx + 1].d)
-        cache = {}   # log d -> point or None
+        bracket = (branch.points[idx - 1], branch.points[idx + 1])
+        a = math.log(bracket[0].d)
+        b = math.log(bracket[1].d)
+        cache = {}   # log d -> point or a falsy gap
 
         def lam_at(ld):
             if ld not in cache:
-                cache[ld] = _solve_point(spec, math.exp(ld), cfg, lambda_scale, False)
-            return None if cache[ld] is None else cache[ld].lam
+                cache[ld] = solve(math.exp(ld), bracket)
+            return cache[ld].lam if cache[ld] else None
 
         x1 = b - gr * (b - a)
         x2 = a + gr * (b - a)
@@ -725,7 +745,7 @@ def _polish_folds(spec, branch, cfg, lambda_scale, log_tol=2e-3):
                 a, x1, f1 = x1, x2, f2
                 x2 = a + gr * (b - a)
                 f2 = lam_at(x2)
-        solved = [p for p in cache.values() if p is not None]
+        solved = [p for p in cache.values() if p]
         if solved:
             inserted.append(max(solved, key=lambda p: sign * p.lam))
     if inserted:

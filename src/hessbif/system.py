@@ -10,7 +10,8 @@ with forcing F_u = lambda g and F_v = lambda h.  At fixed u-amplitude d_u,
 ball-radius scaling (as for lambda(d) in shooting.py) turns the Dirichlet
 conditions (u(R), v(R)) = (0, 0) into one root in log d_v: u and v of the pair
 IVP at a reference lambda_ref vanish at the same rho, and lambda =
-lambda_ref (rho / R)^2 (see _common_zero).
+lambda_ref (rho / R)^2 (see _common_zero).  branch.trace traces the branch over
+d = d_u + d_v with that point solver, as it traces scalar branches.
 
 The power-pair eigenproblem S_k(D^2 u) = lambda (-v)^alpha, S_k(D^2 v) =
 mu (-u)^beta (alpha beta = k^2) takes the same root at lambda = 1 with weights
@@ -40,16 +41,9 @@ import math
 from dataclasses import dataclass, field
 
 from . import shooting
-from .branch import (
-    Branch,
-    BranchPoint,
-    VerificationReport,
-    attach_summaries,
-    refine_jumps,
-    solution_amplitudes,
-)
+from .branch import Branch, VerificationReport, solution_amplitudes, trace
 from .core import Formula, LimitClass, _check_order
-from .errors import InvalidInputError, NumericalFailureError, TracingFailureError
+from .errors import InvalidInputError, NumericalFailureError
 from .shooting import (
     DEFAULT_CONFIG,
     ShootingConfig,
@@ -228,6 +222,7 @@ class SystemBranchPoint:
     res_u: float
     res_v: float
     admissible: bool = True
+    seed: bool = True   # False for points the tracer inserted (refinement, fold polish)
 
     @property
     def d(self) -> float:
@@ -427,9 +422,9 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
 
 @dataclass
 class SystemBranch:
-    points: list[SystemBranchPoint]
-    branch: Branch    # projection onto (d_u + d_v, lambda) for fold/count reuse
-    gaps: list[float] = field(default_factory=list)
+    points: list[SystemBranchPoint]   # branch.points itself
+    branch: Branch    # the traced branch over d = d_u + d_v
+    gaps: list[float] = field(default_factory=list)   # branch.gaps itself
 
     def to_csv(self, path) -> None:
         fold_idx = {f.index for f in self.branch.folds}
@@ -443,47 +438,30 @@ class SystemBranch:
 
 def trace_system_branch(spec: SystemSpec, d_grid, cfg: ShootingConfig = DEFAULT_CONFIG,
                         *, lambda_scale: float | None = None) -> SystemBranch:
-    """System branch over total amplitude d = d_u + d_v (d_u = d / 2 drives, d_v solved).
-
-    One solve per amplitude, from the last resolved point (its lambda and its ratio
-    d_v / d_u, so symmetric pairs start at d_v = d_u exactly) or, cold, from
-    lambda1 d_u / g(d_u, d_u) and d_v = d_u; a failed solve is a gap.  Bends are
-    refined as on scalar branches (branch.refine_jumps over d = d_u + d_v).
+    """System branch over total amplitude d = d_u + d_v (d_u = d / 2 drives, d_v solved),
+    traced by branch.trace: one solve_system_shooting per amplitude, from the geometric
+    means of lambda and d_v / d_u over its resolved neighbours (so symmetric pairs start
+    at d_v = d_u exactly) or, cold, from lambda1 d_u / g(d_u, d_u) and d_v = d_u.  Its
+    NumericalFailureError (no root, or a failed fixed-R check) is a gap.
     """
-    d_grid = [float(d) for d in d_grid]
-    if len(d_grid) < 4 or any(b <= a for a, b in zip(d_grid, d_grid[1:])):
-        raise InvalidInputError("d_grid must be >= 4 strictly increasing amplitudes")
     if lambda_scale is None:
         lambda_scale = first_eigenvalue(spec.N, spec.k, spec.R, cfg).lambda1
 
-    points: list[SystemBranchPoint] = []
-    gaps: list[float] = []
-    for d in d_grid:
+    def solve(d, near):
         d_u = 0.5 * d
-        init = ((points[-1].lam, d_u * (points[-1].d_v / points[-1].d_u)) if points
-                else (lambda_scale * d_u / spec.g(d_u, d_u), d_u))
+        if near:   # sqrt(x * x) == x in binary floating point, so one neighbour is exact
+            a, b = near[0], near[-1]
+            init = (math.sqrt(a.lam * b.lam),
+                    d_u * math.sqrt((a.d_v / a.d_u) * (b.d_v / b.d_u)))
+        else:
+            init = (lambda_scale * d_u / spec.g(d_u, d_u), d_u)
         try:
-            points.append(solve_system_shooting(spec, d_u, init, cfg))
-        except NumericalFailureError:
-            gaps.append(d)
-
-    if len(points) < 4:
-        raise TracingFailureError("system trace resolved fewer than 4 points")
-    def midpoint(a, b):
-        d_u = 0.5 * math.sqrt(a.d * b.d)
-        init = (math.sqrt(a.lam * b.lam), d_u * math.sqrt((a.d_v / a.d_u) * (b.d_v / b.d_u)))
-        try:
-            mid = solve_system_shooting(spec, d_u, init, cfg)
+            return solve_system_shooting(spec, d_u, init, cfg)
         except NumericalFailureError:
             return None
-        return mid if a.d < mid.d < b.d else None
 
-    base = {id(p) for p in points}
-    points = refine_jumps(points, midpoint)
-    proj = [BranchPoint(d=p.d, lam=p.lam, admissible=p.admissible, seed=id(p) in base)
-            for p in points]
-    branch = attach_summaries(Branch(points=proj, gaps=list(gaps)))
-    return SystemBranch(points=points, branch=branch, gaps=gaps)
+    branch = trace(d_grid, solve)
+    return SystemBranch(branch.points, branch, branch.gaps)
 
 
 # ---------------------------------------------------------------------------

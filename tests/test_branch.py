@@ -257,7 +257,8 @@ class TestTraceBranch:
     def test_supercritical_power_fails(self):
         # p = 7 > 5 on the 3-ball: no amplitude has a Dirichlet solution
         spec = ProblemSpec(N=3, k=1, R=1.0, f=NonlinearitySpec("power", {"p": 7.0}))
-        with pytest.raises(TracingFailureError):
+        with pytest.raises(TracingFailureError,
+                           match=r"^16/16 amplitudes have no lambda root; resolved fewer than 4 points$"):
             trace_branch(spec, 1e-2, 1e2, 16, FAST)
 
     def test_one_ivp_per_point(self, monkeypatch):
@@ -282,9 +283,9 @@ class TestTraceBranch:
             solves.append(1)
             return real_solve(*args)
 
-        def polishing(spec, branch, *args):
+        def polishing(branch, *args):
             polish.append((len(calls), len(solves), len(branch.points)))
-            real_polish(spec, branch, *args)
+            real_polish(branch, *args)
             polish.append((len(calls), len(solves), len(branch.points)))
 
         monkeypatch.setattr(rk, "integrate", counting)
@@ -364,6 +365,43 @@ def _system_trace(monkeypatch, n_points, drop):
     sb = trace_system_branch(spec, grid, FAST)
     return ([0.5 * d for d in grid], [p.d_u for p in sb.points],
             [p.seed for p in sb.branch.points], [0.5 * g for g in sb.gaps])
+
+
+def _gap_trace(monkeypatch, kind, dropped):
+    """Gaps of a saturating branch, scalar or coupled, over log_grid(1e-2, 1e2, 16) with the
+    base amplitudes at the indices dropped made gaps."""
+    grid = log_grid(1e-2, 1e2, 16)
+    gaps = {grid[i] for i in dropped}
+    if kind == "scalar":
+        import hessbif.branch as branch_mod
+
+        solve = branch_mod._solve_point
+        monkeypatch.setattr(branch_mod, "_solve_point",
+                            lambda spec, d, *rest: None if d in gaps else solve(spec, d, *rest))
+        spec = ProblemSpec(N=1, k=1, R=1.0, f=NonlinearitySpec("saturating"))
+        return trace_branch(spec, 1e-2, 1e2, 16, FAST).gaps
+    import hessbif.system as system_mod
+
+    solve = system_mod.solve_system_shooting
+
+    def dropping(spec, d_u, *rest):
+        if 2.0 * d_u in gaps:
+            raise NumericalFailureError("injected gap")
+        return solve(spec, d_u, *rest)
+
+    monkeypatch.setattr(system_mod, "solve_system_shooting", dropping)
+    spec = SystemSpec(N=1, k=1, R=1.0, g=NonlinearitySpec2("saturating_t"),
+                      h=NonlinearitySpec2("saturating_s"))
+    return trace_system_branch(spec, grid, FAST).gaps
+
+
+@pytest.mark.parametrize("kind", ["scalar", "system"])
+def test_one_gap_rule_for_both_tracers(monkeypatch, kind):
+    # 1 gap of 16 (6.25%) traces; 2 of 16 (12.5%) exceed the 10% limit
+    with monkeypatch.context() as m:
+        assert _gap_trace(m, kind, [5]) == [log_grid(1e-2, 1e2, 16)[5]]
+    with pytest.raises(TracingFailureError, match=r"^2/16 amplitudes have no lambda root$"):
+        _gap_trace(monkeypatch, kind, [5, 9])
 
 
 # (kind, N, k) at R = 1.13: N = k puts a long last step before R

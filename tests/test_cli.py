@@ -389,6 +389,19 @@ class TestSystemCommands:
         assert obj["pass"] is True
         assert any("lambda0" in n for n in obj["notes"])
 
+    @pytest.mark.parametrize("command, spec", [
+        ("verify", {"f": {"kind": "log_bump"}}),
+        ("system-verify", {"g": {"kind": "logbump_t"}, "h": {"kind": "logbump_s"}}),
+    ], ids=["scalar", "system"])
+    def test_logbump_n7k1_gaps_are_a_numerical_failure(self, tmp_path, capsys, command, spec):
+        # f ~ s^2 at 0 is supercritical on the 7-ball: 14 of the 25 default amplitudes
+        # have no zero of u, beyond the gap limit of both tracers
+        from hessbif import cli
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"N": 7, "k": 1, "R": 1.13, **spec}))
+        assert cli.main([command, "--spec", str(path)]) == cli.EXIT_NUMERICAL
+        assert "14/25 amplitudes have no lambda root" in capsys.readouterr().err
 
     def test_system_verify_checks_declared_monotone_flags(self, specdir):
         spec = json.loads((specdir / "system.json").read_text())

@@ -273,23 +273,32 @@ class TestOneDimensionalRoot:
     ], ids=["saturating-N2k1", "rational-N2k1", "superlinear-N2k1", "saturating-N2k2",
             "powermix-N2k1", "logbump-N3k1"])
     def test_symmetric_warm_start_is_exact(self, monkeypatch, N, k, base, params):
-        # d_u (d_v / d_u) of the last point is d_u itself, so every solve takes the
-        # F = 0 return of _common_zero: one root IVP and one fixed-R shot per point
+        # d_u (d_v / d_u) of one neighbour, or d_u times the root of both ratios, is d_u
+        # itself, so every solve (base point, refinement or fold polish) takes the F = 0
+        # return of _common_zero: one root IVP and one fixed-R shot per solve
         import hessbif.rk as rk
+        import hessbif.system as system_mod
 
         spec = coupled(N, k, base, params)
         lam1 = first_eigenvalue(N, k, 1.0, FAST).lambda1
-        calls = []
-        real = rk.integrate
+        calls, solves = [], []
+        real, solve = rk.integrate, system_mod.solve_system_shooting
 
         def counting(*args, **kwargs):
             calls.append(1)
             return real(*args, **kwargs)
 
+        def solving(*args):
+            solves.append(1)
+            return solve(*args)
+
         monkeypatch.setattr(rk, "integrate", counting)
+        monkeypatch.setattr(system_mod, "solve_system_shooting", solving)
         sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
                                  lambda_scale=lam1)
-        assert len(calls) == 2 * len(sb.points)
+        assert len(calls) == 2 * len(solves)
+        # fold polish keeps one point of its several solves; without a fold each solve is a point
+        assert (len(solves) > len(sb.points)) == bool(sb.branch.folds)
         assert all(p.d_v == p.d_u for p in sb.points)
 
 
@@ -511,6 +520,45 @@ class TestTraceSystemBranch:
         rep = system_apriori_monitor(sb, spec, lam1, FAST)
         assert rep.passed
         assert any("superlinear norm bound" in c.name for c in rep.checks)
+
+    def test_fold_polish_adds_the_apex(self, monkeypatch):
+        # the powermix pair's maximum is polished as on scalar branches; each polish solve
+        # starts from d_u times the root of the bracket's ratios, d_u itself on this
+        # symmetric pair, so it takes the F = 0 return of _common_zero: 2 IVPs
+        import hessbif.branch as branch_mod
+        import hessbif.rk as rk
+        import hessbif.system as system_mod
+
+        ivps, solves, polished = [], [], []
+        real_integrate = rk.integrate
+        real_solve = system_mod.solve_system_shooting
+        real_polish = branch_mod._polish_folds
+
+        def counting(*args, **kwargs):
+            ivps.append(1)
+            return real_integrate(*args, **kwargs)
+
+        def solving(*args):
+            solves.append(1)
+            return real_solve(*args)
+
+        def polishing(branch, *args):
+            before, n_ivps, n_solves = list(branch.points), len(ivps), len(solves)
+            real_polish(branch, *args)
+            polished.append((before, len(ivps) - n_ivps, len(solves) - n_solves))
+
+        monkeypatch.setattr(rk, "integrate", counting)
+        monkeypatch.setattr(system_mod, "solve_system_shooting", solving)
+        monkeypatch.setattr(branch_mod, "_polish_folds", polishing)
+        sb = trace_system_branch(coupled(2, 1, "powermix"), np.geomspace(1e-2, 1e2, 16), FAST)
+        [(before, polish_ivps, polish_solves)] = polished
+        added = [p for p in sb.points if not any(p is q for q in before)]
+        assert len(added) == 1 and len(sb.points) == len(before) + 1
+        [fold] = [f for f in sb.branch.folds if f.kind == "max"]
+        assert sb.points[fold.index] is added[0] and not added[0].seed
+        assert all(added[0].lam >= p.lam for p in sb.points)
+        assert polish_solves > 0 and polish_ivps == 2 * polish_solves
+        assert sb.points is sb.branch.points and sb.gaps is sb.branch.gaps
 
     def test_sublinear_monitor_uniform_bound(self, lam1):
         spec = coupled(1, 1, "saturating")
