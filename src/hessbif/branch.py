@@ -44,6 +44,8 @@ from .shooting import (
 PLATEAU_REL = 1e-6          # extremum must beat neighbors by this (relative)
 JUMP_REL = 0.20             # log-log bend ln(1 + JUMP_REL) that triggers local grid refinement
 MAX_REFINE_DEPTH = 3
+POLISH_XATOL = 1e-4         # fold polish stops when the apex is pinned to this in ln d
+GOLDEN_STEP = (3.0 - math.sqrt(5.0)) / 2.0   # Brent's fallback step, a fraction of the longer side
 GAP_FRACTION_LIMIT = 0.10
 RADIAL_SCOPE_NOTE = "scope: radial shooting branches on a ball; non-radial solutions are not examined"
 CERTIFICATE_NOTE = ("certificates: u(R; lambda, d) of opposite signs at the ends of a crossing's "
@@ -607,8 +609,10 @@ def trace(grid, solve) -> Branch:
     .seed) or a falsy gap; near holds its resolved neighbours for a warm start:
     the last resolved base point, or the two ends of a refined interval or of a
     fold bracket.  More than 10% gaps, or fewer than 4 points, raise
-    TracingFailureError.  Points inserted by refine_jumps and _polish_folds lie
-    strictly between the two they were solved from and get seed = False.
+    TracingFailureError.  refine_jumps then splits the intervals where the branch
+    bends, and _polish_folds moves each fold to its apex by Brent's method in ln d.
+    Points they insert lie strictly between the two they were solved from and get
+    seed = False.
     """
     grid = [float(d) for d in grid]
     if len(grid) < 4 or any(b <= a for a, b in zip(grid, grid[1:])):
@@ -707,47 +711,72 @@ def refine_jumps(points, midpoint):
     return work
 
 
-def _polish_folds(branch, solve, log_tol=2e-3):
-    """Golden-section localization of each discrete fold apex in log-d.
+def _polish_folds(branch, solve):
+    """Brent's minimization of -lambda (max fold) or lambda (min fold) over ln d.
 
-    The search calls solve(d, (the fold's two neighbors)) and stops at a gap.
-    Only the extreme evaluation of each search becomes a branch point: near
-    the apex the others differ from it in lambda by less than 1e-9 relative,
-    so as points they would only make the fold's row ambiguous.
+    Each fold's search runs over its bracket, the open interval between the fold's
+    two neighbours, by parabolic interpolation with a golden-section fallback
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973, ch. 5).
+    It starts from the fold's own grid point as its best, second-best and
+    previous point, so that point costs no solve, and it stops once the shrinking
+    bracket pins the apex to within POLISH_XATOL of the best point (6 to 8 solves
+    a fold on the registry sweep).  Every solve is solve(d, (the fold's
+    two neighbours)) at a d strictly inside the bracket; a gap ends that fold's
+    search.  The best point joins the branch only when it is strictly more
+    extreme than the fold's grid point: near the apex the other evaluations
+    differ from it in lambda by less than 1e-9 relative, so as points they would
+    only make the fold's row ambiguous.
     """
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    folds = detect_folds(branch)
     inserted = []
-    for fold in folds:
+    for fold in detect_folds(branch):
         idx = fold.index
         if idx <= 0 or idx >= len(branch.points) - 1:
             continue
         sign = 1.0 if fold.kind == "max" else -1.0
         bracket = (branch.points[idx - 1], branch.points[idx + 1])
-        a = math.log(bracket[0].d)
-        b = math.log(bracket[1].d)
-        cache = {}   # log d -> point or a falsy gap
-
-        def lam_at(ld):
-            if ld not in cache:
-                cache[ld] = solve(math.exp(ld), bracket)
-            return cache[ld].lam if cache[ld] else None
-
-        x1 = b - gr * (b - a)
-        x2 = a + gr * (b - a)
-        f1, f2 = lam_at(x1), lam_at(x2)
-        while (b - a) > log_tol and f1 is not None and f2 is not None:
-            if sign * f1 >= sign * f2:
-                b, x2, f2 = x2, x1, f1
-                x1 = b - gr * (b - a)
-                f1 = lam_at(x1)
+        a, b = math.log(bracket[0].d), math.log(bracket[1].d)
+        grid_point = best = branch.points[idx]
+        x = w = v = math.log(best.d)
+        fx = fw = fv = -sign * best.lam
+        step = last = 0.0   # the last two steps; a parabolic step must be under half of last
+        tol = POLISH_XATOL / 3.0   # both ends within 2 tol of x pin the apex to POLISH_XATOL
+        while abs(x - (mid := 0.5 * (a + b))) > 2.0 * tol - 0.5 * (b - a):
+            parabolic = False
+            if abs(last) > tol:   # vertex of the parabola through (v, fv), (w, fw), (x, fx)
+                r = (x - w) * (fx - fv)
+                q = (x - v) * (fx - fw)
+                p = (x - v) * q - (x - w) * r
+                q = 2.0 * (q - r)
+                p, q = (-p if q > 0.0 else p), abs(q)
+                if abs(p) < abs(0.5 * q * last) and q * (a - x) < p < q * (b - x):
+                    last, step, parabolic = step, p / q, True
+                    if min(x + step - a, b - x - step) < 2.0 * tol:
+                        step = math.copysign(tol, mid - x)
+            if not parabolic:
+                last = (a if x >= mid else b) - x
+                step = GOLDEN_STEP * last
+            u = x + (step if abs(step) >= tol else math.copysign(tol, step))
+            point = solve(math.exp(u), bracket)
+            if not point:
+                break
+            fu = -sign * point.lam
+            if fu <= fx:
+                if u >= x:
+                    a = x
+                else:
+                    b = x
+                v, w, x, fv, fw, fx, best = w, x, u, fw, fx, fu, point
             else:
-                a, x1, f1 = x1, x2, f2
-                x2 = a + gr * (b - a)
-                f2 = lam_at(x2)
-        solved = [p for p in cache.values() if p]
-        if solved:
-            inserted.append(max(solved, key=lambda p: sign * p.lam))
+                if u < x:
+                    a = u
+                else:
+                    b = u
+                if fu <= fw or w == x:
+                    v, w, fv, fw = w, u, fw, fu
+                elif fu <= fv or v == x or v == w:
+                    v, fv = u, fu
+        if sign * best.lam > sign * grid_point.lam:
+            inserted.append(best)
     if inserted:
         merged = {p.d: p for p in branch.points}
         for p in inserted:

@@ -86,6 +86,11 @@ from .core import (
 from .errors import InvalidInputError, NumericalFailureError
 
 
+# both tolerances lie in (0, MAX_TOL): eigen_rel_tol = 100 tol must stay below 1, or the
+# far end of an eigenvalue bracket reaches lambda <= 0
+MAX_TOL = 1e-2
+
+
 @dataclass
 class ShootingConfig:
     grid_points: int = 1024
@@ -95,8 +100,11 @@ class ShootingConfig:
     def __post_init__(self):
         if self.grid_points < 64:
             raise InvalidInputError(f"grid_points must be >= 64, got {self.grid_points}")
-        if not (self.integrator_tol > 0.0 and self.root_tol > 0.0):
-            raise InvalidInputError("tolerances must be positive")
+        for name in ("integrator_tol", "root_tol"):
+            tol = getattr(self, name)
+            if not 0.0 < tol < MAX_TOL:
+                raise InvalidInputError(f"{name} must satisfy 0 < {name} < {MAX_TOL:g}, "
+                                        f"got {tol!r}")
 
 
 DEFAULT_CONFIG = ShootingConfig()

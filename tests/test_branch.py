@@ -12,6 +12,8 @@ from hessbif.branch import (
     BranchPoint,
     TWO_ABOVE_MIN_FOLD,
     TWO_BELOW_MAX_FOLD,
+    _polish_folds,
+    _solve_point,
     asymptote_estimates,
     count_solutions,
     detect_folds,
@@ -263,8 +265,8 @@ class TestTraceBranch:
 
     def test_one_ivp_per_point(self, monkeypatch):
         # one IVP to the first zero of u per point, which gives lambda(d) and the
-        # admissibility flag; fold polish adds one per golden-section solve and keeps
-        # only the apex; no fixed-R shot is made
+        # admissibility flag; fold polish adds one per Brent solve (at most 8 for the
+        # fold) and keeps only the apex; no fixed-R shot is made
         import hessbif.branch as branch_mod
         import hessbif.rk as rk
 
@@ -296,8 +298,32 @@ class TestTraceBranch:
         (ivps_0, solves_0, points_0), (ivps_1, solves_1, points_1) = polish
         assert ivps_0 == solves_0 == points_0
         assert points_1 == len(br.points) == points_0 + 1
+        assert 0 < solves_1 - solves_0 <= 8
         assert len(calls) == ivps_1 == points_0 + (solves_1 - solves_0)
         assert calls == [FAST.root_tol] * len(calls)
+
+    @pytest.mark.parametrize("f,N,k", [
+        (NonlinearitySpec("log_bump"), 2, 2),
+        (NonlinearitySpec("sum_of_powers", {"p": 0.5, "q": 2.0, "c": 1.0}), 2, 1),
+    ], ids=["log_bump-N2k2", "sum_of_powers-N2k1"])
+    def test_fold_values_match_a_tight_trace(self, f, N, k):
+        # the polished apex is a converged fold value, not one off by the search's
+        # width: a pure golden-section search to 2e-3 in ln d missed by 1.6e-9 here.
+        # The reference is the tight trace's fold and, independently of how that was
+        # polished, the vertex of the parabola through tight solves at its ln d +- 1e-3
+        spec = ProblemSpec(N=N, k=k, R=1.13, f=f)
+        tight = ShootingConfig(integrator_tol=1e-13, root_tol=1e-13)
+        lam1 = first_eigenvalue(N, k, 1.13, tight).lambda1
+        [fold] = trace_branch(spec, 1e-2, 1e2, 25, FAST).folds
+        ref = trace_branch(spec, 1e-2, 1e2, 25, tight, lambda_scale=lam1)
+        [want] = ref.folds
+        x = math.log(ref.points[want.index].d)
+        lo, mid, hi = (_solve_point(spec, math.exp(x + h), tight, lam1).lam
+                       for h in (-1e-3, 0.0, 1e-3))
+        vertex = mid - (hi - lo) ** 2 / (8.0 * (hi - 2.0 * mid + lo))
+        assert fold.kind == want.kind
+        assert fold.lam == pytest.approx(want.lam, rel=1e-9, abs=0.0)
+        assert fold.lam == pytest.approx(vertex, rel=1e-9, abs=0.0)
 
     def test_power_branch_admissible(self):
         spec = ProblemSpec(N=3, k=2, R=1.13, f=NonlinearitySpec("power", {"p": 2.0}))
@@ -564,6 +590,63 @@ class TestRefineJumps:
         inserted = [x for x, seed in zip(keys, seeds) if not seed]
         assert inserted  # fold polish (scalar) or bend refinement next to the gap (system) ran
         assert not set(inserted) & set(grid)
+
+
+def _parabola_branch(kind, vertex):
+    """Exact samples of lambda = 2 -/+ (ln d - vertex)^2 at ln d = 0.4 i, |i| <= 5."""
+    sign = 1.0 if kind == "max" else -1.0
+
+    def lam_of_d(d):
+        return 2.0 - sign * (math.log(d) - vertex) ** 2
+
+    ds = [math.exp(0.4 * i) for i in range(-5, 6)]
+    return Branch(points=[BranchPoint(d=d, lam=lam_of_d(d), admissible=True) for d in ds]), lam_of_d
+
+
+class TestPolishFolds:
+    """_polish_folds on a synthetic branch, counting the stub solver's calls."""
+
+    @staticmethod
+    def _polish(branch, answer):
+        calls = []
+
+        def solve(d, near):
+            calls.append((d, near))
+            lam = answer(d, len(calls))
+            return None if lam is None else BranchPoint(d=d, lam=lam, admissible=True, seed=False)
+
+        before = list(branch.points)
+        _polish_folds(branch, solve)
+        return before, [p for p in branch.points if not any(p is q for q in before)], calls
+
+    @pytest.mark.parametrize("kind", ["max", "min"])
+    @pytest.mark.parametrize("vertex", [0.13, -0.05])
+    def test_apex_found_within_the_bracket(self, kind, vertex):
+        branch, lam_of_d = _parabola_branch(kind, vertex)
+        [fold] = detect_folds(branch)
+        assert fold.kind == kind
+        before, [apex], calls = self._polish(branch, lambda d, n: lam_of_d(d))
+        assert abs(math.log(apex.d) - vertex) <= 1e-4
+        assert len(calls) <= 8
+        left, right = before[fold.index - 1], before[fold.index + 1]
+        assert all(near[0] is left and near[1] is right and left.d < d < right.d
+                   for d, near in calls)
+        [polished] = detect_folds(branch)
+        assert branch.points[polished.index] is apex and len(branch.points) == len(before) + 1
+
+    def test_gap_ends_the_search_and_keeps_the_best_point(self):
+        branch, _ = _parabola_branch("max", 0.13)
+        grid_lam = max(p.lam for p in branch.points)
+        before, added, calls = self._polish(branch, lambda d, n: grid_lam + 0.5 if n == 1 else None)
+        assert len(calls) == 2
+        assert [(p.d, p.lam) for p in added] == [(calls[0][0], grid_lam + 0.5)]
+
+    @pytest.mark.parametrize("offset", [0.0, 1.0], ids=["ties", "worse"])
+    def test_no_point_when_no_solve_beats_the_grid_point(self, offset):
+        branch, _ = _parabola_branch("min", 0.13)
+        grid_lam = min(p.lam for p in branch.points)
+        before, added, calls = self._polish(branch, lambda d, n: grid_lam + offset)
+        assert calls and added == [] and branch.points == before
 
 
 class TestRegridding:

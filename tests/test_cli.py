@@ -226,6 +226,22 @@ class TestExitCodes:
         assert f"lambda1({N},{k},R=1) = " in out.getvalue()
         assert json.loads((tmp_path / "e.json").read_text())["iterations"] == 3
 
+    @pytest.mark.parametrize("option,value,name", [
+        ("--tol", "inf", "integrator_tol"),
+        ("--root-tol", "inf", "root_tol"),
+        ("--root-tol", "0.02", "root_tol"),
+    ], ids=["tol-inf", "root-tol-inf", "root-tol-0.02"])
+    def test_unusable_tolerance_invalid(self, option, value, name):
+        # a tolerance of 1e-2 or more puts the eigenvalue bracket's far end at lambda <= 0;
+        # the refusal must name the tolerance, not the lambda it would have produced
+        from hessbif import cli
+
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(["eigen", "--N", "2", "--k", "1", option, value])
+        assert rc == cli.EXIT_INVALID
+        assert name in err.getvalue() and "lambda" not in err.getvalue()
+
     @pytest.mark.parametrize("args", [
         ["eigen", "--N", "x", "--k", "1"],
         ["bogus"],
