@@ -48,18 +48,16 @@ from .branch import (
 from .system import (
     NonlinearitySpec2,
     PowerPairResult,
-    SystemBranch,
     SystemBranchPoint,
     SystemSpec,
-    check_monotonicity,
     confirm_coupled_eigenvalue,
     integrate_system,
     power_pair_constant,
     solve_system_shooting,
     system_apriori_monitor,
     system_boundary_values,
-    system_eigenvalue,
     trace_system_branch,
+    write_system_csv,
 )
 from .plotting import render_branches_svg
 

@@ -29,6 +29,7 @@ from .core import LimitClass, ProblemSpec, aitken
 from .errors import (
     AtFoldError,
     InvalidInputError,
+    NumericalFailureError,
     OutOfTableError,
     TracingFailureError,
 )
@@ -582,18 +583,29 @@ def _fmt_limit(x: float) -> str:
 # ---------------------------------------------------------------------------
 
 
+def reference_lambda(lambda_scale: float, d: float, f_d: float, what: str) -> float:
+    """lambda_scale d / f_d, the reference lambda at amplitude d with forcing f_d (named what);
+    NumericalFailureError when an overflowed or underflowed f_d leaves no positive finite one."""
+    lam = lambda_scale * d / f_d if f_d > 0.0 else math.inf
+    if not 0.0 < lam < math.inf:
+        raise NumericalFailureError(
+            f"no usable reference lambda at amplitude {d!r}: {what} = {f_d!r}")
+    return lam
+
+
 def _solve_point(spec, d, cfg, lambda_scale):
     """The point at amplitude d from one scaled IVP (shooting.point_at_amplitude: lambda(d)
     and the admissibility flag of its trajectory to the zero of u), or None (a gap) when
     u has no zero in range."""
-    solved = point_at_amplitude(spec, d, lambda_scale * d / spec.f(d), cfg)
+    solved = point_at_amplitude(spec, d, reference_lambda(lambda_scale, d, spec.f(d), "f(d)"), cfg)
     return None if solved is None else BranchPoint(d, *solved)
 
 
 def log_grid(d_min: float, d_max: float, n: int) -> list[float]:
     """n amplitudes d_min ratio^i, ratio = (d_max / d_min)^(1/(n-1)), the last pinned to d_max."""
-    if not (0.0 < d_min < d_max):
-        raise InvalidInputError(f"need 0 < d_min < d_max, got {d_min!r}, {d_max!r}")
+    if not (0.0 < d_min < d_max < math.inf):
+        raise InvalidInputError(
+            f"need 0 < d_min < d_max < inf, got the window [{d_min!r}, {d_max!r}]")
     if n < 2:
         raise InvalidInputError(f"a log grid needs n >= 2 points, got {n}")
     ratio = (d_max / d_min) ** (1.0 / (n - 1))
@@ -652,6 +664,7 @@ def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
     of the solution at lambda0 = lambda_scale * d / f(d), searched out to 10^3 R,
     gives lambda0 (rho / R)^2, and the states up to it the admissibility flag);
     no zero is a gap.  No fixed-R shot is made.  lambda_scale defaults to lambda1.
+    An f(d) that leaves no lambda0 (reference_lambda) aborts with NumericalFailureError.
     """
     if n_points < 16:
         raise InvalidInputError(f"n_points must be >= 16, got {n_points}")

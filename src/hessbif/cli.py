@@ -3,7 +3,8 @@
 Exit codes: 0 success (all checks pass), 1 verification failure (a theorem
 predicate failed on the traced branch), 2 numerical failure, 3 invalid input,
 malformed command-line arguments included.  Runs are randomness-free;
-identical configurations produce byte-identical artifacts.
+identical configurations produce byte-identical artifacts.  verify and
+system-verify share one report path: _verdict, then _report.
 
 main builds its parser on its first call and reuses it for the rest of the
 process, so in-process callers pay for the build once; importing the module
@@ -20,6 +21,7 @@ import os
 import sys
 
 from .branch import (
+    RADIAL_SCOPE_NOTE,
     Branch,
     VerificationReport,
     log_grid,
@@ -27,7 +29,7 @@ from .branch import (
     trace_branch,
     verify_predictions,
 )
-from .core import ProblemSpec, classify_limits
+from .core import LimitClass, ProblemSpec, classify_limits
 from .errors import (
     HessbifError,
     InvalidInputError,
@@ -37,7 +39,7 @@ from .errors import (
     TracingFailureError,
 )
 from .plotting import render_branches_svg
-from .shooting import ShootingConfig, first_eigenvalue
+from .shooting import DEFAULT_CONFIG, ShootingConfig, first_eigenvalue
 from .system import (
     SystemSpec,
     add_monotonicity_check,
@@ -45,6 +47,7 @@ from .system import (
     power_pair_constant,
     system_apriori_monitor,
     trace_system_branch,
+    write_system_csv,
 )
 
 EXIT_OK = 0
@@ -63,15 +66,6 @@ def _write_json(obj, path) -> None:
 
 def _config_from_args(args) -> ShootingConfig:
     return ShootingConfig(integrator_tol=args.tol, root_tol=args.root_tol)
-
-
-def _print_report(rep: VerificationReport) -> None:
-    for c in rep.checks:
-        status = "PASS" if c.passed else "FAIL"
-        print(f"[{status}] {c.name}: predicted {c.predicted}, observed {c.observed}")
-    for note in rep.notes:
-        print(f"note: {note}")
-    print(f"overall: {'PASS' if rep.passed else 'FAIL'}")
 
 
 # ---------------------------------------------------------------------------
@@ -115,17 +109,36 @@ def cmd_trace(args) -> int:
     return EXIT_OK
 
 
-def _eigen_case_report(branch: Branch, lam_target: float) -> VerificationReport:
-    rep = VerificationReport(notes=[
-        "out of table: equal finite limits at both ends (eigenvalue case)",
-        "scope: radial shooting branches on a ball",
-    ])
-    lams = branch.lam_values()
-    worst = max(abs(l - lam_target) for l in lams)
-    rep.add("eigen-branch flatness", f"|lambda - {lam_target:.10g}| < {EIGEN_FLATNESS_TOL}",
-            f"max deviation = {worst:.3e}", worst < EIGEN_FLATNESS_TOL,
-            EIGEN_FLATNESS_TOL)
-    return rep
+def _verdict(branch: Branch, f0: LimitClass, finf: LimitClass, lam1: float, samples: int,
+             spec: ProblemSpec | None = None, cfg=DEFAULT_CONFIG) -> VerificationReport:
+    """verify_predictions on the table's cell for (f0, finf), certified given the scalar
+    spec; out of table (the eigenvalue case), the flatness of lambda(d) at f0's eigenvalue."""
+    try:
+        pred = predicted_interval(f0, finf, lam1)
+    except OutOfTableError:
+        rep = VerificationReport(notes=[
+            "out of table: equal finite limits at both ends (eigenvalue case)",
+            RADIAL_SCOPE_NOTE,
+        ])
+        lam_target = f0.ratio_under(lam1)
+        worst = max(abs(l - lam_target) for l in branch.lam_values())
+        rep.add("eigen-branch flatness", f"|lambda - {lam_target:.10g}| < {EIGEN_FLATNESS_TOL}",
+                f"max deviation = {worst:.3e}", worst < EIGEN_FLATNESS_TOL, EIGEN_FLATNESS_TOL)
+        return rep
+    return verify_predictions(branch, pred, samples, spec, cfg)
+
+
+def _report(rep: VerificationReport, args) -> int:
+    """Print rep, write it to --out-report if given, and return its exit code."""
+    for c in rep.checks:
+        status = "PASS" if c.passed else "FAIL"
+        print(f"[{status}] {c.name}: predicted {c.predicted}, observed {c.observed}")
+    for note in rep.notes:
+        print(f"note: {note}")
+    print(f"overall: {'PASS' if rep.passed else 'FAIL'}")
+    if args.out_report:
+        _write_json(rep.to_json(), args.out_report)
+    return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
 
 
 def cmd_verify(args) -> int:
@@ -142,27 +155,18 @@ def cmd_verify(args) -> int:
                           lambda_scale=lam1)
     if args.out_branch:
         branch.to_csv(args.out_branch)
-    try:
-        pred = predicted_interval(spec.f.declared_f0, spec.f.declared_finf, lam1)
-    except OutOfTableError:
-        rep = _eigen_case_report(branch, spec.f.declared_f0.ratio_under(lam1))
-    else:
-        rep = verify_predictions(branch, pred, args.samples, spec, cfg)
-    _print_report(rep)
-    if args.out_report:
-        _write_json(rep.to_json(), args.out_report)
-    return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
+    return _report(_verdict(branch, spec.f.declared_f0, spec.f.declared_finf, lam1,
+                            args.samples, spec, cfg), args)
 
 
 def cmd_system_trace(args) -> int:
     spec = SystemSpec.from_json(_read_json(args.spec))
     cfg = _config_from_args(args)
     grid = log_grid(args.d_min, args.d_max, args.n_points)
-    sys_branch = trace_system_branch(spec, grid, cfg)
-    sys_branch.to_csv(args.out_branch)
-    print(f"traced {len(sys_branch.points)} system points "
-          f"({len(sys_branch.branch.folds)} folds, {len(sys_branch.gaps)} gaps) "
-          f"-> {args.out_branch}")
+    branch = trace_system_branch(spec, grid, cfg)
+    write_system_csv(branch, args.out_branch)
+    print(f"traced {len(branch.points)} system points "
+          f"({len(branch.folds)} folds, {len(branch.gaps)} gaps) -> {args.out_branch}")
     return EXIT_OK
 
 
@@ -171,34 +175,23 @@ def cmd_system_verify(args) -> int:
     cfg = _config_from_args(args)
     lam1 = first_eigenvalue(spec.N, spec.k, spec.R, cfg).lambda1
     grid = log_grid(args.d_min, args.d_max, args.n_points)
-    sys_branch = trace_system_branch(spec, grid, cfg, lambda_scale=lam1)
+    branch = trace_system_branch(spec, grid, cfg, lambda_scale=lam1)
     if args.out_branch:
-        sys_branch.to_csv(args.out_branch)
+        write_system_csv(branch, args.out_branch)
 
-    monitor = system_apriori_monitor(sys_branch, spec, lam1, cfg)
-    if not spec.matched_classes:
+    if spec.matched_classes:
+        rep = _verdict(branch, spec.mu, spec.nu, lam1, args.samples)
+    else:
         rep = VerificationReport(notes=[
             "component classes mismatch (g and h): theorem verification skipped, monitors only",
-            "scope: radial shooting branches on a ball",
+            RADIAL_SCOPE_NOTE,
         ])
-        rep.checks.extend(monitor.checks)
-        rep.notes.extend(n for n in monitor.notes if "scope" not in n)
-    else:
-        try:
-            pred = predicted_interval(spec.mu, spec.nu, lam1)
-        except OutOfTableError:
-            rep = _eigen_case_report(sys_branch.branch, spec.mu.ratio_under(lam1))
-        else:
-            rep = verify_predictions(sys_branch.branch, pred, args.samples)
-        rep.checks.extend(monitor.checks)
-        rep.notes.extend(n for n in monitor.notes if "scope" not in n)
+    system_apriori_monitor(rep, branch, spec, lam1)
+    if spec.matched_classes:
         rep.notes.append(
             "coupled eigenvalue lambda0 equals scalar lambda1 on balls (symmetric reduction)")
-    add_monotonicity_check(rep, spec, max(p.d for p in sys_branch.branch.points))
-    _print_report(rep)
-    if args.out_report:
-        _write_json(rep.to_json(), args.out_report)
-    return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
+    add_monotonicity_check(rep, spec, max(p.d for p in branch.points))
+    return _report(rep, args)
 
 
 def cmd_power_pair(args) -> int:
@@ -234,6 +227,8 @@ def cmd_plot(args) -> int:
             interval = (float(parts[0]), float(parts[1]))
         except ValueError as exc:
             raise InvalidInputError(f"bad --interval: {exc}") from exc
+        if not interval[0] < interval[1]:
+            raise InvalidInputError(f"--interval needs lo < hi, got {args.interval!r}")
     render_branches_svg(branches, args.out, interval=interval, title=args.title)
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -289,7 +284,7 @@ def _add_cfg_args(p):
 def _add_trace_args(p):
     p.add_argument("--d-min", type=float, default=1e-2)
     p.add_argument("--d-max", type=float, default=1e2)
-    p.add_argument("--n-points", type=int, default=25)
+    p.add_argument("--n-points", type=_count("n_points", 16), default=25)
 
 
 def _count(name: str, low: int):

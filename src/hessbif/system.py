@@ -9,12 +9,13 @@ integrated simultaneously by the scalar problem's kernel, shooting.flux_ivp,
 with forcing F_u = lambda g and F_v = lambda h.  At fixed u-amplitude d_u,
 ball-radius scaling (as for lambda(d) in shooting.py) turns the Dirichlet
 conditions (u(R), v(R)) = (0, 0) into one root in log d_v: u and v of the pair
-IVP at a reference lambda_ref vanish at the same rho, and lambda =
-lambda_ref (rho / R)^2 (see _common_zero).  branch.trace traces the branch over
-d = d_u + d_v with that point solver, as it traces scalar branches.
+IVP at a reference lambda_ref vanish at the same rho, lambda = lambda_ref (rho / R)^2,
+and one fixed-R shot confirms the point (_confirmed_zero).  branch.trace traces the
+branch over d = d_u + d_v with that point solver and returns a plain Branch of
+SystemBranchPoints, which the scalar report path (cli) checks as it checks scalar ones.
 
 The power-pair eigenproblem S_k(D^2 u) = lambda (-v)^alpha, S_k(D^2 v) =
-mu (-u)^beta (alpha beta = k^2) takes the same root at lambda = 1 with weights
+mu (-u)^beta (alpha beta = k^2) takes the same confirmed root at lambda = 1 with weights
 (lambda_ref s_v^alpha)^(1/k) and (mu_ref s_u^beta)^(1/k), and (lambda, mu) =
 (lambda_ref, mu_ref) (rho / R)^(2k).  That scaling moves a sample along the ray
 mu / lambda = const and multiplies lambda mu^(alpha/k) by (rho / R)^(2k + 2 alpha),
@@ -41,7 +42,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import shooting
-from .branch import Branch, VerificationReport, solution_amplitudes, trace
+from .branch import Branch, VerificationReport, reference_lambda, solution_amplitudes, trace
 from .core import Formula, LimitClass, _check_order
 from .errors import InvalidInputError, NumericalFailureError
 from .shooting import (
@@ -283,40 +284,39 @@ def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg):
     raise NumericalFailureError(f"v(rho_u) root not resolved (d_u = {d_u!r})")
 
 
+def _confirmed_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg, trajectory=None):
+    """(rho, d_v, res_u, res_v, rhs) of _common_zero's root, confirmed by one free shot to R
+    at the kernel scale lam_ref (rho / R)^2 (rhs and trajectory as in flux_ivp): residuals
+    (u(R), v(R)) beyond eigen_rel_tol(cfg) of (d_u, d_v) raise NumericalFailureError."""
+    rho, d_v = _common_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg)
+    scale = lam_ref * (rho / R) ** 2
+    res, rhs, _ = flux_ivp(N, k, R, scale, weights, (d_u, d_v), cfg.integrator_tol, R,
+                           trajectory=trajectory)
+    ru, _, rv, _ = res.y
+    tol = eigen_rel_tol(cfg)
+    if max(abs(ru) / d_u, abs(rv) / d_v) > tol:
+        raise NumericalFailureError(
+            f"fixed-R residual check failed at d_u = {d_u!r}, d_v = {d_v!r}, kernel scale "
+            f"{scale!r}: res_u = {ru!r}, res_v = {rv!r} exceed {tol:g} of d_u, d_v")
+    return rho, d_v, ru, rv, rhs
+
+
 def solve_system_shooting(spec: SystemSpec, d_u: float, init,
                           cfg: ShootingConfig = DEFAULT_CONFIG) -> SystemBranchPoint:
-    """Dirichlet point at d_u from init = (lambda_ref, d_v0): the scaled root of _common_zero,
-    confirmed by one free fixed-R shot to eigen_rel_tol(cfg) of the amplitudes; the accepted
-    states of that shot give the admissibility flag (shooting.trajectory_admissible)."""
+    """Dirichlet point at d_u from init = (lambda_ref, d_v0): the root of _common_zero with
+    lambda = lambda_ref (rho / R)^2, confirmed by _confirmed_zero's fixed-R shot, whose
+    accepted states give the admissibility flag (shooting.trajectory_admissible)."""
     if not (d_u > 0.0):
         raise InvalidInputError(f"d_u must be positive, got {d_u!r}")
     lam_ref, dv0 = init
     if not (lam_ref > 0.0 and dv0 > 0.0):
         raise InvalidInputError(f"init must be positive, got {init!r}")
 
-    rho, d_v = _common_zero(spec.N, spec.k, spec.R, (spec.g, spec.h), d_u, lam_ref, dv0, cfg)
-    lam = lam_ref * (rho / spec.R) ** 2
     states = []
-    res, rhs, _ = flux_ivp(spec.N, spec.k, spec.R, lam, (spec.g, spec.h), (d_u, d_v),
-                           cfg.integrator_tol, spec.R, trajectory=states)
-    ru, _, rv, _ = res.y
-    if max(abs(ru) / d_u, abs(rv) / d_v) > eigen_rel_tol(cfg):
-        raise NumericalFailureError(
-            f"fixed-R residual check failed at lambda = {lam!r}, d_u = {d_u!r}, "
-            f"d_v = {d_v!r}: res_u = {ru!r}, res_v = {rv!r}")
-    return SystemBranchPoint(d_u=d_u, d_v=d_v, lam=lam, res_u=ru, res_v=rv,
-                             admissible=trajectory_admissible(rhs, states))
-
-
-def system_eigenvalue(N: int, k: int, R: float,
-                      cfg: ShootingConfig = DEFAULT_CONFIG) -> float:
-    """Coupled eigenvalue lambda0 of (S_k(D^2 u))^(1/k) = |lambda v|, and dually.
-
-    The symmetric reduction u = v collapses the system to the scalar
-    eigenproblem, whose lambda1 confirm_coupled_eigenvalue then checks.
-    """
-    lam1 = first_eigenvalue(N, k, R, cfg).lambda1
-    return confirm_coupled_eigenvalue(N, k, R, lam1, cfg)
+    rho, d_v, ru, rv, rhs = _confirmed_zero(spec.N, spec.k, spec.R, (spec.g, spec.h), d_u,
+                                            lam_ref, dv0, cfg, states)
+    return SystemBranchPoint(d_u=d_u, d_v=d_v, lam=lam_ref * (rho / spec.R) ** 2,
+                             res_u=ru, res_v=rv, admissible=trajectory_admissible(rhs, states))
 
 
 def confirm_coupled_eigenvalue(N: int, k: int, R: float, lam1: float,
@@ -357,12 +357,11 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
     """Constancy of lambda * mu^(alpha/k) for S_k(D^2 u) = lambda (-v)^alpha,
     S_k(D^2 v) = mu (-u)^beta with alpha beta = k^2.
 
-    Each sample, seeded at mu_ref on the log grid over [mu_lo, mu_hi], is the scaled root
-    of _common_zero with the u-amplitude normalized to 1 (degree-k^2 homogeneity), so it
-    lands at mu = mu_ref (rho / R)^(2k), and one fixed-R shot confirms it to
-    eigen_rel_tol(cfg) of the amplitudes.  Samples come in increasing mu; the constant is
-    the geometric mean of the products and the maximum relative deviation quantifies the
-    constancy.
+    Each sample, seeded at mu_ref on the log grid over [mu_lo, mu_hi], is the root that
+    _confirmed_zero confirms, with the u-amplitude normalized to 1 (degree-k^2
+    homogeneity), so it lands at mu = mu_ref (rho / R)^(2k).  Samples come in increasing
+    mu; the constant is the geometric mean of the products and the maximum relative
+    deviation quantifies the constancy.
     """
     if not (alpha > 0.0 and beta > 0.0):
         raise InvalidInputError("alpha and beta must be positive")
@@ -382,10 +381,6 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
     if not (mu_lo < mu_hi):
         raise InvalidInputError(f"bad mu range ({mu_lo!r}, {mu_hi!r})")
 
-    def weights(lam, mu):
-        return (lambda su, sv: (lam * sv**alpha) ** (1.0 / k),
-                lambda su, sv: (mu * su**beta) ** (1.0 / k))
-
     samples = []
     lam_prev, dv_prev, mu_prev = lam1**k, 1.0, lam1**k   # the eigenpoint at alpha = beta = k
     for i in range(n_samples):
@@ -395,14 +390,10 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
         # moves rho off R instead of the sample inheriting its neighbour's product
         lam_ref = 1.17 * lam_prev * (mu_prev / mu_ref) ** (alpha / k)
         dv0 = 0.91 * dv_prev * (mu_ref / mu_prev) ** (1.0 / k)
-        rho, d_v = _common_zero(N, k, R, weights(lam_ref, mu_ref), 1.0, 1.0, dv0, cfg)
+        weights = (lambda su, sv: (lam_ref * sv**alpha) ** (1.0 / k),
+                   lambda su, sv: (mu_ref * su**beta) ** (1.0 / k))
+        rho, d_v, *_ = _confirmed_zero(N, k, R, weights, 1.0, 1.0, dv0, cfg)
         lam, mu = lam_ref * (rho / R) ** (2 * k), mu_ref * (rho / R) ** (2 * k)
-        ru, _, rv, _ = flux_ivp(N, k, R, 1.0, weights(lam, mu), (1.0, d_v),
-                                cfg.integrator_tol, R)[0].y
-        if max(abs(ru), abs(rv) / d_v) > eigen_rel_tol(cfg):
-            raise NumericalFailureError(
-                f"fixed-R residual check failed at lambda = {lam!r}, mu = {mu!r}, "
-                f"d_v = {d_v!r}: res_u = {ru!r}, res_v = {rv!r}")
         samples.append((lam, mu))
         lam_prev, dv_prev, mu_prev = lam, d_v, mu
     samples.sort(key=lambda sample: sample[1])
@@ -420,48 +411,42 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SystemBranch:
-    points: list[SystemBranchPoint]   # branch.points itself
-    branch: Branch    # the traced branch over d = d_u + d_v
-    gaps: list[float] = field(default_factory=list)   # branch.gaps itself
-
-    def to_csv(self, path) -> None:
-        fold_idx = {f.index for f in self.branch.folds}
-        with open(path, "w", newline="") as fh:
-            fh.write("index,d_u,d_v,lambda,res_u,res_v,is_fold\n")
-            for i, p in enumerate(self.points):
-                fh.write(f"{i},{p.d_u:.17g},{p.d_v:.17g},{p.lam:.17g},"
-                         f"{p.res_u:.17g},{p.res_v:.17g},"
-                         f"{1 if i in fold_idx else 0}\n")
+def write_system_csv(branch: Branch, path) -> None:
+    """A traced system branch as CSV: index,d_u,d_v,lambda,res_u,res_v,is_fold."""
+    fold_idx = {f.index for f in branch.folds}
+    with open(path, "w", newline="") as fh:
+        fh.write("index,d_u,d_v,lambda,res_u,res_v,is_fold\n")
+        for i, p in enumerate(branch.points):
+            fh.write(f"{i},{p.d_u:.17g},{p.d_v:.17g},{p.lam:.17g},{p.res_u:.17g},"
+                     f"{p.res_v:.17g},{1 if i in fold_idx else 0}\n")
 
 
 def trace_system_branch(spec: SystemSpec, d_grid, cfg: ShootingConfig = DEFAULT_CONFIG,
-                        *, lambda_scale: float | None = None) -> SystemBranch:
+                        *, lambda_scale: float | None = None) -> Branch:
     """System branch over total amplitude d = d_u + d_v (d_u = d / 2 drives, d_v solved),
     traced by branch.trace: one solve_system_shooting per amplitude, from the geometric
     means of lambda and d_v / d_u over its resolved neighbours (so symmetric pairs start
     at d_v = d_u exactly) or, cold, from lambda1 d_u / g(d_u, d_u) and d_v = d_u.  Its
-    NumericalFailureError (no root, or a failed fixed-R check) is a gap.
+    NumericalFailureError (no usable cold start, no root, a failed fixed-R check) is a gap.
     """
     if lambda_scale is None:
         lambda_scale = first_eigenvalue(spec.N, spec.k, spec.R, cfg).lambda1
 
     def solve(d, near):
         d_u = 0.5 * d
-        if near:   # sqrt(x * x) == x in binary floating point, so one neighbour is exact
-            a, b = near[0], near[-1]
-            init = (math.sqrt(a.lam * b.lam),
-                    d_u * math.sqrt((a.d_v / a.d_u) * (b.d_v / b.d_u)))
-        else:
-            init = (lambda_scale * d_u / spec.g(d_u, d_u), d_u)
         try:
+            if near:   # sqrt(x * x) == x in binary floating point, so one neighbour is exact
+                a, b = near[0], near[-1]
+                init = (math.sqrt(a.lam * b.lam),
+                        d_u * math.sqrt((a.d_v / a.d_u) * (b.d_v / b.d_u)))
+            else:
+                init = (reference_lambda(lambda_scale, d_u, spec.g(d_u, d_u), "g(d_u, d_u)"),
+                        d_u)
             return solve_system_shooting(spec, d_u, init, cfg)
         except NumericalFailureError:
             return None
 
-    branch = trace(d_grid, solve)
-    return SystemBranch(branch.points, branch, branch.gaps)
+    return trace(d_grid, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -488,12 +473,6 @@ def fd_nondecreasing(fun, argument: str, s_max: float, n: int = 33,
     return True
 
 
-def check_monotonicity(spec: SystemSpec, s_max: float, n: int = 33) -> bool:
-    """True iff g is non-decreasing in t and h is non-decreasing in s on [0, s_max]^2."""
-    return (fd_nondecreasing(spec.g, "t", s_max, n)
-            and fd_nondecreasing(spec.h, "s", s_max, n))
-
-
 def add_monotonicity_check(rep: VerificationReport, spec: SystemSpec, s_max: float) -> None:
     """Check that the declared monotone flags agree with the numerics on [0, s_max]^2.
 
@@ -512,20 +491,15 @@ def add_monotonicity_check(rep: VerificationReport, spec: SystemSpec, s_max: flo
                          "g non-decreasing in t and h non-decreasing in s")
 
 
-def system_apriori_monitor(sys_branch: SystemBranch, spec: SystemSpec,
-                           lam1: float | None = None,
-                           cfg: ShootingConfig = DEFAULT_CONFIG) -> VerificationReport:
-    """Norm-bound monitors on a traced system branch.
+def system_apriori_monitor(rep: VerificationReport, branch: Branch, spec: SystemSpec,
+                           lam1: float) -> None:
+    """Add norm-bound monitors on a traced system branch to rep; lam1 is its first eigenvalue.
 
     Superlinear case (nu = Infinite): amplitudes at sampled lambdas in a
     compact are bounded.  Sublinear case (asymptotic ratio below the
     eigenvalue at the sampled lambda): a uniform bound over the whole branch.
-    Hypotheses that do not apply produce a vacuous pass note.
+    Hypotheses that do not apply add a vacuous pass note.
     """
-    rep = VerificationReport(notes=["scope: radial shooting branches on a ball"])
-    branch = sys_branch.branch
-    if lam1 is None:
-        lam1 = first_eigenvalue(spec.N, spec.k, spec.R, cfg).lambda1
     lams = branch.lam_values()
     lam_min, lam_max = min(lams), max(lams)
     d_cap = max(p.d for p in branch.points) / 3.0
@@ -539,20 +513,19 @@ def system_apriori_monitor(sys_branch: SystemBranch, spec: SystemSpec,
             rep.add(f"superlinear norm bound at lambda={lam:.6g}",
                     f"max (d_u+d_v) <= {d_cap:.6g}", f"max = {top:.6g}",
                     top <= d_cap)
-        return rep
+        return
 
     # asymptotic ratio bound: lambda * nu < lambda1 makes solutions uniformly bounded
     if nu.is_zero:
-        qualifying = [p for p in branch.points]
+        qualifying = branch.points
     else:
         lam_bound = lam1 / nu.value
         qualifying = [p for p in branch.points if p.lam < lam_bound * (1.0 - 1e-9)]
     if not qualifying:
         rep.notes.append("norm-bound hypotheses not met on this branch (vacuous pass)")
-        return rep
+        return
     top = max(p.d for p in qualifying)
     rep.add("uniform norm bound (sublinear ratios)",
             "qualifying branch points have finite total amplitude",
             f"max (d_u+d_v) = {top:.6g} over {len(qualifying)} points",
             math.isfinite(top))
-    return rep

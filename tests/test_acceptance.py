@@ -177,11 +177,11 @@ def test_criterion_6_coercive_zero_zero_profile():
 
 def test_criterion_7_coupled_eigenvalue_matches_scalar():
     with criterion(7, "coupled eigenvalue equals scalar eigenvalue", 10.0):
-        from hessbif.system import system_eigenvalue
+        from hessbif.system import confirm_coupled_eigenvalue
 
         for N, k in ((1, 1), (2, 1), (2, 2), (3, 3)):
-            lam0 = system_eigenvalue(N, k, 1.0, CFG)
             lam1 = first_eigenvalue(N, k, 1.0, CFG).lambda1
+            lam0 = confirm_coupled_eigenvalue(N, k, 1.0, lam1, CFG)
             assert abs(lam0 - lam1) <= 1e-8 * lam1
             # asymmetric confirmation without imposing symmetry
             point = solve_system_shooting(coupled(N, k, "linear"), 1.0,
@@ -216,15 +216,15 @@ def test_criterion_9_system_table_asymptotes():
         # cell (mu=1 Finite, nu=Zero): saturating pair
         sb = trace_system_branch(coupled(2, 1, "saturating"), grid, CFG,
                                  lambda_scale=lam1)
-        est = sb.branch.lambda_at_zero
+        est = sb.lambda_at_zero
         assert est.kind == "finite"
         assert abs(est.value - lam1) <= 1e-3 * lam1
-        assert sb.branch.lambda_at_infinity.kind == "infinite"
+        assert sb.lambda_at_infinity.kind == "infinite"
 
         # cell (mu=1, nu=2 both Finite): rational pair, both asymptotes checkable
         sb = trace_system_branch(coupled(2, 1, "rational", {"b": 2.0}), grid, CFG,
                                  lambda_scale=lam1)
-        est0, esti = sb.branch.lambda_at_zero, sb.branch.lambda_at_infinity
+        est0, esti = sb.lambda_at_zero, sb.lambda_at_infinity
         assert est0.kind == "finite"
         assert abs(est0.value - lam1) <= 1e-3 * lam1
         assert esti.kind == "finite"

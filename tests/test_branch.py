@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hessbif.branch import (
     detect_folds,
     log_grid,
     predicted_interval,
+    reference_lambda,
     refine_jumps,
     solution_amplitudes,
     trace_branch,
@@ -350,10 +352,24 @@ class TestLogGrid:
             assert b / a == pytest.approx(ratio, rel=1e-12)
 
     @pytest.mark.parametrize("d_min,d_max,n", [(1.0, 0.1, 16), (0.0, 1.0, 16),
-                                               (-1.0, 1.0, 16), (0.1, 1.0, 1)])
+                                               (-1.0, 1.0, 16), (0.1, 1.0, 1),
+                                               (1.0, math.inf, 16), (math.nan, 1.0, 16)])
     def test_invalid(self, d_min, d_max, n):
         with pytest.raises(InvalidInputError):
             log_grid(d_min, d_max, n)
+
+
+class TestReferenceLambda:
+    @pytest.mark.parametrize("d,f_d", [(1e200, math.inf), (1e-200, 0.0), (1e300, 1e-10),
+                                       (1.0, math.nan)],
+                             ids=["f-overflow", "f-underflow", "quotient-overflow", "f-nan"])
+    def test_unusable_is_a_numerical_failure(self, d, f_d):
+        with pytest.raises(NumericalFailureError,
+                           match=re.escape(f"amplitude {d!r}: f(d) = {f_d!r}")):
+            reference_lambda(10.0, d, f_d, "f(d)")
+
+    def test_usable_is_the_quotient(self):
+        assert reference_lambda(10.0, 3.0, 7.0, "f(d)") == 10.0 * 3.0 / 7.0
 
 
 def _scalar_trace(monkeypatch, n_points, drop):
@@ -390,7 +406,7 @@ def _system_trace(monkeypatch, n_points, drop):
                       h=NonlinearitySpec2("superlinear_s"))
     sb = trace_system_branch(spec, grid, FAST)
     return ([0.5 * d for d in grid], [p.d_u for p in sb.points],
-            [p.seed for p in sb.branch.points], [0.5 * g for g in sb.gaps])
+            [p.seed for p in sb.points], [0.5 * g for g in sb.gaps])
 
 
 def _gap_trace(monkeypatch, kind, dropped):

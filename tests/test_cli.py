@@ -124,9 +124,11 @@ class TestTraceAndPlot:
         r = run(["trace", "--spec", "linear.json", "--out-branch", "f.csv",
                  "--n-points", "17"], specdir)
         assert r.returncode == 0, r.stderr
-        r = run(["plot", "--branch", "f.csv", "--out", "x.svg",
-                 "--interval", "oops"], specdir)
-        assert r.returncode == 3, r.stderr
+        for interval in ("oops", "5,1", "nan,1"):
+            r = run(["plot", "--branch", "f.csv", "--out", "x.svg",
+                     "--interval", interval], specdir)
+            assert r.returncode == 3, (interval, r.stderr)
+            assert not (specdir / "x.svg").exists(), interval
 
 
 class TestVerify:
@@ -302,6 +304,78 @@ class TestExitCodes:
             rc = cli.main(argv)
         assert rc == cli.EXIT_INVALID
         assert "argument --samples" in err.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        ["trace", "--spec", "saturating.json", "--out-branch", "b.csv"],
+        ["verify", "--spec", "saturating.json"],
+        ["system-trace", "--spec", "system.json", "--out-branch", "b.csv"],
+        ["system-verify", "--spec", "system.json"],
+        ["sweep-k", "--spec", "saturating.json"],
+    ], ids=["trace", "verify", "system-trace", "system-verify", "sweep-k"])
+    def test_too_few_points_rejected_before_any_work(self, specdir, monkeypatch, argv):
+        # every tracing command needs 16 base amplitudes, and says so before it prints
+        from hessbif import cli
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --n-points was checked")
+
+        for name in ("first_eigenvalue", "trace_branch", "trace_system_branch"):
+            monkeypatch.setattr(cli, name, no_work)
+        monkeypatch.chdir(specdir)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = cli.main(argv + ["--n-points", "15"])
+        assert rc == cli.EXIT_INVALID
+        assert out.getvalue() == ""
+        assert "n_points must be >= 16, got 15" in err.getvalue()
+
+    @pytest.mark.parametrize("window", [["--d-max", "inf"], ["--d-min", "nan"]],
+                             ids=["d-max-inf", "d-min-nan"])
+    def test_non_finite_window_named(self, specdir, window):
+        from hessbif import cli
+
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(["verify", "--spec", str(specdir / "saturating.json")] + window)
+        assert rc == cli.EXIT_INVALID
+        assert "0 < d_min < d_max < inf" in err.getvalue()
+        assert "window [" in err.getvalue()
+
+    @pytest.mark.parametrize("argv,named", [
+        (["trace", "--spec", "superlinear.json", "--d-min", "1e100", "--d-max", "1e200"],
+         "f(d) = inf"),
+        (["trace", "--spec", "power2.json", "--d-min", "1e-200"], "f(d) = 0.0"),
+    ], ids=["superlinear-overflow", "power-underflow"])
+    def test_unusable_warm_start_is_numerical_failure(self, specdir, monkeypatch, argv,
+                                                      named):
+        # lambda0 = lambda1 d / f(d) is not a positive finite number once f(d) overflows or
+        # underflows; the trace stops there and names d and f(d)
+        from hessbif import cli
+
+        (specdir / "superlinear.json").write_text(json.dumps(
+            {"N": 2, "k": 1, "R": 1.0, "f": {"kind": "superlinear"}}))
+        (specdir / "power2.json").write_text(json.dumps(
+            {"N": 2, "k": 1, "R": 1.0, "f": {"kind": "power", "params": {"p": 2.0}}}))
+        monkeypatch.chdir(specdir)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = cli.main(argv + ["--out-branch", "b.csv"])
+        assert rc == cli.EXIT_NUMERICAL
+        assert "no usable reference lambda at amplitude" in err.getvalue()
+        assert named in err.getvalue()
+
+    def test_unusable_coupled_cold_start_is_a_gap(self, tmp_path, capsys):
+        # g(d_u, d_u) overflows on every amplitude, so every cold start is a gap
+        from hessbif import cli
+
+        path = tmp_path / "superlinear.json"
+        path.write_text(json.dumps({"N": 2, "k": 1, "R": 1.0,
+                                    "g": {"kind": "superlinear_t"},
+                                    "h": {"kind": "superlinear_s"}}))
+        rc = cli.main(["system-trace", "--spec", str(path), "--d-min", "1e300",
+                       "--d-max", "1e305", "--out-branch", str(tmp_path / "b.csv")])
+        assert rc == cli.EXIT_NUMERICAL
+        assert "25/25 amplitudes have no lambda root" in capsys.readouterr().err
 
     def test_infinite_radius_invalid(self, tmp_path):
         r = run(["eigen", "--N", "1", "--k", "1", "--R", "inf"], tmp_path)

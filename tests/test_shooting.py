@@ -503,7 +503,8 @@ class TestFluxKernel:
             "trace_system_branch": lambda: system.trace_system_branch(
                 pair, np.geomspace(1e-2, 1e2, 4), fast),
             "first_eigenvalue": lambda: first_eigenvalue(2, 2, 1.0, fast),
-            "system_eigenvalue": lambda: system.system_eigenvalue(2, 1, 1.0, fast),
+            "confirm_coupled_eigenvalue": lambda: system.confirm_coupled_eigenvalue(
+                2, 1, 1.0, first_eigenvalue(2, 1, 1.0, fast).lambda1, fast),
             "power_pair_constant": lambda: system.power_pair_constant(
                 1, 1, 1.0, 1.0, n_samples=2, cfg=fast),
             "integrate_profile": lambda: integrate_profile(linear_spec(2, 1), 1.0, 1.0, fast),

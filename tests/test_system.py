@@ -11,6 +11,7 @@ from hessbif.branch import VerificationReport
 from hessbif.core import LimitClass, NonlinearitySpec, ProblemSpec
 from hessbif.errors import InvalidInputError, NumericalFailureError, TracingFailureError
 from hessbif.shooting import (
+    DEFAULT_CONFIG,
     ShootingConfig,
     first_eigenvalue,
     flux_ivp,
@@ -21,15 +22,15 @@ from hessbif.system import (
     NonlinearitySpec2,
     SystemSpec,
     add_monotonicity_check,
-    check_monotonicity,
+    confirm_coupled_eigenvalue,
     fd_nondecreasing,
     integrate_system,
     power_pair_constant,
     solve_system_shooting,
     system_apriori_monitor,
     system_boundary_values,
-    system_eigenvalue,
     trace_system_branch,
+    write_system_csv,
 )
 
 from _oracles import newton_pair
@@ -298,7 +299,7 @@ class TestOneDimensionalRoot:
                                  lambda_scale=lam1)
         assert len(calls) == 2 * len(solves)
         # fold polish keeps one point of its several solves; without a fold each solve is a point
-        assert (len(solves) > len(sb.points)) == bool(sb.branch.folds)
+        assert (len(solves) > len(sb.points)) == bool(sb.folds)
         assert all(p.d_v == p.d_u for p in sb.points)
 
 
@@ -316,14 +317,19 @@ def test_symmetric_pairs_solve_to_equal_amplitudes(pair, case, log_d, detune):
     assert abs(point.res_u) <= 1e-9 * d_u and abs(point.res_v) <= 1e-9 * point.d_v
 
 
+def coupled_eigenvalue(N, k, R, cfg=DEFAULT_CONFIG):
+    """lambda1 confirmed as the coupled eigenvalue, as `eigen --coupled` computes it."""
+    return confirm_coupled_eigenvalue(N, k, R, first_eigenvalue(N, k, R, cfg).lambda1, cfg)
+
+
 class TestSystemEigenvalue:
     @pytest.mark.parametrize("N,k,expect", [(1, 1, LAM_COS), (3, 1, math.pi**2)])
     def test_analytic_cases(self, N, k, expect):
-        assert system_eigenvalue(N, k, 1.0, FAST) == pytest.approx(expect, rel=1e-8)
+        assert coupled_eigenvalue(N, k, 1.0, FAST) == pytest.approx(expect, rel=1e-8)
 
     def test_coupled_equals_scalar(self):
         for N, k in ((2, 1), (2, 2), (3, 3)):
-            lam0 = system_eigenvalue(N, k, 1.0, FAST)
+            lam0 = coupled_eigenvalue(N, k, 1.0, FAST)
             lam1 = first_eigenvalue(N, k, 1.0, FAST).lambda1
             assert abs(lam0 - lam1) <= 1e-8 * lam1
 
@@ -342,15 +348,15 @@ class TestSystemEigenvalue:
         monkeypatch.setattr(system_mod, "solve_system_shooting", skewed)
         if raises:
             with pytest.raises(NumericalFailureError, match="asymmetric"):
-                system_eigenvalue(2, 1, 1.0)
+                coupled_eigenvalue(2, 1, 1.0)
         else:
-            assert system_eigenvalue(2, 1, 1.0) == first_eigenvalue(2, 1, 1.0).lambda1
+            assert coupled_eigenvalue(2, 1, 1.0) == first_eigenvalue(2, 1, 1.0).lambda1
 
     @pytest.mark.parametrize("N,k", [(1, 1), (2, 1), (2, 2), (3, 3), (5, 2), (8, 4)])
     def test_loose_tolerances_agree(self, N, k):
         # the asymmetric solve is 7e-7..8e-6 off at 1e-5, above a fixed 1e-6 bound
         cfg = ShootingConfig(grid_points=128, integrator_tol=1e-5, root_tol=1e-5)
-        assert system_eigenvalue(N, k, 1.0, cfg) == first_eigenvalue(N, k, 1.0, cfg).lambda1
+        assert coupled_eigenvalue(N, k, 1.0, cfg) == first_eigenvalue(N, k, 1.0, cfg).lambda1
 
 
 class TestPowerPair:
@@ -444,7 +450,8 @@ class TestPowerPair:
 
 class TestMonotonicity:
     def test_linear_coupling(self):
-        assert check_monotonicity(coupled(2, 1, "linear"), 3.0)
+        spec = coupled(2, 1, "linear")
+        assert fd_nondecreasing(spec.g, "t", 3.0) and fd_nondecreasing(spec.h, "s", 3.0)
 
     def test_quadratic_hump_fails(self):
         assert not fd_nondecreasing(lambda s, t: t * (2.0 - t), "t", 3.0)
@@ -453,7 +460,9 @@ class TestMonotonicity:
         for base, params in (("saturating", None), ("superlinear", None),
                              ("rational", {"b": 0.5}), ("rational", {"b": 2.0}),
                              ("powermix", None), ("logbump", None)):
-            assert check_monotonicity(coupled(2, 1, base, params), 5.0), base
+            spec = coupled(2, 1, base, params)
+            assert fd_nondecreasing(spec.g, "t", 5.0), base
+            assert fd_nondecreasing(spec.h, "s", 5.0), base
 
 
     @staticmethod
@@ -497,9 +506,9 @@ class TestTraceSystemBranch:
         spec = coupled(1, 1, "linear")
         sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
                                  lambda_scale=lam1)
-        lams = sb.branch.lam_values()
+        lams = sb.lam_values()
         assert max(abs(l - lam1) for l in lams) < 1e-6
-        assert sb.branch.folds == []
+        assert sb.folds == []
         for p in sb.points:
             assert p.d_v == pytest.approx(p.d_u, rel=1e-8)
             assert p.admissible
@@ -508,16 +517,17 @@ class TestTraceSystemBranch:
         spec = coupled(1, 1, "saturating")
         sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
                                  lambda_scale=lam1)
-        assert sb.branch.lambda_at_zero.kind == "finite"
-        assert sb.branch.lambda_at_zero.value == pytest.approx(lam1, rel=1e-3)
-        assert sb.branch.lambda_at_infinity.kind == "infinite"
+        assert sb.lambda_at_zero.kind == "finite"
+        assert sb.lambda_at_zero.value == pytest.approx(lam1, rel=1e-3)
+        assert sb.lambda_at_infinity.kind == "infinite"
 
     def test_powermix_single_max_and_monitor(self, lam1):
         spec = coupled(1, 1, "powermix")
         sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
                                  lambda_scale=lam1)
-        assert [f.kind for f in sb.branch.folds] == ["max"]
-        rep = system_apriori_monitor(sb, spec, lam1, FAST)
+        assert [f.kind for f in sb.folds] == ["max"]
+        rep = VerificationReport()
+        system_apriori_monitor(rep, sb, spec, lam1)
         assert rep.passed
         assert any("superlinear norm bound" in c.name for c in rep.checks)
 
@@ -554,17 +564,18 @@ class TestTraceSystemBranch:
         [(before, polish_ivps, polish_solves)] = polished
         added = [p for p in sb.points if not any(p is q for q in before)]
         assert len(added) == 1 and len(sb.points) == len(before) + 1
-        [fold] = [f for f in sb.branch.folds if f.kind == "max"]
+        [fold] = [f for f in sb.folds if f.kind == "max"]
         assert sb.points[fold.index] is added[0] and not added[0].seed
         assert all(added[0].lam >= p.lam for p in sb.points)
         assert polish_solves > 0 and polish_ivps == 2 * polish_solves
-        assert sb.points is sb.branch.points and sb.gaps is sb.branch.gaps
+        assert sb.points is sb.points and sb.gaps is sb.gaps
 
     def test_sublinear_monitor_uniform_bound(self, lam1):
         spec = coupled(1, 1, "saturating")
         sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
                                  lambda_scale=lam1)
-        rep = system_apriori_monitor(sb, spec, lam1, FAST)
+        rep = VerificationReport()
+        system_apriori_monitor(rep, sb, spec, lam1)
         assert rep.passed
         assert any("uniform norm bound" in c.name for c in rep.checks)
 
@@ -572,7 +583,8 @@ class TestTraceSystemBranch:
         spec = coupled(1, 1, "linear")
         sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
                                  lambda_scale=lam1)
-        rep = system_apriori_monitor(sb, spec, lam1, FAST)
+        rep = VerificationReport()
+        system_apriori_monitor(rep, sb, spec, lam1)
         assert rep.passed
         assert any("vacuous" in n for n in rep.notes)
 
@@ -581,7 +593,7 @@ class TestTraceSystemBranch:
         sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
                                  lambda_scale=lam1)
         path = tmp_path / "system.csv"
-        sb.to_csv(path)
+        write_system_csv(sb, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "index,d_u,d_v,lambda,res_u,res_v,is_fold"
         assert len(lines) == len(sb.points) + 1
