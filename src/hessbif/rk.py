@@ -61,6 +61,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+import traceback
 from typing import NamedTuple
 
 from .errors import NumericalFailureError
@@ -328,8 +329,9 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
     whose state is not finite, or whose arithmetic raises OverflowError, is
     rejected and retried at _MIN_FACTOR of its length; the first step accepted
     after a rejection does not grow the step size.  Raises
-    NumericalFailureError on NaN/inf states, step-size underflow, or
-    step-count exhaustion.
+    NumericalFailureError on NaN/inf states, step-size underflow, step-count
+    exhaustion, or an OverflowError of the slope at a state stepped from, which
+    no shorter step avoids (the message quotes the line that overflowed).
 
     With root_tol the trials aim at the zero (module docstring): while
     y[0] < 0 < y'[0], a trial is at most max(h_min, _TANGENT_REACH * -y[0]/y'[0])
@@ -373,7 +375,12 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
         if n_steps + n_rejected >= max_steps:
             raise NumericalFailureError(f"step budget exhausted after {max_steps} steps")
         if k0 is None:
-            k0 = rhs(t, y)
+            try:
+                k0 = rhs(t, y)
+            except OverflowError as exc:
+                site = traceback.extract_tb(exc.__traceback__)[-1].line
+                raise NumericalFailureError(
+                    f"slope overflows at t={t!r}, y={y!r}, in {site!r}") from exc
             n_rhs += 1
         h = h_ctrl
         if root_tol is not None and y[0] < 0.0 < k0[0]:

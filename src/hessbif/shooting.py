@@ -30,10 +30,11 @@ The slope is one source template (_flux_slope), which rk inlines at every
 stage of its step and also compiles as the rhs(r, y) that flux_ivp returns, so
 the two cannot drift apart.  One kernel is compiled per (component count,
 weight formula), on first use.  A weight with a formula (core.Formula: every
-registry kind but tabulated, and every two-argument kind) is inlined from the
-same source that its call evaluates, so the called and the inlined weight
-agree bit for bit; its params are kernel inputs, so one kernel serves every
-param value.  Any other weight is called.  u' = (m / r^(N-k))^(1/k) takes one
+registry kind but tabulated, every two-argument kind and the power-pair
+weights of system.power_pair_constant) is inlined from the same source that
+its call evaluates, so the called and the inlined weight agree bit for bit;
+its params are kernel inputs, so one kernel serves every param value.  Only a
+tabulated f, which has no formula, is called.  u' = (m / r^(N-k))^(1/k) takes one
 float power where r^(N-k) and the quotient are normal floats, and
 exp(log(m)/k + (k-N)/k log(r)) elsewhere: r0^59 underflows to 0.0 at N = 60,
 k = 1, R = 1e-3, where the quotient would divide by zero.
@@ -229,6 +230,17 @@ def flux_kernel(N: int, k: int, lam: float, weights):
     return slope, inputs, rk.slope_function(2 * len(ws), slope)(inputs)
 
 
+def _power_product(x, p, y, q):
+    """x^p y^q, through logarithms where x^p or y^q alone overflows and x > 0: at
+    N = k = 60, R = 1e-3 the seed a^k r0^N has a^k = 1e360 but is about 1e-102."""
+    try:
+        return x**p * y**q
+    except OverflowError:
+        if not x > 0.0:
+            raise
+        return math.exp(p * math.log(x) + q * math.log(y))
+
+
 def flux_ivp(N: int, k: int, R: float, lam: float, weights, amplitudes, tol: float,
              t1: float, **kw):
     """rk.integrate(**kw) of one or two flux components from the origin series out to t1.
@@ -255,8 +267,9 @@ def flux_ivp(N: int, k: int, R: float, lam: float, weights, amplitudes, tol: flo
     for d, F in zip(amplitudes, forcing):
         a = F / c_full ** (1.0 / k)
         curvatures.append(a)
-        y0 += (-d + 0.5 * a * r0 * r0, a**k * r0**N)
-        atol += (tol * 1e-3 * max(d, 1.0), tol * 1e-3 * max(F**k * R**N / c_full, 1e-30))
+        y0 += (-d + 0.5 * a * r0 * r0, _power_product(a, k, r0, N))
+        atol += (tol * 1e-3 * max(d, 1.0),
+                 tol * 1e-3 * max(_power_product(F, k, R, N) / c_full, 1e-30))
     res = rk.integrate(rhs, r0, y0, t1, rtol=tol, atol=atol, first_step=(R - r0) / 64.0,
                        slope=slope, inputs=inputs, **kw)
     return res, rhs, curvatures

@@ -39,7 +39,9 @@ where the class pair is (lim_{x->0} w, lim_{x->inf} w) relative to |t| (resp.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import shooting
 from .branch import Branch, VerificationReport, reference_lambda, solution_amplitudes, trace
@@ -236,8 +238,13 @@ def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg):
     vanish together.
 
     F = v(rho_u) / d_v at u's first zero rho_u falls as d_v grows (g rises in t, h in s);
-    no zero before shooting.HORIZON R counts as F > 0.  Steps of 0.1, 0.2, 0.4, ... in
-    log d_v bracket its sign change; Illinois stops at a step within root_tol of an end."""
+    no zero before shooting.HORIZON R counts as F = +inf.  Steps of 0.1, 0.2, 0.4, ... in
+    z = log d_v bracket its sign change, which Brent's zeroin resolves (R. P. Brent,
+    Algorithms for Minimization without Derivatives, 1973, ch. 4): inverse quadratic or
+    secant steps from the end of smaller |F|, and a bisection step wherever those would
+    leave the bracket, shrink it too slowly, or meet an infinite F.  It stops once the
+    next step from that end is within root_tol in z and returns that end, an evaluated
+    IVP, so rho and d_v always belong to one run."""
     horizon = shooting.HORIZON * R
 
     def point(d_v):   # (log d_v, d_v, F, rho_u), rho_u None when u has no zero
@@ -267,20 +274,41 @@ def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg):
         raise NumericalFailureError(
             f"{reason} from d_v = {dv0!r} (d_u = {d_u!r}, lambda_ref = {lam_ref!r})")
 
-    lo, hi = (prev, cur) if up else (cur, prev)   # F(lo) > 0 >= F(hi)
-    f_lo, f_hi, side = lo[2], hi[2], 0   # Illinois halves F at an end kept twice running
+    # zeroin: b is the end of smaller |F| (a finite F with a zero rho_u), c the other end of
+    # the bracket, a the previous b; step and prev_step are the last two steps taken
+    a, b = prev, cur
+    c, step = a, b[0] - a[0]
+    prev_step = step
     for _ in range(shooting.MAX_BISECT_ITER):
-        z = lo[0] + (hi[0] - lo[0]) * f_lo / (f_lo - f_hi)
-        if not (lo[0] <= z <= hi[0]):
-            z = 0.5 * (lo[0] + hi[0])
-        near = lo if z - lo[0] < hi[0] - z and lo[3] is not None else hi
-        if abs(z - near[0]) <= cfg.root_tol:
-            return near[3], near[1]
-        mid = point(math.exp(z))
-        if mid[2] > 0.0:
-            lo, f_lo, f_hi, side = mid, mid[2], f_hi * (0.5 if side < 0 else 1.0), -1
+        if (b[2] > 0.0) == (c[2] > 0.0):
+            c, step = a, b[0] - a[0]
+            prev_step = step
+        if abs(c[2]) < abs(b[2]):
+            a, b, c = b, c, b
+        if b[2] == 0.0:
+            return b[3], b[1]
+        tol = cfg.root_tol + 2.0 * sys.float_info.epsilon * abs(b[0])
+        half = 0.5 * (c[0] - b[0])
+        za, fa, zb, fb, fc = a[0], a[2], b[0], b[2], c[2]
+        if (abs(prev_step) >= tol and abs(fa) > abs(fb)
+                and math.isfinite(fa) and math.isfinite(fc)):   # an infinite F bisects
+            s = fb / fa
+            if a is c:   # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:        # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (zb - za) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(prev_step * q)):
+                prev_step, step = step, p / q
+            else:
+                prev_step = step = half
         else:
-            hi, f_hi, f_lo, side = mid, mid[2], f_lo * (0.5 if side > 0 else 1.0), 1
+            prev_step = step = half
+        if abs(step) <= tol:
+            return b[3], b[1]
+        a, b = b, point(math.exp(zb + step))
     raise NumericalFailureError(f"v(rho_u) root not resolved (d_u = {d_u!r})")
 
 
@@ -342,6 +370,23 @@ def confirm_coupled_eigenvalue(N: int, k: int, R: float, lam1: float,
 # ---------------------------------------------------------------------------
 
 
+# the power-pair weights (lambda_ref s_v^alpha)^(1/k) and (mu_ref s_u^beta)^(1/k), with
+# (c, a, k_inv) = (lambda_ref, alpha, 1/k) and (mu_ref, beta, 1/k)
+_POWER_T = Formula("power_t", "(c * t**a) ** k_inv", ("s", "t"), ("c", "a", "k_inv"))
+_POWER_S = Formula("power_s", "(c * s**a) ** k_inv", ("s", "t"), ("c", "a", "k_inv"))
+
+
+class _PowerWeight(NamedTuple):
+    """A power-pair weight: formula with its params bound to formula_values, called or,
+    by the flux kernels, inlined."""
+
+    formula: Formula
+    formula_values: tuple
+
+    def __call__(self, s: float, t: float) -> float:
+        return self.formula.function(self.formula_values)(s, t)
+
+
 @dataclass(frozen=True)
 class PowerPairResult:
     alpha: float
@@ -390,8 +435,8 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
         # moves rho off R instead of the sample inheriting its neighbour's product
         lam_ref = 1.17 * lam_prev * (mu_prev / mu_ref) ** (alpha / k)
         dv0 = 0.91 * dv_prev * (mu_ref / mu_prev) ** (1.0 / k)
-        weights = (lambda su, sv: (lam_ref * sv**alpha) ** (1.0 / k),
-                   lambda su, sv: (mu_ref * su**beta) ** (1.0 / k))
+        weights = (_PowerWeight(_POWER_T, (lam_ref, alpha, 1.0 / k)),
+                   _PowerWeight(_POWER_S, (mu_ref, beta, 1.0 / k)))
         rho, d_v, *_ = _confirmed_zero(N, k, R, weights, 1.0, 1.0, dv0, cfg)
         lam, mu = lam_ref * (rho / R) ** (2 * k), mu_ref * (rho / R) ** (2 * k)
         samples.append((lam, mu))
@@ -481,7 +526,10 @@ def add_monotonicity_check(rep: VerificationReport, spec: SystemSpec, s_max: flo
     the system theorems assume both monotonicities.
     """
     declared = (spec.monotone_g_in_t, spec.monotone_h_in_s)
-    observed = (fd_nondecreasing(spec.g, "t", s_max), fd_nondecreasing(spec.h, "s", s_max))
+    # a NonlinearitySpec2's compiled formula directly: the grid [0, s_max]^2 needs no
+    # negative-argument check
+    observed = tuple(fd_nondecreasing(getattr(w, "_eval", w), arg, s_max)
+                     for w, arg in ((spec.g, "t"), (spec.h, "s")))
     flags = "g_in_t={}, h_in_s={}".format
     rep.add(f"g non-decreasing in t, h non-decreasing in s on [0, {s_max:.6g}]",
             f"declared {flags(*declared)}", f"numeric {flags(*observed)}",

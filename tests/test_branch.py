@@ -265,37 +265,32 @@ class TestTraceBranch:
                            match=r"^16/16 amplitudes have no lambda root; resolved fewer than 4 points$"):
             trace_branch(spec, 1e-2, 1e2, 16, FAST)
 
-    def test_one_ivp_per_point(self, monkeypatch):
+    def test_one_ivp_per_point(self, monkeypatch, ivps):
         # one IVP to the first zero of u per point, which gives lambda(d) and the
         # admissibility flag; fold polish adds one per Brent solve (at most 8 for the
         # fold) and keeps only the apex; no fixed-R shot is made
         import hessbif.branch as branch_mod
-        import hessbif.rk as rk
 
         spec = ProblemSpec(N=2, k=2, R=1.13, f=NonlinearitySpec("log_bump"))
         lam1 = first_eigenvalue(2, 2, 1.13, FAST).lambda1
-        calls, solves, polish = [], [], []
-        real_integrate = rk.integrate
+        solves, polish = [], []
         real_solve = branch_mod._solve_point
         real_polish = branch_mod._polish_folds
-
-        def counting(*args, **kwargs):
-            calls.append(kwargs.get("root_tol"))
-            return real_integrate(*args, **kwargs)
 
         def solving(*args):
             solves.append(1)
             return real_solve(*args)
 
         def polishing(branch, *args):
-            polish.append((len(calls), len(solves), len(branch.points)))
+            polish.append((len(ivps), len(solves), len(branch.points)))
             real_polish(branch, *args)
-            polish.append((len(calls), len(solves), len(branch.points)))
+            polish.append((len(ivps), len(solves), len(branch.points)))
 
-        monkeypatch.setattr(rk, "integrate", counting)
         monkeypatch.setattr(branch_mod, "_solve_point", solving)
         monkeypatch.setattr(branch_mod, "_polish_folds", polishing)
+        ivps.clear()
         br = trace_branch(spec, 1e-2, 1e2, 25, FAST, lambda_scale=lam1)
+        calls = [ivp.kwargs.get("root_tol") for ivp in ivps]
         assert [f.kind for f in br.folds] == ["min"] and not br.gaps
         (ivps_0, solves_0, points_0), (ivps_1, solves_1, points_1) = polish
         assert ivps_0 == solves_0 == points_0
@@ -502,17 +497,7 @@ class TestAdmissibility:
         assert flags.count(False) > len(flags) / 2
 
     @pytest.mark.parametrize("kind", ["scalar", "system"])
-    def test_traces_integrate_on_no_output_grid(self, monkeypatch, kind):
-        import hessbif.rk as rk
-
-        gridded = []
-        real = rk.integrate
-
-        def recording(*args, **kwargs):
-            gridded.append(len(args) > 6 or kwargs.get("output_ts") is not None)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(rk, "integrate", recording)
+    def test_traces_integrate_on_no_output_grid(self, ivps, kind):
         if kind == "scalar":
             spec = ProblemSpec(N=2, k=2, R=1.13, f=NonlinearitySpec("log_bump"))
             trace_branch(spec, 1e-2, 1e2, 16, FAST)
@@ -520,6 +505,7 @@ class TestAdmissibility:
             spec = SystemSpec(N=2, k=1, R=1.0, g=NonlinearitySpec2("saturating_t"),
                               h=NonlinearitySpec2("saturating_s"))
             trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST)
+        gridded = [len(ivp.args) > 6 or ivp.kwargs.get("output_ts") is not None for ivp in ivps]
         assert gridded and not any(gridded)
 
 
@@ -758,22 +744,15 @@ class TestCertificates:
         ("sum_of_powers", {"p": 0.5, "q": 2.0, "c": 1.0}, 2),
         ("log_bump", {}, 2),
     ])
-    def test_two_fixed_r_shots_per_crossing(self, monkeypatch, lam1, kind, params, n_certs):
-        import hessbif.rk as rk
-
+    def test_two_fixed_r_shots_per_crossing(self, ivps, lam1, kind, params, n_certs):
         spec = ProblemSpec(N=1, k=1, R=1.0, f=NonlinearitySpec(kind, params))
         br = trace_branch(spec, 1e-2, 1e2, 17, FAST, lambda_scale=lam1)
         pred = predicted_interval(spec.f.declared_f0, spec.f.declared_finf, lam1)
-        calls = []
-        real = rk.integrate
-
-        def counting(rhs, t0, y0, t1, *args, **kwargs):
-            calls.append((t1, kwargs.get("root_tol")))
-            return real(rhs, t0, y0, t1, *args, **kwargs)
-
-        monkeypatch.setattr(rk, "integrate", counting)
+        ivps.clear()
+        calls = ivps
         assert verify_predictions(br, pred).passed and calls == []
         rep = verify_predictions(br, pred, spec=spec, cfg=FAST)
+        calls = [(ivp.args[3], ivp.kwargs.get("root_tol")) for ivp in ivps]
         assert rep.passed
         certs = _certificates(rep)
         # one per crossing behind each "count >= 1" and each "count = 2"

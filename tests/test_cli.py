@@ -60,6 +60,25 @@ class TestEigen:
         obj = json.loads((tmp_path / "e.json").read_text())
         assert obj["lambda0"] == pytest.approx(obj["lambda1"], rel=1e-8)
 
+    def test_coupled_takes_eleven_ivps(self, ivps):
+        # three for lambda1, seven for the coupled root and one fixed-R shot
+        from hessbif import cli
+
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["eigen", "--N", "2", "--k", "1", "--coupled"]) == cli.EXIT_OK
+        assert len(ivps) == 11
+
+    def test_overflowing_forcing_is_named(self, capsys):
+        # lambda = 1 / R^2 = 1e6 at N = k = 60: the seed and atol of m stay floats, but
+        # the forcing (lam * w0) ** k = 1e360 of the first slope does not
+        from hessbif import cli
+
+        rc = cli.main(["eigen", "--N", "60", "--k", "60", "--R", "1e-3"])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_NUMERICAL, err
+        assert "slope overflows" in err and "(lam * w0) ** k" in err
+        assert "Numerical result out of range" not in err
+
     def test_unattainable_tolerance_is_numerical_failure(self, tmp_path):
         r = run(["eigen", "--N", "1", "--k", "1", "--tol", "1e-30"], tmp_path)
         assert r.returncode == 2, r.stderr

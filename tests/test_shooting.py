@@ -165,18 +165,9 @@ class TestScaledFirstEigenvalue:
     CASES = ([(N, k) for N in range(1, 6) for k in range(1, N + 1)]
              + [(8, 1), (8, 4), (8, 8), (20, 7), (60, 60)])
 
-    def test_at_most_four_ivps(self, monkeypatch):
+    def test_at_most_four_ivps(self, ivps):
         # one scaled IVP, the residual at lambda1 and one fixed-R bracket residual
-        import hessbif.rk as rk
-
-        calls = []
-        real = rk.integrate
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(rk, "integrate", counting)
+        calls = ivps
         res = first_eigenvalue(2, 2, 1.13)
         assert len(calls) <= 3
         assert res.iterations == len(calls)
@@ -211,8 +202,7 @@ class TestScaledFirstEigenvalue:
         message = str(exc.value)
         assert message.count("u(R; ") == 2 and "does not change sign" in message
 
-    def test_zero_residual_needs_no_bracket_shot(self, monkeypatch):
-        import hessbif.rk as rk
+    def test_zero_residual_needs_no_bracket_shot(self, monkeypatch, ivps):
         import hessbif.shooting as shooting
 
         lam1 = first_eigenvalue(2, 1, 1.0).lambda1
@@ -222,15 +212,9 @@ class TestScaledFirstEigenvalue:
             value = real_shoot(spec, lam, d, cfg)
             return 0.0 if lam == lam1 else value
 
-        calls = []
-        real = rk.integrate
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
         monkeypatch.setattr(shooting, "shoot_boundary_value", zero_at_lam1)
-        monkeypatch.setattr(rk, "integrate", counting)
+        ivps.clear()
+        calls = ivps
         res = first_eigenvalue(2, 1, 1.0)
         assert (res.lambda1, res.residual) == (lam1, 0.0)
         assert len(calls) == res.iterations == 2
@@ -479,20 +463,9 @@ class TestFluxKernel:
         assert 'File "<hessbif.rk dop853 n=2 flux superlinear>", line 11, in step' in text
         assert "refuse(w0, s0)" in text
 
-    def test_only_caller_of_the_integrator(self, monkeypatch):
-        import sys
-
-        import hessbif.rk as rk
+    def test_only_caller_of_the_integrator(self, ivps):
         from hessbif import branch, shooting, system
 
-        callers = set()
-        real = rk.integrate
-
-        def recording(*args, **kwargs):
-            callers.add(sys._getframe(1).f_code)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(rk, "integrate", recording)
         fast = ShootingConfig(grid_points=64)
         pair = system.SystemSpec(N=2, k=1, R=1.0, g=system.NonlinearitySpec2("saturating_t"),
                                  h=system.NonlinearitySpec2("saturating_s"))
@@ -511,8 +484,9 @@ class TestFluxKernel:
             "integrate_system": lambda: system.integrate_system(pair, 1.0, 1.0, 1.0, fast),
         }
         for name, run in runs.items():
-            callers.clear()
+            ivps.clear()
             run()
+            callers = {ivp.caller for ivp in ivps}
             assert callers == {shooting.flux_ivp.__code__}, name
 
 

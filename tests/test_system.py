@@ -220,6 +220,49 @@ class TestOneDimensionalRoot:
                            match=r"fixed-R residual check failed.*res_u = .*res_v = "):
             solve_system_shooting(spec, 1.0, cold_start(spec, 1.0), FAST)
 
+    def test_asymmetric_trace_ivp_bound(self, ivps):
+        # zeroin takes 228 IVPs for these 16 points (Illinois regula falsi took 281)
+        spec = SystemSpec(N=2, k=1, R=0.93, g=NonlinearitySpec2("saturating_t"),
+                          h=NonlinearitySpec2("rational_s", {"b": 3.0}))
+        lam1 = first_eigenvalue(2, 1, 0.93).lambda1
+        ivps.clear()
+        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), lambda_scale=lam1)
+        assert sb.gaps == [] and len(ivps) <= 230
+
+    def test_end_without_a_zero_of_u_is_bisected(self, monkeypatch):
+        # from d_v = 10 the march steps down past the root d_v = d_u = 1 of this symmetric
+        # pair to a d_v where u has no zero before 1000 R (F = +inf).  While that end
+        # bounds the bracket, zeroin bisects in log d_v instead of interpolating.
+        import hessbif.system as system_mod
+
+        spec = coupled(3, 1, "saturating")
+        shots = []   # (log d_v, F > 0, u has no zero)
+        real = system_mod.flux_ivp
+
+        def recording(N, k, R, lam, weights, amplitudes, *args, **kwargs):
+            out = real(N, k, R, lam, weights, amplitudes, *args, **kwargs)
+            no_zero = out[0].t >= 1e3 * R
+            shots.append((math.log(amplitudes[1]), no_zero or out[0].y[2] > 0.0, no_zero))
+            return out
+
+        monkeypatch.setattr(system_mod, "flux_ivp", recording)
+        rho, d_v = system_mod._common_zero(3, 1, 1.0, (spec.g, spec.h), 1.0, 5.0, 10.0,
+                                           DEFAULT_CONFIG)
+        first = next(i for i, shot in enumerate(shots) if shot[2])
+        bisected = 0
+        for i in range(first + 1, len(shots)):
+            if not all(no_zero for _, up, no_zero in shots[:i] if up):
+                break   # a finite F > 0 now bounds the bracket
+            z_up = max(z for z, up, _ in shots[:i] if up)
+            z_down = min(z for z, up, _ in shots[:i] if not up)
+            assert shots[i][0] == pytest.approx(0.5 * (z_up + z_down), abs=1e-12)
+            bisected += 1
+        assert bisected >= 2
+        assert d_v == pytest.approx(1.0, rel=1e-9)
+        tight = ShootingConfig(integrator_tol=1e-13, root_tol=1e-13)
+        want, _ = system_mod._common_zero(3, 1, 1.0, (spec.g, spec.h), 1.0, 5.0, 1.0, tight)
+        assert rho == pytest.approx(want, rel=1e-9)
+
     def test_no_zero_of_u_is_named(self):
         # N > 2k and saturating g < 1: at lambda_ref = 1e-6, u levels off below
         # zero however large d_v grows
@@ -249,19 +292,11 @@ class TestOneDimensionalRoot:
         assert cli.main(["system-trace", "--spec", str(path), "--n-points", "16",
                          "--out-branch", str(tmp_path / "out.csv")]) == 2
 
-    def test_at_most_four_ivps_per_point(self, monkeypatch):
-        import hessbif.rk as rk
-
+    def test_at_most_four_ivps_per_point(self, ivps):
         spec = coupled(2, 1, "saturating")
         lam1 = first_eigenvalue(2, 1, 1.0, FAST).lambda1
-        calls = []
-        real = rk.integrate
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(rk, "integrate", counting)
+        ivps.clear()
+        calls = ivps
         sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
                                  lambda_scale=lam1)
         assert sb.gaps == []
@@ -273,28 +308,24 @@ class TestOneDimensionalRoot:
         (2, 1, "powermix", None), (3, 1, "logbump", None),
     ], ids=["saturating-N2k1", "rational-N2k1", "superlinear-N2k1", "saturating-N2k2",
             "powermix-N2k1", "logbump-N3k1"])
-    def test_symmetric_warm_start_is_exact(self, monkeypatch, N, k, base, params):
+    def test_symmetric_warm_start_is_exact(self, monkeypatch, ivps, N, k, base, params):
         # d_u (d_v / d_u) of one neighbour, or d_u times the root of both ratios, is d_u
         # itself, so every solve (base point, refinement or fold polish) takes the F = 0
         # return of _common_zero: one root IVP and one fixed-R shot per solve
-        import hessbif.rk as rk
         import hessbif.system as system_mod
 
         spec = coupled(N, k, base, params)
         lam1 = first_eigenvalue(N, k, 1.0, FAST).lambda1
-        calls, solves = [], []
-        real, solve = rk.integrate, system_mod.solve_system_shooting
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
+        solves = []
+        solve = system_mod.solve_system_shooting
 
         def solving(*args):
             solves.append(1)
             return solve(*args)
 
-        monkeypatch.setattr(rk, "integrate", counting)
         monkeypatch.setattr(system_mod, "solve_system_shooting", solving)
+        ivps.clear()
+        calls = ivps
         sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
                                  lambda_scale=lam1)
         assert len(calls) == 2 * len(solves)
@@ -430,22 +461,54 @@ class TestPowerPair:
                          "--beta", "1", "--out", "pp.json"]) == cli.EXIT_NUMERICAL
         assert not (tmp_path / "pp.json").exists()
 
-    @pytest.mark.parametrize("N,k,alpha,beta,ivps", [(1, 1, 1.0, 1.0, 67),
-                                                     (2, 2, 4.0, 1.0, 84)])
-    def test_ivp_count(self, monkeypatch, N, k, alpha, beta, ivps):
+    @pytest.mark.parametrize("N,k,alpha,beta,count", [(1, 1, 1.0, 1.0, 59),
+                                                      (2, 2, 4.0, 1.0, 68)])
+    def test_ivp_count(self, ivps, N, k, alpha, beta, count):
         # three for first_eigenvalue, then per sample the root's IVPs and one fixed-R shot
-        import hessbif.rk as rk
+        calls = ivps
+        power_pair_constant(N, k, alpha, beta)
+        assert len(calls) == count
 
-        calls = []
-        real = rk.integrate
+    @pytest.mark.parametrize("N,k,alpha,beta,R", [
+        (1, 1, 1.0, 1.0, 1.0), (1, 1, 1.0, 1.0, 0.83), (2, 2, 4.0, 1.0, 1.0),
+        (2, 2, 4.0, 1.0, 1.21), (3, 1, 2.0, 0.5, 1.0), (3, 3, 3.0, 3.0, 1.0),
+        (4, 2, 1.0, 4.0, 1.0)])
+    def test_constant_within_1e9_of_a_tight_run(self, N, k, alpha, beta, R):
+        got = power_pair_constant(N, k, alpha, beta, R)
+        want = power_pair_constant(N, k, alpha, beta, R,
+                                   cfg=ShootingConfig(integrator_tol=1e-13, root_tol=1e-13))
+        assert got.constant == pytest.approx(want.constant, rel=1e-9)
+        assert got.max_rel_deviation < 1e-9
 
-        def counting(*args, **kwargs):
-            calls.append(1)
+    def test_weights_are_inlined_bit_for_bit(self, monkeypatch, ivps):
+        # the weights are compiled into the flux kernel, and a root IVP gives the same
+        # bits as with the weights called as the lambdas they are written as
+        import hessbif.system as system_mod
+
+        roots = []
+        real = system_mod.flux_ivp
+
+        def recording(*args, **kwargs):
+            if "root_tol" in kwargs:
+                roots.append((args, kwargs))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(rk, "integrate", counting)
-        power_pair_constant(N, k, alpha, beta)
-        assert len(calls) == ivps
+        monkeypatch.setattr(system_mod, "flux_ivp", recording)
+        power_pair_constant(2, 2, 4.0, 1.0)
+        assert {ivp.kwargs["slope"].name for ivp in ivps} == {"flux linear",
+                                                              "flux power_t power_s"}
+        (N, k, R, lam, weights, *rest), kwargs = roots[len(roots) // 2]
+        (lam_ref, alpha, k_inv), (mu_ref, beta, _) = (w.formula_values for w in weights)
+        assert k_inv == 1.0 / k
+        called = (lambda su, sv: (lam_ref * sv**alpha) ** (1.0 / k),
+                  lambda su, sv: (mu_ref * su**beta) ** (1.0 / k))
+        ivps.clear()
+        inlined, _, _ = real(N, k, R, lam, weights, *rest, **kwargs)
+        plain, _, _ = real(N, k, R, lam, called, *rest, **kwargs)
+        assert [ivp.kwargs["slope"].name for ivp in ivps] == ["flux power_t power_s",
+                                                              "flux call call"]
+        assert (inlined.t, inlined.y, inlined.n_steps, inlined.n_rejected) == \
+            (plain.t, plain.y, plain.n_steps, plain.n_rejected)
 
 
 class TestMonotonicity:
@@ -531,22 +594,16 @@ class TestTraceSystemBranch:
         assert rep.passed
         assert any("superlinear norm bound" in c.name for c in rep.checks)
 
-    def test_fold_polish_adds_the_apex(self, monkeypatch):
+    def test_fold_polish_adds_the_apex(self, monkeypatch, ivps):
         # the powermix pair's maximum is polished as on scalar branches; each polish solve
         # starts from d_u times the root of the bracket's ratios, d_u itself on this
         # symmetric pair, so it takes the F = 0 return of _common_zero: 2 IVPs
         import hessbif.branch as branch_mod
-        import hessbif.rk as rk
         import hessbif.system as system_mod
 
-        ivps, solves, polished = [], [], []
-        real_integrate = rk.integrate
+        solves, polished = [], []
         real_solve = system_mod.solve_system_shooting
         real_polish = branch_mod._polish_folds
-
-        def counting(*args, **kwargs):
-            ivps.append(1)
-            return real_integrate(*args, **kwargs)
 
         def solving(*args):
             solves.append(1)
@@ -557,7 +614,6 @@ class TestTraceSystemBranch:
             real_polish(branch, *args)
             polished.append((before, len(ivps) - n_ivps, len(solves) - n_solves))
 
-        monkeypatch.setattr(rk, "integrate", counting)
         monkeypatch.setattr(system_mod, "solve_system_shooting", solving)
         monkeypatch.setattr(branch_mod, "_polish_folds", polishing)
         sb = trace_system_branch(coupled(2, 1, "powermix"), np.geomspace(1e-2, 1e2, 16), FAST)
