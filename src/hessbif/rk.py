@@ -8,7 +8,7 @@ python-float arithmetic beats array overhead by an order of magnitude.  Two
 modes:
 
   * free stepping to the right endpoint (terminal value, and on request every
-    accepted state) - the hot path of root solves and branch points;
+    accepted state with the slope there) - the hot path of root solves and branch points;
   * step clamping onto a fixed output grid, recording the state at every grid
     point - used when a full profile is requested;
 
@@ -323,12 +323,15 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
     exactly and records the state there.  With root_tol, integration stops
     where component 0 first changes sign: the crossing is located inside the
     last accepted step to root_tol relative and returned as (t, y), t < t1;
-    outputs beyond it are not recorded.  A trajectory list receives (t, y) at
-    t0 and after every accepted step, ending with the returned state.  The
-    first trial step is first_step, by default (t1 - t0) / 64.  A trial step
-    whose state is not finite, or whose arithmetic raises OverflowError, is
-    rejected and retried at _MIN_FACTOR of its length; the first step accepted
-    after a rejection does not grow the step size.  Raises
+    outputs beyond it are not recorded.  A trajectory list receives (t, y, k)
+    for each state stepped from, t0 and every accepted state before the last,
+    with k the slope rhs(t, y) that the step evaluated there as its first
+    stage, and then (t, y, None) for the returned state; so a caller that
+    tests the slopes along the run calls rhs no more.  The first trial step is
+    first_step, by default (t1 - t0) / 64.  A trial step whose state is not
+    finite, or whose arithmetic raises OverflowError, is rejected and retried
+    at _MIN_FACTOR of its length; the first step accepted after a rejection
+    does not grow the step size.  Raises
     NumericalFailureError on NaN/inf states, step-size underflow, step-count
     exhaustion, or an OverflowError of the slope at a state stepped from, which
     no shorter step avoids (the message quotes the line that overflowed).
@@ -357,8 +360,6 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
         while out_idx < len(outputs) and outputs[out_idx] <= t:
             grid_states.append(list(y))
             out_idx += 1
-    if trajectory is not None:
-        trajectory.append((t, y))
 
     step = _dop853_step(n, slope)
     if inputs is None:
@@ -382,6 +383,8 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
                 raise NumericalFailureError(
                     f"slope overflows at t={t!r}, y={y!r}, in {site!r}") from exc
             n_rhs += 1
+            if trajectory is not None:
+                trajectory.append((t, y, k0))
         h = h_ctrl
         if root_tol is not None and y[0] < 0.0 < k0[0]:
             h = min(h, max(_TANGENT_REACH * -y[0] / k0[0], h_min))
@@ -423,13 +426,11 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
                                             slope)
                 n_rhs += _RHS_PER_ATTEMPT * trials
                 if trajectory is not None:
-                    trajectory.append((t, y))
+                    trajectory.append((t, y, None))
                 return RKResult(t, y, grid_states, n_steps, n_rejected, n_rhs)
             t = t + h
             y = y_new
             k0 = None
-            if trajectory is not None:
-                trajectory.append((t, y))
             if hit_output:
                 grid_states.append(list(y))
                 out_idx += 1
@@ -457,4 +458,6 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
             grid_states.append(list(y))
             out_idx += 1
 
+    if trajectory is not None:
+        trajectory.append((t, y, None))
     return RKResult(t, y, grid_states, n_steps, n_rejected, n_rhs)

@@ -28,16 +28,21 @@ F_i(d).  flux_profiles samples it on a grid.
 
 The slope is one source template (_flux_slope), which rk inlines at every
 stage of its step and also compiles as the rhs(r, y) that flux_ivp returns, so
-the two cannot drift apart.  One kernel is compiled per (component count,
-weight formula), on first use.  A weight with a formula (core.Formula: every
-registry kind but tabulated, every two-argument kind and the power-pair
-weights of system.power_pair_constant) is inlined from the same source that
-its call evaluates, so the called and the inlined weight agree bit for bit;
-its params are kernel inputs, so one kernel serves every param value.  Only a
-tabulated f, which has no formula, is called.  u' = (m / r^(N-k))^(1/k) takes one
-float power where r^(N-k) and the quotient are normal floats, and
-exp(log(m)/k + (k-N)/k log(r)) elsewhere: r0^59 underflows to 0.0 at N = 60,
-k = 1, R = 1e-3, where the quotient would divide by zero.
+the two cannot drift apart.  One kernel is compiled per (weight formulas, N, k),
+on first use, with the geometry folded in as literals: N - 1, N - k, k, 1/k,
+(k - N)/k, the constant k / C(N-1,k-1) and the range of r where r^(N-k) is a
+normal float.  A power of exponent 0 or 1 is dropped, which keeps every bit:
+at k = 1 (the semilinear case), N = k (Monge-Ampere) and N <= 2 most of the
+stage powers go, all of them at N = 2, k = 1.  A weight with a formula
+(core.Formula: every registry kind but tabulated, every two-argument kind and
+the power-pair weights of system.power_pair_constant) is inlined from the same
+source that its call evaluates, so the called and the inlined weight agree bit
+for bit; lambda and the weight params are kernel inputs, so one kernel serves
+every value of them at its (N, k).  Only a tabulated f, which has no formula,
+is called.  u' = (m / r^(N-k))^(1/k) takes one float power where r^(N-k) and
+the quotient are normal floats, and exp(log(m)/k + (k-N)/k log(r)) elsewhere:
+r0^59 underflows to 0.0 at N = 60, k = 1, R = 1e-3, where the quotient would
+divide by zero.
 
 f is extended below zero by f(max(s, 0)): past the (single) zero crossing of a
 too-strongly-forced profile the forcing switches off, keeping the boundary
@@ -52,9 +57,10 @@ r = rho, rescales to the Dirichlet solution on B_R at lambda0 (rho / R)^2.
 Since u' > 0 there is exactly one such zero, hence one lambda per amplitude.
 The search stops at rho = 10^3 R (lambda <= 10^6 lambda0); an amplitude
 without a zero by then has no lambda and becomes a gap.  The same IVP gives a
-branch point its admissibility flag (point_at_amplitude): the scaling maps it
-exactly onto the Dirichlet solution, the cone test is invariant under it, and
-its accepted states end at the zero, so none lies past it.  The first
+branch point its admissibility flag (point_at_amplitude), from the slopes
+that the stepper recorded at its accepted states: the scaling maps it exactly
+onto the Dirichlet solution, the cone test is invariant under it, and its
+accepted states end at the zero, so none lies past it.  The first
 eigenvalue comes from the same device.  The fixed-R residual u(R; lambda)
 stays as the independent path: it confirms lambda1, certifies the solution
 counts of branch.verify_predictions, and solve_lambda and the tests use it.
@@ -171,15 +177,27 @@ def _refuse(w, s):
 _FLUX_GLOBALS = (("exp", math.exp), ("log", math.log), ("refuse", _refuse)) + FORMULA_GLOBALS
 
 
+def _power(base: str, exp) -> str:
+    """base ** exp as source, with the exponent 1 folded: x ** 1 is x under the float
+    power (glibc pow is within 0.52 ulp, so it returns x itself).  Other exponents keep
+    **, whose bits x * x or sqrt(x) do not always reproduce."""
+    return base if exp == 1 else f"{base} ** {exp!r}"
+
+
 @functools.cache
-def _flux_slope(formulas) -> rk.Slope:
-    """The flux slope of len(formulas) components as an rk.Slope: the one template
-    of the module docstring, with weight i inlined from formulas[i] or, where that
-    is None, called as the input fn<i>."""
+def _flux_slope(formulas, N: int, k: int) -> rk.Slope:
+    """The flux slope of len(formulas) components at (N, k) as an rk.Slope: the one
+    template of the module docstring, with weight i inlined from formulas[i] or, where
+    that is None, called as the input fn<i>.
+
+    The geometry is folded in as repr literals, which round-trip exactly, and a power
+    of exponent 0 or 1 is dropped, so the kernel gives the bits of the template with
+    N - 1, N - k, k and 1/k as inputs: r ** 0 is 1.0, multiplied or divided away; at
+    k = 1, r^(N-1) is r^(N-k) and is taken once; and at N = k the range test on r goes
+    (r^0 is 1.0 for every r > 0), as does the r term of the log form, 0.0 * log(r)."""
     n = len(formulas)
     ss = [f"s{i}" for i in range(n)]
-    # the inputs, in the order flux_kernel passes them
-    names = ["N1", "Nk", "k", "k_inv", "r_exp", "coef", "lam", "r_lo", "r_hi"]
+    names = ["lam"]   # the inputs, in the order flux_kernel passes them
     weights = []
     for i, formula in enumerate(formulas):
         if formula is None:
@@ -200,18 +218,34 @@ def _flux_slope(formulas) -> rk.Slope:
             lines += [f"u{i} = {{y{2 * i}}}", f"m{i} = {{y{2 * i + 1}}}",
                       f"s{i} = -u{i} if u{i} < 0.0 else 0.0"]
         lines += [f"w{i} = {w}" for i, w in enumerate(weights)]
-    lines += [f"if not ({' and '.join(f'0.0 <= {w} < inf' for w in ws)}):",   # < 0, inf or NaN
-              f"    refuse({ws[0]}, s0)" if n == 1 else
-              f"    refuse(({', '.join(ws)}), ({', '.join(ss)}))",
-              "ra = coef * r ** N1",
-              "rNk = r ** Nk if r_lo < r < r_hi else inf"]
+    lines.append(f"if not ({' and '.join(f'0.0 <= {w} < inf' for w in ws)}):")   # < 0, inf or NaN
+    lines.append(f"    refuse({ws[0]}, s0)" if n == 1 else
+                 f"    refuse(({', '.join(ws)}), ({', '.join(ss)}))")
+    coef, k_inv = k / binom(N - 1, k - 1), 1.0 / k
+    r_n1 = _power("r", N - 1)
+    if k == 1 and N > 2:
+        lines.append(f"rN1 = {r_n1}")
+        r_n1 = "rN1"
+    lines.append(f"ra = {coef!r}" if N == 1 else f"ra = {coef!r} * {r_n1}")
+    if N != k:
+        # r^(N-k) is a normal float, by a wide margin, for r_lo < r < r_hi
+        r_lo, r_hi = 1e-300 ** (1.0 / (N - k)), 1e300 ** (1.0 / (N - k))
+        r_nk = r_n1 if k == 1 else _power("r", N - k)
+        lines.append(f"rNk = {r_nk} if {r_lo!r} < r < {r_hi!r} else inf")
     for i in range(n):
         # u' = (m / r^(N-k))^(1/k) where r^(N-k) and the quotient are normal floats
-        lines += [f"{{k{2 * i}}} = (q ** k_inv if {sys.float_info.min!r} <= (q := m{i} / rNk) < inf"
-                  f" else exp(k_inv * log(m{i}) + r_exp * log(r)) if m{i} > 0.0 else 0.0)",
-                  f"{{k{2 * i + 1}}} = ra * (lam * w{i}) ** k"]
+        if N == k:
+            q, test = f"m{i}", f"m{i}"
+            log_form = f"exp({k_inv!r} * log(m{i}))"
+        else:
+            q, test = "q", f"(q := m{i} / rNk)"
+            log_form = f"exp({k_inv!r} * log(m{i}) + {(k - N) / k!r} * log(r))"
+        lines += [f"{{k{2 * i}}} = ({_power(q, k_inv)} if {sys.float_info.min!r} <= {test} < inf"
+                  f" else {log_form} if m{i} > 0.0 else 0.0)",
+                  f"{{k{2 * i + 1}}} = ra * {_power(f'(lam * w{i})', k)}"]
     label = " ".join("call" if f is None else f.kind for f in formulas)
-    return rk.Slope(f"flux {label}", ", ".join(names) + ",", "\n".join(lines), _FLUX_GLOBALS)
+    return rk.Slope(f"flux {label} N{N}k{k}", ", ".join(names) + ",", "\n".join(lines),
+                    _FLUX_GLOBALS)
 
 
 def flux_kernel(N: int, k: int, lam: float, weights):
@@ -220,11 +254,8 @@ def flux_kernel(N: int, k: int, lam: float, weights):
     rhs(r, y).  weights is f, or (g, h)."""
     ws = (weights,) if callable(weights) else tuple(weights)
     formulas = tuple(getattr(w, "formula", None) for w in ws)
-    slope = _flux_slope(formulas)
-    # r^(N-k) is a normal float, by a wide margin, for r_lo < r < r_hi
-    r_lo, r_hi = (0.0, math.inf) if N == k else (1e-300 ** (1.0 / (N - k)),
-                                                 1e300 ** (1.0 / (N - k)))
-    inputs = (N - 1, N - k, k, 1.0 / k, (k - N) / k, k / binom(N - 1, k - 1), lam, r_lo, r_hi)
+    slope = _flux_slope(formulas, N, k)
+    inputs = (lam,)
     for w, formula in zip(ws, formulas):
         inputs += (w,) if formula is None else w.formula_values
     return slope, inputs, rk.slope_function(2 * len(ws), slope)(inputs)
@@ -327,27 +358,21 @@ def shoot_boundary_value(spec: ProblemSpec, lam: float, d: float,
                     spec.R)[0].y[0]
 
 
-def _first_zero(spec: ProblemSpec, d: float, lam0: float, cfg: ShootingConfig,
-                trajectory=None):
-    """(lambda(d) or None, rhs) of the IVP of lambda_at_amplitude; trajectory as in
-    rk.integrate."""
-    _check_inputs(spec, lam0, d)
-    if lam0 == 0.0:
-        raise InvalidInputError("reference lambda must be positive")
-    horizon = HORIZON * spec.R
-    res, rhs, _ = flux_ivp(spec.N, spec.k, spec.R, lam0, spec.f, (d,), cfg.integrator_tol,
-                           horizon, root_tol=cfg.root_tol, trajectory=trajectory)
-    return (None if res.t >= horizon else lam0 * (res.t / spec.R) ** 2), rhs
-
-
 def lambda_at_amplitude(spec: ProblemSpec, d: float, lam0: float,
-                        cfg: ShootingConfig = DEFAULT_CONFIG) -> float | None:
+                        cfg: ShootingConfig = DEFAULT_CONFIG, trajectory=None) -> float | None:
     """lambda(d) = lam0 (rho / R)^2 from one IVP at lam0 run to its first zero rho.
 
     lam0 near lambda(d) keeps rho near R.  None when u has no zero before
     rho = HORIZON * R, i.e. no lambda <= HORIZON^2 lam0 at this amplitude.
+    trajectory is as in rk.integrate.
     """
-    return _first_zero(spec, d, lam0, cfg)[0]
+    _check_inputs(spec, lam0, d)
+    if lam0 == 0.0:
+        raise InvalidInputError("reference lambda must be positive")
+    horizon = HORIZON * spec.R
+    res = flux_ivp(spec.N, spec.k, spec.R, lam0, spec.f, (d,), cfg.integrator_tol, horizon,
+                   root_tol=cfg.root_tol, trajectory=trajectory)[0]
+    return None if res.t >= horizon else lam0 * (res.t / spec.R) ** 2
 
 
 def point_at_amplitude(spec: ProblemSpec, d: float, lam0: float,
@@ -359,8 +384,8 @@ def point_at_amplitude(spec: ProblemSpec, d: float, lam0: float,
     solution at lambda(d), and the cone test is invariant under it.
     """
     states = []
-    lam, rhs = _first_zero(spec, d, lam0, cfg, states)
-    return None if lam is None else (lam, trajectory_admissible(rhs, states))
+    lam = lambda_at_amplitude(spec, d, lam0, cfg, states)
+    return None if lam is None else (lam, trajectory_admissible(states))
 
 
 def integrate_profile(spec: ProblemSpec, lam: float, d: float,
@@ -417,10 +442,12 @@ def profile_admissible(profile: RadialProfile, N: int, k: int) -> bool:
     return all(np.all(sk_from_radial(upp, q, N, j) > 0.0) for j in range(1, k + 1))
 
 
-def trajectory_admissible(rhs, trajectory) -> bool:
-    """Cone membership at the interior states (r, y) of a flux_ivp trajectory.
+def trajectory_admissible(trajectory) -> bool:
+    """Cone membership at the interior states (r, y, slope) of a flux_ivp trajectory.
 
-    The flux components m of y, and their slopes m' in rhs(r, y), are its odd entries.
+    The flux components m of y, and their slopes m', are the odd entries of y and
+    of the slope that the stepper recorded with y (rk.integrate), so the test
+    calls no rhs.
     S_k = C(N-1,k-1) r^(1-N) m'/k, and u' > 0 with S_k > 0 gives S_j > 0 for
     j < k, so m > 0 and m' > 0 is the test: no u'', whose S_j cancel to
     rounding within a step of R.  The end states are dropped, as r = 0 and R
@@ -432,8 +459,7 @@ def trajectory_admissible(rhs, trajectory) -> bool:
     where the forcing switches off and m' = 0; its accepted steps resolve that
     overshoot only to one step, so profile_admissible on a grid is the
     reference there."""
-    for r, y in trajectory[1:-1]:
-        slope = rhs(r, y)
+    for _, y, slope in trajectory[1:-1]:
         if not all(y[i] > 0.0 and slope[i] > 0.0 for i in range(1, len(y), 2)):
             return False
     return True

@@ -313,20 +313,19 @@ def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg):
 
 
 def _confirmed_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg, trajectory=None):
-    """(rho, d_v, res_u, res_v, rhs) of _common_zero's root, confirmed by one free shot to R
-    at the kernel scale lam_ref (rho / R)^2 (rhs and trajectory as in flux_ivp): residuals
+    """(rho, d_v, res_u, res_v) of _common_zero's root, confirmed by one free shot to R at
+    the kernel scale lam_ref (rho / R)^2 (trajectory as in rk.integrate): residuals
     (u(R), v(R)) beyond eigen_rel_tol(cfg) of (d_u, d_v) raise NumericalFailureError."""
     rho, d_v = _common_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg)
     scale = lam_ref * (rho / R) ** 2
-    res, rhs, _ = flux_ivp(N, k, R, scale, weights, (d_u, d_v), cfg.integrator_tol, R,
-                           trajectory=trajectory)
-    ru, _, rv, _ = res.y
+    ru, _, rv, _ = flux_ivp(N, k, R, scale, weights, (d_u, d_v), cfg.integrator_tol, R,
+                            trajectory=trajectory)[0].y
     tol = eigen_rel_tol(cfg)
     if max(abs(ru) / d_u, abs(rv) / d_v) > tol:
         raise NumericalFailureError(
             f"fixed-R residual check failed at d_u = {d_u!r}, d_v = {d_v!r}, kernel scale "
             f"{scale!r}: res_u = {ru!r}, res_v = {rv!r} exceed {tol:g} of d_u, d_v")
-    return rho, d_v, ru, rv, rhs
+    return rho, d_v, ru, rv
 
 
 def solve_system_shooting(spec: SystemSpec, d_u: float, init,
@@ -341,10 +340,10 @@ def solve_system_shooting(spec: SystemSpec, d_u: float, init,
         raise InvalidInputError(f"init must be positive, got {init!r}")
 
     states = []
-    rho, d_v, ru, rv, rhs = _confirmed_zero(spec.N, spec.k, spec.R, (spec.g, spec.h), d_u,
-                                            lam_ref, dv0, cfg, states)
+    rho, d_v, ru, rv = _confirmed_zero(spec.N, spec.k, spec.R, (spec.g, spec.h), d_u, lam_ref,
+                                       dv0, cfg, states)
     return SystemBranchPoint(d_u=d_u, d_v=d_v, lam=lam_ref * (rho / spec.R) ** 2,
-                             res_u=ru, res_v=rv, admissible=trajectory_admissible(rhs, states))
+                             res_u=ru, res_v=rv, admissible=trajectory_admissible(states))
 
 
 def confirm_coupled_eigenvalue(N: int, k: int, R: float, lam1: float,

@@ -38,6 +38,7 @@ from hessbif.shooting import (
     ShootingConfig,
     first_eigenvalue,
     flux_ivp,
+    flux_kernel,
     integrate_profile,
     profile_admissible,
     shoot_boundary_value,
@@ -458,6 +459,26 @@ def registry_branch(request):
 GRID_256 = ShootingConfig(grid_points=256)
 
 
+def _cone_flag(rhs, trajectory):
+    """The cone test of trajectory_admissible with each slope recomputed as rhs(r, y)."""
+    return all(y[i] > 0.0 and rhs(r, y)[i] > 0.0
+               for r, y, _ in trajectory[1:-1] for i in range(1, len(y), 2))
+
+
+FLAG_TRACES = {
+    "log_bump-N3k2": lambda: trace_branch(
+        ProblemSpec(N=3, k=2, R=1.13, f=registry()["log_bump"]), 1e-2, 1e2, 16, FAST),
+    "saturating-N2k1": lambda: trace_branch(
+        ProblemSpec(N=2, k=1, R=1.13, f=registry()["saturating"]), 1e-2, 1e2, 16, FAST),
+    "powermix-pair-N2k1": lambda: trace_system_branch(
+        SystemSpec(N=2, k=1, R=1.13, g=NonlinearitySpec2("powermix_t"),
+                   h=NonlinearitySpec2("powermix_s")), np.geomspace(1e-2, 1e2, 16), FAST),
+    "saturating-pair-N2k2": lambda: trace_system_branch(
+        SystemSpec(N=2, k=2, R=1.13, g=NonlinearitySpec2("saturating_t"),
+                   h=NonlinearitySpec2("saturating_s")), np.geomspace(1e-2, 1e2, 16), FAST),
+}
+
+
 class TestAdmissibility:
     def test_flags_match_grid_profiles(self, registry_branch):
         spec, br = registry_branch
@@ -486,15 +507,56 @@ class TestAdmissibility:
         for p in br.points[::3]:
             lam = 1.05 * p.lam
             states = []
-            res, rhs, _ = flux_ivp(spec.N, spec.k, spec.R, lam, spec.f, (p.d,),
-                                   FAST.integrator_tol, spec.R, trajectory=states)
-            admissible = trajectory_admissible(rhs, states)
+            res = flux_ivp(spec.N, spec.k, spec.R, lam, spec.f, (p.d,), FAST.integrator_tol,
+                           spec.R, trajectory=states)[0]
+            admissible = trajectory_admissible(states)
+            assert admissible == _cone_flag(flux_kernel(spec.N, spec.k, lam, spec.f)[2], states)
             assert res.y[0] > 0.0
             assert not profile_admissible(integrate_profile(spec, lam, p.d, GRID_256),
                                           spec.N, spec.k)
             assert admissible == (states[-2][0] < r_star)
             flags.append(admissible)
         assert flags.count(False) > len(flags) / 2
+
+    @pytest.mark.parametrize("name", sorted(FLAG_TRACES))
+    def test_flags_read_the_recorded_slopes(self, monkeypatch, ivps, name):
+        # every flag of a trace equals the cone test on slopes recomputed by rhs(r, y), yet
+        # the trace calls rhs only for the first stage of each step, once per state stepped
+        # from: n_steps calls per IVP, which RKResult.n_rhs counts
+        import hessbif.rk as rk
+        import hessbif.shooting as shooting
+        import hessbif.system as system_mod
+
+        calls, flagged = [], []
+        bind_slope, flag = rk.slope_function, shooting.trajectory_admissible
+
+        def counting(n, slope):
+            bind = bind_slope(n, slope)
+
+            def counted_bind(inputs):
+                rhs = bind(inputs)
+
+                def counted(t, y):
+                    calls.append(t)
+                    return rhs(t, y)
+                return counted
+            return counted_bind
+
+        def recording(trajectory):
+            flagged.append((trajectory, flag(trajectory)))
+            return flagged[-1][1]
+
+        monkeypatch.setattr(rk, "slope_function", counting)
+        monkeypatch.setattr(shooting, "trajectory_admissible", recording)
+        monkeypatch.setattr(system_mod, "trajectory_admissible", recording)
+        br = FLAG_TRACES[name]()
+        assert br.gaps == [] and len(flagged) >= len(br.points)
+        assert len(calls) == sum(ivp.result.n_steps for ivp in ivps)
+        assert all(ivp.result.n_steps < ivp.result.n_rhs for ivp in ivps)
+        rhs_of = {id(ivp.kwargs["trajectory"]): ivp.args[0] for ivp in ivps
+                  if ivp.kwargs.get("trajectory") is not None}
+        assert [admissible for _, admissible in flagged] == [
+            _cone_flag(rhs_of[id(trajectory)], trajectory) for trajectory, _ in flagged]
 
     @pytest.mark.parametrize("kind", ["scalar", "system"])
     def test_traces_integrate_on_no_output_grid(self, ivps, kind):

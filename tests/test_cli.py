@@ -70,13 +70,13 @@ class TestEigen:
 
     def test_overflowing_forcing_is_named(self, capsys):
         # lambda = 1 / R^2 = 1e6 at N = k = 60: the seed and atol of m stay floats, but
-        # the forcing (lam * w0) ** k = 1e360 of the first slope does not
+        # the forcing (lam * w0) ** 60 = 1e360 of the first slope does not
         from hessbif import cli
 
         rc = cli.main(["eigen", "--N", "60", "--k", "60", "--R", "1e-3"])
         err = capsys.readouterr().err
         assert rc == cli.EXIT_NUMERICAL, err
-        assert "slope overflows" in err and "(lam * w0) ** k" in err
+        assert "slope overflows" in err and "(lam * w0) ** 60" in err
         assert "Numerical result out of range" not in err
 
     def test_unattainable_tolerance_is_numerical_failure(self, tmp_path):
@@ -699,7 +699,8 @@ class TestCachedParser:
         assert r.stdout.split() == ["0", "0"]
 
     def test_kernels_compile_on_first_use(self, specdir):
-        # none at import; after one verify, one step and one rhs per (state size, formula)
+        # none at import; after one verify, one step and one rhs per (state size, formula,
+        # N, k)
         from hessbif import cli
 
         code = ("import contextlib, io, json, linecache\n"
@@ -717,8 +718,10 @@ class TestCachedParser:
         at_import, after_verify = map(json.loads, r.stdout.splitlines())
         assert at_import == [0, 0, 0, []]
         assert after_verify == [cli.EXIT_OK, 2, 2, [
-            "<hessbif.rk dop853 n=2 flux linear>", "<hessbif.rk dop853 n=2 flux saturating>",
-            "<hessbif.rk slope n=2 flux linear>", "<hessbif.rk slope n=2 flux saturating>"]]
+            "<hessbif.rk dop853 n=2 flux linear N1k1>",
+            "<hessbif.rk dop853 n=2 flux saturating N1k1>",
+            "<hessbif.rk slope n=2 flux linear N1k1>",
+            "<hessbif.rk slope n=2 flux saturating N1k1>"]]
 
     def test_build_parser_returns_a_fresh_parser(self):
         from hessbif import cli

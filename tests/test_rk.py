@@ -88,7 +88,8 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("root_tol", [None, 1e-10])
     def test_trajectory_records_every_accepted_state(self, root_tol):
-        # y = -cos(t): with root_tol the run stops at pi/2, the last record
+        # y = -cos(t): with root_tol the run stops at pi/2, the last record, which no step
+        # starts from and so has no slope
         traj = []
         res = integrate(harmonic, 0.0, [-1.0, 0.0], 3.0, rtol=1e-10,
                         atol=[1e-13, 1e-13], root_tol=root_tol, trajectory=traj)
@@ -97,12 +98,13 @@ class TestIntegrate:
         assert (res.t, res.y, res.n_steps) == (plain.t, plain.y, plain.n_steps)
         assert res.grid_states is None
         assert len(traj) == res.n_steps + 1
-        assert traj[0] == (0.0, [-1.0, 0.0])
-        assert traj[-1] == (res.t, res.y)
-        ts = np.array([t for t, _ in traj])
+        assert traj[0][:2] == (0.0, [-1.0, 0.0])
+        assert traj[-1] == (res.t, res.y, None)
+        ts = np.array([t for t, _, _ in traj])
         assert np.all(np.diff(ts) > 0.0)
-        got = np.array([y[0] for _, y in traj])
+        got = np.array([y[0] for _, y, _ in traj])
         assert np.max(np.abs(got + np.cos(ts))) < 1e-9
+        assert all(slope == harmonic(t, y) for t, y, slope in traj[:-1])
 
     def test_root_within_h_min_of_the_start_is_located(self):
         # u' = 1, and a forcing m' = max(-u, 0) that switches off at the zero of u;

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import sys
 import traceback
 
 import numpy as np
@@ -460,7 +461,7 @@ class TestFluxKernel:
         with pytest.raises(NumericalFailureError) as info:
             step(inputs, 0.5, [-1e200, 1.0], 0.1, (0.0, 0.0), 1e-10, [1e-13, 1e-13])
         text = "".join(traceback.format_exception(info.value))
-        assert 'File "<hessbif.rk dop853 n=2 flux superlinear>", line 11, in step' in text
+        assert 'File "<hessbif.rk dop853 n=2 flux superlinear N2k1>", line 11, in step' in text
         assert "refuse(w0, s0)" in text
 
     def test_only_caller_of_the_integrator(self, ivps):
@@ -564,9 +565,41 @@ def _pair(base):
                                                                                   params)
 
 
+def _unfolded_slope(N, k, lam, weights):
+    """The flux slope as rhs(r, y), with N - 1, N - k, k and 1/k as run-time values and
+    every float power written out: the kernel's template before its (N, k) is folded in."""
+    ws = (weights,) if callable(weights) else tuple(weights)
+    coef = k / core.binom(N - 1, k - 1)
+    r_lo, r_hi = ((0.0, math.inf) if N == k
+                  else (1e-300 ** (1.0 / (N - k)), 1e300 ** (1.0 / (N - k))))
+
+    def rhs(r, y):
+        if len(ws) == 1:
+            s = (-y[0],)
+            w = [ws[0](s[0]) if s[0] > 0.0 else 0.0]
+        else:
+            s = tuple(-u if u < 0.0 else 0.0 for u in y[0::2])
+            w = [g(*s) for g in ws]
+        if not all(0.0 <= x < math.inf for x in w):
+            raise NumericalFailureError(f"refusing {w!r}")
+        ra = coef * r ** (N - 1)
+        r_nk = r ** (N - k) if r_lo < r < r_hi else math.inf
+        out = []
+        for m, x in zip(y[1::2], w):
+            q = m / r_nk
+            out += [q ** (1.0 / k) if sys.float_info.min <= q < math.inf
+                    else math.exp(1.0 / k * math.log(m) + (k - N) / k * math.log(r)) if m > 0.0
+                    else 0.0,
+                    ra * (lam * x) ** k]
+        return out
+
+    return rhs
+
+
 class TestSingleSource:
     """Each weight formula is stored once: the called weight and the one the flux kernel
-    inlines agree bit for bit, and the kernel's inlined stages are its rhs."""
+    inlines agree bit for bit, and the kernel's rhs and inlined stages are those of the
+    unfolded slope."""
 
     @pytest.mark.parametrize("kind", sorted(core._FORMULAS))
     def test_called_and_inlined_weight_agree(self, kind):
@@ -602,11 +635,15 @@ class TestSingleSource:
     }
 
     @pytest.mark.parametrize("name", sorted(WEIGHTS))
-    @pytest.mark.parametrize("N,k", [(2, 1), (3, 2), (4, 4), (60, 1)])
+    @pytest.mark.parametrize("N,k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 4),
+                                     (5, 1), (8, 8), (60, 1)])
     def test_inlined_stages_equal_the_rhs(self, name, N, k):
-        # the generic step calling rhs at its stages against the kernel inlining it
+        # the kernel's rhs against the unfolded slope, and its step, which inlines the slope,
+        # against the generic step calling the unfolded slope at its stages: a wrong fold of
+        # any (N, k) case moves a bit of one or the other
         weights = self.WEIGHTS[name]
         slope, inputs, rhs = flux_kernel(N, k, 3.7, weights)
+        reference = _unfolded_slope(N, k, 3.7, weights)
         n = 2 if callable(weights) else 4
         called, inlined = rk._dop853_step(n), rk._dop853_step(n, slope)
         rng = random.Random(f"{name} {N} {k}")
@@ -614,11 +651,13 @@ class TestSingleSource:
             t = 10.0 ** rng.uniform(-9.0, 0.3)   # r^59 underflows below r = 1e-5
             y = []
             for _ in range(n // 2):
-                y += [rng.uniform(-3.0, 0.2), rng.choice([0.0, 10.0 ** rng.uniform(-300.0, 2.0)])]
+                # m down to subnormal, where u' takes the log form
+                y += [rng.uniform(-3.0, 0.2), rng.choice([0.0, 10.0 ** rng.uniform(-320.0, 2.0)])]
             h = 10.0 ** rng.uniform(-6.0, -0.5) * t
+            assert _bits(rhs, t, y) == _bits(reference, t, y)
             try:
-                k0 = rhs(t, y)
+                k0 = reference(t, y)
             except OverflowError:   # u' beyond the floats, from the log form
                 continue
             args = (t, y, h, k0, 1e-10, [1e-13] * n)
-            assert _bits(called, rhs, *args) == _bits(inlined, inputs, *args)
+            assert _bits(called, reference, *args) == _bits(inlined, inputs, *args)

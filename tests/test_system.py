@@ -495,8 +495,8 @@ class TestPowerPair:
 
         monkeypatch.setattr(system_mod, "flux_ivp", recording)
         power_pair_constant(2, 2, 4.0, 1.0)
-        assert {ivp.kwargs["slope"].name for ivp in ivps} == {"flux linear",
-                                                              "flux power_t power_s"}
+        assert {ivp.kwargs["slope"].name for ivp in ivps} == {"flux linear N2k2",
+                                                              "flux power_t power_s N2k2"}
         (N, k, R, lam, weights, *rest), kwargs = roots[len(roots) // 2]
         (lam_ref, alpha, k_inv), (mu_ref, beta, _) = (w.formula_values for w in weights)
         assert k_inv == 1.0 / k
@@ -505,8 +505,8 @@ class TestPowerPair:
         ivps.clear()
         inlined, _, _ = real(N, k, R, lam, weights, *rest, **kwargs)
         plain, _, _ = real(N, k, R, lam, called, *rest, **kwargs)
-        assert [ivp.kwargs["slope"].name for ivp in ivps] == ["flux power_t power_s",
-                                                              "flux call call"]
+        assert [ivp.kwargs["slope"].name for ivp in ivps] == ["flux power_t power_s N2k2",
+                                                              "flux call call N2k2"]
         assert (inlined.t, inlined.y, inlined.n_steps, inlined.n_rejected) == \
             (plain.t, plain.y, plain.n_steps, plain.n_rejected)
 
@@ -594,7 +594,7 @@ class TestTraceSystemBranch:
         assert rep.passed
         assert any("superlinear norm bound" in c.name for c in rep.checks)
 
-    def test_fold_polish_adds_the_apex(self, monkeypatch, ivps):
+    def test_fold_polish_adds_the_apex(self, monkeypatch, ivps, tmp_path):
         # the powermix pair's maximum is polished as on scalar branches; each polish solve
         # starts from d_u times the root of the bracket's ratios, d_u itself on this
         # symmetric pair, so it takes the F = 0 return of _common_zero: 2 IVPs
@@ -624,7 +624,12 @@ class TestTraceSystemBranch:
         assert sb.points[fold.index] is added[0] and not added[0].seed
         assert all(added[0].lam >= p.lam for p in sb.points)
         assert polish_solves > 0 and polish_ivps == 2 * polish_solves
-        assert sb.points is sb.points and sb.gaps is sb.gaps
+        # no amplitude became a gap, and the branch CSV marks the polished apex as the fold
+        assert sb.gaps == []
+        write_system_csv(sb, tmp_path / "b.csv")
+        rows = [row.split(",") for row in (tmp_path / "b.csv").read_text().splitlines()[1:]]
+        assert [int(row[0]) for row in rows if row[-1] == "1"] == [f.index for f in sb.folds]
+        assert float(rows[fold.index][3]) == added[0].lam
 
     def test_sublinear_monitor_uniform_bound(self, lam1):
         spec = coupled(1, 1, "saturating")
