@@ -14,6 +14,8 @@ modes:
 
 and, in either mode, an optional stop where component 0 first changes sign,
 located inside the last accepted step by re-stepping from its saved state.
+zeroin (Brent) finds that zero over the step length; it is the package's one
+bracketed root finder, and system and shooting resolve their roots with it.
 
 The error of a step of length h is h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n),
 with e5 = sum E5_j k_j and e3 = sum (B_j - BHH_j) k_j scaled componentwise by
@@ -61,6 +63,7 @@ from __future__ import annotations
 import functools
 import linecache
 import math
+import sys
 import traceback
 from typing import NamedTuple
 
@@ -130,7 +133,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER_EXP = -1.0 / 8.0  # 1 / (error order + 1)
-_MAX_LOCATE_ITER = 100
+_MAX_ZEROIN_ITER = 100
 _RHS_PER_ATTEMPT = len(_A) - 1   # stages 1..11; stage 0 is k0
 _TANGENT_REACH = 1.001   # root mode: a trial ends at most this far along the tangent to 0
 
@@ -262,51 +265,86 @@ def slope_function(n, slope):
     return _generate(_filename("slope", n, slope), "\n".join(lines), slope)["bind"]
 
 
+def zeroin(fun, a, b, tol):
+    """(b, c): the ends of the final bracket of a sign change of f, by Brent's zeroin
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973, ch. 4).
+
+    a and b are evaluated points (x, f, data) whose f differ in sign (or one is 0); f
+    may be infinite at an end.  fun(x) evaluates and returns the point (x', f, data),
+    where x' may differ from x as long as it stays inside the bracket.  Each step goes
+    from b, the end of smaller |f|: inverse quadratic or secant, or a bisection where
+    those would leave the bracket, shrink it too slowly, or meet an infinite f.  The
+    search stops at f(b) = 0, or once the next step from b is within tol + 2 eps |x_b|,
+    and returns b with c, the other end of the bracket.  NumericalFailureError after
+    _MAX_ZEROIN_ITER evaluations.
+    """
+    c, step = a, b[0] - a[0]   # step and prev_step: the last two steps taken
+    prev_step = step
+    for _ in range(_MAX_ZEROIN_ITER):
+        if (b[1] > 0.0) == (c[1] > 0.0):
+            c, step = a, b[0] - a[0]
+            prev_step = step
+        if abs(c[1]) < abs(b[1]):
+            a, b, c = b, c, b
+        if b[1] == 0.0:
+            return b, c
+        tol_b = tol + 2.0 * sys.float_info.epsilon * abs(b[0])
+        half = 0.5 * (c[0] - b[0])
+        xa, fa, xb, fb, fc = a[0], a[1], b[0], b[1], c[1]
+        if (abs(prev_step) >= tol_b and abs(fa) > abs(fb)
+                and math.isfinite(fa) and math.isfinite(fc)):   # an infinite f bisects
+            s = fb / fa
+            if a is c:   # secant
+                p, q = 2.0 * half * s, 1.0 - s
+            else:        # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (xb - xa) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            p, q = (p, -q) if p > 0.0 else (-p, q)
+            if 2.0 * p < min(3.0 * half * q - abs(tol_b * q), abs(prev_step * q)):
+                prev_step, step = step, p / q
+            else:
+                prev_step = step = half
+        else:
+            prev_step = step = half
+        if abs(step) <= tol_b:
+            return b, c
+        a, b = b, fun(xb + step)
+    raise NumericalFailureError(
+        f"zeroin did not converge in {_MAX_ZEROIN_ITER} steps: bracket [{b[0]!r}, {c[0]!r}]")
+
+
 def _locate_zero(inputs, t, y, k0, h, y_end, rtol, atol, root_tol, slope=CALL):
     """(t*, y*, trials) where component 0 changes sign inside the step (t, y) -> (t + h, y_end).
 
-    Illinois regula falsi on the step length s in [0, h], each trial a fresh
-    step of _dop853_step(len(y), slope) from the saved state, until the
-    bracket is below root_tol relative to t + s; the state is then
-    interpolated linearly across it.  A
-    trial that overflows is retried at _MIN_FACTOR of its distance from s_lo.
-    trials counts the trial steps taken, overflowed ones included.
+    zeroin on the step length s in [0, h], to root_tol (t + h), each trial a fresh
+    step of _dop853_step(len(y), slope) from the saved state; t and y are then
+    interpolated linearly across the final bracket.  A trial that overflows is
+    retried at _MIN_FACTOR of its distance from the longest trial that ended short
+    of the zero, which keeps it inside the bracket.  trials counts the trial steps
+    taken, overflowed ones included.
     """
-    s_lo, y_lo, f_lo = 0.0, y, y[0]
-    s_hi, y_hi, f_hi = h, y_end, y_end[0]
-    side = 0
-    s_retry = None
     step = _dop853_step(len(y), slope)
+    s_lo = 0.0
     trials = 0
-    for _ in range(_MAX_LOCATE_ITER):
-        if s_hi - s_lo <= root_tol * (t + s_hi):
-            break
-        s = s_lo + (s_hi - s_lo) * f_lo / (f_lo - f_hi) if s_retry is None else s_retry
-        if not (s_lo < s < s_hi):
-            s = 0.5 * (s_lo + s_hi)
-        trials += 1
-        try:
-            y_s = step(inputs, t, y, s, k0, rtol, atol)[0]
-        except OverflowError:   # a rejected trial: retry shorter, the bracket kept
-            s_retry = s_lo + _MIN_FACTOR * (s - s_lo)
-            continue
-        s_retry = None
-        f = y_s[0]
-        if f == 0.0:
-            return t + s, y_s, trials
-        if (f < 0.0) == (f_lo < 0.0):
-            s_lo, y_lo, f_lo = s, y_s, f
-            if side < 0:
-                f_hi *= 0.5
-            side = -1
-        else:
-            s_hi, y_hi, f_hi = s, y_s, f
-            if side > 0:
-                f_lo *= 0.5
-            side = 1
-    w = y_lo[0] / (y_lo[0] - y_hi[0])
-    return (t + s_lo + w * (s_hi - s_lo),
-            [a + w * (b - a) for a, b in zip(y_lo, y_hi)], trials)
+
+    def trial(s):
+        nonlocal s_lo, trials
+        while True:
+            trials += 1
+            try:
+                y_s = step(inputs, t, y, s, k0, rtol, atol)[0]
+            except OverflowError:   # a rejected trial: retry shorter
+                s = s_lo + _MIN_FACTOR * (s - s_lo)
+                continue
+            if (y_s[0] < 0.0) == (y[0] < 0.0):
+                s_lo = max(s_lo, s)
+            return s, y_s[0], y_s
+
+    (s_b, f_b, y_b), (s_c, f_c, y_c) = zeroin(trial, (0.0, y[0], y), (h, y_end[0], y_end),
+                                              root_tol * (t + h))
+    w = f_b / (f_b - f_c)
+    return t + s_b + w * (s_c - s_b), [p + w * (q - p) for p, q in zip(y_b, y_c)], trials
 
 
 def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,

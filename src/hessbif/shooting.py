@@ -63,7 +63,8 @@ onto the Dirichlet solution, the cone test is invariant under it, and its
 accepted states end at the zero, so none lies past it.  The first
 eigenvalue comes from the same device.  The fixed-R residual u(R; lambda)
 stays as the independent path: it confirms lambda1, certifies the solution
-counts of branch.verify_predictions, and solve_lambda and the tests use it.
+counts of branch.verify_predictions, and the tests use it through solve_lambda,
+which scans it in lambda and resolves each sign change by rk.zeroin.
 first_eigenvalue shoots u(R) at lambda1, then at lambda1 (1 -/+ w) on the side
 where the residual's root must lie, and requires a sign change between them.
 
@@ -124,7 +125,6 @@ DEFAULT_CONFIG = ShootingConfig()
 # puts none there (worst 8.7e-10 scalar, 5.1e-10 coupled; medians ~1e-12).
 STEP_TOL_FACTOR = 0.1
 HORIZON = 1e3   # lambda_at_amplitude looks for the first zero out to HORIZON * R
-MAX_BISECT_ITER = 200
 
 
 @dataclass
@@ -339,13 +339,20 @@ def flux_profiles(N: int, k: int, R: float, lam: float, weights, amplitudes,
     return tuple(profiles)
 
 
+def _check_shot(lam: float, amplitudes) -> None:
+    """InvalidInputError unless lam is finite and >= 0 and every amplitude is positive and
+    finite: the inputs of one scalar or coupled shot."""
+    for d in amplitudes:
+        if not 0.0 < d < math.inf:
+            raise InvalidInputError(f"amplitude must be positive and finite, got {d!r}")
+    if not 0.0 <= lam < math.inf:
+        raise InvalidInputError(f"lambda must be finite and nonnegative, got {lam!r}")
+
+
 def _check_inputs(spec: ProblemSpec, lam: float, d: float) -> None:
     if not isinstance(spec, ProblemSpec):
         raise InvalidInputError("spec must be a ProblemSpec")
-    if not (d > 0.0) or not math.isfinite(d):
-        raise InvalidInputError(f"amplitude d must be positive, got {d!r}")
-    if lam < 0.0 or not math.isfinite(lam):
-        raise InvalidInputError(f"lambda must be nonnegative, got {lam!r}")
+    _check_shot(lam, (d,))
 
 
 def shoot_boundary_value(spec: ProblemSpec, lam: float, d: float,
@@ -470,30 +477,15 @@ def trajectory_admissible(trajectory) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _bisect(fun, lo, hi, f_lo, rel_tol):
-    """Bracketing bisection of a sign change of fun on [lo, hi]; returns the root."""
-    for _ in range(MAX_BISECT_ITER):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= rel_tol * max(abs(mid), 1e-300):
-            return mid
-        f_mid = fun(mid)
-        if f_mid == 0.0:
-            return mid
-        if (f_lo < 0.0) == (f_mid < 0.0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def solve_lambda(spec: ProblemSpec, d: float, bracket, cfg: ShootingConfig = DEFAULT_CONFIG,
                  scan_cells: int = 64) -> list[float]:
     """All lambda roots of the boundary residual at fixed amplitude d.
 
-    Log-spaced scan over the bracket followed by bisection on every sign
-    change.  Empty list means no root in the bracket (non-existence evidence at
-    this amplitude).  Roots are sorted ascending; more than one is unusual but
-    reported rather than suppressed.
+    Log-spaced scan over the bracket followed by rk.zeroin on every sign
+    change, to root_tol relative to the scan cell's upper end.  Empty list
+    means no root in the bracket (non-existence evidence at this amplitude).
+    Roots are sorted ascending; more than one is unusual but reported rather
+    than suppressed.
     """
     import numpy as np
 
@@ -511,20 +503,18 @@ def solve_lambda(spec: ProblemSpec, d: float, bracket, cfg: ShootingConfig = DEF
     if lam_lo < lo_eff:
         nodes = np.concatenate([[lam_lo], nodes])
 
-    def res(lam):
-        return shoot_boundary_value(spec, lam, d, cfg)
+    def res(lam):   # a point of rk.zeroin
+        return lam, shoot_boundary_value(spec, lam, d, cfg), None
 
-    values = [res(lam) for lam in nodes]
+    points = [res(float(lam)) for lam in nodes]
     roots = []
-    for i in range(len(nodes) - 1):
-        f_a, f_b = values[i], values[i + 1]
-        if f_a == 0.0:
-            roots.append(float(nodes[i]))
-        elif (f_a < 0.0) != (f_b < 0.0):
-            roots.append(_bisect(res, float(nodes[i]), float(nodes[i + 1]), f_a,
-                                 cfg.root_tol))
-    if values[-1] == 0.0:
-        roots.append(float(nodes[-1]))
+    for a, b in zip(points, points[1:]):
+        if a[1] == 0.0:
+            roots.append(a[0])
+        elif (a[1] < 0.0) != (b[1] < 0.0):
+            roots.append(rk.zeroin(res, a, b, cfg.root_tol * b[0])[0][0])
+    if points[-1][1] == 0.0:
+        roots.append(points[-1][0])
     return sorted(roots)
 
 

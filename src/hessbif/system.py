@@ -39,17 +39,17 @@ where the class pair is (lim_{x->0} w, lim_{x->inf} w) relative to |t| (resp.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from . import shooting
+from . import rk, shooting
 from .branch import Branch, VerificationReport, reference_lambda, solution_amplitudes, trace
 from .core import Formula, LimitClass, _check_order
 from .errors import InvalidInputError, NumericalFailureError
 from .shooting import (
     DEFAULT_CONFIG,
     ShootingConfig,
+    _check_shot,
     eigen_rel_tol,
     first_eigenvalue,
     flux_ivp,
@@ -193,18 +193,14 @@ class SystemSpec:
 def integrate_system(spec: SystemSpec, lam: float, d_u: float, d_v: float,
                      cfg: ShootingConfig = DEFAULT_CONFIG):
     """Simultaneous outward integration; returns the (u, v) profile pair."""
-    if not (d_u > 0.0 and d_v > 0.0):
-        raise InvalidInputError(f"amplitudes must be positive, got {d_u!r}, {d_v!r}")
-    if lam < 0.0:
-        raise InvalidInputError(f"lambda must be nonnegative, got {lam!r}")
+    _check_shot(lam, (d_u, d_v))
     return flux_profiles(spec.N, spec.k, spec.R, lam, (spec.g, spec.h), (d_u, d_v), cfg)
 
 
 def system_boundary_values(spec: SystemSpec, lam: float, d_u: float, d_v: float,
                            cfg: ShootingConfig = DEFAULT_CONFIG):
     """(u(R), v(R)) without storing profiles."""
-    if not (d_u > 0.0 and d_v > 0.0):
-        raise InvalidInputError(f"amplitudes must be positive, got {d_u!r}, {d_v!r}")
+    _check_shot(lam, (d_u, d_v))
     if lam == 0.0:
         return -d_u, -d_v
     y = flux_ivp(spec.N, spec.k, spec.R, lam, (spec.g, spec.h), (d_u, d_v),
@@ -239,77 +235,38 @@ def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg):
 
     F = v(rho_u) / d_v at u's first zero rho_u falls as d_v grows (g rises in t, h in s);
     no zero before shooting.HORIZON R counts as F = +inf.  Steps of 0.1, 0.2, 0.4, ... in
-    z = log d_v bracket its sign change, which Brent's zeroin resolves (R. P. Brent,
-    Algorithms for Minimization without Derivatives, 1973, ch. 4): inverse quadratic or
-    secant steps from the end of smaller |F|, and a bisection step wherever those would
-    leave the bracket, shrink it too slowly, or meet an infinite F.  It stops once the
-    next step from that end is within root_tol in z and returns that end, an evaluated
-    IVP, so rho and d_v always belong to one run."""
+    z = log d_v bracket its sign change, and rk.zeroin resolves it to root_tol in z.  The
+    root is zeroin's end of smaller |F|, an evaluated IVP, so rho and d_v always belong
+    to one run."""
     horizon = shooting.HORIZON * R
 
-    def point(d_v):   # (log d_v, d_v, F, rho_u), rho_u None when u has no zero
+    def point(d_v):   # (log d_v, F, (rho_u, d_v)), rho_u None when u has no zero
         if not d_v > 0.0:
             raise NumericalFailureError(f"d_v underflows to {d_v!r} (d_u = {d_u!r})")
         res = flux_ivp(N, k, R, lam_ref, weights, (d_u, d_v), cfg.integrator_tol, horizon,
                        root_tol=cfg.root_tol)[0]
         z = math.log(d_v)
         if res.t >= horizon:
-            return z, d_v, math.inf, None
+            return z, math.inf, (None, d_v)
         # v(rho_u) == u(rho_u) when u and v coincide, though the located u(rho_u) may be
         # a tiny nonzero; rho_u is then their common zero
-        return z, d_v, 0.0 if res.y[2] == res.y[0] else res.y[2] / d_v, res.t
+        return z, 0.0 if res.y[2] == res.y[0] else res.y[2] / d_v, (res.t, d_v)
 
     prev = point(dv0)
-    if prev[2] == 0.0:   # u and v coincide, as on symmetric pairs at d_v = d_u
-        return prev[3], prev[1]
-    up = prev[2] > 0.0
+    if prev[1] == 0.0:   # u and v coincide, as on symmetric pairs at d_v = d_u
+        return prev[2]
+    up = prev[1] > 0.0
     for n in range(10):   # ten doublings reach log(d_v / dv0) = +-102.3
         cur = point(math.exp(prev[0] + (0.1 if up else -0.1) * 2.0**n))
-        if (cur[2] > 0.0) != up:
+        if (cur[1] > 0.0) != up:
             break
         prev = cur
     else:
-        reason = (f"u has no zero before {shooting.HORIZON:g} R" if prev[3] is None
+        reason = (f"u has no zero before {shooting.HORIZON:g} R" if prev[2][0] is None
                   else "v(rho_u) did not change sign after 10 doublings")
         raise NumericalFailureError(
             f"{reason} from d_v = {dv0!r} (d_u = {d_u!r}, lambda_ref = {lam_ref!r})")
-
-    # zeroin: b is the end of smaller |F| (a finite F with a zero rho_u), c the other end of
-    # the bracket, a the previous b; step and prev_step are the last two steps taken
-    a, b = prev, cur
-    c, step = a, b[0] - a[0]
-    prev_step = step
-    for _ in range(shooting.MAX_BISECT_ITER):
-        if (b[2] > 0.0) == (c[2] > 0.0):
-            c, step = a, b[0] - a[0]
-            prev_step = step
-        if abs(c[2]) < abs(b[2]):
-            a, b, c = b, c, b
-        if b[2] == 0.0:
-            return b[3], b[1]
-        tol = cfg.root_tol + 2.0 * sys.float_info.epsilon * abs(b[0])
-        half = 0.5 * (c[0] - b[0])
-        za, fa, zb, fb, fc = a[0], a[2], b[0], b[2], c[2]
-        if (abs(prev_step) >= tol and abs(fa) > abs(fb)
-                and math.isfinite(fa) and math.isfinite(fc)):   # an infinite F bisects
-            s = fb / fa
-            if a is c:   # secant
-                p, q = 2.0 * half * s, 1.0 - s
-            else:        # inverse quadratic interpolation
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * half * q * (q - r) - (zb - za) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            p, q = (p, -q) if p > 0.0 else (-p, q)
-            if 2.0 * p < min(3.0 * half * q - abs(tol * q), abs(prev_step * q)):
-                prev_step, step = step, p / q
-            else:
-                prev_step = step = half
-        else:
-            prev_step = step = half
-        if abs(step) <= tol:
-            return b[3], b[1]
-        a, b = b, point(math.exp(zb + step))
-    raise NumericalFailureError(f"v(rho_u) root not resolved (d_u = {d_u!r})")
+    return rk.zeroin(lambda z: point(math.exp(z)), prev, cur, cfg.root_tol)[0][2]
 
 
 def _confirmed_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg, trajectory=None):

@@ -150,9 +150,71 @@ class TestIntegrate:
         t, y, trials = rk._locate_zero(ramp, 0.0, [0.5], [-1.0], 1.0, [-1.0], 1e-10, [1e-13],
                                        1e-12)
         assert raised
-        assert trials == 10   # the overflowed trial counts
+        assert trials == 7   # the overflowed trial counts
         assert t == pytest.approx(math.sqrt(2.0) - 1.0, rel=1e-11)
         assert abs(y[0]) < 1e-11
+
+
+
+class TestZeroin:
+    """rk.zeroin, the one bracketed root finder (zero location, coupled root, solve_lambda)."""
+
+    @staticmethod
+    def _logged(f):
+        """(fun, xs): fun evaluates f as a zeroin point and appends each x to xs."""
+        xs = []
+
+        def fun(x):
+            xs.append(x)
+            return x, f(x), None
+        return fun, xs
+
+    @pytest.mark.parametrize("zero_end", [0, 1])
+    def test_an_end_with_f_zero_returns_at_once(self, zero_end):
+        fun, xs = self._logged(lambda x: x - 0.5)
+        ends = [(0.0, -1.0, "a"), (1.0, 1.0, "b")]
+        ends[zero_end] = (ends[zero_end][0], 0.0, "zero")
+        b, c = rk.zeroin(fun, *ends, 1e-12)
+        assert b == ends[zero_end] and c == ends[1 - zero_end]
+        assert xs == []
+
+    def test_an_infinite_end_forces_bisection(self):
+        # F = +inf below 0.6, as where u has no zero before the horizon; root at 0.7
+        fun, xs = self._logged(lambda x: math.inf if x < 0.6 else 0.7 - x)
+        b, c = rk.zeroin(fun, (0.0, math.inf, None), (1.0, -0.3, None), 1e-12)
+        assert xs[:3] == [0.5, 0.75, 0.625]   # midpoints while an infinite F bounds it
+        assert b[0] == pytest.approx(0.7, abs=1e-12)
+        assert len(xs) <= 10
+
+    def test_a_moved_abscissa_keeps_a_valid_bracket(self):
+        # the first three evaluations are moved, as rk's overflow retry moves a trial, to
+        # 0.2 of their way from the largest x known to lie below the root
+        root = 0.2 ** (1.0 / 3.0)
+        s_lo = 0.0
+        moved = []
+
+        def fun(x):
+            nonlocal s_lo
+            if len(moved) < 3:
+                moved.append(x)
+                x = s_lo + 0.2 * (x - s_lo)
+            f = x**3 - 0.2
+            if f < 0.0:
+                s_lo = max(s_lo, x)
+            return x, f, None
+
+        b, c = rk.zeroin(fun, (0.0, -0.2, None), (1.0, 0.8, None), 1e-13)
+        assert len(moved) == 3
+        assert b[1] == 0.0 or (b[1] < 0.0) != (c[1] < 0.0)
+        assert min(b[0], c[0]) <= root <= max(b[0], c[0])
+        assert b[0] == pytest.approx(root, abs=1e-12)
+
+    def test_the_iteration_cap_is_a_numerical_failure(self, monkeypatch):
+        monkeypatch.setattr(rk, "_MAX_ZEROIN_ITER", 3)
+        fun, xs = self._logged(lambda x: math.sin(x) - 0.5)
+        with pytest.raises(NumericalFailureError, match="zeroin did not converge in 3 steps"):
+            rk.zeroin(fun, (0.0, -0.5, None), (2.0, math.sin(2.0) - 0.5, None), 0.0)
+        assert len(xs) == 3
 
 
 def _hex(result):
@@ -247,9 +309,9 @@ class TestGeneratedStep:
 
         res = integrate(counted, 0.0, [-1.0, 0.0], 10.0, rtol=1e-10, atol=[1e-13, 1e-13],
                         root_tol=1e-10)
-        # y = -cos(t) crosses zero in the sixth step; locating it takes four trial steps
+        # y = -cos(t) crosses zero in the sixth step; locating it takes two trial steps
         assert (res.n_steps, res.n_rejected) == (6, 0)
-        assert len(calls) == res.n_rhs == 11 * 6 + 6 + 11 * 4 == 116
+        assert len(calls) == res.n_rhs == 11 * 6 + 6 + 11 * 2 == 94
 
     def test_tracebacks_show_the_generated_source(self):
         def failing(t, y):

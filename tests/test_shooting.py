@@ -28,7 +28,7 @@ from hessbif.shooting import (
     solve_lambda,
 )
 
-from _oracles import eigen_value
+from _oracles import eigen_value, time_map_fold, time_map_lambda
 
 LAM_COS = (math.pi / 2) ** 2        # 2.4674011002723395, interval eigenvalue
 LAM_SINC = math.pi**2               # 9.869604401089358, 3-ball eigenvalue
@@ -373,6 +373,50 @@ class TestLambdaAtAmplitude:
             lambda_at_amplitude(spec, -1.0, 1.0)
 
 
+class TestTimeMap:
+    """lambda(d) at N = k = 1 against the exact time map of tests/_oracles.py.
+
+    At the defaults every registry kind agrees with it to 2.2e-11 on d in
+    1e-2..1e2, the two N1k1 folds to 1.3e-12 and the symmetric pairs to
+    2.2e-12; the table asks for 1e-10."""
+
+    R = 1.13
+
+    @pytest.mark.parametrize("name", sorted(core.registry()))
+    def test_registry_kind_against_the_time_map(self, name):
+        f = core.registry()[name]
+        spec = ProblemSpec(N=1, k=1, R=self.R, f=f)
+        lam1 = first_eigenvalue(1, 1, self.R).lambda1
+        for d in np.geomspace(1e-2, 1e2, 9):
+            lam = lambda_at_amplitude(spec, d, lam1 * d / f(d))
+            assert lam == pytest.approx(time_map_lambda(f, d, self.R), rel=1e-10), d
+
+    @pytest.mark.parametrize("base,params", [
+        ("linear", {}), ("saturating", {}), ("superlinear", {}), ("rational", {"b": 2.0}),
+        ("powermix", {}), ("logbump", {})])
+    def test_symmetric_pair_against_the_time_map(self, base, params):
+        # at N = 1 a symmetric pair at d_u = d_v is the scalar problem with f(s) = g(s, s)
+        g = system.NonlinearitySpec2(f"{base}_t", params)
+        spec = system.SystemSpec(N=1, k=1, R=self.R, g=g,
+                                 h=system.NonlinearitySpec2(f"{base}_s", params))
+        lam1 = first_eigenvalue(1, 1, self.R).lambda1
+        for d_u in (1e-2, 1.0, 1e2):
+            point = system.solve_system_shooting(spec, d_u, (lam1 * d_u / g(d_u, d_u), d_u))
+            assert point.lam == pytest.approx(
+                time_map_lambda(lambda s: g(s, s), d_u, self.R), rel=1e-10), d_u
+
+    @pytest.mark.parametrize("name,kind", [("sqrt_plus_square", "max"), ("log_bump", "min")])
+    def test_fold_against_the_time_map(self, name, kind):
+        from hessbif.branch import trace_branch
+
+        f = core.registry()[name]
+        branch = trace_branch(ProblemSpec(N=1, k=1, R=self.R, f=f), 1e-2, 1e2, 25)
+        [fold] = branch.folds
+        assert fold.kind == kind
+        d_lo, d_hi = (branch.points[fold.index + i].d for i in (-1, 1))
+        assert fold.lam == pytest.approx(time_map_fold(f, d_lo, d_hi, self.R, kind), rel=1e-10)
+
+
 def _logged_attempts(monkeypatch):
     """A list that receives (h, u, u_new, err) of every trial step rk takes from here on:
     the attempts of rk.integrate, then the trials of rk._locate_zero."""
@@ -413,7 +457,7 @@ class TestRootIvpCounts:
                        root_tol=1e-10)[0]
         assert log[0][0] == pytest.approx(self.R / 64.0, rel=1e-6)   # (R - r0) / 64
         assert log[0][3] <= 1.0   # accepted
-        assert (res.n_steps, res.n_rejected, res.n_rhs) == (34, 20, 661)
+        assert (res.n_steps, res.n_rejected, res.n_rhs) == (34, 20, 639)
 
     def test_one_rejected_trial_crosses_the_zero(self, monkeypatch):
         # the tracer's IVP for linear N2k1 at d = 1 (reference lambda1): 11 rejected
@@ -430,7 +474,7 @@ class TestRootIvpCounts:
         # retried at 0.9 of its length, not cut by the error estimate of the kink
         i = crossing[0]
         assert attempts[i + 1][0] == 0.9 * attempts[i][0]
-        assert (res.n_steps, res.n_rejected, res.n_rhs) == (16, 2, 247)
+        assert (res.n_steps, res.n_rejected, res.n_rhs) == (16, 2, 225)
 
 
 class TestFluxKernel:

@@ -127,6 +127,16 @@ class TestIntegrateSystem:
         with pytest.raises(InvalidInputError):
             integrate_system(coupled(2, 1, "linear"), 1.0, 0.0, 1.0, FAST)
 
+    @pytest.mark.parametrize("fn", [integrate_system, system_boundary_values])
+    @pytest.mark.parametrize("lam,d_u,d_v", [
+        (-1.0, 1.0, 1.0), (math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0),
+        (1.0, math.inf, 1.0), (1.0, 1.0, math.inf),
+    ])
+    def test_invalid_lambda_or_amplitude(self, fn, lam, d_u, d_v):
+        # invalid input, as for shoot_boundary_value, not a result or a numerical failure
+        with pytest.raises(InvalidInputError):
+            fn(coupled(2, 1, "linear"), lam, d_u, d_v, FAST)
+
 
 class TestSolveSystemShooting:
     def test_symmetric_solution_found(self):
