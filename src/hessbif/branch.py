@@ -8,14 +8,14 @@ horizontal lines lambda = const against the polyline, and the bifurcation
 points at zero/infinite amplitude become extrapolated asymptotes of the two
 tails.
 
-Each amplitude has exactly one lambda: shooting.point_at_amplitude reads it,
-and the point's admissibility flag, off one scaled IVP run to the first zero of
-u, so the tracer needs no lambda brackets and no second shot.  One tracer, trace,
-serves scalar and coupled branches; trace_branch and system.trace_system_branch
-supply only its point solver.  The counts that verify_predictions reads off the
-polyline are certified, when it is given the spec, by sign changes of the
-independent fixed-R residual u(R; lambda, d) across each crossing
-(_certify_crossings).
+Each amplitude has exactly one lambda: _solve_point reads it, and the point's
+admissibility flag, off one scaled IVP run to the first zero of u
+(shooting.lambda_at_amplitude, shooting.trajectory_admissible), so the tracer
+needs no lambda brackets and no second shot.  One tracer, trace, serves scalar
+and coupled branches; trace_branch and system.trace_system_branch supply only
+its point solver.  The counts that verify_predictions reads off the polyline
+are certified, when it is given the spec, by sign changes of the independent
+fixed-R residual u(R; lambda, d) across each crossing (_certify_crossings).
 
 All verification is for radial branches on balls; reports say so explicitly.
 """
@@ -38,8 +38,9 @@ from .shooting import (
     ShootingConfig,
     eigen_rel_tol,
     first_eigenvalue,
-    point_at_amplitude,
+    lambda_at_amplitude,
     shoot_boundary_value,
+    trajectory_admissible,
 )
 
 PLATEAU_REL = 1e-6          # extremum must beat neighbors by this (relative)
@@ -175,10 +176,10 @@ class Branch:
 # ---------------------------------------------------------------------------
 
 
-def detect_folds(branch: Branch, plateau_rel: float = PLATEAU_REL) -> list[Fold]:
+def detect_folds(branch: Branch) -> list[Fold]:
     """Interior local extrema of lambda over d, with plateau hysteresis.
 
-    An extremum counts only if the sequence moves by more than plateau_rel
+    An extremum counts only if the sequence moves by more than PLATEAU_REL
     relative on both flanks, so flat (eigen-type) branches report none.
     Segments separated by gaps are scanned independently.
     """
@@ -193,7 +194,7 @@ def detect_folds(branch: Branch, plateau_rel: float = PLATEAU_REL) -> list[Fold]
         ref = lams[start]
         ref_idx = start
         for i in range(start + 1, stop):
-            tol = plateau_rel * max(abs(lams[i]), abs(ref))
+            tol = PLATEAU_REL * max(abs(lams[i]), abs(ref))
             if lams[i] > ref + tol:
                 if trend < 0 and ref_idx > start:
                     folds.append(Fold(ref_idx, lams[ref_idx], "min"))
@@ -229,18 +230,17 @@ def _crossings(branch: Branch, lam: float):
     return hits
 
 
-def count_solutions(branch: Branch, lam: float,
-                    plateau_rel: float = PLATEAU_REL) -> int:
+def count_solutions(branch: Branch, lam: float) -> int:
     """Crossings of lambda = const against the branch polyline.
 
-    Raises AtFoldError when lam sits within plateau tolerance of a fold value
+    Raises AtFoldError when lam sits within PLATEAU_REL relative of a fold value
     (the fold contributes its own single solution there).
     """
     if not (lam > 0.0) or not math.isfinite(lam):
         raise InvalidInputError(f"lambda must be positive, got {lam!r}")
-    folds = branch.folds if branch.folds else detect_folds(branch, plateau_rel)
+    folds = branch.folds if branch.folds else detect_folds(branch)
     for f in folds:
-        if abs(lam - f.lam) <= plateau_rel * max(abs(lam), abs(f.lam)):
+        if abs(lam - f.lam) <= PLATEAU_REL * max(abs(lam), abs(f.lam)):
             others = [d for d, i in _crossings(branch, lam)
                       if abs(i - f.index) > 1]
             raise AtFoldError(lam, f.lam, 1, len(others))
@@ -594,11 +594,13 @@ def reference_lambda(lambda_scale: float, d: float, f_d: float, what: str) -> fl
 
 
 def _solve_point(spec, d, cfg, lambda_scale):
-    """The point at amplitude d from one scaled IVP (shooting.point_at_amplitude: lambda(d)
-    and the admissibility flag of its trajectory to the zero of u), or None (a gap) when
-    u has no zero in range."""
-    solved = point_at_amplitude(spec, d, reference_lambda(lambda_scale, d, spec.f(d), "f(d)"), cfg)
-    return None if solved is None else BranchPoint(d, *solved)
+    """The point at amplitude d from one scaled IVP (shooting.lambda_at_amplitude: lambda(d),
+    and trajectory_admissible on its states to the zero of u: the flag), or None (a gap)
+    when u has no zero in range."""
+    states = []
+    lam = lambda_at_amplitude(spec, d, reference_lambda(lambda_scale, d, spec.f(d), "f(d)"),
+                              cfg, states)
+    return None if lam is None else BranchPoint(d, lam, trajectory_admissible(states))
 
 
 def log_grid(d_min: float, d_max: float, n: int) -> list[float]:
@@ -660,7 +662,7 @@ def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
                  lambda_scale: float | None = None) -> Branch:
     """Trace lambda(d) over log_grid(d_min, d_max, n_points) with trace.
 
-    A point is one IVP with no warm start (point_at_amplitude: the first zero rho
+    A point is one IVP with no warm start (_solve_point: the first zero rho
     of the solution at lambda0 = lambda_scale * d / f(d), searched out to 10^3 R,
     gives lambda0 (rho / R)^2, and the states up to it the admissibility flag);
     no zero is a gap.  No fixed-R shot is made.  lambda_scale defaults to lambda1.

@@ -65,7 +65,7 @@ def _write_json(obj, path) -> None:
 
 
 def _config_from_args(args) -> ShootingConfig:
-    return ShootingConfig(integrator_tol=args.tol, root_tol=args.root_tol)
+    return ShootingConfig(tol=args.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +276,8 @@ def _read_json(path):
 
 def _add_cfg_args(p):
     p.add_argument("--tol", type=float, default=1e-10,
-                   help="integrator tolerance; IVPs step at 0.1 tol (default 1e-10)")
-    p.add_argument("--root-tol", type=float, default=1e-10,
-                   help="root-finding relative tolerance (default 1e-10)")
+                   help="tolerance of every IVP (each steps at 0.1 tol) and relative "
+                        "tolerance of every root (default 1e-10)")
 
 
 def _add_trace_args(p):

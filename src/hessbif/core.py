@@ -84,6 +84,7 @@ def gamma_k_membership(eigs, k: int) -> bool:
 ZERO = "zero"
 FINITE = "finite"
 INFINITE = "infinite"
+AGREE_RTOL = 1e-3   # finite limits within this relative of each other agree
 
 
 @dataclass(frozen=True)
@@ -134,11 +135,11 @@ class LimitClass:
             return 0.0
         return lam1 / self.value
 
-    def agrees_with(self, other: "LimitClass", rtol: float = 1e-3) -> bool:
+    def agrees_with(self, other: "LimitClass") -> bool:
         if self.kind != other.kind:
             return False
         if self.is_finite:
-            return abs(self.value - other.value) <= rtol * abs(other.value)
+            return abs(self.value - other.value) <= AGREE_RTOL * abs(other.value)
         return True
 
     def to_json(self):

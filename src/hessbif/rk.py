@@ -134,6 +134,7 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER_EXP = -1.0 / 8.0  # 1 / (error order + 1)
 _MAX_ZEROIN_ITER = 100
+_MAX_STEPS = 500_000   # integrate's budget of step attempts, accepted and rejected
 _RHS_PER_ATTEMPT = len(_A) - 1   # stages 1..11; stage 0 is k0
 _TANGENT_REACH = 1.001   # root mode: a trial ends at most this far along the tangent to 0
 
@@ -347,8 +348,8 @@ def _locate_zero(inputs, t, y, k0, h, y_end, rtol, atol, root_tol, slope=CALL):
     return t + s_b + w * (s_c - s_b), [p + w * (q - p) for p, q in zip(y_b, y_c)], trials
 
 
-def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
-              root_tol=None, trajectory=None, first_step=None, slope=CALL, inputs=None):
+def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajectory=None,
+              first_step=None, slope=CALL, inputs=None):
     """Integrate y' = rhs(t, y) from t0 to t1 (t1 > t0).
 
     The step inlines slope at its stages, unpacking inputs into slope.inputs;
@@ -369,10 +370,10 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
     first_step, by default (t1 - t0) / 64.  A trial step whose state is not
     finite, or whose arithmetic raises OverflowError, is rejected and retried
     at _MIN_FACTOR of its length; the first step accepted after a rejection
-    does not grow the step size.  Raises
-    NumericalFailureError on NaN/inf states, step-size underflow, step-count
-    exhaustion, or an OverflowError of the slope at a state stepped from, which
-    no shorter step avoids (the message quotes the line that overflowed).
+    does not grow the step size.  Raises NumericalFailureError on NaN/inf
+    states, step-size underflow, _MAX_STEPS attempts, or an OverflowError of
+    the slope at a state stepped from, which no shorter step avoids (the
+    message quotes the line that overflowed).
 
     With root_tol the trials aim at the zero (module docstring): while
     y[0] < 0 < y'[0], a trial is at most max(h_min, _TANGENT_REACH * -y[0]/y'[0])
@@ -411,8 +412,8 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, max_steps=500_000,
     rejected = False   # the last attempt was rejected
 
     while t < t1:
-        if n_steps + n_rejected >= max_steps:
-            raise NumericalFailureError(f"step budget exhausted after {max_steps} steps")
+        if n_steps + n_rejected >= _MAX_STEPS:
+            raise NumericalFailureError(f"step budget exhausted after {_MAX_STEPS} steps")
         if k0 is None:
             try:
                 k0 = rhs(t, y)

@@ -57,14 +57,15 @@ r = rho, rescales to the Dirichlet solution on B_R at lambda0 (rho / R)^2.
 Since u' > 0 there is exactly one such zero, hence one lambda per amplitude.
 The search stops at rho = 10^3 R (lambda <= 10^6 lambda0); an amplitude
 without a zero by then has no lambda and becomes a gap.  The same IVP gives a
-branch point its admissibility flag (point_at_amplitude), from the slopes
-that the stepper recorded at its accepted states: the scaling maps it exactly
-onto the Dirichlet solution, the cone test is invariant under it, and its
-accepted states end at the zero, so none lies past it.  The first
-eigenvalue comes from the same device.  The fixed-R residual u(R; lambda)
-stays as the independent path: it confirms lambda1, certifies the solution
-counts of branch.verify_predictions, and the tests use it through solve_lambda,
-which scans it in lambda and resolves each sign change by rk.zeroin.
+branch point its admissibility flag (trajectory_admissible on the trajectory
+of lambda_at_amplitude), from the slopes that the stepper recorded at its
+accepted states: the scaling maps it exactly onto the Dirichlet solution, the
+cone test is invariant under it, and its accepted states end at the zero, so
+none lies past it.  The first eigenvalue comes from the same device.  The
+fixed-R residual u(R; lambda) stays as the independent path: it confirms
+lambda1, certifies the solution counts of branch.verify_predictions, and the
+tests use it through solve_lambda, which scans it in lambda and resolves each
+sign change by rk.zeroin.
 first_eigenvalue shoots u(R) at lambda1, then at lambda1 (1 -/+ w) on the side
 where the residual's root must lie, and requires a sign change between them.
 
@@ -94,30 +95,29 @@ from .core import (
 from .errors import InvalidInputError, NumericalFailureError
 
 
-# both tolerances lie in (0, MAX_TOL): eigen_rel_tol = 100 tol must stay below 1, or the
-# far end of an eigenvalue bracket reaches lambda <= 0
+# tol lies in (0, MAX_TOL): eigen_rel_tol = 100 tol must stay below 1, or the far end
+# of an eigenvalue bracket reaches lambda <= 0
 MAX_TOL = 1e-2
 
 
 @dataclass
 class ShootingConfig:
+    """grid_points of a sampled profile, and tol, the one tolerance: every IVP steps at
+    STEP_TOL_FACTOR tol (flux_ivp), and every root is resolved to tol relative."""
+
     grid_points: int = 1024
-    integrator_tol: float = 1e-10
-    root_tol: float = 1e-10
+    tol: float = 1e-10
 
     def __post_init__(self):
         if self.grid_points < 64:
             raise InvalidInputError(f"grid_points must be >= 64, got {self.grid_points}")
-        for name in ("integrator_tol", "root_tol"):
-            tol = getattr(self, name)
-            if not 0.0 < tol < MAX_TOL:
-                raise InvalidInputError(f"{name} must satisfy 0 < {name} < {MAX_TOL:g}, "
-                                        f"got {tol!r}")
+        if not 0.0 < self.tol < MAX_TOL:
+            raise InvalidInputError(f"tol must satisfy 0 < tol < {MAX_TOL:g}, got {self.tol!r}")
 
 
 DEFAULT_CONFIG = ShootingConfig()
 # flux_ivp steps at STEP_TOL_FACTOR times the caller's tolerance (rtol and both
-# atols).  Measured against tol = root_tol = 1e-13 over 280 scalar lambda(d)
+# atols).  Measured against tol = 1e-13 over 280 scalar lambda(d)
 # (8 registry kinds x (N,k) in 11,21,22,32,33,52,84 x d in 1e-2..1e2, R 1.13)
 # and 441 coupled points (16-point traces of 9 pairs x (N,k) in 21,22,31,
 # R 0.93): stepping at the caller's 1e-10 put 14 scalar and 10 coupled values
@@ -320,7 +320,7 @@ def flux_profiles(N: int, k: int, R: float, lam: float, weights, amplitudes,
     grid = np.linspace(0.0, R, cfg.grid_points)
     series = grid <= _origin_radius(N, R)
     outer = grid[~series]   # nonempty: grid_points >= 64 puts grid[1] far beyond r0
-    res, rhs, curvatures = flux_ivp(N, k, R, lam, weights, amplitudes, cfg.integrator_tol, R,
+    res, rhs, curvatures = flux_ivp(N, k, R, lam, weights, amplitudes, cfg.tol, R,
                                     output_ts=outer)
     states = np.asarray(res.grid_states)
     slopes = np.array([rhs(r, y) for r, y in zip(outer, res.grid_states)])
@@ -361,8 +361,7 @@ def shoot_boundary_value(spec: ProblemSpec, lam: float, d: float,
     _check_inputs(spec, lam, d)
     if lam == 0.0:
         return -d
-    return flux_ivp(spec.N, spec.k, spec.R, lam, spec.f, (d,), cfg.integrator_tol,
-                    spec.R)[0].y[0]
+    return flux_ivp(spec.N, spec.k, spec.R, lam, spec.f, (d,), cfg.tol, spec.R)[0].y[0]
 
 
 def lambda_at_amplitude(spec: ProblemSpec, d: float, lam0: float,
@@ -377,22 +376,9 @@ def lambda_at_amplitude(spec: ProblemSpec, d: float, lam0: float,
     if lam0 == 0.0:
         raise InvalidInputError("reference lambda must be positive")
     horizon = HORIZON * spec.R
-    res = flux_ivp(spec.N, spec.k, spec.R, lam0, spec.f, (d,), cfg.integrator_tol, horizon,
-                   root_tol=cfg.root_tol, trajectory=trajectory)[0]
+    res = flux_ivp(spec.N, spec.k, spec.R, lam0, spec.f, (d,), cfg.tol, horizon,
+                   root_tol=cfg.tol, trajectory=trajectory)[0]
     return None if res.t >= horizon else lam0 * (res.t / spec.R) ** 2
-
-
-def point_at_amplitude(spec: ProblemSpec, d: float, lam0: float,
-                       cfg: ShootingConfig = DEFAULT_CONFIG) -> tuple[float, bool] | None:
-    """(lambda(d), admissibility flag) from the one IVP of lambda_at_amplitude, or None.
-
-    The flag is trajectory_admissible on that IVP's accepted states, which end
-    at the first zero of u: ball-radius scaling maps them onto the Dirichlet
-    solution at lambda(d), and the cone test is invariant under it.
-    """
-    states = []
-    lam = lambda_at_amplitude(spec, d, lam0, cfg, states)
-    return None if lam is None else (lam, trajectory_admissible(states))
 
 
 def integrate_profile(spec: ProblemSpec, lam: float, d: float,
@@ -461,7 +447,7 @@ def trajectory_admissible(trajectory) -> bool:
     are by profile_admissible: the last is at R or at the zero of u.
 
     The flag is exact for a run that stops at the first zero of u, as
-    point_at_amplitude's does, and for a Dirichlet solution, whose u stays
+    lambda_at_amplitude's does, and for a Dirichlet solution, whose u stays
     <= 0 up to R.  A fixed-R run at a detuned lambda can overshoot 0 before R,
     where the forcing switches off and m' = 0; its accepted steps resolve that
     overshoot only to one step, so profile_admissible on a grid is the
@@ -482,7 +468,7 @@ def solve_lambda(spec: ProblemSpec, d: float, bracket, cfg: ShootingConfig = DEF
     """All lambda roots of the boundary residual at fixed amplitude d.
 
     Log-spaced scan over the bracket followed by rk.zeroin on every sign
-    change, to root_tol relative to the scan cell's upper end.  Empty list
+    change, to cfg.tol relative to the scan cell's upper end.  Empty list
     means no root in the bracket (non-existence evidence at this amplitude).
     Roots are sorted ascending; more than one is unusual but reported rather
     than suppressed.
@@ -512,16 +498,16 @@ def solve_lambda(spec: ProblemSpec, d: float, bracket, cfg: ShootingConfig = DEF
         if a[1] == 0.0:
             roots.append(a[0])
         elif (a[1] < 0.0) != (b[1] < 0.0):
-            roots.append(rk.zeroin(res, a, b, cfg.root_tol * b[0])[0][0])
+            roots.append(rk.zeroin(res, a, b, cfg.tol * b[0])[0][0])
     if points[-1][1] == 0.0:
         roots.append(points[-1][0])
     return sorted(roots)
 
 
 def eigen_rel_tol(cfg: ShootingConfig) -> float:
-    """Relative width 100 max(root_tol, integrator_tol) within which two eigenvalue
-    computations must agree (1e-8 at the defaults)."""
-    return 100.0 * max(cfg.root_tol, cfg.integrator_tol)
+    """Relative width 100 tol within which two eigenvalue computations must agree (1e-8
+    at the defaults)."""
+    return 100.0 * cfg.tol
 
 
 def first_eigenvalue(N: int, k: int, R: float,

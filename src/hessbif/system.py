@@ -172,14 +172,20 @@ class SystemSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "SystemSpec":
+        if not isinstance(obj, dict):
+            raise InvalidInputError(f"system spec must be a JSON object, got {obj!r}")
+        mono = obj.get("monotone", {})
+        if not (isinstance(mono, dict) and set(mono) <= {"g_in_t", "h_in_s"}
+                and all(isinstance(flag, bool) for flag in mono.values())):
+            raise InvalidInputError(
+                f"monotone must map g_in_t and h_in_s to true or false, got {mono!r}")
         try:
-            mono = obj.get("monotone", {})
             return SystemSpec(
                 N=obj["N"], k=obj["k"], R=float(obj["R"]),
                 g=NonlinearitySpec2.from_json(obj["g"]),
                 h=NonlinearitySpec2.from_json(obj["h"]),
-                monotone_g_in_t=bool(mono.get("g_in_t", True)),
-                monotone_h_in_s=bool(mono.get("h_in_s", True)),
+                monotone_g_in_t=mono.get("g_in_t", True),
+                monotone_h_in_s=mono.get("h_in_s", True),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad system spec: {exc}") from exc
@@ -203,8 +209,8 @@ def system_boundary_values(spec: SystemSpec, lam: float, d_u: float, d_v: float,
     _check_shot(lam, (d_u, d_v))
     if lam == 0.0:
         return -d_u, -d_v
-    y = flux_ivp(spec.N, spec.k, spec.R, lam, (spec.g, spec.h), (d_u, d_v),
-                 cfg.integrator_tol, spec.R)[0].y
+    y = flux_ivp(spec.N, spec.k, spec.R, lam, (spec.g, spec.h), (d_u, d_v), cfg.tol,
+                 spec.R)[0].y
     return y[0], y[2]
 
 
@@ -235,7 +241,7 @@ def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg):
 
     F = v(rho_u) / d_v at u's first zero rho_u falls as d_v grows (g rises in t, h in s);
     no zero before shooting.HORIZON R counts as F = +inf.  Steps of 0.1, 0.2, 0.4, ... in
-    z = log d_v bracket its sign change, and rk.zeroin resolves it to root_tol in z.  The
+    z = log d_v bracket its sign change, and rk.zeroin resolves it to cfg.tol in z.  The
     root is zeroin's end of smaller |F|, an evaluated IVP, so rho and d_v always belong
     to one run."""
     horizon = shooting.HORIZON * R
@@ -243,8 +249,8 @@ def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg):
     def point(d_v):   # (log d_v, F, (rho_u, d_v)), rho_u None when u has no zero
         if not d_v > 0.0:
             raise NumericalFailureError(f"d_v underflows to {d_v!r} (d_u = {d_u!r})")
-        res = flux_ivp(N, k, R, lam_ref, weights, (d_u, d_v), cfg.integrator_tol, horizon,
-                       root_tol=cfg.root_tol)[0]
+        res = flux_ivp(N, k, R, lam_ref, weights, (d_u, d_v), cfg.tol, horizon,
+                       root_tol=cfg.tol)[0]
         z = math.log(d_v)
         if res.t >= horizon:
             return z, math.inf, (None, d_v)
@@ -266,7 +272,7 @@ def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg):
                   else "v(rho_u) did not change sign after 10 doublings")
         raise NumericalFailureError(
             f"{reason} from d_v = {dv0!r} (d_u = {d_u!r}, lambda_ref = {lam_ref!r})")
-    return rk.zeroin(lambda z: point(math.exp(z)), prev, cur, cfg.root_tol)[0][2]
+    return rk.zeroin(lambda z: point(math.exp(z)), prev, cur, cfg.tol)[0][2]
 
 
 def _confirmed_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg, trajectory=None):
@@ -275,7 +281,7 @@ def _confirmed_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg, trajectory=None):
     (u(R), v(R)) beyond eigen_rel_tol(cfg) of (d_u, d_v) raise NumericalFailureError."""
     rho, d_v = _common_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg)
     scale = lam_ref * (rho / R) ** 2
-    ru, _, rv, _ = flux_ivp(N, k, R, scale, weights, (d_u, d_v), cfg.integrator_tol, R,
+    ru, _, rv, _ = flux_ivp(N, k, R, scale, weights, (d_u, d_v), cfg.tol, R,
                             trajectory=trajectory)[0].y
     tol = eigen_rel_tol(cfg)
     if max(abs(ru) / d_u, abs(rv) / d_v) > tol:
@@ -290,11 +296,10 @@ def solve_system_shooting(spec: SystemSpec, d_u: float, init,
     """Dirichlet point at d_u from init = (lambda_ref, d_v0): the root of _common_zero with
     lambda = lambda_ref (rho / R)^2, confirmed by _confirmed_zero's fixed-R shot, whose
     accepted states give the admissibility flag (shooting.trajectory_admissible)."""
-    if not (d_u > 0.0):
-        raise InvalidInputError(f"d_u must be positive, got {d_u!r}")
     lam_ref, dv0 = init
-    if not (lam_ref > 0.0 and dv0 > 0.0):
-        raise InvalidInputError(f"init must be positive, got {init!r}")
+    _check_shot(lam_ref, (d_u, dv0))
+    if lam_ref == 0.0:
+        raise InvalidInputError("reference lambda must be positive")
 
     states = []
     rho, d_v, ru, rv = _confirmed_zero(spec.N, spec.k, spec.R, (spec.g, spec.h), d_u, lam_ref,
@@ -455,14 +460,18 @@ def trace_system_branch(spec: SystemSpec, d_grid, cfg: ShootingConfig = DEFAULT_
 # ---------------------------------------------------------------------------
 
 
-def fd_nondecreasing(fun, argument: str, s_max: float, n: int = 33,
-                     tol: float = 1e-9) -> bool:
-    """Finite differences of fun(s, t) in the named argument are >= -tol on [0, s_max]^2."""
+FD_POINTS = 33     # fd_nondecreasing samples a FD_POINTS x FD_POINTS grid
+FD_TOL = 1e-9      # and allows a fall of FD_TOL max(1, s_max) per difference
+
+
+def fd_nondecreasing(fun, argument: str, s_max: float) -> bool:
+    """Finite differences of fun(s, t) in the named argument are >= -FD_TOL max(1, s_max)
+    on a FD_POINTS x FD_POINTS grid of [0, s_max]^2."""
     if argument not in ("s", "t"):
         raise InvalidInputError("argument must be 's' or 't'")
-    xs = [s_max * i / (n - 1) for i in range(n)]
-    step = s_max / (8.0 * n)
-    scale = tol * max(1.0, s_max)
+    xs = [s_max * i / (FD_POINTS - 1) for i in range(FD_POINTS)]
+    step = s_max / (8.0 * FD_POINTS)
+    scale = FD_TOL * max(1.0, s_max)
     for a in xs:
         for b in xs:
             if argument == "t":

@@ -32,7 +32,7 @@ from hessbif.system import (
     trace_system_branch,
 )
 
-CFG = ShootingConfig()  # spec defaults: 1024-point grid, 1e-10 tolerances
+CFG = ShootingConfig()  # spec defaults: 1024-point grid, tol 1e-10
 
 LAM_INTERVAL = (math.pi / 2) ** 2   # 2.4674011002723395
 LAM_BALL3 = math.pi**2              # 9.869604401089358
@@ -202,7 +202,7 @@ def test_criterion_8_power_pair_manifold():
         res2 = power_pair_constant(2, 2, 4.0, 1.0, n_samples=8, cfg=CFG,
                                    mu_lo=0.1 * lam1**2, mu_hi=10.0 * lam1**2)
         assert res2.max_rel_deviation < 1e-5
-        tight = ShootingConfig(integrator_tol=1e-12, root_tol=1e-12)
+        tight = ShootingConfig(tol=1e-12)
         res3 = power_pair_constant(2, 2, 4.0, 1.0, n_samples=8, cfg=tight,
                                    mu_lo=0.1 * lam1**2, mu_hi=10.0 * lam1**2)
         assert abs(res2.constant - res3.constant) <= 1e-8 * res3.constant

@@ -298,7 +298,7 @@ class TestTraceBranch:
         assert points_1 == len(br.points) == points_0 + 1
         assert 0 < solves_1 - solves_0 <= 8
         assert len(calls) == ivps_1 == points_0 + (solves_1 - solves_0)
-        assert calls == [FAST.root_tol] * len(calls)
+        assert calls == [FAST.tol] * len(calls)
 
     @pytest.mark.parametrize("f,N,k", [
         (NonlinearitySpec("log_bump"), 2, 2),
@@ -310,7 +310,7 @@ class TestTraceBranch:
         # The reference is the tight trace's fold and, independently of how that was
         # polished, the vertex of the parabola through tight solves at its ln d +- 1e-3
         spec = ProblemSpec(N=N, k=k, R=1.13, f=f)
-        tight = ShootingConfig(integrator_tol=1e-13, root_tol=1e-13)
+        tight = ShootingConfig(tol=1e-13)
         lam1 = first_eigenvalue(N, k, 1.13, tight).lambda1
         [fold] = trace_branch(spec, 1e-2, 1e2, 25, FAST).folds
         ref = trace_branch(spec, 1e-2, 1e2, 25, tight, lambda_scale=lam1)
@@ -507,7 +507,7 @@ class TestAdmissibility:
         for p in br.points[::3]:
             lam = 1.05 * p.lam
             states = []
-            res = flux_ivp(spec.N, spec.k, spec.R, lam, spec.f, (p.d,), FAST.integrator_tol,
+            res = flux_ivp(spec.N, spec.k, spec.R, lam, spec.f, (p.d,), FAST.tol,
                            spec.R, trajectory=states)[0]
             admissible = trajectory_admissible(states)
             assert admissible == _cone_flag(flux_kernel(spec.N, spec.k, lam, spec.f)[2], states)
@@ -523,12 +523,12 @@ class TestAdmissibility:
         # every flag of a trace equals the cone test on slopes recomputed by rhs(r, y), yet
         # the trace calls rhs only for the first stage of each step, once per state stepped
         # from: n_steps calls per IVP, which RKResult.n_rhs counts
+        import hessbif.branch as branch_mod
         import hessbif.rk as rk
-        import hessbif.shooting as shooting
         import hessbif.system as system_mod
 
         calls, flagged = [], []
-        bind_slope, flag = rk.slope_function, shooting.trajectory_admissible
+        bind_slope, flag = rk.slope_function, trajectory_admissible
 
         def counting(n, slope):
             bind = bind_slope(n, slope)
@@ -547,7 +547,7 @@ class TestAdmissibility:
             return flagged[-1][1]
 
         monkeypatch.setattr(rk, "slope_function", counting)
-        monkeypatch.setattr(shooting, "trajectory_admissible", recording)
+        monkeypatch.setattr(branch_mod, "trajectory_admissible", recording)
         monkeypatch.setattr(system_mod, "trajectory_admissible", recording)
         br = FLAG_TRACES[name]()
         assert br.gaps == [] and len(flagged) >= len(br.points)

@@ -242,26 +242,22 @@ class TestExitCodes:
         out = io.StringIO()
         with contextlib.redirect_stdout(out):
             rc = cli.main(["eigen", "--N", str(N), "--k", str(k), "--tol", "1e-5",
-                           "--root-tol", "1e-5", "--out", str(tmp_path / "e.json")])
+                           "--out", str(tmp_path / "e.json")])
         assert rc == cli.EXIT_OK
         assert f"lambda1({N},{k},R=1) = " in out.getvalue()
         assert json.loads((tmp_path / "e.json").read_text())["iterations"] == 3
 
-    @pytest.mark.parametrize("option,value,name", [
-        ("--tol", "inf", "integrator_tol"),
-        ("--root-tol", "inf", "root_tol"),
-        ("--root-tol", "0.02", "root_tol"),
-    ], ids=["tol-inf", "root-tol-inf", "root-tol-0.02"])
-    def test_unusable_tolerance_invalid(self, option, value, name):
+    @pytest.mark.parametrize("value", ["inf", "0.02"], ids=["tol-inf", "tol-0.02"])
+    def test_unusable_tolerance_invalid(self, value):
         # a tolerance of 1e-2 or more puts the eigenvalue bracket's far end at lambda <= 0;
         # the refusal must name the tolerance, not the lambda it would have produced
         from hessbif import cli
 
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            rc = cli.main(["eigen", "--N", "2", "--k", "1", option, value])
+            rc = cli.main(["eigen", "--N", "2", "--k", "1", "--tol", value])
         assert rc == cli.EXIT_INVALID
-        assert name in err.getvalue() and "lambda" not in err.getvalue()
+        assert "tol must satisfy" in err.getvalue() and "lambda" not in err.getvalue()
 
     @pytest.mark.parametrize("args", [
         ["eigen", "--N", "x", "--k", "1"],
@@ -269,12 +265,33 @@ class TestExitCodes:
         [],
         ["eigen", "--k", "1"],
         ["eigen", "--N", "1", "--k", "1", "--threads", "2"],
-    ], ids=["bad-int", "unknown-command", "no-command", "missing-required", "threads"])
+        ["eigen", "--N", "1", "--k", "1", "--root-tol", "1e-5"],
+    ], ids=["bad-int", "unknown-command", "no-command", "missing-required", "threads",
+            "root-tol"])
     def test_malformed_arguments_invalid(self, tmp_path, args):
         r = run(args, tmp_path)
         assert r.returncode == 3, r.stderr
         assert "invalid input" in r.stderr
         assert "usage" in r.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["eigen", "--N", "2", "--k", "1"],
+        ["trace", "--spec", "s.json", "--out-branch", "b.csv"],
+        ["verify", "--spec", "s.json"],
+        ["system-trace", "--spec", "s.json", "--out-branch", "b.csv"],
+        ["system-verify", "--spec", "s.json"],
+        ["power-pair", "--N", "2", "--k", "2", "--alpha", "2", "--beta", "2"],
+        ["sweep-k", "--spec", "s.json"],
+    ], ids=lambda argv: argv[0])
+    def test_root_tol_is_gone(self, argv):
+        # --tol sets the root tolerance too; the old option is an unknown argument
+        from hessbif import cli
+
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = cli.main(argv + ["--root-tol", "1e-5"])
+        assert rc == cli.EXIT_INVALID
+        assert "unrecognized arguments: --root-tol" in err.getvalue()
 
     def test_help_exits_zero(self, tmp_path):
         r = run(["verify", "--help"], tmp_path)
@@ -407,8 +424,7 @@ class TestExitCodes:
         assert "numerical failure" in r.stderr
 
     def test_loose_tolerance_coupled_eigen(self, tmp_path):
-        r = run(["eigen", "--N", "8", "--k", "4", "--coupled", "--tol", "1e-5",
-                 "--root-tol", "1e-5"], tmp_path)
+        r = run(["eigen", "--N", "8", "--k", "4", "--coupled", "--tol", "1e-5"], tmp_path)
         assert r.returncode == 0, r.stderr
         assert "lambda0 (coupled)" in r.stdout
 

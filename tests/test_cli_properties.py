@@ -5,7 +5,7 @@ import io
 import json
 import math
 
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hessbif import cli
@@ -42,7 +42,7 @@ MALFORMED_ARGV = st.one_of(
     .map(lambda t: [t]),
     st.tuples(st.sampled_from(["--N", "--k"]), _not_parsed_by(int))
     .map(lambda opt: ["eigen", "--N", "2", "--k", "1", *opt]),
-    st.tuples(st.sampled_from(["--R", "--tol", "--root-tol"]), _not_parsed_by(float))
+    st.tuples(st.sampled_from(["--R", "--tol"]), _not_parsed_by(float))
     .map(lambda opt: ["eigen", "--N", "2", "--k", "1", *opt]),
     BAD_RADIUS.map(lambda r: ["eigen", "--N", "2", "--k", "1", "--R", r]),
     st.text(max_size=8).map(lambda t: ["eigen", "--N", "2", "--k", "1", "--zz" + t]),
@@ -93,19 +93,39 @@ def test_malformed_scalar_spec_exits_invalid(tmp_path_factory, text, command):
     assert _exit_code(argv) == cli.EXIT_INVALID
 
 
+def _system_spec(R=1.0, g="saturating_t", **extra):
+    return {"N": 1, "k": 1, "R": R, "g": {"kind": g}, "h": {"kind": "saturating_s"}, **extra}
+
+
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
+                         st.text(max_size=6))
+
 MALFORMED_SYSTEM_SPEC = st.one_of(
     _not_parsed_by(json.loads),
-    st.sampled_from([0.0, -1.0, math.nan, math.inf]).map(lambda R: json.dumps(
-        {"N": 1, "k": 1, "R": R, "g": {"kind": "saturating_t"}, "h": {"kind": "saturating_s"}})),
-    st.tuples(st.text(max_size=10), st.sampled_from(["_t", "_s", ""])).map(lambda t: json.dumps(
-        {"N": 1, "k": 1, "R": 1.0, "g": {"kind": t[0] + t[1]}, "h": {"kind": "saturating_s"}}))
+    st.one_of(st.integers(), st.lists(st.integers()), st.text(), st.none()).map(json.dumps),
+    st.sampled_from([0.0, -1.0, math.nan, math.inf]).map(
+        lambda R: json.dumps(_system_spec(R=R))),
+    st.tuples(st.text(max_size=10), st.sampled_from(["_t", "_s", ""])).map(
+        lambda t: json.dumps(_system_spec(g=t[0] + t[1])))
     .filter(lambda text: json.loads(text)["g"]["kind"] not in (
         "linear_t", "saturating_t", "superlinear_t", "powermix_t", "logbump_t")),
+    # monotone: not an object, a key other than g_in_t and h_in_s, or a flag not a boolean
+    st.one_of(JSON_SCALARS, st.lists(st.booleans(), max_size=2)).map(
+        lambda mono: json.dumps(_system_spec(monotone=mono))),
+    st.text(max_size=6).filter(lambda key: key not in ("g_in_t", "h_in_s")).map(
+        lambda key: json.dumps(_system_spec(monotone={key: True}))),
+    st.tuples(st.sampled_from(["g_in_t", "h_in_s"]),
+              JSON_SCALARS.filter(lambda flag: not isinstance(flag, bool))).map(
+        lambda kv: json.dumps(_system_spec(monotone=dict([kv])))),
 )
 
 
 @PROPERTY
 @given(text=MALFORMED_SYSTEM_SPEC)
+@example(text=json.dumps([1, 2]))
+@example(text=json.dumps(_system_spec(monotone=5)))
+@example(text=json.dumps(_system_spec(monotone={"g_in_t": "false"})))
+@example(text=json.dumps(_system_spec(monotone={"g_in_s": False})))
 def test_malformed_system_spec_exits_invalid(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("spec") / "system.json"
     path.write_text(text)

@@ -55,6 +55,16 @@ class TestIntegrate:
         with pytest.raises(NumericalFailureError):
             integrate(bad, 0.0, [1.0], 1.0, rtol=1e-8, atol=[1e-10])
 
+    def test_step_budget(self, monkeypatch):
+        # the harmonic run to t = 100 takes 313 accepted and 1 rejected attempts
+        # (test_rhs_calls_per_attempt): a budget of 314 suffices, 313 does not
+        monkeypatch.setattr(rk, "_MAX_STEPS", 314)
+        res = integrate(harmonic, 0.0, [-1.0, 0.0], 100.0, rtol=1e-10, atol=[1e-13, 1e-13])
+        assert res.n_steps + res.n_rejected == 314
+        monkeypatch.setattr(rk, "_MAX_STEPS", 313)
+        with pytest.raises(NumericalFailureError, match="step budget exhausted after 313 steps"):
+            integrate(harmonic, 0.0, [-1.0, 0.0], 100.0, rtol=1e-10, atol=[1e-13, 1e-13])
+
     def test_zero_rhs_fast(self):
         res = integrate(lambda t, y: [0.0, 0.0], 0.0, [3.0, -2.0], 1e6,
                         rtol=1e-10, atol=[1e-12, 1e-12])

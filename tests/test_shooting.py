@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 import random
@@ -76,6 +77,13 @@ class TestIntegrateProfile:
             integrate_profile(spec, -1.0, 1.0)
         with pytest.raises(InvalidInputError):
             ShootingConfig(grid_points=32)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, 1e-2, math.inf, math.nan])
+    def test_one_tolerance_in_range(self, tol):
+        # one tolerance sets every IVP and every root; its refusal names it
+        assert [f.name for f in dataclasses.fields(ShootingConfig)] == ["grid_points", "tol"]
+        with pytest.raises(InvalidInputError, match="tol must satisfy 0 < tol < 0.01"):
+            ShootingConfig(tol=tol)
 
 
 class TestBoundaryResidual:
@@ -235,7 +243,7 @@ class TestScaledFirstEigenvalue:
 
     @pytest.mark.parametrize("N,k", CASES + [(60, 1)])
     def test_bracket_holds_at_loose_tolerances(self, N, k):
-        cfg = ShootingConfig(grid_points=128, integrator_tol=1e-5, root_tol=1e-5)
+        cfg = ShootingConfig(grid_points=128, tol=1e-5)
         assert first_eigenvalue(N, k, 0.71, cfg).iterations == 3
 
 
@@ -345,7 +353,7 @@ class TestLambdaAtAmplitude:
         # at the caller's tolerance puts it 1.4e-8 off, one decade tighter 8.7e-10
         spec = ProblemSpec(N=5, k=2, R=self.R, f=NonlinearitySpec("saturating"))
         lam0 = first_eigenvalue(5, 2, self.R).lambda1 * 100.0 / spec.f(100.0)
-        tight = ShootingConfig(integrator_tol=1e-13, root_tol=1e-13)
+        tight = ShootingConfig(tol=1e-13)
         assert lambda_at_amplitude(spec, 100.0, lam0) == pytest.approx(
             lambda_at_amplitude(spec, 100.0, lam0, tight), rel=1e-9)
 
@@ -355,7 +363,7 @@ class TestLambdaAtAmplitude:
         f = NonlinearitySpec("sum_of_powers", {"p": 0.5, "q": 2.0, "c": 1.0})
         spec = ProblemSpec(N=2, k=1, R=self.R, f=f)
         lam0 = first_eigenvalue(2, 1, self.R).lambda1 * d / f(d)
-        tight = ShootingConfig(integrator_tol=1e-13, root_tol=1e-13)
+        tight = ShootingConfig(tol=1e-13)
         assert lambda_at_amplitude(spec, d, lam0) == pytest.approx(
             lambda_at_amplitude(spec, d, lam0, tight), rel=1e-9)
 

@@ -153,6 +153,17 @@ class TestSolveSystemShooting:
             solve_system_shooting(spec, 0.0, (1.0, 1.0), FAST)
         with pytest.raises(InvalidInputError):
             solve_system_shooting(spec, 1.0, (-1.0, 1.0), FAST)
+        with pytest.raises(InvalidInputError):
+            solve_system_shooting(spec, 1.0, (0.0, 1.0), FAST)
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("which", ["d_u", "lambda_ref", "d_v0"])
+    def test_rejects_non_finite_inputs(self, which, value):
+        # invalid input before any IVP, not a numerical failure inside the integrator
+        args = {"d_u": 1.0, "lambda_ref": 1.0, "d_v0": 1.0, which: value}
+        with pytest.raises(InvalidInputError):
+            solve_system_shooting(coupled(2, 1, "linear"), args["d_u"],
+                                  (args["lambda_ref"], args["d_v0"]), FAST)
 
     def test_superlinear_small_amplitude_near_table_value(self):
         # mu = g0 = 1: branch emanates from lambda1 / mu
@@ -198,7 +209,7 @@ class TestOneDimensionalRoot:
 
             lam, d_v, _ = newton_pair(residual, 1.05 * point.lam, 0.95 * point.d_v,
                                       scale_u=point.d_u, scale_v=point.d_v,
-                                      tol=FAST.root_tol)
+                                      tol=FAST.tol)
             assert lam == pytest.approx(point.lam, rel=1e-9), point.d_u
             assert d_v == pytest.approx(point.d_v, rel=1e-9), point.d_u
 
@@ -211,7 +222,7 @@ class TestOneDimensionalRoot:
         init = (350.8, 5306.0)
         got = solve_system_shooting(spec, 50.0, init)
         want = solve_system_shooting(spec, 50.0, init,
-                                     ShootingConfig(integrator_tol=1e-13, root_tol=1e-13))
+                                     ShootingConfig(tol=1e-13))
         assert got.lam == pytest.approx(want.lam, rel=1e-9)
         assert got.d_v == pytest.approx(want.d_v, rel=1e-9)
 
@@ -269,7 +280,7 @@ class TestOneDimensionalRoot:
             bisected += 1
         assert bisected >= 2
         assert d_v == pytest.approx(1.0, rel=1e-9)
-        tight = ShootingConfig(integrator_tol=1e-13, root_tol=1e-13)
+        tight = ShootingConfig(tol=1e-13)
         want, _ = system_mod._common_zero(3, 1, 1.0, (spec.g, spec.h), 1.0, 5.0, 1.0, tight)
         assert rho == pytest.approx(want, rel=1e-9)
 
@@ -396,7 +407,7 @@ class TestSystemEigenvalue:
     @pytest.mark.parametrize("N,k", [(1, 1), (2, 1), (2, 2), (3, 3), (5, 2), (8, 4)])
     def test_loose_tolerances_agree(self, N, k):
         # the asymmetric solve is 7e-7..8e-6 off at 1e-5, above a fixed 1e-6 bound
-        cfg = ShootingConfig(grid_points=128, integrator_tol=1e-5, root_tol=1e-5)
+        cfg = ShootingConfig(grid_points=128, tol=1e-5)
         assert coupled_eigenvalue(N, k, 1.0, cfg) == first_eigenvalue(N, k, 1.0, cfg).lambda1
 
 
@@ -412,7 +423,7 @@ class TestPowerPair:
         res = power_pair_constant(2, 2, 4.0, 1.0, n_samples=8, cfg=FAST)
         assert res.max_rel_deviation < 1e-5
         # dual-resolution cross-check
-        tight = ShootingConfig(grid_points=128, integrator_tol=1e-12, root_tol=1e-12)
+        tight = ShootingConfig(grid_points=128, tol=1e-12)
         res2 = power_pair_constant(2, 2, 4.0, 1.0, n_samples=8, cfg=tight)
         assert res.constant == pytest.approx(res2.constant, rel=1e-8)
 
@@ -443,12 +454,12 @@ class TestPowerPair:
             def residual(lam, d_v, mu=mu):
                 weights = (lambda su, sv: (lam * sv**alpha) ** (1.0 / k),
                            lambda su, sv: (mu * su**beta) ** (1.0 / k))
-                y = flux_ivp(N, k, 1.0, 1.0, weights, (1.0, d_v), FAST.integrator_tol,
+                y = flux_ivp(N, k, 1.0, 1.0, weights, (1.0, d_v), FAST.tol,
                              1.0)[0].y
                 return y[0], y[2]
 
             lam, d_v, _ = newton_pair(residual, 1.17 * lam_pp, 0.91 * dv_pp,
-                                      scale_u=1.0, scale_v=dv_pp, tol=FAST.root_tol)
+                                      scale_u=1.0, scale_v=dv_pp, tol=FAST.tol)
             assert lam == pytest.approx(lam_pp, rel=1e-9), mu
             assert d_v == pytest.approx(dv_pp, rel=1e-9), mu
 
@@ -486,7 +497,7 @@ class TestPowerPair:
     def test_constant_within_1e9_of_a_tight_run(self, N, k, alpha, beta, R):
         got = power_pair_constant(N, k, alpha, beta, R)
         want = power_pair_constant(N, k, alpha, beta, R,
-                                   cfg=ShootingConfig(integrator_tol=1e-13, root_tol=1e-13))
+                                   cfg=ShootingConfig(tol=1e-13))
         assert got.constant == pytest.approx(want.constant, rel=1e-9)
         assert got.max_rel_deviation < 1e-9
 
