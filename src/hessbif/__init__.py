@@ -22,7 +22,6 @@ from .errors import (
 )
 from .shooting import (
     RadialProfile,
-    ShootingConfig,
     first_eigenvalue,
     integrate_profile,
     lambda_at_amplitude,

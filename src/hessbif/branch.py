@@ -34,8 +34,7 @@ from .errors import (
     TracingFailureError,
 )
 from .shooting import (
-    DEFAULT_CONFIG,
-    ShootingConfig,
+    TOL,
     eigen_rel_tol,
     first_eigenvalue,
     lambda_at_amplitude,
@@ -336,8 +335,10 @@ def predicted_interval(f0: LimitClass, finf: LimitClass,
                        lambda1: float) -> TheoremPrediction:
     """Existence-table cell for the given limit classes.
 
-    The two diagonal cells (both Infinite / both Zero) have fold-driven
-    multiplicity profiles instead of a-priori intervals; the Zero-Zero cell
+    Off the diagonal, at least one solution exists for lambda between the two
+    branch limits lambda1 / f0 and lambda1 / finf (ratio_under).  The two
+    non-finite diagonal cells (both Infinite / both Zero) have fold-driven
+    multiplicity profiles over (0, inf) instead; the Zero-Zero cell
     additionally requires a coercive nonlinearity.  Equal finite limits are
     outside the table.
     """
@@ -346,31 +347,15 @@ def predicted_interval(f0: LimitClass, finf: LimitClass,
     from_zero = f0.ratio_under(lambda1)
     from_inf = finf.ratio_under(lambda1)
     case = f"{f0.kind}-{finf.kind}"
-
-    if f0.is_finite and finf.is_finite:
-        if f0.value == finf.value:
+    if f0 == finf:
+        if f0.is_finite:
             raise OutOfTableError(
                 "equal finite limits at 0 and infinity are outside the existence table")
-        lo, hi = sorted((from_zero, from_inf))
-        return TheoremPrediction(case, lo, hi, AT_LEAST_ONE, from_zero, from_inf)
-    if f0.is_finite and finf.is_zero:
-        return TheoremPrediction(case, from_zero, math.inf, AT_LEAST_ONE, from_zero, from_inf)
-    if f0.is_finite and finf.is_infinite:
-        return TheoremPrediction(case, 0.0, from_zero, AT_LEAST_ONE, from_zero, from_inf)
-    if f0.is_zero and finf.is_finite:
-        return TheoremPrediction(case, from_inf, math.inf, AT_LEAST_ONE, from_zero, from_inf)
-    if f0.is_zero and finf.is_infinite:
-        return TheoremPrediction(case, 0.0, math.inf, AT_LEAST_ONE, from_zero, from_inf)
-    if f0.is_infinite and finf.is_finite:
-        return TheoremPrediction(case, 0.0, from_inf, AT_LEAST_ONE, from_zero, from_inf)
-    if f0.is_infinite and finf.is_zero:
-        return TheoremPrediction(case, 0.0, math.inf, AT_LEAST_ONE, from_zero, from_inf)
-    if f0.is_infinite and finf.is_infinite:
-        return TheoremPrediction(case, 0.0, math.inf, TWO_BELOW_MAX_FOLD,
-                                 from_zero, from_inf, fold_driven=True)
-    # both zero: requires coercive f
-    return TheoremPrediction(case, 0.0, math.inf, TWO_ABOVE_MIN_FOLD,
-                             from_zero, from_inf, fold_driven=True)
+        profile = TWO_BELOW_MAX_FOLD if f0.is_infinite else TWO_ABOVE_MIN_FOLD
+        return TheoremPrediction(case, 0.0, math.inf, profile, from_zero, from_inf,
+                                 fold_driven=True)
+    lo, hi = sorted((from_zero, from_inf))
+    return TheoremPrediction(case, lo, hi, AT_LEAST_ONE, from_zero, from_inf)
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +408,7 @@ def _count_off_fold(branch: Branch, lam: float) -> tuple[float, int]:
 
 
 def _certify_crossings(rep: VerificationReport, branch: Branch, lam: float,
-                       spec: ProblemSpec, cfg: ShootingConfig) -> None:
+                       spec: ProblemSpec, tol: float) -> None:
     """One check per crossing of lambda = lam: the fixed-R residual changes sign across it.
 
     A crossing in the polyline interval [d_i, d_i+1] (a vertex hit: the
@@ -432,24 +417,24 @@ def _certify_crossings(rep: VerificationReport, branch: Branch, lam: float,
     vanishes exactly at a Dirichlet solution, so opposite signs prove a
     solution with amplitude inside the interval, whatever the monotonicity of
     f.  Otherwise the check passes only as "vertex within tolerance", where
-    |u(R)| / d <= eigen_rel_tol(cfg) at an end: lam then sits on a vertex
+    |u(R)| / d <= eigen_rel_tol(tol) at an end: lam then sits on a vertex
     lambda to rounding, and u(R) there is noise around 0.
     """
-    tol = eigen_rel_tol(cfg)
+    width = eigen_rel_tol(tol)
     points = branch.points
     for _, i in _crossings(branch, lam):
         a, b = (points[i], points[i + 1]) if i + 1 < len(points) else (points[i - 1], points[i])
-        ua = shoot_boundary_value(spec, lam, a.d, cfg)
-        ub = shoot_boundary_value(spec, lam, b.d, cfg)
+        ua = shoot_boundary_value(spec, lam, a.d, tol)
+        ub = shoot_boundary_value(spec, lam, b.d, tol)
         name = f"certificate at lambda={lam:.6g}, d in [{a.d:.6g}, {b.d:.6g}]"
         if ua < 0.0 < ub or ub < 0.0 < ua:
             rep.add(name, "u(R) changes sign", f"sign change: u(R) = {ua:.3e}, {ub:.3e}",
-                    True, tol)
+                    True, width)
             continue
         near, d = min((abs(ua) / a.d, a.d), (abs(ub) / b.d, b.d))
         observed = (f"vertex within tolerance: |u(R)|/d = {near:.3e} at d = {d:.6g}"
-                    if near <= tol else f"no sign change: u(R) = {ua:.3e}, {ub:.3e}")
-        rep.add(name, "u(R) changes sign", observed, near <= tol, tol)
+                    if near <= width else f"no sign change: u(R) = {ua:.3e}, {ub:.3e}")
+        rep.add(name, "u(R) changes sign", observed, near <= width, width)
 
 
 def _sample_inside(lam_lo, lam_hi, branch: Branch, n: int):
@@ -471,7 +456,7 @@ def _sample_inside(lam_lo, lam_hi, branch: Branch, n: int):
 
 def verify_predictions(branch: Branch, prediction: TheoremPrediction,
                        lambda_samples: int = 5, spec: ProblemSpec | None = None,
-                       cfg: ShootingConfig = DEFAULT_CONFIG) -> VerificationReport:
+                       tol: float = TOL) -> VerificationReport:
     """Check a traced branch against its predicted interval and profile.
 
     Samples the existence interval one tolerance-width inside (endpoint
@@ -480,7 +465,7 @@ def verify_predictions(branch: Branch, prediction: TheoremPrediction,
     against the predicted bifurcation points, and runs the norm-bound monitor
     in the superlinear cases.  Given the branch's spec, every crossing behind
     a "count >= 1" or "count = 2" check is also certified by two fixed-R shots
-    under cfg (_certify_crossings).  Predicate failures are report entries,
+    at tol (_certify_crossings).  Predicate failures are report entries,
     never exceptions; lambda_samples < 1 is invalid input.
     """
     if lambda_samples < 1:
@@ -492,7 +477,7 @@ def verify_predictions(branch: Branch, prediction: TheoremPrediction,
         lam, n = _count_off_fold(branch, lam)
         rep.add(name, predicted, f"count = {n}", holds(n))
         if spec is not None:   # a "count = 0" that holds has no crossing to certify
-            _certify_crossings(rep, branch, lam, spec, cfg)
+            _certify_crossings(rep, branch, lam, spec, tol)
 
     if prediction.profile == AT_LEAST_ONE:
         samples = _sample_inside(prediction.lam_lo, prediction.lam_hi,
@@ -593,13 +578,13 @@ def reference_lambda(lambda_scale: float, d: float, f_d: float, what: str) -> fl
     return lam
 
 
-def _solve_point(spec, d, cfg, lambda_scale):
+def _solve_point(spec, d, tol, lambda_scale):
     """The point at amplitude d from one scaled IVP (shooting.lambda_at_amplitude: lambda(d),
     and trajectory_admissible on its states to the zero of u: the flag), or None (a gap)
     when u has no zero in range."""
     states = []
     lam = lambda_at_amplitude(spec, d, reference_lambda(lambda_scale, d, spec.f(d), "f(d)"),
-                              cfg, states)
+                              tol, states)
     return None if lam is None else BranchPoint(d, lam, trajectory_admissible(states))
 
 
@@ -658,7 +643,7 @@ def trace(grid, solve) -> Branch:
 
 
 def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
-                 cfg: ShootingConfig = DEFAULT_CONFIG, *,
+                 tol: float = TOL, *,
                  lambda_scale: float | None = None) -> Branch:
     """Trace lambda(d) over log_grid(d_min, d_max, n_points) with trace.
 
@@ -672,8 +657,8 @@ def trace_branch(spec: ProblemSpec, d_min: float, d_max: float, n_points: int,
         raise InvalidInputError(f"n_points must be >= 16, got {n_points}")
     grid = log_grid(d_min, d_max, n_points)
     if lambda_scale is None:
-        lambda_scale = first_eigenvalue(spec.N, spec.k, spec.R, cfg).lambda1
-    return trace(grid, lambda d, near: _solve_point(spec, d, cfg, lambda_scale))
+        lambda_scale = first_eigenvalue(spec.N, spec.k, spec.R, tol).lambda1
+    return trace(grid, lambda d, near: _solve_point(spec, d, tol, lambda_scale))
 
 
 def attach_summaries(branch: Branch) -> Branch:

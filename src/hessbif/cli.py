@@ -29,7 +29,7 @@ from .branch import (
     trace_branch,
     verify_predictions,
 )
-from .core import LimitClass, ProblemSpec, classify_limits
+from .core import LimitClass, ProblemSpec, classify_limits, read_json
 from .errors import (
     HessbifError,
     InvalidInputError,
@@ -39,7 +39,7 @@ from .errors import (
     TracingFailureError,
 )
 from .plotting import render_branches_svg
-from .shooting import DEFAULT_CONFIG, ShootingConfig, first_eigenvalue
+from .shooting import TOL, first_eigenvalue
 from .system import (
     SystemSpec,
     add_monotonicity_check,
@@ -64,19 +64,14 @@ def _write_json(obj, path) -> None:
         fh.write("\n")
 
 
-def _config_from_args(args) -> ShootingConfig:
-    return ShootingConfig(tol=args.tol)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 
 def cmd_eigen(args) -> int:
-    cfg = _config_from_args(args)
-    res = first_eigenvalue(args.N, args.k, args.R, cfg)
-    coupled = (confirm_coupled_eigenvalue(args.N, args.k, args.R, res.lambda1, cfg)
+    res = first_eigenvalue(args.N, args.k, args.R, args.tol)
+    coupled = (confirm_coupled_eigenvalue(args.N, args.k, args.R, res.lambda1, args.tol)
                if args.coupled else None)
     print(f"lambda1({args.N},{args.k},R={args.R:g}) = {res.lambda1:.17g}")
     if coupled is not None:
@@ -101,8 +96,7 @@ def _load_scalar_spec(path) -> ProblemSpec:
 
 def cmd_trace(args) -> int:
     spec = _load_scalar_spec(args.spec)
-    cfg = _config_from_args(args)
-    branch = trace_branch(spec, args.d_min, args.d_max, args.n_points, cfg)
+    branch = trace_branch(spec, args.d_min, args.d_max, args.n_points, args.tol)
     branch.to_csv(args.out_branch)
     print(f"traced {len(branch.points)} points "
           f"({len(branch.folds)} folds, {len(branch.gaps)} gaps) -> {args.out_branch}")
@@ -110,7 +104,7 @@ def cmd_trace(args) -> int:
 
 
 def _verdict(branch: Branch, f0: LimitClass, finf: LimitClass, lam1: float, samples: int,
-             spec: ProblemSpec | None = None, cfg=DEFAULT_CONFIG) -> VerificationReport:
+             spec: ProblemSpec | None = None, tol: float = TOL) -> VerificationReport:
     """verify_predictions on the table's cell for (f0, finf), certified given the scalar
     spec; out of table (the eigenvalue case), the flatness of lambda(d) at f0's eigenvalue."""
     try:
@@ -125,7 +119,7 @@ def _verdict(branch: Branch, f0: LimitClass, finf: LimitClass, lam1: float, samp
         rep.add("eigen-branch flatness", f"|lambda - {lam_target:.10g}| < {EIGEN_FLATNESS_TOL}",
                 f"max deviation = {worst:.3e}", worst < EIGEN_FLATNESS_TOL, EIGEN_FLATNESS_TOL)
         return rep
-    return verify_predictions(branch, pred, samples, spec, cfg)
+    return verify_predictions(branch, pred, samples, spec, tol)
 
 
 def _report(rep: VerificationReport, args) -> int:
@@ -149,21 +143,19 @@ def cmd_verify(args) -> int:
     if missing:
         raise InvalidInputError(f"verify needs the limit classes of f: declare {', '.join(missing)} "
                                 f"in the spec (kind {spec.f.kind!r} does not determine them)")
-    cfg = _config_from_args(args)
-    lam1 = first_eigenvalue(spec.N, spec.k, spec.R, cfg).lambda1
-    branch = trace_branch(spec, args.d_min, args.d_max, args.n_points, cfg,
+    lam1 = first_eigenvalue(spec.N, spec.k, spec.R, args.tol).lambda1
+    branch = trace_branch(spec, args.d_min, args.d_max, args.n_points, args.tol,
                           lambda_scale=lam1)
     if args.out_branch:
         branch.to_csv(args.out_branch)
     return _report(_verdict(branch, spec.f.declared_f0, spec.f.declared_finf, lam1,
-                            args.samples, spec, cfg), args)
+                            args.samples, spec, args.tol), args)
 
 
 def cmd_system_trace(args) -> int:
-    spec = SystemSpec.from_json(_read_json(args.spec))
-    cfg = _config_from_args(args)
+    spec = SystemSpec.from_json(read_json(args.spec))
     grid = log_grid(args.d_min, args.d_max, args.n_points)
-    branch = trace_system_branch(spec, grid, cfg)
+    branch = trace_system_branch(spec, grid, args.tol)
     write_system_csv(branch, args.out_branch)
     print(f"traced {len(branch.points)} system points "
           f"({len(branch.folds)} folds, {len(branch.gaps)} gaps) -> {args.out_branch}")
@@ -171,11 +163,10 @@ def cmd_system_trace(args) -> int:
 
 
 def cmd_system_verify(args) -> int:
-    spec = SystemSpec.from_json(_read_json(args.spec))
-    cfg = _config_from_args(args)
-    lam1 = first_eigenvalue(spec.N, spec.k, spec.R, cfg).lambda1
+    spec = SystemSpec.from_json(read_json(args.spec))
+    lam1 = first_eigenvalue(spec.N, spec.k, spec.R, args.tol).lambda1
     grid = log_grid(args.d_min, args.d_max, args.n_points)
-    branch = trace_system_branch(spec, grid, cfg, lambda_scale=lam1)
+    branch = trace_system_branch(spec, grid, args.tol, lambda_scale=lam1)
     if args.out_branch:
         write_system_csv(branch, args.out_branch)
 
@@ -195,9 +186,8 @@ def cmd_system_verify(args) -> int:
 
 
 def cmd_power_pair(args) -> int:
-    cfg = _config_from_args(args)
     res = power_pair_constant(args.N, args.k, args.alpha, args.beta, args.R,
-                              args.samples, cfg, mu_lo=args.mu_lo, mu_hi=args.mu_hi)
+                              args.samples, args.tol, mu_lo=args.mu_lo, mu_hi=args.mu_hi)
     print(f"lambda * mu^(alpha/k) = {res.constant:.17g} "
           f"(max relative deviation {res.max_rel_deviation:.3e} "
           f"over {len(res.samples)} samples)")
@@ -236,13 +226,12 @@ def cmd_plot(args) -> int:
 
 def cmd_sweep_k(args) -> int:
     spec = _load_scalar_spec(args.spec)
-    cfg = _config_from_args(args)
     rows = []
     print("exploratory sweep over Hessian order k (no acceptance claims):")
     for k in range(1, spec.N + 1):
         kspec = ProblemSpec(N=spec.N, k=k, R=spec.R, f=spec.f)
         try:
-            branch = trace_branch(kspec, args.d_min, args.d_max, args.n_points, cfg)
+            branch = trace_branch(kspec, args.d_min, args.d_max, args.n_points, args.tol)
         except (NumericalFailureError, TracingFailureError) as exc:
             print(f"  k={k}: trace failed ({exc})")
             rows.append((k, math.nan, "failed"))
@@ -261,23 +250,15 @@ def cmd_sweep_k(args) -> int:
     return EXIT_OK
 
 
-def _read_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
-
-
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
 
 
-def _add_cfg_args(p):
-    p.add_argument("--tol", type=float, default=1e-10,
+def _add_tol_arg(p):
+    p.add_argument("--tol", type=float, default=TOL,
                    help="tolerance of every IVP (each steps at 0.1 tol) and relative "
-                        "tolerance of every root (default 1e-10)")
+                        f"tolerance of every root (default {TOL:g})")
 
 
 def _add_trace_args(p):
@@ -321,14 +302,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coupled", action="store_true",
                    help="also compute the coupled-system eigenvalue lambda0")
     p.add_argument("--out", help="write result JSON here")
-    _add_cfg_args(p)
+    _add_tol_arg(p)
     p.set_defaults(fn=cmd_eigen)
 
     p = sub.add_parser("trace", help="trace a bifurcation branch lambda(d)")
     p.add_argument("--spec", required=True, help="problem spec JSON")
     p.add_argument("--out-branch", required=True, help="branch CSV output")
     _add_trace_args(p)
-    _add_cfg_args(p)
+    _add_tol_arg(p)
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("verify", help="trace and check theorem predicates")
@@ -337,14 +318,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-branch", help="branch CSV output")
     p.add_argument("--samples", type=_count("lambda_samples", 1), default=5)
     _add_trace_args(p)
-    _add_cfg_args(p)
+    _add_tol_arg(p)
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("system-trace", help="trace a coupled-system branch")
     p.add_argument("--spec", required=True, help="system spec JSON")
     p.add_argument("--out-branch", required=True)
     _add_trace_args(p)
-    _add_cfg_args(p)
+    _add_tol_arg(p)
     p.set_defaults(fn=cmd_system_trace)
 
     p = sub.add_parser("system-verify", help="trace a system branch and check predicates")
@@ -353,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-branch")
     p.add_argument("--samples", type=_count("lambda_samples", 1), default=5)
     _add_trace_args(p)
-    _add_cfg_args(p)
+    _add_tol_arg(p)
     p.set_defaults(fn=cmd_system_verify)
 
     p = sub.add_parser("power-pair", help="power-pair eigen manifold constant")
@@ -372,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="high end of the log grid of sample seeds, finite "
                         "(default 1e2 lambda1^k)")
     p.add_argument("--out")
-    _add_cfg_args(p)
+    _add_tol_arg(p)
     p.set_defaults(fn=cmd_power_pair)
 
     p = sub.add_parser("plot", help="render branch CSVs to a static SVG diagram")
@@ -387,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--out", help="CSV summary output")
     _add_trace_args(p)
-    _add_cfg_args(p)
+    _add_tol_arg(p)
     p.set_defaults(fn=cmd_sweep_k)
     return ap
 

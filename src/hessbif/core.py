@@ -42,7 +42,7 @@ def binom(n: int, k: int) -> int:
 
 
 def _check_order(N: int, k: int) -> None:
-    if not (isinstance(N, int) and isinstance(k, int)):
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in (N, k)):
         raise InvalidInputError(f"N and k must be integers, got N={N!r}, k={k!r}")
     if N < 1 or k < 1 or k > N:
         raise InvalidInputError(f"need 1 <= k <= N, got N={N}, k={k}")
@@ -55,6 +55,30 @@ def sk_from_radial(upp: float, up_over_r: float, N: int, k: int) -> float:
     _check_order(N, k)
     q = up_over_r
     return binom(N - 1, k) * q**k + binom(N - 1, k - 1) * q ** (k - 1) * upp
+
+
+def read_json(path):
+    """The JSON document in the file at path; InvalidInputError if it cannot be read."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:   # ValueError: bad JSON or bad UTF-8
+        raise InvalidInputError(f"cannot read {path}: {exc}") from exc
+
+
+def check_keys(obj, allowed, what: str) -> None:
+    """InvalidInputError if the JSON object obj has a key outside allowed."""
+    extra = set(obj) - set(allowed)
+    if extra:
+        raise InvalidInputError(f"unknown {what} keys {sorted(extra)}")
+
+
+def number(value, name: str) -> float:
+    """float(value), refusing a bool or a string, which float() takes as 1.0 or 0.0 or
+    parses: in a spec they are typos, not numbers."""
+    if isinstance(value, (bool, str)):
+        raise InvalidInputError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def elementary_symmetric(values) -> list:
@@ -153,7 +177,7 @@ class LimitClass:
             if obj == INFINITE:
                 return LimitClass.infinite()
             raise InvalidInputError(f"bad limit class string {obj!r}")
-        if isinstance(obj, (int, float)):
+        if isinstance(obj, (int, float)) and not isinstance(obj, bool):
             return LimitClass.finite(float(obj))
         raise InvalidInputError(f"bad limit class value {obj!r}")
 
@@ -288,9 +312,7 @@ class NonlinearitySpec:
     def from_json(obj: dict) -> "NonlinearitySpec":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise InvalidInputError(f"nonlinearity spec must be a dict with 'kind', got {obj!r}")
-        extra = set(obj) - {"kind", "params", "f0", "finf"}
-        if extra:
-            raise InvalidInputError(f"unknown nonlinearity keys {sorted(extra)}")
+        check_keys(obj, ("kind", "params", "f0", "finf"), "nonlinearity")
         f0 = LimitClass.from_json(obj["f0"]) if "f0" in obj else None
         finf = LimitClass.from_json(obj["finf"]) if "finf" in obj else None
         return NonlinearitySpec(obj["kind"], dict(obj.get("params", {})),
@@ -320,7 +342,8 @@ def _build_formula(kind, params):
     missing = [n for n in names if n not in params]
     if missing:
         raise InvalidInputError(f"kind {kind!r} requires params {missing}")
-    values = tuple(float(params[n]) for n in names)
+    check_keys(params, names, f"{kind} param")
+    values = tuple(number(params[n], n) for n in names)
     if any(v <= 0.0 for v in values):
         raise InvalidInputError(f"{kind} needs {', '.join(names)} > 0, got "
                                 f"{', '.join(map(str, values))}")
@@ -328,8 +351,9 @@ def _build_formula(kind, params):
 
 
 def _build_tabulated(params):
-    s_tab = [float(x) for x in params.get("s", [])]
-    f_tab = [float(x) for x in params.get("f", [])]
+    check_keys(params, ("s", "f"), "tabulated param")
+    s_tab = [number(x, "s") for x in params.get("s", [])]
+    f_tab = [number(x, "f") for x in params.get("f", [])]
     if len(s_tab) != len(f_tab) or len(s_tab) < 2:
         raise InvalidInputError("tabulated kind needs matching 's' and 'f' arrays, length >= 2")
     if any(x <= 0.0 for x in s_tab) or any(y <= 0.0 for y in f_tab):
@@ -519,10 +543,13 @@ class ProblemSpec:
 
     @staticmethod
     def from_json(obj: dict) -> "ProblemSpec":
+        if not isinstance(obj, dict):
+            raise InvalidInputError(f"problem spec must be a JSON object, got {obj!r}")
+        check_keys(obj, ("N", "k", "R", "f"), "problem spec")
         try:
             N = obj["N"]
             k = obj["k"]
-            R = float(obj["R"])
+            R = number(obj["R"], "R")
             f = NonlinearitySpec.from_json(obj["f"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidInputError(f"bad problem spec: {exc}") from exc
@@ -530,12 +557,7 @@ class ProblemSpec:
 
     @staticmethod
     def load(path) -> "ProblemSpec":
-        try:
-            with open(path) as fh:
-                obj = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise InvalidInputError(f"cannot read problem spec {path}: {exc}") from exc
-        return ProblemSpec.from_json(obj)
+        return ProblemSpec.from_json(read_json(path))
 
 
 @dataclass(frozen=True)

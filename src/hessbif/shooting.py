@@ -24,7 +24,9 @@ negative or non-finite weight w_i, and steps one decade tighter than the
 caller's tolerance tol (STEP_TOL_FACTOR = 0.1): relative tolerance 0.1 tol, and
 absolute tolerance 0.1 tol 1e-3 max(d_i, 1) for u_i and 0.1 tol 1e-3
 max(F_i^k R^N / C(N,k), 1e-30) for m_i, the value m(R) of constant forcing
-F_i(d).  flux_profiles samples it on a grid.
+F_i(d).  flux_profiles samples it on a grid of grid_points points.  tol is one
+float, TOL by default, passed down from every entry; each shot refuses a tol
+outside (0, MAX_TOL) before its first IVP (_check_shot).
 
 The slope is one source template (_flux_slope), which rk inlines at every
 stage of its step and also compiles as the rhs(r, y) that flux_ivp returns, so
@@ -95,27 +97,12 @@ from .core import (
 from .errors import InvalidInputError, NumericalFailureError
 
 
-# tol lies in (0, MAX_TOL): eigen_rel_tol = 100 tol must stay below 1, or the far end
-# of an eigenvalue bracket reaches lambda <= 0
+# tol, the one tolerance: every IVP steps at STEP_TOL_FACTOR tol (flux_ivp), and every
+# root is resolved to tol relative.  It lies in (0, MAX_TOL): eigen_rel_tol = 100 tol must
+# stay below 1, or the far end of an eigenvalue bracket reaches lambda <= 0
+TOL = 1e-10
 MAX_TOL = 1e-2
-
-
-@dataclass
-class ShootingConfig:
-    """grid_points of a sampled profile, and tol, the one tolerance: every IVP steps at
-    STEP_TOL_FACTOR tol (flux_ivp), and every root is resolved to tol relative."""
-
-    grid_points: int = 1024
-    tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.grid_points < 64:
-            raise InvalidInputError(f"grid_points must be >= 64, got {self.grid_points}")
-        if not 0.0 < self.tol < MAX_TOL:
-            raise InvalidInputError(f"tol must satisfy 0 < tol < {MAX_TOL:g}, got {self.tol!r}")
-
-
-DEFAULT_CONFIG = ShootingConfig()
+GRID_POINTS = 1024   # points of a sampled profile on [0, R], at least 64
 # flux_ivp steps at STEP_TOL_FACTOR times the caller's tolerance (rtol and both
 # atols).  Measured against tol = 1e-13 over 280 scalar lambda(d)
 # (8 registry kinds x (N,k) in 11,21,22,32,33,52,84 x d in 1e-2..1e2, R 1.13)
@@ -306,9 +293,9 @@ def flux_ivp(N: int, k: int, R: float, lam: float, weights, amplitudes, tol: flo
     return res, rhs, curvatures
 
 
-def flux_profiles(N: int, k: int, R: float, lam: float, weights, amplitudes,
-                  cfg: ShootingConfig) -> tuple:
-    """One RadialProfile per component of flux_ivp on cfg.grid_points points of [0, R].
+def flux_profiles(N: int, k: int, R: float, lam: float, weights, amplitudes, tol: float,
+                  *, grid_points: int = GRID_POINTS) -> tuple:
+    """One RadialProfile per component of flux_ivp on grid_points points of [0, R].
 
     u'' comes from the flux state and the rhs's m'; each profile's consistency
     residual is sup over interior grid points of |S_k(u_i'', u_i'/r) - F_i^k|,
@@ -317,10 +304,12 @@ def flux_profiles(N: int, k: int, R: float, lam: float, weights, amplitudes,
     """
     import numpy as np
 
-    grid = np.linspace(0.0, R, cfg.grid_points)
+    if grid_points < 64:
+        raise InvalidInputError(f"grid_points must be >= 64, got {grid_points}")
+    grid = np.linspace(0.0, R, grid_points)
     series = grid <= _origin_radius(N, R)
     outer = grid[~series]   # nonempty: grid_points >= 64 puts grid[1] far beyond r0
-    res, rhs, curvatures = flux_ivp(N, k, R, lam, weights, amplitudes, cfg.tol, R,
+    res, rhs, curvatures = flux_ivp(N, k, R, lam, weights, amplitudes, tol, R,
                                     output_ts=outer)
     states = np.asarray(res.grid_states)
     slopes = np.array([rhs(r, y) for r, y in zip(outer, res.grid_states)])
@@ -339,9 +328,11 @@ def flux_profiles(N: int, k: int, R: float, lam: float, weights, amplitudes,
     return tuple(profiles)
 
 
-def _check_shot(lam: float, amplitudes) -> None:
-    """InvalidInputError unless lam is finite and >= 0 and every amplitude is positive and
-    finite: the inputs of one scalar or coupled shot."""
+def _check_shot(lam: float, amplitudes, tol: float) -> None:
+    """InvalidInputError unless 0 < tol < MAX_TOL, lam is finite and >= 0 and every
+    amplitude is positive and finite: the inputs of one scalar or coupled shot."""
+    if not 0.0 < tol < MAX_TOL:
+        raise InvalidInputError(f"tol must satisfy 0 < tol < {MAX_TOL:g}, got {tol!r}")
     for d in amplitudes:
         if not 0.0 < d < math.inf:
             raise InvalidInputError(f"amplitude must be positive and finite, got {d!r}")
@@ -349,43 +340,43 @@ def _check_shot(lam: float, amplitudes) -> None:
         raise InvalidInputError(f"lambda must be finite and nonnegative, got {lam!r}")
 
 
-def _check_inputs(spec: ProblemSpec, lam: float, d: float) -> None:
+def _check_inputs(spec: ProblemSpec, lam: float, d: float, tol: float) -> None:
     if not isinstance(spec, ProblemSpec):
         raise InvalidInputError("spec must be a ProblemSpec")
-    _check_shot(lam, (d,))
+    _check_shot(lam, (d,), tol)
 
 
-def shoot_boundary_value(spec: ProblemSpec, lam: float, d: float,
-                         cfg: ShootingConfig = DEFAULT_CONFIG) -> float:
+def shoot_boundary_value(spec: ProblemSpec, lam: float, d: float, tol: float = TOL) -> float:
     """u(R) of the initial value problem with u(0) = -d; no profile is stored."""
-    _check_inputs(spec, lam, d)
+    _check_inputs(spec, lam, d, tol)
     if lam == 0.0:
         return -d
-    return flux_ivp(spec.N, spec.k, spec.R, lam, spec.f, (d,), cfg.tol, spec.R)[0].y[0]
+    return flux_ivp(spec.N, spec.k, spec.R, lam, spec.f, (d,), tol, spec.R)[0].y[0]
 
 
-def lambda_at_amplitude(spec: ProblemSpec, d: float, lam0: float,
-                        cfg: ShootingConfig = DEFAULT_CONFIG, trajectory=None) -> float | None:
+def lambda_at_amplitude(spec: ProblemSpec, d: float, lam0: float, tol: float = TOL,
+                        trajectory=None) -> float | None:
     """lambda(d) = lam0 (rho / R)^2 from one IVP at lam0 run to its first zero rho.
 
     lam0 near lambda(d) keeps rho near R.  None when u has no zero before
     rho = HORIZON * R, i.e. no lambda <= HORIZON^2 lam0 at this amplitude.
     trajectory is as in rk.integrate.
     """
-    _check_inputs(spec, lam0, d)
+    _check_inputs(spec, lam0, d, tol)
     if lam0 == 0.0:
         raise InvalidInputError("reference lambda must be positive")
     horizon = HORIZON * spec.R
-    res = flux_ivp(spec.N, spec.k, spec.R, lam0, spec.f, (d,), cfg.tol, horizon,
-                   root_tol=cfg.tol, trajectory=trajectory)[0]
+    res = flux_ivp(spec.N, spec.k, spec.R, lam0, spec.f, (d,), tol, horizon,
+                   root_tol=tol, trajectory=trajectory)[0]
     return None if res.t >= horizon else lam0 * (res.t / spec.R) ** 2
 
 
-def integrate_profile(spec: ProblemSpec, lam: float, d: float,
-                      cfg: ShootingConfig = DEFAULT_CONFIG) -> RadialProfile:
-    """Full radial profile on the fixed output grid of cfg.grid_points points."""
-    _check_inputs(spec, lam, d)
-    return flux_profiles(spec.N, spec.k, spec.R, lam, spec.f, (d,), cfg)[0]
+def integrate_profile(spec: ProblemSpec, lam: float, d: float, tol: float = TOL, *,
+                      grid_points: int = GRID_POINTS) -> RadialProfile:
+    """Full radial profile on the fixed output grid of grid_points points."""
+    _check_inputs(spec, lam, d, tol)
+    return flux_profiles(spec.N, spec.k, spec.R, lam, spec.f, (d,), tol,
+                         grid_points=grid_points)[0]
 
 
 def differenced_sk(profile: RadialProfile, N: int, k: int) -> np.ndarray:
@@ -463,12 +454,12 @@ def trajectory_admissible(trajectory) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def solve_lambda(spec: ProblemSpec, d: float, bracket, cfg: ShootingConfig = DEFAULT_CONFIG,
+def solve_lambda(spec: ProblemSpec, d: float, bracket, tol: float = TOL,
                  scan_cells: int = 64) -> list[float]:
     """All lambda roots of the boundary residual at fixed amplitude d.
 
     Log-spaced scan over the bracket followed by rk.zeroin on every sign
-    change, to cfg.tol relative to the scan cell's upper end.  Empty list
+    change, to tol relative to the scan cell's upper end.  Empty list
     means no root in the bracket (non-existence evidence at this amplitude).
     Roots are sorted ascending; more than one is unusual but reported rather
     than suppressed.
@@ -480,7 +471,7 @@ def solve_lambda(spec: ProblemSpec, d: float, bracket, cfg: ShootingConfig = DEF
         raise InvalidInputError(f"empty bracket {bracket!r}")
     if lam_lo < 0.0:
         raise InvalidInputError("bracket must lie in lambda >= 0")
-    _check_inputs(spec, lam_lo, d)
+    _check_inputs(spec, lam_lo, d, tol)
     if scan_cells < 2:
         raise InvalidInputError(f"scan_cells must be >= 2, got {scan_cells}")
 
@@ -490,7 +481,7 @@ def solve_lambda(spec: ProblemSpec, d: float, bracket, cfg: ShootingConfig = DEF
         nodes = np.concatenate([[lam_lo], nodes])
 
     def res(lam):   # a point of rk.zeroin
-        return lam, shoot_boundary_value(spec, lam, d, cfg), None
+        return lam, shoot_boundary_value(spec, lam, d, tol), None
 
     points = [res(float(lam)) for lam in nodes]
     roots = []
@@ -498,20 +489,19 @@ def solve_lambda(spec: ProblemSpec, d: float, bracket, cfg: ShootingConfig = DEF
         if a[1] == 0.0:
             roots.append(a[0])
         elif (a[1] < 0.0) != (b[1] < 0.0):
-            roots.append(rk.zeroin(res, a, b, cfg.tol * b[0])[0][0])
+            roots.append(rk.zeroin(res, a, b, tol * b[0])[0][0])
     if points[-1][1] == 0.0:
         roots.append(points[-1][0])
     return sorted(roots)
 
 
-def eigen_rel_tol(cfg: ShootingConfig) -> float:
+def eigen_rel_tol(tol: float) -> float:
     """Relative width 100 tol within which two eigenvalue computations must agree (1e-8
-    at the defaults)."""
-    return 100.0 * cfg.tol
+    at TOL)."""
+    return 100.0 * tol
 
 
-def first_eigenvalue(N: int, k: int, R: float,
-                     cfg: ShootingConfig = DEFAULT_CONFIG) -> EigenvalueResult:
+def first_eigenvalue(N: int, k: int, R: float, tol: float = TOL) -> EigenvalueResult:
     """First eigenvalue: S_k(D^2 v) = lambda1^k |v|^k with v(R) = 0, v < 0 inside.
 
     Degree-k homogeneity makes the amplitude irrelevant, so the linear problem
@@ -519,22 +509,22 @@ def first_eigenvalue(N: int, k: int, R: float,
     first zero rho of one IVP at lambda = 1 / R^2.  The fixed-R residual
     r = u(R; lambda1) is shot next, and then u(R) on the far side of its root:
     at lambda1 (1 - w) when r > 0, at lambda1 (1 + w) when r < 0, with
-    w = eigen_rel_tol(cfg).  The two must differ in sign, an independent check
+    w = eigen_rel_tol(tol).  The two must differ in sign, an independent check
     that the fixed-R root lies within relative w of the scaled value;
     otherwise NumericalFailureError.  iterations counts the IVPs: 3, or 2 when
     r is exactly 0.
     """
     spec = ProblemSpec(N=N, k=k, R=float(R), f=NonlinearitySpec("linear"))
-    lam = lambda_at_amplitude(spec, 1.0, 1.0 / R**2, cfg)
+    lam = lambda_at_amplitude(spec, 1.0, 1.0 / R**2, tol)
     if lam is None:
         raise NumericalFailureError(f"no first eigenvalue found for N={N}, k={k}, R={R!r}")
-    residual = shoot_boundary_value(spec, lam, 1.0, cfg)
+    residual = shoot_boundary_value(spec, lam, 1.0, tol)
     if residual == 0.0:
         return EigenvalueResult(lambda1=lam, residual=residual, iterations=2)
     # u(R) increases with lambda: r > 0 puts its root below lambda1, r < 0 above
-    w = eigen_rel_tol(cfg)
+    w = eigen_rel_tol(tol)
     lam_far = lam * (1.0 - w) if residual > 0.0 else lam * (1.0 + w)
-    r_far = shoot_boundary_value(spec, lam_far, 1.0, cfg)
+    r_far = shoot_boundary_value(spec, lam_far, 1.0, tol)
     if not (r_far < 0.0 < residual or residual < 0.0 < r_far):
         raise NumericalFailureError(
             f"fixed-R residual does not change sign across the scaled eigenvalue {lam!r}: "

@@ -44,11 +44,11 @@ from typing import NamedTuple
 
 from . import rk, shooting
 from .branch import Branch, VerificationReport, reference_lambda, solution_amplitudes, trace
-from .core import Formula, LimitClass, _check_order
+from .core import Formula, LimitClass, _check_order, check_keys, number
 from .errors import InvalidInputError, NumericalFailureError
 from .shooting import (
-    DEFAULT_CONFIG,
-    ShootingConfig,
+    GRID_POINTS,
+    TOL,
     _check_shot,
     eigen_rel_tol,
     first_eigenvalue,
@@ -74,7 +74,7 @@ def _weight(kind_base, params):
     if kind_base == "superlinear":
         return "1.0 + (s + t)", {}, LimitClass.finite(1.0), LimitClass.infinite()
     if kind_base == "rational":
-        b = float(params.get("b", 0.0))
+        b = number(params.get("b", 0.0), "b")
         if b <= 0.0:
             raise InvalidInputError("rational kind needs param b > 0")
         return ("(1.0 + b * (s + t)) / (1.0 + (s + t))", {"b": b},
@@ -109,6 +109,7 @@ class NonlinearitySpec2:
                 f"two-argument kind must end in _t or _s, got {self.kind!r}")
         self.couples_in_t = suffix == "t"
         w, params, self.lim0, self.liminf = _weight(base, self.params)
+        check_keys(self.params, params, f"{self.kind} param")
         phi = "t" if self.couples_in_t else "s"
         self.formula = Formula(self.kind, f"0.0 if {phi} == 0.0 else {phi} * ({w})",
                                ("s", "t"), tuple(params))
@@ -127,6 +128,7 @@ class NonlinearitySpec2:
     def from_json(obj) -> "NonlinearitySpec2":
         if not isinstance(obj, dict) or "kind" not in obj:
             raise InvalidInputError(f"bad two-argument nonlinearity spec {obj!r}")
+        check_keys(obj, ("kind", "params"), "two-argument nonlinearity")
         return NonlinearitySpec2(obj["kind"], dict(obj.get("params", {})))
 
 
@@ -174,6 +176,7 @@ class SystemSpec:
     def from_json(obj: dict) -> "SystemSpec":
         if not isinstance(obj, dict):
             raise InvalidInputError(f"system spec must be a JSON object, got {obj!r}")
+        check_keys(obj, ("N", "k", "R", "g", "h", "monotone"), "system spec")
         mono = obj.get("monotone", {})
         if not (isinstance(mono, dict) and set(mono) <= {"g_in_t", "h_in_s"}
                 and all(isinstance(flag, bool) for flag in mono.values())):
@@ -181,7 +184,7 @@ class SystemSpec:
                 f"monotone must map g_in_t and h_in_s to true or false, got {mono!r}")
         try:
             return SystemSpec(
-                N=obj["N"], k=obj["k"], R=float(obj["R"]),
+                N=obj["N"], k=obj["k"], R=number(obj["R"], "R"),
                 g=NonlinearitySpec2.from_json(obj["g"]),
                 h=NonlinearitySpec2.from_json(obj["h"]),
                 monotone_g_in_t=mono.get("g_in_t", True),
@@ -196,20 +199,22 @@ class SystemSpec:
 # ---------------------------------------------------------------------------
 
 
-def integrate_system(spec: SystemSpec, lam: float, d_u: float, d_v: float,
-                     cfg: ShootingConfig = DEFAULT_CONFIG):
-    """Simultaneous outward integration; returns the (u, v) profile pair."""
-    _check_shot(lam, (d_u, d_v))
-    return flux_profiles(spec.N, spec.k, spec.R, lam, (spec.g, spec.h), (d_u, d_v), cfg)
+def integrate_system(spec: SystemSpec, lam: float, d_u: float, d_v: float, tol: float = TOL,
+                     *, grid_points: int = GRID_POINTS):
+    """Simultaneous outward integration; returns the (u, v) profile pair on grid_points
+    points."""
+    _check_shot(lam, (d_u, d_v), tol)
+    return flux_profiles(spec.N, spec.k, spec.R, lam, (spec.g, spec.h), (d_u, d_v), tol,
+                         grid_points=grid_points)
 
 
 def system_boundary_values(spec: SystemSpec, lam: float, d_u: float, d_v: float,
-                           cfg: ShootingConfig = DEFAULT_CONFIG):
+                           tol: float = TOL):
     """(u(R), v(R)) without storing profiles."""
-    _check_shot(lam, (d_u, d_v))
+    _check_shot(lam, (d_u, d_v), tol)
     if lam == 0.0:
         return -d_u, -d_v
-    y = flux_ivp(spec.N, spec.k, spec.R, lam, (spec.g, spec.h), (d_u, d_v), cfg.tol,
+    y = flux_ivp(spec.N, spec.k, spec.R, lam, (spec.g, spec.h), (d_u, d_v), tol,
                  spec.R)[0].y
     return y[0], y[2]
 
@@ -235,13 +240,13 @@ class SystemBranchPoint:
         return self.d_u + self.d_v
 
 
-def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg):
+def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, tol):
     """(rho, d_v) where u and v of the pair IVP at lam_ref, weights (g, h) and (d_u, d_v)
     vanish together.
 
     F = v(rho_u) / d_v at u's first zero rho_u falls as d_v grows (g rises in t, h in s);
     no zero before shooting.HORIZON R counts as F = +inf.  Steps of 0.1, 0.2, 0.4, ... in
-    z = log d_v bracket its sign change, and rk.zeroin resolves it to cfg.tol in z.  The
+    z = log d_v bracket its sign change, and rk.zeroin resolves it to tol in z.  The
     root is zeroin's end of smaller |F|, an evaluated IVP, so rho and d_v always belong
     to one run."""
     horizon = shooting.HORIZON * R
@@ -249,8 +254,8 @@ def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg):
     def point(d_v):   # (log d_v, F, (rho_u, d_v)), rho_u None when u has no zero
         if not d_v > 0.0:
             raise NumericalFailureError(f"d_v underflows to {d_v!r} (d_u = {d_u!r})")
-        res = flux_ivp(N, k, R, lam_ref, weights, (d_u, d_v), cfg.tol, horizon,
-                       root_tol=cfg.tol)[0]
+        res = flux_ivp(N, k, R, lam_ref, weights, (d_u, d_v), tol, horizon,
+                       root_tol=tol)[0]
         z = math.log(d_v)
         if res.t >= horizon:
             return z, math.inf, (None, d_v)
@@ -272,55 +277,55 @@ def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg):
                   else "v(rho_u) did not change sign after 10 doublings")
         raise NumericalFailureError(
             f"{reason} from d_v = {dv0!r} (d_u = {d_u!r}, lambda_ref = {lam_ref!r})")
-    return rk.zeroin(lambda z: point(math.exp(z)), prev, cur, cfg.tol)[0][2]
+    return rk.zeroin(lambda z: point(math.exp(z)), prev, cur, tol)[0][2]
 
 
-def _confirmed_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg, trajectory=None):
+def _confirmed_zero(N, k, R, weights, d_u, lam_ref, dv0, tol, trajectory=None):
     """(rho, d_v, res_u, res_v) of _common_zero's root, confirmed by one free shot to R at
     the kernel scale lam_ref (rho / R)^2 (trajectory as in rk.integrate): residuals
-    (u(R), v(R)) beyond eigen_rel_tol(cfg) of (d_u, d_v) raise NumericalFailureError."""
-    rho, d_v = _common_zero(N, k, R, weights, d_u, lam_ref, dv0, cfg)
+    (u(R), v(R)) beyond eigen_rel_tol(tol) of (d_u, d_v) raise NumericalFailureError."""
+    rho, d_v = _common_zero(N, k, R, weights, d_u, lam_ref, dv0, tol)
     scale = lam_ref * (rho / R) ** 2
-    ru, _, rv, _ = flux_ivp(N, k, R, scale, weights, (d_u, d_v), cfg.tol, R,
+    ru, _, rv, _ = flux_ivp(N, k, R, scale, weights, (d_u, d_v), tol, R,
                             trajectory=trajectory)[0].y
-    tol = eigen_rel_tol(cfg)
-    if max(abs(ru) / d_u, abs(rv) / d_v) > tol:
+    width = eigen_rel_tol(tol)
+    if max(abs(ru) / d_u, abs(rv) / d_v) > width:
         raise NumericalFailureError(
             f"fixed-R residual check failed at d_u = {d_u!r}, d_v = {d_v!r}, kernel scale "
-            f"{scale!r}: res_u = {ru!r}, res_v = {rv!r} exceed {tol:g} of d_u, d_v")
+            f"{scale!r}: res_u = {ru!r}, res_v = {rv!r} exceed {width:g} of d_u, d_v")
     return rho, d_v, ru, rv
 
 
 def solve_system_shooting(spec: SystemSpec, d_u: float, init,
-                          cfg: ShootingConfig = DEFAULT_CONFIG) -> SystemBranchPoint:
+                          tol: float = TOL) -> SystemBranchPoint:
     """Dirichlet point at d_u from init = (lambda_ref, d_v0): the root of _common_zero with
     lambda = lambda_ref (rho / R)^2, confirmed by _confirmed_zero's fixed-R shot, whose
     accepted states give the admissibility flag (shooting.trajectory_admissible)."""
     lam_ref, dv0 = init
-    _check_shot(lam_ref, (d_u, dv0))
+    _check_shot(lam_ref, (d_u, dv0), tol)
     if lam_ref == 0.0:
         raise InvalidInputError("reference lambda must be positive")
 
     states = []
     rho, d_v, ru, rv = _confirmed_zero(spec.N, spec.k, spec.R, (spec.g, spec.h), d_u, lam_ref,
-                                       dv0, cfg, states)
+                                       dv0, tol, states)
     return SystemBranchPoint(d_u=d_u, d_v=d_v, lam=lam_ref * (rho / spec.R) ** 2,
                              res_u=ru, res_v=rv, admissible=trajectory_admissible(states))
 
 
 def confirm_coupled_eigenvalue(N: int, k: int, R: float, lam1: float,
-                               cfg: ShootingConfig = DEFAULT_CONFIG) -> float:
+                               tol: float = TOL) -> float:
     """lam1, the scalar first eigenvalue, as the coupled eigenvalue lambda0.
 
     A coupled solve that does not impose symmetry must find lam1 again.
-    Disagreement beyond eigen_rel_tol(cfg) relative (1e-8 at the defaults) is
+    Disagreement beyond eigen_rel_tol(tol) relative (1e-8 at TOL) is
     an internal inconsistency and raises NumericalFailureError.
     """
     spec = SystemSpec(N=N, k=k, R=R,
                       g=NonlinearitySpec2("linear_t"),
                       h=NonlinearitySpec2("linear_s"))
-    point = solve_system_shooting(spec, 1.0, (1.07 * lam1, 0.9), cfg)
-    if abs(point.lam - lam1) > eigen_rel_tol(cfg) * lam1:
+    point = solve_system_shooting(spec, 1.0, (1.07 * lam1, 0.9), tol)
+    if abs(point.lam - lam1) > eigen_rel_tol(tol) * lam1:
         raise NumericalFailureError(
             f"asymmetric coupled solve gave {point.lam!r}, symmetric reduction {lam1!r}")
     return lam1
@@ -358,7 +363,7 @@ class PowerPairResult:
 
 
 def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.0,
-                        n_samples: int = 8, cfg: ShootingConfig = DEFAULT_CONFIG,
+                        n_samples: int = 8, tol: float = TOL,
                         mu_lo: float | None = None, mu_hi: float | None = None) -> PowerPairResult:
     """Constancy of lambda * mu^(alpha/k) for S_k(D^2 u) = lambda (-v)^alpha,
     S_k(D^2 v) = mu (-u)^beta with alpha beta = k^2.
@@ -379,7 +384,7 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
     if not all(m is None or 0.0 < m < math.inf for m in (mu_lo, mu_hi)):
         raise InvalidInputError(
             f"mu range must be positive and finite, got ({mu_lo!r}, {mu_hi!r})")
-    lam1 = first_eigenvalue(N, k, R, cfg).lambda1
+    lam1 = first_eigenvalue(N, k, R, tol).lambda1
     if mu_lo is None:
         mu_lo = 1e-2 * lam1**k
     if mu_hi is None:
@@ -398,7 +403,7 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
         dv0 = 0.91 * dv_prev * (mu_ref / mu_prev) ** (1.0 / k)
         weights = (_PowerWeight(_POWER_T, (lam_ref, alpha, 1.0 / k)),
                    _PowerWeight(_POWER_S, (mu_ref, beta, 1.0 / k)))
-        rho, d_v, *_ = _confirmed_zero(N, k, R, weights, 1.0, 1.0, dv0, cfg)
+        rho, d_v, *_ = _confirmed_zero(N, k, R, weights, 1.0, 1.0, dv0, tol)
         lam, mu = lam_ref * (rho / R) ** (2 * k), mu_ref * (rho / R) ** (2 * k)
         samples.append((lam, mu))
         lam_prev, dv_prev, mu_prev = lam, d_v, mu
@@ -427,7 +432,7 @@ def write_system_csv(branch: Branch, path) -> None:
                      f"{p.res_v:.17g},{1 if i in fold_idx else 0}\n")
 
 
-def trace_system_branch(spec: SystemSpec, d_grid, cfg: ShootingConfig = DEFAULT_CONFIG,
+def trace_system_branch(spec: SystemSpec, d_grid, tol: float = TOL,
                         *, lambda_scale: float | None = None) -> Branch:
     """System branch over total amplitude d = d_u + d_v (d_u = d / 2 drives, d_v solved),
     traced by branch.trace: one solve_system_shooting per amplitude, from the geometric
@@ -436,7 +441,7 @@ def trace_system_branch(spec: SystemSpec, d_grid, cfg: ShootingConfig = DEFAULT_
     NumericalFailureError (no usable cold start, no root, a failed fixed-R check) is a gap.
     """
     if lambda_scale is None:
-        lambda_scale = first_eigenvalue(spec.N, spec.k, spec.R, cfg).lambda1
+        lambda_scale = first_eigenvalue(spec.N, spec.k, spec.R, tol).lambda1
 
     def solve(d, near):
         d_u = 0.5 * d
@@ -448,7 +453,7 @@ def trace_system_branch(spec: SystemSpec, d_grid, cfg: ShootingConfig = DEFAULT_
             else:
                 init = (reference_lambda(lambda_scale, d_u, spec.g(d_u, d_u), "g(d_u, d_u)"),
                         d_u)
-            return solve_system_shooting(spec, d_u, init, cfg)
+            return solve_system_shooting(spec, d_u, init, tol)
         except NumericalFailureError:
             return None
 

@@ -1,7 +1,9 @@
-"""The benchmark's tracer (bench/tracer.py) wraps the package's public functions by name.
+"""The benchmark's tracer (bench/tracer.py) wraps the package's public functions by name,
+and its round-trip operation (bench/workloads.py) calls them positionally.
 
-A renamed or reshaped boundary crashes every traced benchmark run, so this test installs
-the tracer, loaded read-only from its file, on small commands and checks what it relies on.
+A renamed or reshaped boundary crashes every traced benchmark run, so the first test
+installs the tracer, loaded read-only from its file, on small commands and checks what it
+relies on; the second runs the round trip itself on the CSV of a verify run.
 """
 
 import contextlib
@@ -13,19 +15,19 @@ import sys
 
 import hessbif.cli as cli
 
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                      "bench", "tracer.py")
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("hessbif_bench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"hessbif_bench_{name}",
+                                                  os.path.join(BENCH, f"{name}.py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_boundaries_and_summaries(tmp_path):
-    tr = _load_tracer()
+    tr = _load("tracer")
     for _, modname, fn in tr.BOUNDARIES:
         assert callable(getattr(sys.modules[modname], fn, None)), f"{modname}.{fn}"
     scalar = tmp_path / "scalar.json"
@@ -51,3 +53,17 @@ def test_tracer_boundaries_and_summaries(tmp_path):
     metrics = tr.layer_metrics(spans)
     assert metrics["system.points"] > 0 and metrics["branch.points"] > 0
     assert metrics["rk.steps"] > 0
+
+
+def test_workload_roundtrip_calls(tmp_path, monkeypatch):
+    # the scalar workload's verify and round-trip operations on its power spec: the round
+    # trip loads the spec and the verify CSV and re-verifies them through the library
+    monkeypatch.syspath_prepend(BENCH)   # workloads imports refs
+    wl = _load("workloads")
+    name, N, k, f, extrema = wl.SCALAR_SPECS[-1]
+    ops = {op.kind: op for op in wl.scalar_ops(name, {"N": N, "k": k, "R": 1.13, "f": f},
+                                                 extrema, 1e-2, 1e2, str(tmp_path))}
+    assert ops["verify"].run(str(tmp_path))[0]
+    ok, note = ops["roundtrip"].run(str(tmp_path))
+    assert ok, note
+    assert ops["roundtrip"].check(str(tmp_path)) == []

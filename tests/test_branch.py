@@ -35,7 +35,7 @@ from hessbif.errors import (
     TracingFailureError,
 )
 from hessbif.shooting import (
-    ShootingConfig,
+    TOL,
     first_eigenvalue,
     flux_ivp,
     flux_kernel,
@@ -47,8 +47,6 @@ from hessbif.shooting import (
 from hessbif.system import NonlinearitySpec2, SystemSpec, trace_system_branch
 
 LAM_COS = 2.4674011002723395
-
-FAST = ShootingConfig(grid_points=128)
 
 
 def synthetic(lams, d0=1e-3, decades=6.0):
@@ -62,13 +60,13 @@ def synthetic(lams, d0=1e-3, decades=6.0):
 
 @pytest.fixture(scope="module")
 def lam1():
-    return first_eigenvalue(1, 1, 1.0, FAST).lambda1
+    return first_eigenvalue(1, 1, 1.0).lambda1
 
 
 @pytest.fixture(scope="module")
 def saturating_branch(lam1):
     spec = ProblemSpec(N=1, k=1, R=1.0, f=NonlinearitySpec("saturating"))
-    return trace_branch(spec, 1e-2, 1e2, 17, FAST, lambda_scale=lam1)
+    return trace_branch(spec, 1e-2, 1e2, 17, lambda_scale=lam1)
 
 
 @pytest.fixture(scope="module")
@@ -78,7 +76,7 @@ def gelfand_branch(lam1):
         N=1, k=1, R=1.0,
         f=NonlinearitySpec("sum_of_powers", {"p": 0.5, "q": 2.0, "c": 1.0}),
     )
-    return trace_branch(spec, 1e-2, 1e2, 17, FAST, lambda_scale=lam1)
+    return trace_branch(spec, 1e-2, 1e2, 17, lambda_scale=lam1)
 
 
 class TestDetectFolds:
@@ -201,7 +199,7 @@ class TestAsymptotes:
 class TestTraceBranch:
     def test_linear_flat(self, lam1):
         spec = ProblemSpec(N=1, k=1, R=1.0, f=NonlinearitySpec("linear"))
-        br = trace_branch(spec, 1e-3, 1e3, 16, FAST, lambda_scale=lam1)
+        br = trace_branch(spec, 1e-3, 1e3, 16, lambda_scale=lam1)
         lams = np.array(br.lam_values())
         assert np.max(np.abs(lams - lam1)) < 1e-6
         assert br.folds == []
@@ -209,7 +207,7 @@ class TestTraceBranch:
         assert br.lambda_at_zero.value == pytest.approx(lam1, rel=1e-6)
         assert br.lambda_at_infinity.value == pytest.approx(lam1, rel=1e-6)
         assert all(p.admissible for p in br.points)
-        assert all(abs(shoot_boundary_value(spec, p.lam, p.d, FAST)) < 1e-7 for p in br.points)
+        assert all(abs(shoot_boundary_value(spec, p.lam, p.d)) < 1e-7 for p in br.points)
 
     def test_saturating_increasing_from_lambda1(self, lam1, saturating_branch):
         br = saturating_branch
@@ -240,7 +238,7 @@ class TestTraceBranch:
             if not (f.declared_f0.is_finite or f.declared_finf.is_finite):
                 continue
             spec = ProblemSpec(N=1, k=1, R=1.0, f=f)
-            br = trace_branch(spec, 1e-2, 1e2, 17, FAST, lambda_scale=lam1)
+            br = trace_branch(spec, 1e-2, 1e2, 17, lambda_scale=lam1)
             if f.declared_f0.is_finite:
                 want = lam1 / f.declared_f0.value
                 assert br.lambda_at_zero.kind == "finite", name
@@ -257,14 +255,14 @@ class TestTraceBranch:
                             lambda *args, **kwargs: [])
         spec = ProblemSpec(N=1, k=1, R=1.0, f=NonlinearitySpec("linear"))
         with pytest.raises(TracingFailureError):
-            trace_branch(spec, 1e-2, 1e2, 16, FAST, lambda_scale=lam1)
+            trace_branch(spec, 1e-2, 1e2, 16, lambda_scale=lam1)
 
     def test_supercritical_power_fails(self):
         # p = 7 > 5 on the 3-ball: no amplitude has a Dirichlet solution
         spec = ProblemSpec(N=3, k=1, R=1.0, f=NonlinearitySpec("power", {"p": 7.0}))
         with pytest.raises(TracingFailureError,
                            match=r"^16/16 amplitudes have no lambda root; resolved fewer than 4 points$"):
-            trace_branch(spec, 1e-2, 1e2, 16, FAST)
+            trace_branch(spec, 1e-2, 1e2, 16)
 
     def test_one_ivp_per_point(self, monkeypatch, ivps):
         # one IVP to the first zero of u per point, which gives lambda(d) and the
@@ -273,7 +271,7 @@ class TestTraceBranch:
         import hessbif.branch as branch_mod
 
         spec = ProblemSpec(N=2, k=2, R=1.13, f=NonlinearitySpec("log_bump"))
-        lam1 = first_eigenvalue(2, 2, 1.13, FAST).lambda1
+        lam1 = first_eigenvalue(2, 2, 1.13).lambda1
         solves, polish = [], []
         real_solve = branch_mod._solve_point
         real_polish = branch_mod._polish_folds
@@ -290,7 +288,7 @@ class TestTraceBranch:
         monkeypatch.setattr(branch_mod, "_solve_point", solving)
         monkeypatch.setattr(branch_mod, "_polish_folds", polishing)
         ivps.clear()
-        br = trace_branch(spec, 1e-2, 1e2, 25, FAST, lambda_scale=lam1)
+        br = trace_branch(spec, 1e-2, 1e2, 25, lambda_scale=lam1)
         calls = [ivp.kwargs.get("root_tol") for ivp in ivps]
         assert [f.kind for f in br.folds] == ["min"] and not br.gaps
         (ivps_0, solves_0, points_0), (ivps_1, solves_1, points_1) = polish
@@ -298,7 +296,7 @@ class TestTraceBranch:
         assert points_1 == len(br.points) == points_0 + 1
         assert 0 < solves_1 - solves_0 <= 8
         assert len(calls) == ivps_1 == points_0 + (solves_1 - solves_0)
-        assert calls == [FAST.tol] * len(calls)
+        assert calls == [TOL] * len(calls)
 
     @pytest.mark.parametrize("f,N,k", [
         (NonlinearitySpec("log_bump"), 2, 2),
@@ -310,9 +308,9 @@ class TestTraceBranch:
         # The reference is the tight trace's fold and, independently of how that was
         # polished, the vertex of the parabola through tight solves at its ln d +- 1e-3
         spec = ProblemSpec(N=N, k=k, R=1.13, f=f)
-        tight = ShootingConfig(tol=1e-13)
+        tight = 1e-13
         lam1 = first_eigenvalue(N, k, 1.13, tight).lambda1
-        [fold] = trace_branch(spec, 1e-2, 1e2, 25, FAST).folds
+        [fold] = trace_branch(spec, 1e-2, 1e2, 25).folds
         ref = trace_branch(spec, 1e-2, 1e2, 25, tight, lambda_scale=lam1)
         [want] = ref.folds
         x = math.log(ref.points[want.index].d)
@@ -325,15 +323,15 @@ class TestTraceBranch:
 
     def test_power_branch_admissible(self):
         spec = ProblemSpec(N=3, k=2, R=1.13, f=NonlinearitySpec("power", {"p": 2.0}))
-        br = trace_branch(spec, 1e-2, 1e2, 25, FAST)
+        br = trace_branch(spec, 1e-2, 1e2, 25)
         assert all(p.admissible for p in br.points)
 
     def test_input_validation(self, lam1):
         spec = ProblemSpec(N=1, k=1, R=1.0, f=NonlinearitySpec("linear"))
         with pytest.raises(InvalidInputError):
-            trace_branch(spec, 1.0, 0.1, 16, FAST, lambda_scale=lam1)
+            trace_branch(spec, 1.0, 0.1, 16, lambda_scale=lam1)
         with pytest.raises(InvalidInputError):
-            trace_branch(spec, 0.1, 1.0, 8, FAST, lambda_scale=lam1)
+            trace_branch(spec, 0.1, 1.0, 8, lambda_scale=lam1)
 
 
 class TestLogGrid:
@@ -381,7 +379,7 @@ def _scalar_trace(monkeypatch, n_points, drop):
                         lambda spec, d, *rest: None if d == grid[drop] else solve(spec, d, *rest))
     spec = ProblemSpec(N=1, k=1, R=1.0,
                        f=NonlinearitySpec("sum_of_powers", {"p": 0.5, "q": 2.0, "c": 1.0}))
-    br = trace_branch(spec, 1e-2, 1e2, n_points, FAST)
+    br = trace_branch(spec, 1e-2, 1e2, n_points)
     return (grid, [p.d for p in br.points], [p.seed for p in br.points], br.gaps)
 
 
@@ -400,7 +398,7 @@ def _system_trace(monkeypatch, n_points, drop):
     monkeypatch.setattr(system_mod, "solve_system_shooting", dropping)
     spec = SystemSpec(N=1, k=1, R=1.0, g=NonlinearitySpec2("superlinear_t"),
                       h=NonlinearitySpec2("superlinear_s"))
-    sb = trace_system_branch(spec, grid, FAST)
+    sb = trace_system_branch(spec, grid)
     return ([0.5 * d for d in grid], [p.d_u for p in sb.points],
             [p.seed for p in sb.points], [0.5 * g for g in sb.gaps])
 
@@ -417,7 +415,7 @@ def _gap_trace(monkeypatch, kind, dropped):
         monkeypatch.setattr(branch_mod, "_solve_point",
                             lambda spec, d, *rest: None if d in gaps else solve(spec, d, *rest))
         spec = ProblemSpec(N=1, k=1, R=1.0, f=NonlinearitySpec("saturating"))
-        return trace_branch(spec, 1e-2, 1e2, 16, FAST).gaps
+        return trace_branch(spec, 1e-2, 1e2, 16).gaps
     import hessbif.system as system_mod
 
     solve = system_mod.solve_system_shooting
@@ -430,7 +428,7 @@ def _gap_trace(monkeypatch, kind, dropped):
     monkeypatch.setattr(system_mod, "solve_system_shooting", dropping)
     spec = SystemSpec(N=1, k=1, R=1.0, g=NonlinearitySpec2("saturating_t"),
                       h=NonlinearitySpec2("saturating_s"))
-    return trace_system_branch(spec, grid, FAST).gaps
+    return trace_system_branch(spec, grid).gaps
 
 
 @pytest.mark.parametrize("kind", ["scalar", "system"])
@@ -453,10 +451,7 @@ ADMISSIBILITY_CASES = [("log_bump", 3, 2), ("log_bump", 5, 2), ("log_bump", 3, 3
 def registry_branch(request):
     kind, N, k = request.param
     spec = ProblemSpec(N=N, k=k, R=1.13, f=registry()[kind])
-    return spec, trace_branch(spec, 1e-2, 1e2, 25, FAST)
-
-
-GRID_256 = ShootingConfig(grid_points=256)
+    return spec, trace_branch(spec, 1e-2, 1e2, 25)
 
 
 def _cone_flag(rhs, trajectory):
@@ -467,15 +462,15 @@ def _cone_flag(rhs, trajectory):
 
 FLAG_TRACES = {
     "log_bump-N3k2": lambda: trace_branch(
-        ProblemSpec(N=3, k=2, R=1.13, f=registry()["log_bump"]), 1e-2, 1e2, 16, FAST),
+        ProblemSpec(N=3, k=2, R=1.13, f=registry()["log_bump"]), 1e-2, 1e2, 16),
     "saturating-N2k1": lambda: trace_branch(
-        ProblemSpec(N=2, k=1, R=1.13, f=registry()["saturating"]), 1e-2, 1e2, 16, FAST),
+        ProblemSpec(N=2, k=1, R=1.13, f=registry()["saturating"]), 1e-2, 1e2, 16),
     "powermix-pair-N2k1": lambda: trace_system_branch(
         SystemSpec(N=2, k=1, R=1.13, g=NonlinearitySpec2("powermix_t"),
-                   h=NonlinearitySpec2("powermix_s")), np.geomspace(1e-2, 1e2, 16), FAST),
+                   h=NonlinearitySpec2("powermix_s")), np.geomspace(1e-2, 1e2, 16)),
     "saturating-pair-N2k2": lambda: trace_system_branch(
         SystemSpec(N=2, k=2, R=1.13, g=NonlinearitySpec2("saturating_t"),
-                   h=NonlinearitySpec2("saturating_s")), np.geomspace(1e-2, 1e2, 16), FAST),
+                   h=NonlinearitySpec2("saturating_s")), np.geomspace(1e-2, 1e2, 16)),
 }
 
 
@@ -483,7 +478,8 @@ class TestAdmissibility:
     def test_flags_match_grid_profiles(self, registry_branch):
         spec, br = registry_branch
         assert [p.admissible for p in br.points] == [
-            profile_admissible(integrate_profile(spec, p.lam, p.d, GRID_256), spec.N, spec.k)
+            profile_admissible(integrate_profile(spec, p.lam, p.d, grid_points=256),
+                               spec.N, spec.k)
             for p in br.points]
 
     @pytest.mark.parametrize("N,d", [(3, 1.0), (5, 6.81)])
@@ -492,7 +488,7 @@ class TestAdmissibility:
         # (N = 5) from R.  S_2 from the flux-form u'' cancels there to 0.0 and
         # -2.8e-14, so a cone test on u'' that drops only the last state fails.
         spec = ProblemSpec(N=N, k=2, R=1.13, f=NonlinearitySpec("log_bump"))
-        br = trace_branch(spec, 1e-2, 1e2, 25, FAST)
+        br = trace_branch(spec, 1e-2, 1e2, 25)
         picked = [p for p in br.points if p.d == pytest.approx(d, rel=1e-3)]
         assert [(p.seed, p.admissible) for p in picked] == [(True, True)]
 
@@ -507,12 +503,12 @@ class TestAdmissibility:
         for p in br.points[::3]:
             lam = 1.05 * p.lam
             states = []
-            res = flux_ivp(spec.N, spec.k, spec.R, lam, spec.f, (p.d,), FAST.tol,
+            res = flux_ivp(spec.N, spec.k, spec.R, lam, spec.f, (p.d,), TOL,
                            spec.R, trajectory=states)[0]
             admissible = trajectory_admissible(states)
             assert admissible == _cone_flag(flux_kernel(spec.N, spec.k, lam, spec.f)[2], states)
             assert res.y[0] > 0.0
-            assert not profile_admissible(integrate_profile(spec, lam, p.d, GRID_256),
+            assert not profile_admissible(integrate_profile(spec, lam, p.d, grid_points=256),
                                           spec.N, spec.k)
             assert admissible == (states[-2][0] < r_star)
             flags.append(admissible)
@@ -562,11 +558,11 @@ class TestAdmissibility:
     def test_traces_integrate_on_no_output_grid(self, ivps, kind):
         if kind == "scalar":
             spec = ProblemSpec(N=2, k=2, R=1.13, f=NonlinearitySpec("log_bump"))
-            trace_branch(spec, 1e-2, 1e2, 16, FAST)
+            trace_branch(spec, 1e-2, 1e2, 16)
         else:
             spec = SystemSpec(N=2, k=1, R=1.0, g=NonlinearitySpec2("saturating_t"),
                               h=NonlinearitySpec2("saturating_s"))
-            trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST)
+            trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16))
         gridded = [len(ivp.args) > 6 or ivp.kwargs.get("output_ts") is not None for ivp in ivps]
         assert gridded and not any(gridded)
 
@@ -618,7 +614,7 @@ class TestRefineJumps:
         out, calls = _refine(lambda d: 3.0 * d**-1.7, log_grid(1e-2, 1e2, 25))
         assert calls == [] and len(out) == 25
         spec = ProblemSpec(N=3, k=2, R=1.21, f=NonlinearitySpec("power", {"p": 2.0}))
-        br = trace_branch(spec, 1e-2, 1e2, 25, FAST)
+        br = trace_branch(spec, 1e-2, 1e2, 25)
         assert len(br.points) == 25 and all(p.seed for p in br.points)
 
     def test_no_bend_is_left_above_the_depth_cap(self):
@@ -722,7 +718,7 @@ class TestRegridding:
     ], ids=["log_bump-N2k2", "sum_of_powers-N2k1"])
     def test_folds_survive_a_finer_base_grid(self, kind, params, N, k, R):
         spec = ProblemSpec(N=N, k=k, R=R, f=NonlinearitySpec(kind, params))
-        coarse, fine = (trace_branch(spec, 1e-2, 1e2, n, FAST).folds for n in (25, 33))
+        coarse, fine = (trace_branch(spec, 1e-2, 1e2, n).folds for n in (25, 33))
         assert len(coarse) == 1
         assert [f.kind for f in coarse] == [f.kind for f in fine]
         for a, b in zip(coarse, fine):
@@ -733,7 +729,7 @@ class TestRegridding:
                              ids=["saturating-N2k1", "square-N3k2", "log_bump-N2k2"])
     def test_solution_counts_match_a_dense_branch(self, kind, N, k):
         spec = ProblemSpec(N=N, k=k, R=1.13, f=registry()[kind])
-        coarse, dense = (trace_branch(spec, 1e-2, 1e2, n, FAST) for n in (25, 97))
+        coarse, dense = (trace_branch(spec, 1e-2, 1e2, n) for n in (25, 97))
         lams = dense.lam_values()
         lo, hi = min(lams), max(lams)
         folds = [f.lam for f in coarse.folds + dense.folds]
@@ -793,7 +789,7 @@ SQUARE_N3K2 = ProblemSpec(N=3, k=2, R=1.13, f=NonlinearitySpec("power", {"p": 2.
 def square_branch():
     # lambda = lambda(1) / d exactly, so d = 1 (row 12 of 25) is the geometric middle of the
     # traced lambdas, and the middle of 5 samples lands on its vertex to rounding
-    return trace_branch(SQUARE_N3K2, 1e-2, 1e2, 25, FAST)
+    return trace_branch(SQUARE_N3K2, 1e-2, 1e2, 25)
 
 
 def _certificates(rep):
@@ -808,12 +804,12 @@ class TestCertificates:
     ])
     def test_two_fixed_r_shots_per_crossing(self, ivps, lam1, kind, params, n_certs):
         spec = ProblemSpec(N=1, k=1, R=1.0, f=NonlinearitySpec(kind, params))
-        br = trace_branch(spec, 1e-2, 1e2, 17, FAST, lambda_scale=lam1)
+        br = trace_branch(spec, 1e-2, 1e2, 17, lambda_scale=lam1)
         pred = predicted_interval(spec.f.declared_f0, spec.f.declared_finf, lam1)
         ivps.clear()
         calls = ivps
         assert verify_predictions(br, pred).passed and calls == []
-        rep = verify_predictions(br, pred, spec=spec, cfg=FAST)
+        rep = verify_predictions(br, pred, spec=spec)
         calls = [(ivp.args[3], ivp.kwargs.get("root_tol")) for ivp in ivps]
         assert rep.passed
         certs = _certificates(rep)
@@ -834,13 +830,13 @@ class TestCertificates:
 
         br, j = square_branch, 12
         assert br.points[j].d == pytest.approx(1.0) and not br.folds
-        lam1 = first_eigenvalue(3, 2, 1.13, FAST).lambda1
+        lam1 = first_eigenvalue(3, 2, 1.13).lambda1
         f = SQUARE_N3K2.f
         target = br.points[j].lam * (1.0 + 3e-7)
         # one sample sits at sqrt(1.01 lam_lo 0.99 lam_hi)
         pred = dataclasses.replace(predicted_interval(f.declared_f0, f.declared_finf, lam1),
                                    lam_lo=target / (1.01 * 1.001), lam_hi=target * 1.001 / 0.99)
-        rep = verify_predictions(br, pred, 1, SQUARE_N3K2, FAST)
+        rep = verify_predictions(br, pred, 1, SQUARE_N3K2)
         assert rep.passed
         [cert] = _certificates(rep)
         assert cert.name.endswith(f"[{br.points[j - 1].d:.6g}, {br.points[j].d:.6g}]")
@@ -848,7 +844,7 @@ class TestCertificates:
 
         points = list(br.points)
         points[j] = dataclasses.replace(points[j], lam=points[j].lam * (1.0 + 1e-6))
-        moved = verify_predictions(Branch(points=points), pred, 1, SQUARE_N3K2, FAST)
+        moved = verify_predictions(Branch(points=points), pred, 1, SQUARE_N3K2)
         assert not moved.passed
         [failed] = [c for c in moved.checks if not c.passed]
         assert failed.name.endswith(f"[{br.points[j].d:.6g}, {br.points[j + 1].d:.6g}]")
@@ -860,15 +856,15 @@ class TestCertificates:
         # is ~2e-13 d, of either sign; it passes as "vertex within tolerance" only
         import hessbif.branch as branch_mod
 
-        lam1 = first_eigenvalue(3, 2, 1.13, FAST).lambda1
+        lam1 = first_eigenvalue(3, 2, 1.13).lambda1
         f = SQUARE_N3K2.f
         pred = predicted_interval(f.declared_f0, f.declared_finf, lam1)
-        rep = verify_predictions(square_branch, pred, 5, SQUARE_N3K2, FAST)
+        rep = verify_predictions(square_branch, pred, 5, SQUARE_N3K2)
         assert rep.passed
         observed = [c.observed.split(":")[0] for c in _certificates(rep)]
         assert sorted(observed) == ["sign change"] * 4 + ["vertex within tolerance"]
-        monkeypatch.setattr(branch_mod, "eigen_rel_tol", lambda cfg: 0.0)
-        strict = verify_predictions(square_branch, pred, 5, SQUARE_N3K2, FAST)
+        monkeypatch.setattr(branch_mod, "eigen_rel_tol", lambda tol: 0.0)
+        strict = verify_predictions(square_branch, pred, 5, SQUARE_N3K2)
         assert [c.observed.split(":")[0] for c in strict.checks if not c.passed] == [
             "no sign change"]
 
@@ -903,7 +899,7 @@ class TestBranchCsv:
     def test_reloaded_branch_reverifies(self, tmp_path, lam1, kind, params, fold):
         f = NonlinearitySpec(kind, params)
         spec = ProblemSpec(N=1, k=1, R=1.0, f=f)
-        traced = trace_branch(spec, 1e-2, 1e2, 17, FAST, lambda_scale=lam1)
+        traced = trace_branch(spec, 1e-2, 1e2, 17, lambda_scale=lam1)
         assert [fo.kind for fo in traced.folds] == [fold]
         traced.to_csv(tmp_path / "branch.csv")
         back = Branch.from_csv(tmp_path / "branch.csv")

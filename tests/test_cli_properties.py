@@ -60,15 +60,24 @@ def _spec(N=2, k=1, R=1.0, f=None):
     return {"N": N, "k": k, "R": R, "f": f or {"kind": "saturating"}}
 
 
+POWER = {"kind": "power", "params": {"p": 2.0}}
 NOT_AN_ORDER = st.one_of(st.integers(max_value=0), st.integers(min_value=61),
-                         st.floats(), st.text(max_size=4), st.none())
+                         st.floats(), st.text(max_size=4), st.none(), st.booleans())
+# a bool or a string where a number belongs: float() would take either
+NOT_A_NUMBER = st.one_of(st.booleans(), st.text(max_size=4))
 MALFORMED_SCALAR_SPEC = st.one_of(
     _not_parsed_by(json.loads),
     st.one_of(st.integers(), st.lists(st.integers()), st.text(), st.none()).map(json.dumps),
     NOT_AN_ORDER.map(lambda N: json.dumps(_spec(N=N))),
     st.integers(min_value=2, max_value=5).map(lambda k: json.dumps(_spec(N=k - 1, k=k))),
-    st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]).map(
+    st.one_of(st.sampled_from([0.0, -1.0, math.nan, math.inf, -math.inf]), NOT_A_NUMBER).map(
         lambda R: json.dumps(_spec(R=R))),
+    st.text(max_size=6).filter(lambda key: key not in ("N", "k", "R", "f")).map(
+        lambda key: json.dumps({**_spec(), key: 1})),
+    # a param that the kind does not read, or a numeric param that is not a number
+    st.text(max_size=4).filter(lambda key: key != "p").map(
+        lambda key: json.dumps(_spec(f={**POWER, "params": {"p": 2.0, key: 1.0}}))),
+    NOT_A_NUMBER.map(lambda p: json.dumps(_spec(f={"kind": "power", "params": {"p": p}}))),
     st.text(max_size=10).filter(lambda t: t not in (
         "linear", "saturating", "superlinear", "quadratic_over_linear", "power",
         "sum_of_powers", "log_bump", "root_sum_powers", "tabulated"))
@@ -84,6 +93,10 @@ MALFORMED_SCALAR_SPEC = st.one_of(
 
 @PROPERTY
 @given(text=MALFORMED_SCALAR_SPEC, command=st.sampled_from(["trace", "verify", "sweep-k"]))
+@example(text=json.dumps(_spec(f={**POWER, "params": {"p": 2.0, "zz": 1.0}})), command="verify")
+@example(text=json.dumps(_spec(N=True, f=POWER)), command="verify")
+@example(text=json.dumps({**_spec(f=POWER), "zz": 1}), command="verify")
+@example(text=json.dumps(_spec(R="1", f=POWER)), command="verify")
 def test_malformed_scalar_spec_exits_invalid(tmp_path_factory, text, command):
     path = tmp_path_factory.mktemp("spec") / "spec.json"
     path.write_text(text)
@@ -100,11 +113,28 @@ def _system_spec(R=1.0, g="saturating_t", **extra):
 JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False),
                          st.text(max_size=6))
 
+
+def _pair(base, params, **extra):
+    return {"N": 2, "k": 1, "R": 1.0, "g": {"kind": f"{base}_t", "params": params},
+            "h": {"kind": f"{base}_s", "params": params}, **extra}
+
+
 MALFORMED_SYSTEM_SPEC = st.one_of(
     _not_parsed_by(json.loads),
     st.one_of(st.integers(), st.lists(st.integers()), st.text(), st.none()).map(json.dumps),
-    st.sampled_from([0.0, -1.0, math.nan, math.inf]).map(
+    st.one_of(st.sampled_from([0.0, -1.0, math.nan, math.inf]), NOT_A_NUMBER).map(
         lambda R: json.dumps(_system_spec(R=R))),
+    st.booleans().map(lambda N: json.dumps({**_system_spec(), "N": N})),
+    st.text(max_size=6).filter(lambda key: key not in ("N", "k", "R", "g", "h", "monotone"))
+    .map(lambda key: json.dumps(_system_spec(**{key: 1}))),
+    # a g key other than kind and params, a param that the kind does not read, or a
+    # numeric param that is not a number
+    st.text(max_size=6).filter(lambda key: key not in ("kind", "params")).map(
+        lambda key: json.dumps({**_system_spec(), "g": {"kind": "saturating_t", key: {}}})),
+    st.text(max_size=4).map(lambda key: json.dumps(_pair("linear", {key: 1}))),
+    st.text(max_size=4).filter(lambda key: key != "b").map(
+        lambda key: json.dumps(_pair("rational", {"b": 2.0, key: 1}))),
+    NOT_A_NUMBER.map(lambda b: json.dumps(_pair("rational", {"b": b}))),
     st.tuples(st.text(max_size=10), st.sampled_from(["_t", "_s", ""])).map(
         lambda t: json.dumps(_system_spec(g=t[0] + t[1])))
     .filter(lambda text: json.loads(text)["g"]["kind"] not in (
@@ -126,6 +156,10 @@ MALFORMED_SYSTEM_SPEC = st.one_of(
 @example(text=json.dumps(_system_spec(monotone=5)))
 @example(text=json.dumps(_system_spec(monotone={"g_in_t": "false"})))
 @example(text=json.dumps(_system_spec(monotone={"g_in_s": False})))
+@example(text=json.dumps(_pair("linear", {"zz": 1})))
+@example(text=json.dumps({**_pair("linear", {}), "g": {"kind": "linear_t", "parms": {}}}))
+@example(text=json.dumps(_pair("rational", {"b": True})))
+@example(text=json.dumps(_pair("linear", {}, zz=1)))
 def test_malformed_system_spec_exits_invalid(tmp_path_factory, text):
     path = tmp_path_factory.mktemp("spec") / "system.json"
     path.write_text(text)

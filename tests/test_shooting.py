@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 import random
@@ -15,8 +14,8 @@ from hessbif.core import NonlinearitySpec, ProblemSpec
 from hessbif.errors import InvalidInputError, NumericalFailureError
 from hessbif.shooting import (
     HORIZON,
+    TOL,
     RadialProfile,
-    ShootingConfig,
     eigen_rel_tol,
     first_eigenvalue,
     flux_ivp,
@@ -76,14 +75,49 @@ class TestIntegrateProfile:
         with pytest.raises(InvalidInputError):
             integrate_profile(spec, -1.0, 1.0)
         with pytest.raises(InvalidInputError):
-            ShootingConfig(grid_points=32)
+            integrate_profile(spec, 1.0, 1.0, grid_points=32)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, 1e-2, math.inf, math.nan])
-    def test_one_tolerance_in_range(self, tol):
-        # one tolerance sets every IVP and every root; its refusal names it
-        assert [f.name for f in dataclasses.fields(ShootingConfig)] == ["grid_points", "tol"]
-        with pytest.raises(InvalidInputError, match="tol must satisfy 0 < tol < 0.01"):
-            ShootingConfig(tol=tol)
+    def test_one_tolerance_in_range(self, ivps, tol):
+        # one tolerance sets every IVP and every root; every entry that integrates
+        # refuses it by name before its first IVP, the lambda = 0 shots included
+        from hessbif import branch
+
+        spec = linear_spec(2, 1)
+        pair = system.SystemSpec(N=2, k=1, R=1.0, g=system.NonlinearitySpec2("linear_t"),
+                                 h=system.NonlinearitySpec2("linear_s"))
+        grid = np.geomspace(1e-2, 1e2, 16)
+        entries = {
+            "first_eigenvalue": lambda: first_eigenvalue(2, 1, 1.0, tol),
+            "shoot_boundary_value": lambda: shoot_boundary_value(spec, 1.0, 1.0, tol),
+            "shoot_boundary_value lam=0": lambda: shoot_boundary_value(spec, 0.0, 1.0, tol),
+            "lambda_at_amplitude": lambda: lambda_at_amplitude(spec, 1.0, 1.0, tol),
+            "solve_lambda": lambda: solve_lambda(spec, 1.0, (0.0, 10.0), tol),
+            "integrate_profile": lambda: integrate_profile(spec, 1.0, 1.0, tol),
+            "integrate_profile lam=0": lambda: integrate_profile(spec, 0.0, 1.0, tol),
+            "trace_branch": lambda: branch.trace_branch(spec, 1e-2, 1e2, 16, tol),
+            "trace_branch scaled": lambda: branch.trace_branch(spec, 1e-2, 1e2, 16, tol,
+                                                               lambda_scale=J0SQ),
+            "integrate_system": lambda: system.integrate_system(pair, 1.0, 1.0, 1.0, tol),
+            "integrate_system lam=0": lambda: system.integrate_system(pair, 0.0, 1.0, 1.0,
+                                                                      tol),
+            "system_boundary_values": lambda: system.system_boundary_values(
+                pair, 1.0, 1.0, 1.0, tol),
+            "system_boundary_values lam=0": lambda: system.system_boundary_values(
+                pair, 0.0, 1.0, 1.0, tol),
+            "solve_system_shooting": lambda: system.solve_system_shooting(
+                pair, 1.0, (J0SQ, 1.0), tol),
+            "confirm_coupled_eigenvalue": lambda: system.confirm_coupled_eigenvalue(
+                2, 1, 1.0, J0SQ, tol),
+            "power_pair_constant": lambda: system.power_pair_constant(1, 1, 1.0, 1.0, tol=tol),
+            "trace_system_branch": lambda: system.trace_system_branch(pair, grid, tol),
+            "trace_system_branch scaled": lambda: system.trace_system_branch(
+                pair, grid, tol, lambda_scale=J0SQ),
+        }
+        for name, run in entries.items():
+            with pytest.raises(InvalidInputError, match="tol must satisfy 0 < tol < 0.01"):
+                run()
+            assert ivps == [], name
 
 
 class TestBoundaryResidual:
@@ -192,7 +226,7 @@ class TestScaledFirstEigenvalue:
         message = str(exc.value)
         assert message.count("u(R; ") == 2 and "does not change sign" in message
 
-    W = eigen_rel_tol(ShootingConfig())
+    W = eigen_rel_tol(TOL)
 
     @pytest.mark.parametrize("detune,fails", [(-1e-3, True), (-2.0 * W, True), (2.0 * W, True),
                                               (-0.5 * W, False), (0.5 * W, False)])
@@ -217,8 +251,8 @@ class TestScaledFirstEigenvalue:
         lam1 = first_eigenvalue(2, 1, 1.0).lambda1
         real_shoot = shooting.shoot_boundary_value
 
-        def zero_at_lam1(spec, lam, d, cfg):
-            value = real_shoot(spec, lam, d, cfg)
+        def zero_at_lam1(spec, lam, d, tol):
+            value = real_shoot(spec, lam, d, tol)
             return 0.0 if lam == lam1 else value
 
         monkeypatch.setattr(shooting, "shoot_boundary_value", zero_at_lam1)
@@ -243,8 +277,7 @@ class TestScaledFirstEigenvalue:
 
     @pytest.mark.parametrize("N,k", CASES + [(60, 1)])
     def test_bracket_holds_at_loose_tolerances(self, N, k):
-        cfg = ShootingConfig(grid_points=128, tol=1e-5)
-        assert first_eigenvalue(N, k, 0.71, cfg).iterations == 3
+        assert first_eigenvalue(N, k, 0.71, tol=1e-5).iterations == 3
 
 
 
@@ -290,8 +323,8 @@ class TestConsistencyAndAdmissibility:
 
     def test_refinement_reduces_residual(self):
         spec = linear_spec(1, 1)
-        coarse = integrate_profile(spec, 1.0, 1.0, ShootingConfig(grid_points=512))
-        fine = integrate_profile(spec, 1.0, 1.0, ShootingConfig(grid_points=1024))
+        coarse = integrate_profile(spec, 1.0, 1.0, grid_points=512)
+        fine = integrate_profile(spec, 1.0, 1.0, grid_points=1024)
         assert fine.max_consistency_residual < coarse.max_consistency_residual / 3.0
 
     def test_solution_profiles_admissible(self):
@@ -353,7 +386,7 @@ class TestLambdaAtAmplitude:
         # at the caller's tolerance puts it 1.4e-8 off, one decade tighter 8.7e-10
         spec = ProblemSpec(N=5, k=2, R=self.R, f=NonlinearitySpec("saturating"))
         lam0 = first_eigenvalue(5, 2, self.R).lambda1 * 100.0 / spec.f(100.0)
-        tight = ShootingConfig(tol=1e-13)
+        tight = 1e-13
         assert lambda_at_amplitude(spec, 100.0, lam0) == pytest.approx(
             lambda_at_amplitude(spec, 100.0, lam0, tight), rel=1e-9)
 
@@ -363,7 +396,7 @@ class TestLambdaAtAmplitude:
         f = NonlinearitySpec("sum_of_powers", {"p": 0.5, "q": 2.0, "c": 1.0})
         spec = ProblemSpec(N=2, k=1, R=self.R, f=f)
         lam0 = first_eigenvalue(2, 1, self.R).lambda1 * d / f(d)
-        tight = ShootingConfig(tol=1e-13)
+        tight = 1e-13
         assert lambda_at_amplitude(spec, d, lam0) == pytest.approx(
             lambda_at_amplitude(spec, d, lam0, tight), rel=1e-9)
 
@@ -519,22 +552,23 @@ class TestFluxKernel:
     def test_only_caller_of_the_integrator(self, ivps):
         from hessbif import branch, shooting, system
 
-        fast = ShootingConfig(grid_points=64)
         pair = system.SystemSpec(N=2, k=1, R=1.0, g=system.NonlinearitySpec2("saturating_t"),
                                  h=system.NonlinearitySpec2("saturating_s"))
         runs = {
             "trace_branch": lambda: branch.trace_branch(
                 ProblemSpec(N=2, k=1, R=1.0, f=NonlinearitySpec("saturating")),
-                1e-2, 1e2, 16, fast),
+                1e-2, 1e2, 16),
             "trace_system_branch": lambda: system.trace_system_branch(
-                pair, np.geomspace(1e-2, 1e2, 4), fast),
-            "first_eigenvalue": lambda: first_eigenvalue(2, 2, 1.0, fast),
+                pair, np.geomspace(1e-2, 1e2, 4)),
+            "first_eigenvalue": lambda: first_eigenvalue(2, 2, 1.0),
             "confirm_coupled_eigenvalue": lambda: system.confirm_coupled_eigenvalue(
-                2, 1, 1.0, first_eigenvalue(2, 1, 1.0, fast).lambda1, fast),
+                2, 1, 1.0, first_eigenvalue(2, 1, 1.0).lambda1),
             "power_pair_constant": lambda: system.power_pair_constant(
-                1, 1, 1.0, 1.0, n_samples=2, cfg=fast),
-            "integrate_profile": lambda: integrate_profile(linear_spec(2, 1), 1.0, 1.0, fast),
-            "integrate_system": lambda: system.integrate_system(pair, 1.0, 1.0, 1.0, fast),
+                1, 1, 1.0, 1.0, n_samples=2),
+            "integrate_profile": lambda: integrate_profile(linear_spec(2, 1), 1.0, 1.0,
+                                                           grid_points=64),
+            "integrate_system": lambda: system.integrate_system(pair, 1.0, 1.0, 1.0,
+                                                                grid_points=64),
         }
         for name, run in runs.items():
             ivps.clear()
@@ -554,7 +588,7 @@ class TestFluxSecondDerivative:
         # the flux u'' keeps its sign where a differenced u'' does not
         spec = ProblemSpec(N=3, k=2, R=1.0, f=NonlinearitySpec("power", {"p": 2.0}))
         lam = lambda_at_amplitude(spec, 1.0, first_eigenvalue(3, 2, 1.0).lambda1)
-        prof = integrate_profile(spec, lam, 1.0, ShootingConfig(grid_points=256))
+        prof = integrate_profile(spec, lam, 1.0, grid_points=256)
         q = prof.uprime[-2] / prof.r[-2]
         s2 = q * q + 2.0 * q * prof.upp[-2]
         assert s2 == pytest.approx((lam * prof.u[-2] ** 2) ** 2, rel=1e-4)

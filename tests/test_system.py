@@ -11,8 +11,7 @@ from hessbif.branch import VerificationReport
 from hessbif.core import LimitClass, NonlinearitySpec, ProblemSpec
 from hessbif.errors import InvalidInputError, NumericalFailureError, TracingFailureError
 from hessbif.shooting import (
-    DEFAULT_CONFIG,
-    ShootingConfig,
+    TOL,
     first_eigenvalue,
     flux_ivp,
     integrate_profile,
@@ -36,7 +35,6 @@ from hessbif.system import (
 from _oracles import newton_pair
 
 LAM_COS = 2.4674011002723395
-FAST = ShootingConfig(grid_points=128)
 
 
 def coupled(N, k, base, params=None, R=1.0):
@@ -94,38 +92,39 @@ class TestNonlinearitySpec2:
 
 class TestIntegrateSystem:
     def test_lambda_zero_constant(self):
-        pu, pv = integrate_system(coupled(2, 1, "linear"), 0.0, 1.0, 2.0, FAST)
+        pu, pv = integrate_system(coupled(2, 1, "linear"), 0.0, 1.0, 2.0, grid_points=128)
         assert np.all(pu.u == -1.0)
         assert np.all(pv.u == -2.0)
 
     def test_symmetric_reduction_matches_scalar(self):
         # g(s,t)=t, h(s,t)=s with equal amplitudes: u == v == scalar profile
-        pu, pv = integrate_system(coupled(1, 1, "linear"), 1.0, 1.0, 1.0, FAST)
+        pu, pv = integrate_system(coupled(1, 1, "linear"), 1.0, 1.0, 1.0, grid_points=128)
         assert np.max(np.abs(pu.u - pv.u)) < 1e-10
         assert np.max(np.abs(pu.u + np.cos(pu.r))) < 1e-9
         for N, k in ((1, 1), (2, 1), (2, 2), (3, 2), (5, 5)):
             # the shared kernel integrates both alike; only the error norm's
             # component count differs
-            pu, pv = integrate_system(coupled(N, k, "linear"), 1.0, 1.0, 1.0, FAST)
+            pu, pv = integrate_system(coupled(N, k, "linear"), 1.0, 1.0, 1.0, grid_points=128)
             scalar = integrate_profile(
-                ProblemSpec(N=N, k=k, R=1.0, f=NonlinearitySpec("linear")), 1.0, 1.0, FAST)
+                ProblemSpec(N=N, k=k, R=1.0, f=NonlinearitySpec("linear")), 1.0, 1.0,
+                grid_points=128)
             for prof in (pu, pv):
                 for got, want in ((prof.u, scalar.u), (prof.uprime, scalar.uprime)):
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (N, k)
 
     def test_eigenvalue_boundary_zero(self):
-        ru, rv = system_boundary_values(coupled(1, 1, "linear"), LAM_COS, 1.0, 1.0, FAST)
+        ru, rv = system_boundary_values(coupled(1, 1, "linear"), LAM_COS, 1.0, 1.0)
         assert abs(ru) < 1e-8 and abs(rv) < 1e-8
 
     def test_consistency_residuals_small(self):
         pu, pv = integrate_system(coupled(2, 1, "saturating"), 3.0, 1.0, 1.0,
-                                  ShootingConfig(grid_points=1024))
+                                  grid_points=1024)
         assert pu.max_consistency_residual < 1e-6
         assert pv.max_consistency_residual < 1e-6
 
     def test_invalid_amplitudes(self):
         with pytest.raises(InvalidInputError):
-            integrate_system(coupled(2, 1, "linear"), 1.0, 0.0, 1.0, FAST)
+            integrate_system(coupled(2, 1, "linear"), 1.0, 0.0, 1.0, grid_points=128)
 
     @pytest.mark.parametrize("fn", [integrate_system, system_boundary_values])
     @pytest.mark.parametrize("lam,d_u,d_v", [
@@ -135,13 +134,13 @@ class TestIntegrateSystem:
     def test_invalid_lambda_or_amplitude(self, fn, lam, d_u, d_v):
         # invalid input, as for shoot_boundary_value, not a result or a numerical failure
         with pytest.raises(InvalidInputError):
-            fn(coupled(2, 1, "linear"), lam, d_u, d_v, FAST)
+            fn(coupled(2, 1, "linear"), lam, d_u, d_v)
 
 
 class TestSolveSystemShooting:
     def test_symmetric_solution_found(self):
         point = solve_system_shooting(coupled(1, 1, "linear"), 1.0,
-                                      (1.1 * LAM_COS, 0.8), FAST)
+                                      (1.1 * LAM_COS, 0.8))
         assert point.lam == pytest.approx(LAM_COS, rel=1e-8)
         assert point.d_v == pytest.approx(1.0, rel=1e-8)
         assert abs(point.res_u) < 1e-9 and abs(point.res_v) < 1e-9
@@ -150,11 +149,11 @@ class TestSolveSystemShooting:
     def test_rejects_bad_inputs(self):
         spec = coupled(1, 1, "linear")
         with pytest.raises(InvalidInputError):
-            solve_system_shooting(spec, 0.0, (1.0, 1.0), FAST)
+            solve_system_shooting(spec, 0.0, (1.0, 1.0))
         with pytest.raises(InvalidInputError):
-            solve_system_shooting(spec, 1.0, (-1.0, 1.0), FAST)
+            solve_system_shooting(spec, 1.0, (-1.0, 1.0))
         with pytest.raises(InvalidInputError):
-            solve_system_shooting(spec, 1.0, (0.0, 1.0), FAST)
+            solve_system_shooting(spec, 1.0, (0.0, 1.0))
 
     @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
     @pytest.mark.parametrize("which", ["d_u", "lambda_ref", "d_v0"])
@@ -163,13 +162,13 @@ class TestSolveSystemShooting:
         args = {"d_u": 1.0, "lambda_ref": 1.0, "d_v0": 1.0, which: value}
         with pytest.raises(InvalidInputError):
             solve_system_shooting(coupled(2, 1, "linear"), args["d_u"],
-                                  (args["lambda_ref"], args["d_v0"]), FAST)
+                                  (args["lambda_ref"], args["d_v0"]))
 
     def test_superlinear_small_amplitude_near_table_value(self):
         # mu = g0 = 1: branch emanates from lambda1 / mu
         spec = coupled(2, 1, "superlinear")
-        lam1 = first_eigenvalue(2, 1, 1.0, FAST).lambda1
-        point = solve_system_shooting(spec, 5e-4, (lam1, 5e-4), FAST)
+        lam1 = first_eigenvalue(2, 1, 1.0).lambda1
+        point = solve_system_shooting(spec, 5e-4, (lam1, 5e-4))
         assert point.lam == pytest.approx(lam1, rel=1e-2)
 
 
@@ -180,7 +179,7 @@ SYMMETRIC_PAIRS = (("linear", None), ("saturating", None), ("superlinear", None)
 
 def cold_start(spec, d_u):
     """The tracer's first-point guess (lambda1 d_u / g(d_u, d_u), d_u)."""
-    lam1 = first_eigenvalue(spec.N, spec.k, spec.R, FAST).lambda1
+    lam1 = first_eigenvalue(spec.N, spec.k, spec.R).lambda1
     return lam1 * d_u / spec.g(d_u, d_u), d_u
 
 
@@ -198,18 +197,18 @@ class TestOneDimensionalRoot:
         # The points come from a trace, so each reference lambda is the
         # neighbouring point's and rho stays near R.
         spec = asymmetric(N, g, h, h_params)
-        sb = trace_system_branch(spec, np.geomspace(0.1, 40.0, 9), FAST)
+        sb = trace_system_branch(spec, np.geomspace(0.1, 40.0, 9))
         picked = [p for p in sb.points
                   if any(p.d_u == pytest.approx(d_u, rel=1e-12) for d_u in (0.05, 1.0, 20.0))]
         assert len(picked) == 3
         for point in picked:
 
             def residual(lam, d_v, d_u=point.d_u):
-                return system_boundary_values(spec, lam, d_u, d_v, FAST)
+                return system_boundary_values(spec, lam, d_u, d_v)
 
             lam, d_v, _ = newton_pair(residual, 1.05 * point.lam, 0.95 * point.d_v,
                                       scale_u=point.d_u, scale_v=point.d_v,
-                                      tol=FAST.tol)
+                                      tol=TOL)
             assert lam == pytest.approx(point.lam, rel=1e-9), point.d_u
             assert d_v == pytest.approx(point.d_v, rel=1e-9), point.d_u
 
@@ -221,8 +220,7 @@ class TestOneDimensionalRoot:
                           h=NonlinearitySpec2("rational_s", {"b": 3.0}))
         init = (350.8, 5306.0)
         got = solve_system_shooting(spec, 50.0, init)
-        want = solve_system_shooting(spec, 50.0, init,
-                                     ShootingConfig(tol=1e-13))
+        want = solve_system_shooting(spec, 50.0, init, tol=1e-13)
         assert got.lam == pytest.approx(want.lam, rel=1e-9)
         assert got.d_v == pytest.approx(want.d_v, rel=1e-9)
 
@@ -239,7 +237,7 @@ class TestOneDimensionalRoot:
         spec = asymmetric(2, "saturating_t", "rational_s", {"b": 3.0})
         with pytest.raises(NumericalFailureError,
                            match=r"fixed-R residual check failed.*res_u = .*res_v = "):
-            solve_system_shooting(spec, 1.0, cold_start(spec, 1.0), FAST)
+            solve_system_shooting(spec, 1.0, cold_start(spec, 1.0))
 
     def test_asymmetric_trace_ivp_bound(self, ivps):
         # zeroin takes 228 IVPs for these 16 points (Illinois regula falsi took 281)
@@ -268,7 +266,7 @@ class TestOneDimensionalRoot:
 
         monkeypatch.setattr(system_mod, "flux_ivp", recording)
         rho, d_v = system_mod._common_zero(3, 1, 1.0, (spec.g, spec.h), 1.0, 5.0, 10.0,
-                                           DEFAULT_CONFIG)
+                                           TOL)
         first = next(i for i, shot in enumerate(shots) if shot[2])
         bisected = 0
         for i in range(first + 1, len(shots)):
@@ -280,7 +278,7 @@ class TestOneDimensionalRoot:
             bisected += 1
         assert bisected >= 2
         assert d_v == pytest.approx(1.0, rel=1e-9)
-        tight = ShootingConfig(tol=1e-13)
+        tight = 1e-13
         want, _ = system_mod._common_zero(3, 1, 1.0, (spec.g, spec.h), 1.0, 5.0, 1.0, tight)
         assert rho == pytest.approx(want, rel=1e-9)
 
@@ -289,7 +287,7 @@ class TestOneDimensionalRoot:
         # zero however large d_v grows
         spec = coupled(3, 1, "saturating")
         with pytest.raises(NumericalFailureError, match="u has no zero before 1000 R"):
-            solve_system_shooting(spec, 1.0, (1e-6, 1.0), FAST)
+            solve_system_shooting(spec, 1.0, (1e-6, 1.0))
 
     def test_too_few_points_is_a_tracing_failure(self, monkeypatch, tmp_path):
         import hessbif.cli as cli
@@ -307,7 +305,7 @@ class TestOneDimensionalRoot:
         monkeypatch.setattr(system_mod, "solve_system_shooting", failing)
         spec = coupled(2, 1, "saturating")
         with pytest.raises(TracingFailureError, match="fewer than 4 points"):
-            trace_system_branch(spec, grid, FAST)
+            trace_system_branch(spec, grid)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec.to_json()))
         assert cli.main(["system-trace", "--spec", str(path), "--n-points", "16",
@@ -315,10 +313,10 @@ class TestOneDimensionalRoot:
 
     def test_at_most_four_ivps_per_point(self, ivps):
         spec = coupled(2, 1, "saturating")
-        lam1 = first_eigenvalue(2, 1, 1.0, FAST).lambda1
+        lam1 = first_eigenvalue(2, 1, 1.0).lambda1
         ivps.clear()
         calls = ivps
-        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
+        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16),
                                  lambda_scale=lam1)
         assert sb.gaps == []
         assert len(calls) <= 4 * len(sb.points)
@@ -336,7 +334,7 @@ class TestOneDimensionalRoot:
         import hessbif.system as system_mod
 
         spec = coupled(N, k, base, params)
-        lam1 = first_eigenvalue(N, k, 1.0, FAST).lambda1
+        lam1 = first_eigenvalue(N, k, 1.0).lambda1
         solves = []
         solve = system_mod.solve_system_shooting
 
@@ -347,7 +345,7 @@ class TestOneDimensionalRoot:
         monkeypatch.setattr(system_mod, "solve_system_shooting", solving)
         ivps.clear()
         calls = ivps
-        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
+        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16),
                                  lambda_scale=lam1)
         assert len(calls) == 2 * len(solves)
         # fold polish keeps one point of its several solves; without a fold each solve is a point
@@ -364,25 +362,25 @@ def test_symmetric_pairs_solve_to_equal_amplitudes(pair, case, log_d, detune):
     spec = coupled(*case, *pair)
     d_u = math.exp(log_d)
     lam_ref, _ = cold_start(spec, d_u)
-    point = solve_system_shooting(spec, d_u, (lam_ref, detune * d_u), FAST)
+    point = solve_system_shooting(spec, d_u, (lam_ref, detune * d_u))
     assert abs(point.d_v / d_u - 1.0) <= 1e-9
     assert abs(point.res_u) <= 1e-9 * d_u and abs(point.res_v) <= 1e-9 * point.d_v
 
 
-def coupled_eigenvalue(N, k, R, cfg=DEFAULT_CONFIG):
+def coupled_eigenvalue(N, k, R, tol=TOL):
     """lambda1 confirmed as the coupled eigenvalue, as `eigen --coupled` computes it."""
-    return confirm_coupled_eigenvalue(N, k, R, first_eigenvalue(N, k, R, cfg).lambda1, cfg)
+    return confirm_coupled_eigenvalue(N, k, R, first_eigenvalue(N, k, R, tol).lambda1, tol)
 
 
 class TestSystemEigenvalue:
     @pytest.mark.parametrize("N,k,expect", [(1, 1, LAM_COS), (3, 1, math.pi**2)])
     def test_analytic_cases(self, N, k, expect):
-        assert coupled_eigenvalue(N, k, 1.0, FAST) == pytest.approx(expect, rel=1e-8)
+        assert coupled_eigenvalue(N, k, 1.0) == pytest.approx(expect, rel=1e-8)
 
     def test_coupled_equals_scalar(self):
         for N, k in ((2, 1), (2, 2), (3, 3)):
-            lam0 = coupled_eigenvalue(N, k, 1.0, FAST)
-            lam1 = first_eigenvalue(N, k, 1.0, FAST).lambda1
+            lam0 = coupled_eigenvalue(N, k, 1.0)
+            lam1 = first_eigenvalue(N, k, 1.0).lambda1
             assert abs(lam0 - lam1) <= 1e-8 * lam1
 
     @pytest.mark.parametrize("rel,raises", [(1e-7, True), (1e-9, False)])
@@ -407,31 +405,30 @@ class TestSystemEigenvalue:
     @pytest.mark.parametrize("N,k", [(1, 1), (2, 1), (2, 2), (3, 3), (5, 2), (8, 4)])
     def test_loose_tolerances_agree(self, N, k):
         # the asymmetric solve is 7e-7..8e-6 off at 1e-5, above a fixed 1e-6 bound
-        cfg = ShootingConfig(grid_points=128, tol=1e-5)
-        assert coupled_eigenvalue(N, k, 1.0, cfg) == first_eigenvalue(N, k, 1.0, cfg).lambda1
+        assert (coupled_eigenvalue(N, k, 1.0, tol=1e-5)
+                == first_eigenvalue(N, k, 1.0, tol=1e-5).lambda1)
 
 
 class TestPowerPair:
     def test_symmetric_pair_interval(self):
-        res = power_pair_constant(1, 1, 1.0, 1.0, n_samples=8, cfg=FAST)
+        res = power_pair_constant(1, 1, 1.0, 1.0, n_samples=8)
         assert res.constant == pytest.approx((math.pi / 2) ** 4, rel=1e-8)
         assert res.max_rel_deviation < 1e-6
         lams = [lam for lam, _ in res.samples]
         assert all(b < a for a, b in zip(lams, lams[1:]))  # lam falls as mu grows
 
     def test_asymmetric_pair_monge_ampere(self):
-        res = power_pair_constant(2, 2, 4.0, 1.0, n_samples=8, cfg=FAST)
+        res = power_pair_constant(2, 2, 4.0, 1.0, n_samples=8)
         assert res.max_rel_deviation < 1e-5
         # dual-resolution cross-check
-        tight = ShootingConfig(grid_points=128, tol=1e-12)
-        res2 = power_pair_constant(2, 2, 4.0, 1.0, n_samples=8, cfg=tight)
+        res2 = power_pair_constant(2, 2, 4.0, 1.0, n_samples=8, tol=1e-12)
         assert res.constant == pytest.approx(res2.constant, rel=1e-8)
 
     def test_product_rule_enforced(self):
         with pytest.raises(InvalidInputError):
-            power_pair_constant(2, 2, 3.0, 1.0, cfg=FAST)
+            power_pair_constant(2, 2, 3.0, 1.0)
         with pytest.raises(InvalidInputError):
-            power_pair_constant(1, 1, -1.0, -1.0, cfg=FAST)
+            power_pair_constant(1, 1, -1.0, -1.0)
 
     @pytest.mark.parametrize("N,k,alpha,beta", [(1, 1, 1.0, 1.0), (2, 2, 4.0, 1.0)])
     def test_samples_agree_with_two_residual_newton(self, monkeypatch, N, k, alpha, beta):
@@ -447,19 +444,19 @@ class TestPowerPair:
             return roots[-1]
 
         monkeypatch.setattr(system_mod, "_common_zero", recording)
-        res = power_pair_constant(N, k, alpha, beta, cfg=FAST)
+        res = power_pair_constant(N, k, alpha, beta)
         assert len(roots) == len(res.samples)
         for (lam_pp, mu), (_, dv_pp) in zip(res.samples, roots):
 
             def residual(lam, d_v, mu=mu):
                 weights = (lambda su, sv: (lam * sv**alpha) ** (1.0 / k),
                            lambda su, sv: (mu * su**beta) ** (1.0 / k))
-                y = flux_ivp(N, k, 1.0, 1.0, weights, (1.0, d_v), FAST.tol,
+                y = flux_ivp(N, k, 1.0, 1.0, weights, (1.0, d_v), TOL,
                              1.0)[0].y
                 return y[0], y[2]
 
             lam, d_v, _ = newton_pair(residual, 1.17 * lam_pp, 0.91 * dv_pp,
-                                      scale_u=1.0, scale_v=dv_pp, tol=FAST.tol)
+                                      scale_u=1.0, scale_v=dv_pp, tol=TOL)
             assert lam == pytest.approx(lam_pp, rel=1e-9), mu
             assert d_v == pytest.approx(dv_pp, rel=1e-9), mu
 
@@ -476,7 +473,7 @@ class TestPowerPair:
         monkeypatch.setattr(system_mod, "_common_zero", detuned)
         with pytest.raises(NumericalFailureError,
                            match=r"fixed-R residual check failed.*res_u = .*res_v = "):
-            power_pair_constant(1, 1, 1.0, 1.0, cfg=FAST)
+            power_pair_constant(1, 1, 1.0, 1.0)
         monkeypatch.chdir(tmp_path)
         assert cli.main(["power-pair", "--N", "2", "--k", "2", "--alpha", "4",
                          "--beta", "1", "--out", "pp.json"]) == cli.EXIT_NUMERICAL
@@ -496,8 +493,7 @@ class TestPowerPair:
         (4, 2, 1.0, 4.0, 1.0)])
     def test_constant_within_1e9_of_a_tight_run(self, N, k, alpha, beta, R):
         got = power_pair_constant(N, k, alpha, beta, R)
-        want = power_pair_constant(N, k, alpha, beta, R,
-                                   cfg=ShootingConfig(tol=1e-13))
+        want = power_pair_constant(N, k, alpha, beta, R, tol=1e-13)
         assert got.constant == pytest.approx(want.constant, rel=1e-9)
         assert got.max_rel_deviation < 1e-9
 
@@ -582,13 +578,13 @@ class TestMonotonicity:
 
 @pytest.fixture(scope="module")
 def lam1():
-    return first_eigenvalue(1, 1, 1.0, FAST).lambda1
+    return first_eigenvalue(1, 1, 1.0).lambda1
 
 
 class TestTraceSystemBranch:
     def test_symmetric_linear_flat(self, lam1):
         spec = coupled(1, 1, "linear")
-        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
+        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16),
                                  lambda_scale=lam1)
         lams = sb.lam_values()
         assert max(abs(l - lam1) for l in lams) < 1e-6
@@ -599,7 +595,7 @@ class TestTraceSystemBranch:
 
     def test_saturating_asymptote(self, lam1):
         spec = coupled(1, 1, "saturating")
-        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
+        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16),
                                  lambda_scale=lam1)
         assert sb.lambda_at_zero.kind == "finite"
         assert sb.lambda_at_zero.value == pytest.approx(lam1, rel=1e-3)
@@ -607,7 +603,7 @@ class TestTraceSystemBranch:
 
     def test_powermix_single_max_and_monitor(self, lam1):
         spec = coupled(1, 1, "powermix")
-        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
+        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16),
                                  lambda_scale=lam1)
         assert [f.kind for f in sb.folds] == ["max"]
         rep = VerificationReport()
@@ -637,7 +633,7 @@ class TestTraceSystemBranch:
 
         monkeypatch.setattr(system_mod, "solve_system_shooting", solving)
         monkeypatch.setattr(branch_mod, "_polish_folds", polishing)
-        sb = trace_system_branch(coupled(2, 1, "powermix"), np.geomspace(1e-2, 1e2, 16), FAST)
+        sb = trace_system_branch(coupled(2, 1, "powermix"), np.geomspace(1e-2, 1e2, 16))
         [(before, polish_ivps, polish_solves)] = polished
         added = [p for p in sb.points if not any(p is q for q in before)]
         assert len(added) == 1 and len(sb.points) == len(before) + 1
@@ -654,7 +650,7 @@ class TestTraceSystemBranch:
 
     def test_sublinear_monitor_uniform_bound(self, lam1):
         spec = coupled(1, 1, "saturating")
-        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
+        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16),
                                  lambda_scale=lam1)
         rep = VerificationReport()
         system_apriori_monitor(rep, sb, spec, lam1)
@@ -663,7 +659,7 @@ class TestTraceSystemBranch:
 
     def test_linear_monitor_vacuous(self, lam1):
         spec = coupled(1, 1, "linear")
-        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
+        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16),
                                  lambda_scale=lam1)
         rep = VerificationReport()
         system_apriori_monitor(rep, sb, spec, lam1)
@@ -672,7 +668,7 @@ class TestTraceSystemBranch:
 
     def test_csv_format(self, tmp_path, lam1):
         spec = coupled(1, 1, "linear")
-        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST,
+        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16),
                                  lambda_scale=lam1)
         path = tmp_path / "system.csv"
         write_system_csv(sb, path)
@@ -689,20 +685,19 @@ class TestAdmissibility:
                                                  ("rational", {"b": 2.0}, 3, 1)])
     def test_flags_match_grid_profiles(self, base, params, N, k):
         spec = coupled(N, k, base, params, R=0.93)
-        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), FAST)
-        grid = ShootingConfig(grid_points=256)
+        sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16))
         assert [p.admissible for p in sb.points] == [
             all(profile_admissible(q, N, k)
-                for q in integrate_system(spec, p.lam, p.d_u, p.d_v, grid))
+                for q in integrate_system(spec, p.lam, p.d_u, p.d_v, grid_points=256))
             for p in sb.points]
 
 
 class TestProfileInvariants:
     def test_accepted_points_nonpositive_and_peaked_at_origin(self):
         spec = coupled(2, 1, "saturating")
-        lam1 = first_eigenvalue(2, 1, 1.0, FAST).lambda1
-        point = solve_system_shooting(spec, 1.0, (2.0 * lam1, 1.0), FAST)
-        pu, pv = integrate_system(spec, point.lam, point.d_u, point.d_v, FAST)
+        lam1 = first_eigenvalue(2, 1, 1.0).lambda1
+        point = solve_system_shooting(spec, 1.0, (2.0 * lam1, 1.0))
+        pu, pv = integrate_system(spec, point.lam, point.d_u, point.d_v, grid_points=128)
         for prof, d in ((pu, point.d_u), (pv, point.d_v)):
             assert prof.u[0] == -d
             assert np.all(prof.u <= 1e-8)
