@@ -23,7 +23,7 @@ All verification is for radial branches on balls; reports say so explicitly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .core import LimitClass, ProblemSpec, aitken
 from .errors import (
@@ -57,23 +57,20 @@ CSV_HEADER = "index,d,lambda,is_fold"
 OLD_CSV_HEADER = "index,d,lambda,residual,is_fold"   # read only: the residual column is ignored
 
 
-@dataclass
-class BranchPoint:
+class BranchPoint(NamedTuple):
     d: float
     lam: float
     admissible: bool
     seed: bool = True   # True for points of the base log grid (tails use these)
 
 
-@dataclass(frozen=True)
-class Fold:
+class Fold(NamedTuple):
     index: int
     lam: float
     kind: str   # "max" | "min"
 
 
-@dataclass(frozen=True)
-class AsymptoteEstimate:
+class AsymptoteEstimate(NamedTuple):
     """Extrapolated branch limit: finite value, 0, +inf, or undetermined."""
 
     kind: str                 # "finite" | "zero" | "infinite" | "undetermined"
@@ -93,18 +90,23 @@ class AsymptoteEstimate:
         return f"{self.value:.8g}" if self.kind == "finite" else self.kind
 
 
-@dataclass
 class Branch:
-    points: list[BranchPoint]
-    gaps: list[float] = field(default_factory=list)
-    folds: list[Fold] = field(default_factory=list)
-    lambda_at_zero: AsymptoteEstimate | None = None
-    lambda_at_infinity: AsymptoteEstimate | None = None
+    """Points in increasing d, the amplitudes of its gaps, its folds and tail asymptotes."""
 
-    def __post_init__(self):
-        ds = [p.d for p in self.points]
+    __slots__ = ("points", "gaps", "folds", "lambda_at_zero", "lambda_at_infinity")
+
+    def __init__(self, points: list[BranchPoint], gaps: list[float] | None = None,
+                 folds: list[Fold] | None = None,
+                 lambda_at_zero: AsymptoteEstimate | None = None,
+                 lambda_at_infinity: AsymptoteEstimate | None = None):
+        ds = [p.d for p in points]
         if any(b <= a for a, b in zip(ds, ds[1:])):
             raise InvalidInputError("branch points must be strictly increasing in d")
+        self.points = points
+        self.gaps = [] if gaps is None else gaps
+        self.folds = [] if folds is None else folds
+        self.lambda_at_zero = lambda_at_zero
+        self.lambda_at_infinity = lambda_at_infinity
 
     def lam_values(self):
         return [p.lam for p in self.points]
@@ -318,8 +320,7 @@ TWO_BELOW_MAX_FOLD = "two-below-max-fold"
 TWO_ABOVE_MIN_FOLD = "two-above-min-fold"
 
 
-@dataclass(frozen=True)
-class TheoremPrediction:
+class TheoremPrediction(NamedTuple):
     """Existence interval and multiplicity profile for one (f0, finf) cell."""
 
     case: str
@@ -363,8 +364,7 @@ def predicted_interval(f0: LimitClass, finf: LimitClass,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Check:
+class Check(NamedTuple):
     name: str
     predicted: str
     observed: str
@@ -376,10 +376,14 @@ class Check:
                 "observed": self.observed, "pass": self.passed, "tol": self.tol}
 
 
-@dataclass
 class VerificationReport:
-    checks: list[Check] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    """Checks of one verification run and the notes that qualify them."""
+
+    __slots__ = ("checks", "notes")
+
+    def __init__(self, checks: list[Check] | None = None, notes: list[str] | None = None):
+        self.checks = [] if checks is None else checks
+        self.notes = [] if notes is None else notes
 
     @property
     def passed(self) -> bool:
@@ -633,8 +637,7 @@ def trace(grid, solve) -> Branch:
         point = solve(d, near)
         if not (point and near[0].d < point.d < near[1].d):
             return None
-        point.seed = False
-        return point
+        return point._replace(seed=False)
 
     points = refine_jumps(points, lambda a, b: between(math.sqrt(a.d * b.d), (a, b)))
     branch = Branch(points=points, gaps=gaps)

@@ -25,7 +25,6 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import InvalidInputError, LimitConflictError, UnclassifiableLimitError
@@ -111,21 +110,32 @@ INFINITE = "infinite"
 AGREE_RTOL = 1e-3   # finite limits within this relative of each other agree
 
 
-@dataclass(frozen=True)
 class LimitClass:
-    """One of Zero, Finite(value > 0), Infinite."""
+    """One of Zero, Finite(value > 0), Infinite; equal when kind and value are."""
 
-    kind: str
-    value: float | None = None
+    __slots__ = ("kind", "value")
 
-    def __post_init__(self):
-        if self.kind not in (ZERO, FINITE, INFINITE):
-            raise InvalidInputError(f"unknown limit kind {self.kind!r}")
-        if self.kind == FINITE:
-            if self.value is None or not (self.value > 0.0):
+    def __init__(self, kind: str, value: float | None = None):
+        if kind not in (ZERO, FINITE, INFINITE):
+            raise InvalidInputError(f"unknown limit kind {kind!r}")
+        if kind == FINITE:
+            if value is None or not (value > 0.0):
                 raise InvalidInputError("Finite limit must carry a positive value")
-        elif self.value is not None:
-            raise InvalidInputError(f"{self.kind} limit carries no value")
+        elif value is not None:
+            raise InvalidInputError(f"{kind} limit carries no value")
+        self.kind = kind
+        self.value = value
+
+    def __eq__(self, other):
+        if type(other) is not LimitClass:
+            return NotImplemented
+        return (self.kind, self.value) == (other.kind, other.value)
+
+    def __hash__(self):
+        return hash((self.kind, self.value))
+
+    def __repr__(self):
+        return f"LimitClass(kind={self.kind!r}, value={self.value!r})"
 
     @staticmethod
     def zero() -> "LimitClass":
@@ -252,7 +262,6 @@ def _formula_binder(formula):
     return namespace["bind"]
 
 
-@dataclass
 class NonlinearitySpec:
     """Evaluable right-hand side f with declared limit classes.
 
@@ -277,12 +286,16 @@ class NonlinearitySpec:
     source.  formula is None for tabulated, which is called.
     """
 
-    kind: str
-    params: dict = field(default_factory=dict)
-    declared_f0: LimitClass | None = None
-    declared_finf: LimitClass | None = None
+    __slots__ = ("kind", "params", "declared_f0", "declared_finf",
+                 "formula", "formula_values", "_eval")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, params: dict | None = None,
+                 declared_f0: LimitClass | None = None,
+                 declared_finf: LimitClass | None = None):
+        self.kind = kind
+        self.params = {} if params is None else params
+        self.declared_f0 = declared_f0
+        self.declared_finf = declared_finf
         self.formula, self.formula_values = _build_formula(self.kind, self.params)
         self._eval = (_build_tabulated(self.params) if self.formula is None
                       else self.formula.function(self.formula_values))
@@ -515,24 +528,21 @@ def classify_limits(spec: NonlinearitySpec,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ProblemSpec:
     """One scalar Dirichlet problem on the ball of radius R in dimension N.
 
     k = N is the Monge-Ampere case.
     """
 
-    N: int
-    k: int
-    R: float
-    f: NonlinearitySpec
+    __slots__ = ("N", "k", "R", "f")
 
-    def __post_init__(self):
-        _check_order(self.N, self.k)
-        if not (0.0 < self.R < math.inf):
-            raise InvalidInputError(f"radius must be positive and finite, got {self.R!r}")
-        if not isinstance(self.f, NonlinearitySpec):
+    def __init__(self, N: int, k: int, R: float, f: NonlinearitySpec):
+        _check_order(N, k)
+        if not (0.0 < R < math.inf):
+            raise InvalidInputError(f"radius must be positive and finite, got {R!r}")
+        if not isinstance(f, NonlinearitySpec):
             raise InvalidInputError("f must be a NonlinearitySpec")
+        self.N, self.k, self.R, self.f = N, k, R, f
 
     @property
     def is_monge_ampere(self) -> bool:
@@ -560,8 +570,7 @@ class ProblemSpec:
         return ProblemSpec.from_json(read_json(path))
 
 
-@dataclass(frozen=True)
-class EigenvalueResult:
+class EigenvalueResult(NamedTuple):
     """First eigenvalue of the radial operator with its boundary residual."""
 
     lambda1: float

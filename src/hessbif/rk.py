@@ -64,7 +64,6 @@ import functools
 import linecache
 import math
 import sys
-import traceback
 from typing import NamedTuple
 
 from .errors import NumericalFailureError
@@ -418,6 +417,8 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
             try:
                 k0 = rhs(t, y)
             except OverflowError as exc:
+                import traceback   # only here: it is slow to import and no other path needs it
+
                 site = traceback.extract_tb(exc.__traceback__)[-1].line
                 raise NumericalFailureError(
                     f"slope overflows at t={t!r}, y={y!r}, in {site!r}") from exc

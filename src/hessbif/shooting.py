@@ -83,7 +83,6 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
 
 from . import rk
 from .core import (
@@ -114,20 +113,19 @@ STEP_TOL_FACTOR = 0.1
 HORIZON = 1e3   # lambda_at_amplitude looks for the first zero out to HORIZON * R
 
 
-@dataclass
 class RadialProfile:
     """Discretized radial solution (r_i, u_i, u'_i, u''_i) at one (lambda, d).
 
     upp is u'' evaluated from the integrated flux state, not differenced.
     """
 
-    r: np.ndarray
-    u: np.ndarray
-    uprime: np.ndarray
-    upp: np.ndarray
-    lam: float
-    d: float
-    max_consistency_residual: float = math.nan
+    __slots__ = ("r", "u", "uprime", "upp", "lam", "d", "max_consistency_residual")
+
+    def __init__(self, r: np.ndarray, u: np.ndarray, uprime: np.ndarray, upp: np.ndarray,
+                 lam: float, d: float, max_consistency_residual: float = math.nan):
+        self.r, self.u, self.uprime, self.upp = r, u, uprime, upp
+        self.lam, self.d = lam, d
+        self.max_consistency_residual = max_consistency_residual
 
     @property
     def boundary_value(self) -> float:

@@ -39,7 +39,6 @@ where the class pair is (lim_{x->0} w, lim_{x->inf} w) relative to |t| (resp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import rk, shooting
@@ -87,7 +86,6 @@ def _weight(kind_base, params):
     raise InvalidInputError(f"unknown two-argument kind base {kind_base!r}")
 
 
-@dataclass
 class NonlinearitySpec2:
     """g(s, t) (kinds ``*_t``, coupling through t) or h(s, t) (kinds ``*_s``).
 
@@ -99,10 +97,12 @@ class NonlinearitySpec2:
     the same source.
     """
 
-    kind: str
-    params: dict = field(default_factory=dict)
+    __slots__ = ("kind", "params", "couples_in_t", "lim0", "liminf",
+                 "formula", "formula_values", "_eval")
 
-    def __post_init__(self):
+    def __init__(self, kind: str, params: dict | None = None):
+        self.kind = kind
+        self.params = {} if params is None else params
         base, _, suffix = self.kind.rpartition("_")
         if suffix not in ("t", "s") or not base:
             raise InvalidInputError(
@@ -132,26 +132,23 @@ class NonlinearitySpec2:
         return NonlinearitySpec2(obj["kind"], dict(obj.get("params", {})))
 
 
-@dataclass
 class SystemSpec:
     """Coupled problem on the ball B_R: u driven by g, v driven by h."""
 
-    N: int
-    k: int
-    R: float
-    g: NonlinearitySpec2
-    h: NonlinearitySpec2
-    monotone_g_in_t: bool = True
-    monotone_h_in_s: bool = True
+    __slots__ = ("N", "k", "R", "g", "h", "monotone_g_in_t", "monotone_h_in_s")
 
-    def __post_init__(self):
-        _check_order(self.N, self.k)
-        if not (0.0 < self.R < math.inf):
-            raise InvalidInputError(f"radius must be positive and finite, got {self.R!r}")
-        if not self.g.couples_in_t:
+    def __init__(self, N: int, k: int, R: float, g: NonlinearitySpec2, h: NonlinearitySpec2,
+                 monotone_g_in_t: bool = True, monotone_h_in_s: bool = True):
+        _check_order(N, k)
+        if not (0.0 < R < math.inf):
+            raise InvalidInputError(f"radius must be positive and finite, got {R!r}")
+        if not g.couples_in_t:
             raise InvalidInputError("g must couple through t (a *_t kind)")
-        if self.h.couples_in_t:
+        if h.couples_in_t:
             raise InvalidInputError("h must couple through s (a *_s kind)")
+        self.N, self.k, self.R, self.g, self.h = N, k, R, g, h
+        self.monotone_g_in_t = monotone_g_in_t
+        self.monotone_h_in_s = monotone_h_in_s
 
     @property
     def matched_classes(self) -> bool:
@@ -224,8 +221,7 @@ def system_boundary_values(spec: SystemSpec, lam: float, d_u: float, d_v: float,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SystemBranchPoint:
+class SystemBranchPoint(NamedTuple):
     d_u: float
     d_v: float
     lam: float
@@ -353,8 +349,7 @@ class _PowerWeight(NamedTuple):
         return self.formula.function(self.formula_values)(s, t)
 
 
-@dataclass(frozen=True)
-class PowerPairResult:
+class PowerPairResult(NamedTuple):
     alpha: float
     beta: float
     samples: list

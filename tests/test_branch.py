@@ -826,16 +826,14 @@ class TestCertificates:
         # left of that vertex.  Raising the vertex lambda by 1e-6 moves the crossing to
         # its right, where u(R) keeps its sign: the count still reads 1, the
         # certificate fails, and so does the report.
-        import dataclasses
-
         br, j = square_branch, 12
         assert br.points[j].d == pytest.approx(1.0) and not br.folds
         lam1 = first_eigenvalue(3, 2, 1.13).lambda1
         f = SQUARE_N3K2.f
         target = br.points[j].lam * (1.0 + 3e-7)
         # one sample sits at sqrt(1.01 lam_lo 0.99 lam_hi)
-        pred = dataclasses.replace(predicted_interval(f.declared_f0, f.declared_finf, lam1),
-                                   lam_lo=target / (1.01 * 1.001), lam_hi=target * 1.001 / 0.99)
+        pred = predicted_interval(f.declared_f0, f.declared_finf, lam1)._replace(
+            lam_lo=target / (1.01 * 1.001), lam_hi=target * 1.001 / 0.99)
         rep = verify_predictions(br, pred, 1, SQUARE_N3K2)
         assert rep.passed
         [cert] = _certificates(rep)
@@ -843,7 +841,7 @@ class TestCertificates:
         assert cert.observed.startswith("sign change")
 
         points = list(br.points)
-        points[j] = dataclasses.replace(points[j], lam=points[j].lam * (1.0 + 1e-6))
+        points[j] = points[j]._replace(lam=points[j].lam * (1.0 + 1e-6))
         moved = verify_predictions(Branch(points=points), pred, 1, SQUARE_N3K2)
         assert not moved.passed
         [failed] = [c for c in moved.checks if not c.passed]

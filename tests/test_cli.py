@@ -451,13 +451,16 @@ class TestOverflowingTrialStep:
 
 
 class TestCommandPath:
-    """No command loads numpy: it is needed only by the grid-profile functions."""
+    """No command loads numpy, which only the grid-profile functions need, nor dataclasses
+    and the inspect it imports: the records are NamedTuples and __slots__ classes."""
+
+    UNLOADED = ("numpy", "dataclasses", "inspect")
 
     def test_import_leaves_numpy_unloaded(self, tmp_path):
-        r = run(["-c", "import sys, hessbif.cli; print('numpy' in sys.modules)"], tmp_path,
-                base=[sys.executable])
+        code = f"import sys, hessbif.cli; print([m for m in {self.UNLOADED} if m in sys.modules])"
+        r = run(["-c", code], tmp_path, base=[sys.executable])
         assert r.returncode == 0, r.stderr
-        assert r.stdout.strip() == "False"
+        assert r.stdout.strip() == "[]"
 
     def test_commands_leave_numpy_unloaded(self, specdir):
         runs = [
@@ -473,13 +476,14 @@ class TestCommandPath:
             "from hessbif import cli\n"
             "for argv in json.loads(sys.argv[1]):\n"
             "    rc = cli.main(argv)\n"
-            "    print('RESULT', argv[0], rc, 'numpy' in sys.modules, file=sys.stderr)\n"
+            f"    loaded = [m for m in {self.UNLOADED} if m in sys.modules]\n"
+            "    print('RESULT', argv[0], rc, *loaded, file=sys.stderr)\n"
         )
         r = run(["-c", code, json.dumps(runs)], specdir, base=[sys.executable])
         assert r.returncode == 0, r.stderr
         results = [line.split()[1:] for line in r.stderr.splitlines()
                    if line.startswith("RESULT")]
-        assert results == [[argv[0], "0", "False"] for argv in runs], r.stderr
+        assert results == [[argv[0], "0"] for argv in runs], r.stderr
 
 
 class TestSystemCommands:

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -392,8 +391,7 @@ class TestSystemEigenvalue:
 
         def skewed(*args, **kwargs):
             point = solve(*args, **kwargs)
-            point.lam *= 1.0 + rel
-            return point
+            return point._replace(lam=point.lam * (1.0 + rel))
 
         monkeypatch.setattr(system_mod, "solve_system_shooting", skewed)
         if raises:
@@ -560,8 +558,9 @@ class TestMonotonicity:
 
     @pytest.mark.parametrize("g_in_t,h_in_s", [(False, True), (True, False), (False, False)])
     def test_flag_declared_false_on_monotone_pair_fails_with_note(self, g_in_t, h_in_s):
-        spec = replace(coupled(2, 1, "saturating"),
-                       monotone_g_in_t=g_in_t, monotone_h_in_s=h_in_s)
+        base = coupled(2, 1, "saturating")
+        spec = SystemSpec(base.N, base.k, base.R, base.g, base.h,
+                          monotone_g_in_t=g_in_t, monotone_h_in_s=h_in_s)
         rep = self._declared_check(spec)
         assert not rep.passed
         assert any("theorems assume" in n for n in rep.notes)
