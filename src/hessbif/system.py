@@ -20,7 +20,10 @@ mu (-u)^beta (alpha beta = k^2) takes the same confirmed root at lambda = 1 with
 (lambda_ref, mu_ref) (rho / R)^(2k).  That scaling moves a sample along the ray
 mu / lambda = const and multiplies lambda mu^(alpha/k) by (rho / R)^(2k + 2 alpha),
 so the product is constant across samples only through amplitude homogeneity,
-which the root never applies: the checked claim stays independent of it.
+which the root never applies.  Each sample's d_v starts at the offset from its seed
+that the previous root showed, a guess that homogeneity makes good, but the root is
+still bracketed and resolved on the sample's own IVPs, so a wrong guess costs IVPs,
+not accuracy: the checked claim stays independent of homogeneity.
 
 Two-argument nonlinearities are weight forms phi(x) * w(s + t), with phi = t
 for the u-equation ("_t" kinds) and phi = s for the v-equation ("_s" kinds):
@@ -236,15 +239,15 @@ class SystemBranchPoint(NamedTuple):
         return self.d_u + self.d_v
 
 
-def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, tol):
+def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, tol, z_tol=None):
     """(rho, d_v) where u and v of the pair IVP at lam_ref, weights (g, h) and (d_u, d_v)
     vanish together.
 
     F = v(rho_u) / d_v at u's first zero rho_u falls as d_v grows (g rises in t, h in s);
     no zero before shooting.HORIZON R counts as F = +inf.  Steps of 0.1, 0.2, 0.4, ... in
-    z = log d_v bracket its sign change, and rk.zeroin resolves it to tol in z.  The
-    root is zeroin's end of smaller |F|, an evaluated IVP, so rho and d_v always belong
-    to one run."""
+    z = log d_v bracket its sign change, and rk.zeroin resolves it to z_tol (tol if None)
+    in z.  The root is zeroin's end of smaller |F|, an evaluated IVP, so rho and d_v
+    always belong to one run."""
     horizon = shooting.HORIZON * R
 
     def point(d_v):   # (log d_v, F, (rho_u, d_v)), rho_u None when u has no zero
@@ -273,14 +276,16 @@ def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, tol):
                   else "v(rho_u) did not change sign after 10 doublings")
         raise NumericalFailureError(
             f"{reason} from d_v = {dv0!r} (d_u = {d_u!r}, lambda_ref = {lam_ref!r})")
-    return rk.zeroin(lambda z: point(math.exp(z)), prev, cur, tol)[0][2]
+    return rk.zeroin(lambda z: point(math.exp(z)), prev, cur,
+                     tol if z_tol is None else z_tol)[0][2]
 
 
-def _confirmed_zero(N, k, R, weights, d_u, lam_ref, dv0, tol, trajectory=None):
-    """(rho, d_v, res_u, res_v) of _common_zero's root, confirmed by one free shot to R at
-    the kernel scale lam_ref (rho / R)^2 (trajectory as in rk.integrate): residuals
-    (u(R), v(R)) beyond eigen_rel_tol(tol) of (d_u, d_v) raise NumericalFailureError."""
-    rho, d_v = _common_zero(N, k, R, weights, d_u, lam_ref, dv0, tol)
+def _confirmed_zero(N, k, R, weights, d_u, lam_ref, dv0, tol, trajectory=None, z_tol=None):
+    """(rho, d_v, res_u, res_v) of _common_zero's root (to z_tol), confirmed by one free
+    shot to R at the kernel scale lam_ref (rho / R)^2 (trajectory as in rk.integrate):
+    residuals (u(R), v(R)) beyond eigen_rel_tol(tol) of (d_u, d_v) raise
+    NumericalFailureError."""
+    rho, d_v = _common_zero(N, k, R, weights, d_u, lam_ref, dv0, tol, z_tol)
     scale = lam_ref * (rho / R) ** 2
     ru, _, rv, _ = flux_ivp(N, k, R, scale, weights, (d_u, d_v), tol, R,
                             trajectory=trajectory)[0].y
@@ -365,9 +370,21 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
 
     Each sample, seeded at mu_ref on the log grid over [mu_lo, mu_hi], is the root that
     _confirmed_zero confirms, with the u-amplitude normalized to 1 (degree-k^2
-    homogeneity), so it lands at mu = mu_ref (rho / R)^(2k).  Samples come in increasing
-    mu; the constant is the geometric mean of the products and the maximum relative
-    deviation quantifies the constancy.
+    homogeneity), so it lands at mu = mu_ref (rho / R)^(2k).  Its lambda_ref is the
+    previous sample's product on the new ray, detuned by 1.17 so that rho moves off R.
+    Its d_v starts at the nominal seed (the previous root's d_v moved to the new ray and
+    detuned by 0.91) times the offset d_v / nominal seed that the previous root showed.
+    Where the product is constant every sample after the first solves the same scaled
+    root problem, so from the third sample on zeroin stops at that seed's own IVP or one
+    step from it: a sample takes 3 or 4 IVPs instead of 7 to 9.  The seed only shortens
+    the search: the root is still zeroin's end of a bracket of evaluated IVPs of
+    opposite F, and a seed that missed, as it would if the product were not constant,
+    costs IVPs, not accuracy.  zeroin runs to tol / 10 in log d_v, since at tol it stops
+    at seeds whose error then drifts along the chain: at N2k2 a sample moved 2.2e-9
+    from a two-residual Newton and the deviation rose from 5.6e-10 to 1.9e-9, against
+    2.5e-10 and 1.2e-10 at tol / 10.  Samples come in increasing mu; the constant is
+    the geometric mean of the products and the maximum relative deviation quantifies
+    the constancy.
     """
     if not (alpha > 0.0 and beta > 0.0):
         raise InvalidInputError("alpha and beta must be positive")
@@ -389,19 +406,21 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
 
     samples = []
     lam_prev, dv_prev, mu_prev = lam1**k, 1.0, lam1**k   # the eigenpoint at alpha = beta = k
+    offset = 1.0   # the previous root's d_v over its nominal seed
     for i in range(n_samples):
         t = i / (n_samples - 1)
         mu_ref = mu_lo ** (1.0 - t) * mu_hi**t   # mu_hi / mu_lo may overflow
         # seeded on the previous sample's product and ray, and detuned so that every root
         # moves rho off R instead of the sample inheriting its neighbour's product
         lam_ref = 1.17 * lam_prev * (mu_prev / mu_ref) ** (alpha / k)
-        dv0 = 0.91 * dv_prev * (mu_ref / mu_prev) ** (1.0 / k)
+        nominal = 0.91 * dv_prev * (mu_ref / mu_prev) ** (1.0 / k)
         weights = (_PowerWeight(_POWER_T, (lam_ref, alpha, 1.0 / k)),
                    _PowerWeight(_POWER_S, (mu_ref, beta, 1.0 / k)))
-        rho, d_v, *_ = _confirmed_zero(N, k, R, weights, 1.0, 1.0, dv0, tol)
+        rho, d_v, *_ = _confirmed_zero(N, k, R, weights, 1.0, 1.0, offset * nominal, tol,
+                                       z_tol=0.1 * tol)
         lam, mu = lam_ref * (rho / R) ** (2 * k), mu_ref * (rho / R) ** (2 * k)
         samples.append((lam, mu))
-        lam_prev, dv_prev, mu_prev = lam, d_v, mu
+        lam_prev, dv_prev, mu_prev, offset = lam, d_v, mu, d_v / nominal
     samples.sort(key=lambda sample: sample[1])
 
     products = [lam * mu ** (alpha / k) for lam, mu in samples]

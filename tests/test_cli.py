@@ -556,6 +556,25 @@ class TestPowerPairAndSweep:
         assert obj["constant"] == pytest.approx(6.088068189625151, rel=1e-7)
         assert obj["max_rel_deviation"] < 1e-6
 
+    @pytest.mark.parametrize("samples", [[], ["--samples", "2"]], ids=["default", "samples-2"])
+    def test_power_pair_keeps_no_state_between_calls(self, tmp_path, capsys, samples):
+        # the offset that seeds each sample lives inside one call: N2k2 writes the same
+        # bytes after an N1k1 call in the same process as in a fresh one
+        from hessbif import cli
+
+        def args(N, k, alpha, out):
+            return ["power-pair", "--N", N, "--k", k, "--alpha", alpha, "--beta", "1",
+                    "--out", str(tmp_path / out)] + samples
+
+        for N, k, alpha, out in (("2", "2", "4", "first.json"), ("1", "1", "1", "n1k1.json"),
+                                 ("2", "2", "4", "again.json")):
+            assert cli.main(args(N, k, alpha, out)) == 0, capsys.readouterr().err
+        r = run(args("2", "2", "4", "fresh.json"), tmp_path)
+        assert r.returncode == 0, r.stderr
+        first = (tmp_path / "first.json").read_bytes()
+        assert (tmp_path / "again.json").read_bytes() == first
+        assert (tmp_path / "fresh.json").read_bytes() == first
+
     def test_power_pair_bad_exponents(self, tmp_path):
         r = run(["power-pair", "--N", "2", "--k", "2", "--alpha", "3", "--beta", "1"],
                 tmp_path)

@@ -407,6 +407,41 @@ class TestSystemEigenvalue:
                 == first_eigenvalue(N, k, 1.0, tol=1e-5).lambda1)
 
 
+# (N, k, alpha, beta, R) over both signs of alpha - beta, k = 1 to 3 and R != 1
+POWER_PAIR_TABLE = [
+    (1, 1, 1.0, 1.0, 1.0), (1, 1, 1.0, 1.0, 0.83), (2, 2, 4.0, 1.0, 1.0),
+    (2, 2, 4.0, 1.0, 1.21), (3, 1, 2.0, 0.5, 1.0), (3, 3, 3.0, 3.0, 1.0),
+    (4, 2, 1.0, 4.0, 1.0)]
+
+
+def recorded_power_pair(monkeypatch, case, factor=1.0):
+    """power_pair_constant(*case) with the d_v seed of every sample after the first, which
+    carries the previous root's offset, scaled by factor; returns the result and, per
+    sample, its root (rho, d_v) and the (d_v, F) of each root IVP it evaluated."""
+    import hessbif.system as system_mod
+
+    real_zero, real_ivp = system_mod._common_zero, system_mod.flux_ivp
+    roots, evals = [], []
+
+    def common_zero(N, k, R, weights, d_u, lam_ref, dv0, *rest):
+        evals.append([])
+        roots.append(real_zero(N, k, R, weights, d_u, lam_ref,
+                               dv0 * factor if roots else dv0, *rest))
+        return roots[-1]
+
+    def flux_ivp(*args, **kwargs):
+        result = real_ivp(*args, **kwargs)
+        if "root_tol" in kwargs:   # F = v(rho_u) / d_v, +inf when u has no zero
+            res, d_v = result[0], args[5][1]
+            evals[-1].append((d_v, math.inf if res.t >= args[7] else res.y[2] / d_v))
+        return result
+
+    with monkeypatch.context() as patch:
+        patch.setattr(system_mod, "_common_zero", common_zero)
+        patch.setattr(system_mod, "flux_ivp", flux_ivp)
+        return power_pair_constant(*case), list(zip(roots, evals))
+
+
 class TestPowerPair:
     def test_symmetric_pair_interval(self):
         res = power_pair_constant(1, 1, 1.0, 1.0, n_samples=8)
@@ -477,18 +512,45 @@ class TestPowerPair:
                          "--beta", "1", "--out", "pp.json"]) == cli.EXIT_NUMERICAL
         assert not (tmp_path / "pp.json").exists()
 
-    @pytest.mark.parametrize("N,k,alpha,beta,count", [(1, 1, 1.0, 1.0, 59),
-                                                      (2, 2, 4.0, 1.0, 68)])
+    @pytest.mark.parametrize("N,k,alpha,beta,count", [(1, 1, 1.0, 1.0, 31),
+                                                      (2, 2, 4.0, 1.0, 38)])
     def test_ivp_count(self, ivps, N, k, alpha, beta, count):
         # three for first_eigenvalue, then per sample the root's IVPs and one fixed-R shot
         calls = ivps
         power_pair_constant(N, k, alpha, beta)
         assert len(calls) == count
 
-    @pytest.mark.parametrize("N,k,alpha,beta,R", [
-        (1, 1, 1.0, 1.0, 1.0), (1, 1, 1.0, 1.0, 0.83), (2, 2, 4.0, 1.0, 1.0),
-        (2, 2, 4.0, 1.0, 1.21), (3, 1, 2.0, 0.5, 1.0), (3, 3, 3.0, 3.0, 1.0),
-        (4, 2, 1.0, 4.0, 1.0)])
+    @pytest.mark.parametrize("N,k,alpha,beta,R", POWER_PAIR_TABLE)
+    def test_seeded_samples_take_at_most_four_ivps(self, monkeypatch, N, k, alpha, beta, R):
+        # from the third sample on the seed carries the offset of a root of the same
+        # scaled problem: at most 3 root IVPs, then the fixed-R shot
+        _, samples = recorded_power_pair(monkeypatch, (N, k, alpha, beta, R))
+        root_ivps = [len(evals) for _, evals in samples]
+        assert len(root_ivps) == 8
+        assert max(root_ivps[2:]) <= 3, root_ivps
+
+    @pytest.mark.parametrize("factor", [0.7, 1.4])
+    @pytest.mark.parametrize("N,k,alpha,beta,R", POWER_PAIR_TABLE)
+    def test_doctored_seed_cannot_steer_the_samples(self, monkeypatch, N, k, alpha, beta, R,
+                                                    factor):
+        # the carried offset only shortens the search: with it off by factor, every
+        # sample is the same root, and each root is an evaluated IVP inside a bracket of
+        # evaluated IVPs of opposite F
+        case = (N, k, alpha, beta, R)
+        want, roots = recorded_power_pair(monkeypatch, case)
+        got, doctored_roots = recorded_power_pair(monkeypatch, case, factor)
+        for (lam, mu), (lam_want, mu_want) in zip(got.samples, want.samples):
+            assert lam == pytest.approx(lam_want, rel=1e-9)
+            assert mu == pytest.approx(mu_want, rel=1e-9)
+        assert got.constant == pytest.approx(want.constant, rel=1e-9)
+        for (_, d_v), evals in roots + doctored_roots:
+            assert d_v in [x for x, _ in evals]
+            above = [x for x, F in evals if F > 0.0]
+            below = [x for x, F in evals if F < 0.0]
+            assert above and below
+            assert max(above) <= d_v <= min(below)
+
+    @pytest.mark.parametrize("N,k,alpha,beta,R", POWER_PAIR_TABLE)
     def test_constant_within_1e9_of_a_tight_run(self, N, k, alpha, beta, R):
         got = power_pair_constant(N, k, alpha, beta, R)
         want = power_pair_constant(N, k, alpha, beta, R, tol=1e-13)
