@@ -151,8 +151,11 @@ class Branch:
                     cells = line.split(",")
                     if len(cells) != n_cells:
                         raise InvalidInputError(f"bad branch CSV row: {line!r}")
-                    d, lam, is_fold = cells[1], cells[2], cells[-1]
-                    points.append(BranchPoint(d=float(d), lam=float(lam), admissible=True))
+                    d, lam, is_fold = float(cells[1]), float(cells[2]), cells[-1]
+                    if not (0.0 < d < math.inf and 0.0 < lam < math.inf):
+                        raise InvalidInputError(
+                            f"branch CSV row needs 0 < d < inf and 0 < lambda < inf: {line!r}")
+                    points.append(BranchPoint(d=d, lam=lam, admissible=True))
                     if is_fold.strip() not in ("0", "1"):
                         raise InvalidInputError(f"bad is_fold flag in row: {line!r}")
                     if is_fold.strip() == "1":

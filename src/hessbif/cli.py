@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (all checks pass), 1 verification failure (a theorem
 predicate failed on the traced branch), 2 numerical failure, 3 invalid input,
-malformed command-line arguments included.  Runs are randomness-free;
-identical configurations produce byte-identical artifacts.  verify and
-system-verify share one report path: _verdict, then _report.
+malformed command-line arguments and unwritable output paths included.  Runs
+are randomness-free; identical configurations produce byte-identical
+artifacts.  verify and system-verify share one report path: _verdict, then
+_report.
 
 main builds its parser on its first call and reuses it for the rest of the
 process, so in-process callers pay for the build once; importing the module
@@ -123,15 +124,15 @@ def _verdict(branch: Branch, f0: LimitClass, finf: LimitClass, lam1: float, samp
 
 
 def _report(rep: VerificationReport, args) -> int:
-    """Print rep, write it to --out-report if given, and return its exit code."""
+    """Write rep to --out-report if given, print it, and return its exit code."""
+    if args.out_report:
+        _write_json(rep.to_json(), args.out_report)
     for c in rep.checks:
         status = "PASS" if c.passed else "FAIL"
         print(f"[{status}] {c.name}: predicted {c.predicted}, observed {c.observed}")
     for note in rep.notes:
         print(f"note: {note}")
     print(f"overall: {'PASS' if rep.passed else 'FAIL'}")
-    if args.out_report:
-        _write_json(rep.to_json(), args.out_report)
     return EXIT_OK if rep.passed else EXIT_VERIFY_FAILED
 
 
@@ -384,6 +385,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (InvalidInputError, LimitConflictError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return EXIT_INVALID
+    except OSError as exc:   # an output path that cannot be written
+        print(f"invalid input: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INVALID
     except (NumericalFailureError, TracingFailureError, ArithmeticError) as exc:
         # float overflow or underflow to zero at extreme radii or amplitudes

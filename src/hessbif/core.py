@@ -224,6 +224,17 @@ def _power_pair_classes(terms):
     return f0, finf
 
 
+def _root_sum_classes(a, b, c):
+    """(f0, finf) of (s^a + c s^b)^(1/a) = s (1 + c s^(b-a))^(1/a): Finite 1 at the end
+    where s^(b-a) vanishes, Infinite where it grows, Finite (1 + c)^(1/a) when a = b."""
+    if a == b:
+        both = (1.0 + c) ** (1.0 / a)
+        return LimitClass.finite(both), LimitClass.finite(both)
+    if a < b:
+        return LimitClass.finite(1.0), LimitClass.infinite()
+    return LimitClass.infinite(), LimitClass.finite(1.0)
+
+
 # the functions a formula may call, by the names it calls them
 FORMULA_GLOBALS = (("log1p", math.log1p),)
 
@@ -280,8 +291,10 @@ class NonlinearitySpec:
     root_sum_powers with a = k expresses eigenvalue-plus-perturbation right-hand
     sides of the form lambda^k (|u|^k + c|u|^b).
 
-    Each kind but tabulated stores f once, as formula (a Formula over s, from
-    _FORMULAS) with its params' floats in formula_values: f(s) for s > 0 is
+    Each kind but tabulated is declared once, as one row of _FORMULAS: the source
+    of f, its param names and its limit classes as a function of the param
+    values, which kind_row checks.  f is stored as formula (a Formula over s)
+    with its params' floats in formula_values: f(s) for s > 0 is
     formula.function(formula_values), and the flux kernels inline the same
     source.  formula is None for tabulated, which is called.
     """
@@ -294,17 +307,17 @@ class NonlinearitySpec:
                  declared_finf: LimitClass | None = None):
         self.kind = kind
         self.params = {} if params is None else params
-        self.declared_f0 = declared_f0
-        self.declared_finf = declared_finf
-        self.formula, self.formula_values = _build_formula(self.kind, self.params)
-        self._eval = (_build_tabulated(self.params) if self.formula is None
-                      else self.formula.function(self.formula_values))
-        if self.declared_f0 is None or self.declared_finf is None:
-            f0, finf = _analytic_classes(self.kind, self.params)
-            if self.declared_f0 is None:
-                self.declared_f0 = f0
-            if self.declared_finf is None:
-                self.declared_finf = finf
+        if self.kind == "tabulated":
+            self.formula, self.formula_values = None, ()
+            self._eval = _build_tabulated(self.params)
+            f0 = finf = None
+        else:
+            source, names, self.formula_values, (f0, finf) = kind_row(
+                _FORMULAS, self.kind, self.params)
+            self.formula = Formula(self.kind, source, ("s",), names)
+            self._eval = self.formula.function(self.formula_values)
+        self.declared_f0 = f0 if declared_f0 is None else declared_f0
+        self.declared_finf = finf if declared_finf is None else declared_finf
 
     def __call__(self, s: float) -> float:
         if s < 0.0:
@@ -332,26 +345,34 @@ class NonlinearitySpec:
                                 declared_f0=f0, declared_finf=finf)
 
 
-# f(s) of each kind for s > 0, as source over s and the kind's params (all > 0)
+# Each kind but tabulated is one row: f(s) for s > 0 as source over s and the kind's
+# params, the params' names, and its (f0, finf) as a function of the params' values.
+# The classes are built on each call: LimitClass instances are mutable, so no spec
+# may share one with another.
 _FORMULAS = {
-    "linear": ("s", ()),
-    "saturating": ("s / (1.0 + s)", ()),
-    "superlinear": ("s * (1.0 + s)", ()),
-    "quadratic_over_linear": ("s * s / (1.0 + s)", ()),
-    "power": ("s**p", ("p",)),
-    "sum_of_powers": ("s**p + c * s**q", ("p", "q", "c")),
-    "log_bump": ("log1p(s * s)", ()),
-    "root_sum_powers": ("(s**a + c * s**b) ** (1.0 / a)", ("a", "b", "c")),
+    "linear": ("s", (), lambda: (LimitClass.finite(1.0), LimitClass.finite(1.0))),
+    "saturating": ("s / (1.0 + s)", (), lambda: (LimitClass.finite(1.0), LimitClass.zero())),
+    "superlinear": ("s * (1.0 + s)", (),
+                    lambda: (LimitClass.finite(1.0), LimitClass.infinite())),
+    "quadratic_over_linear": ("s * s / (1.0 + s)", (),
+                              lambda: (LimitClass.zero(), LimitClass.finite(1.0))),
+    "power": ("s**p", ("p",), lambda p: _power_pair_classes([(1.0, p)])),
+    "sum_of_powers": ("s**p + c * s**q", ("p", "q", "c"),
+                      lambda p, q, c: _power_pair_classes([(1.0, p), (c, q)])),
+    "log_bump": ("log1p(s * s)", (), lambda: (LimitClass.zero(), LimitClass.zero())),
+    "root_sum_powers": ("(s**a + c * s**b) ** (1.0 / a)", ("a", "b", "c"),
+                        _root_sum_classes),
 }
 
 
-def _build_formula(kind, params):
-    """(Formula, param values) of a kind with its params checked; (None, ()) for tabulated."""
-    if kind == "tabulated":
-        return None, ()
-    if kind not in _FORMULAS:
+def kind_row(table, kind, params):
+    """(source, param names, param values, limit classes) of the row of table named kind.
+
+    params must give each name of the row a number > 0 and hold no other key.
+    """
+    if kind not in table:
         raise InvalidInputError(f"unknown nonlinearity kind {kind!r}")
-    source, names = _FORMULAS[kind]
+    source, names, classes = table[kind]
     missing = [n for n in names if n not in params]
     if missing:
         raise InvalidInputError(f"kind {kind!r} requires params {missing}")
@@ -360,7 +381,7 @@ def _build_formula(kind, params):
     if any(v <= 0.0 for v in values):
         raise InvalidInputError(f"{kind} needs {', '.join(names)} > 0, got "
                                 f"{', '.join(map(str, values))}")
-    return Formula(kind, source, ("s",), names), values
+    return source, names, values, classes(*values)
 
 
 def _build_tabulated(params):
@@ -399,39 +420,6 @@ def _build_tabulated(params):
         return math.exp(lf[lo] + t * (lf[hi] - lf[lo]))
 
     return ev
-
-
-def _analytic_classes(kind, params):
-    """Closed-form limit classes where the kind determines them, else (None, None)."""
-    if kind == "linear":
-        return LimitClass.finite(1.0), LimitClass.finite(1.0)
-    if kind == "saturating":
-        return LimitClass.finite(1.0), LimitClass.zero()
-    if kind == "superlinear":
-        return LimitClass.finite(1.0), LimitClass.infinite()
-    if kind == "quadratic_over_linear":
-        return LimitClass.zero(), LimitClass.finite(1.0)
-    if kind == "power":
-        p = float(params["p"])
-        return _power_pair_classes([(1.0, p)])
-    if kind == "sum_of_powers":
-        p, q, c = float(params["p"]), float(params["q"]), float(params["c"])
-        return _power_pair_classes([(1.0, p), (c, q)])
-    if kind == "log_bump":
-        return LimitClass.zero(), LimitClass.zero()
-    if kind == "root_sum_powers":
-        # (s^a + c s^b)^(1/a): dominant exponent min(a,b)/a at 0, max(a,b)/a at inf.
-        a, b, c = float(params["a"]), float(params["b"]), float(params["c"])
-        e0 = min(a, b) / a
-        einf = max(a, b) / a
-        coef0 = (1.0 + c) ** (1.0 / a) if a == b else (1.0 if a < b else c ** (1.0 / a))
-        f0 = (LimitClass.infinite() if e0 < 1.0 else
-              LimitClass.zero() if e0 > 1.0 else LimitClass.finite(coef0))
-        coefinf = (1.0 + c) ** (1.0 / a) if a == b else (1.0 if a > b else c ** (1.0 / a))
-        finf = (LimitClass.infinite() if einf > 1.0 else
-                LimitClass.zero() if einf < 1.0 else LimitClass.finite(coefinf))
-        return f0, finf
-    return None, None
 
 
 # Canonical registry entries used by tests and the sweep tooling.
@@ -503,8 +491,7 @@ def _classify_end(ratios):
     raise UnclassifiableLimitError(f"ratio sequence is not settling: {ratios[-4:]}")
 
 
-def classify_limits(spec: NonlinearitySpec,
-                    check_declared: bool = True) -> tuple[LimitClass, LimitClass]:
+def classify_limits(spec: NonlinearitySpec) -> tuple[LimitClass, LimitClass]:
     """Numeric (f0, finf) from ratios f(s)/s on geometric grids s in [1e-8, 1e8].
 
     Raises UnclassifiableLimitError for non-settling sequences and
@@ -514,12 +501,10 @@ def classify_limits(spec: NonlinearitySpec,
     ratiosinf = [spec(10.0**j) / 10.0**j for j in range(1, _DECADES + 1)]
     f0 = _classify_end(ratios0)
     finf = _classify_end(ratiosinf)
-    if check_declared:
-        for name, est, declared in (("f0", f0, spec.declared_f0),
-                                    ("finf", finf, spec.declared_finf)):
-            if declared is not None and not est.agrees_with(declared):
-                raise LimitConflictError(
-                    f"{name}: declared {declared} but classified {est}")
+    for name, est, declared in (("f0", f0, spec.declared_f0),
+                                ("finf", finf, spec.declared_finf)):
+        if declared is not None and not est.agrees_with(declared):
+            raise LimitConflictError(f"{name}: declared {declared} but classified {est}")
     return f0, finf
 
 

@@ -26,7 +26,8 @@ still bracketed and resolved on the sample's own IVPs, so a wrong guess costs IV
 not accuracy: the checked claim stays independent of homogeneity.
 
 Two-argument nonlinearities are weight forms phi(x) * w(s + t), with phi = t
-for the u-equation ("_t" kinds) and phi = s for the v-equation ("_s" kinds):
+for the u-equation ("_t" kinds) and phi = s for the v-equation ("_s" kinds).
+Each base w is one row of _PAIR_BASES, checked by core.kind_row as a scalar kind is:
 
     linear_t/_s        w = 1                      (1, 1)
     saturating_t/_s    w = 1/(1+x)                (1, 0)
@@ -46,7 +47,7 @@ from typing import NamedTuple
 
 from . import rk, shooting
 from .branch import Branch, VerificationReport, reference_lambda, solution_amplitudes, trace
-from .core import Formula, LimitClass, _check_order, check_keys, number
+from .core import Formula, LimitClass, _check_order, check_keys, kind_row, number
 from .errors import InvalidInputError, NumericalFailureError
 from .shooting import (
     GRID_POINTS,
@@ -64,29 +65,21 @@ from .shooting import (
 # two-argument nonlinearities
 # ---------------------------------------------------------------------------
 
-def _weight(kind_base, params):
-    """(w as source over s + t, its params, lim0, liminf) of a kind base.
-
-    w is evaluated only where the coupling variable is positive, so s + t > 0.
-    """
-    if kind_base == "linear":
-        return "1.0", {}, LimitClass.finite(1.0), LimitClass.finite(1.0)
-    if kind_base == "saturating":
-        return "1.0 / (1.0 + (s + t))", {}, LimitClass.finite(1.0), LimitClass.zero()
-    if kind_base == "superlinear":
-        return "1.0 + (s + t)", {}, LimitClass.finite(1.0), LimitClass.infinite()
-    if kind_base == "rational":
-        b = number(params.get("b", 0.0), "b")
-        if b <= 0.0:
-            raise InvalidInputError("rational kind needs param b > 0")
-        return ("(1.0 + b * (s + t)) / (1.0 + (s + t))", {"b": b},
-                LimitClass.finite(1.0), LimitClass.finite(b))
-    if kind_base == "powermix":
-        return "(s + t)**-0.5 + (s + t)", {}, LimitClass.infinite(), LimitClass.infinite()
-    if kind_base == "logbump":
-        return ("log1p((s + t) * (s + t)) / (s + t)", {},
-                LimitClass.zero(), LimitClass.zero())
-    raise InvalidInputError(f"unknown two-argument kind base {kind_base!r}")
+# Each pair base is one row: w as source over s + t and the base's params, the params'
+# names, and (lim0, liminf) of w as a function of the params' values, built on each
+# call.  w is evaluated only where the coupling variable is positive, so s + t > 0.
+_PAIR_BASES = {
+    "linear": ("1.0", (), lambda: (LimitClass.finite(1.0), LimitClass.finite(1.0))),
+    "saturating": ("1.0 / (1.0 + (s + t))", (),
+                   lambda: (LimitClass.finite(1.0), LimitClass.zero())),
+    "superlinear": ("1.0 + (s + t)", (), lambda: (LimitClass.finite(1.0), LimitClass.infinite())),
+    "rational": ("(1.0 + b * (s + t)) / (1.0 + (s + t))", ("b",),
+                 lambda b: (LimitClass.finite(1.0), LimitClass.finite(b))),
+    "powermix": ("(s + t)**-0.5 + (s + t)", (),
+                 lambda: (LimitClass.infinite(), LimitClass.infinite())),
+    "logbump": ("log1p((s + t) * (s + t)) / (s + t)", (),
+                lambda: (LimitClass.zero(), LimitClass.zero())),
+}
 
 
 class NonlinearitySpec2:
@@ -94,6 +87,7 @@ class NonlinearitySpec2:
 
     Zeros exactly where the coupling variable vanishes; limit classes are
     relative to |t| (for g) or |s| (for h) as |s + t| tends to 0 / infinity.
+    w, its params and its classes are the row of the kind's base in _PAIR_BASES.
     The weight is stored once, as formula (a core.Formula over s, t: phi w,
     and 0 where phi = 0) with its params' floats in formula_values; the call
     evaluates formula.function(formula_values), and the flux kernels inline
@@ -107,16 +101,15 @@ class NonlinearitySpec2:
         self.kind = kind
         self.params = {} if params is None else params
         base, _, suffix = self.kind.rpartition("_")
-        if suffix not in ("t", "s") or not base:
-            raise InvalidInputError(
-                f"two-argument kind must end in _t or _s, got {self.kind!r}")
+        if suffix not in ("t", "s") or base not in _PAIR_BASES:
+            raise InvalidInputError(f"two-argument kind must be one of {sorted(_PAIR_BASES)} "
+                                    f"with suffix _t or _s, got {self.kind!r}")
         self.couples_in_t = suffix == "t"
-        w, params, self.lim0, self.liminf = _weight(base, self.params)
-        check_keys(self.params, params, f"{self.kind} param")
+        w, names, self.formula_values, (self.lim0, self.liminf) = kind_row(
+            _PAIR_BASES, base, self.params)
         phi = "t" if self.couples_in_t else "s"
         self.formula = Formula(self.kind, f"0.0 if {phi} == 0.0 else {phi} * ({w})",
-                               ("s", "t"), tuple(params))
-        self.formula_values = tuple(params.values())
+                               ("s", "t"), names)
         self._eval = self.formula.function(self.formula_values)
 
     def __call__(self, s: float, t: float) -> float:

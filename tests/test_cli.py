@@ -139,6 +139,23 @@ class TestTraceAndPlot:
         r = run(["plot", "--branch", "empty.csv", "--out", "x.svg"], tmp_path)
         assert r.returncode == 3, r.stderr
 
+    @pytest.mark.parametrize("d, lam", [("0", "2"), ("-1", "2"), ("nan", "2"), ("inf", "2"),
+                                        ("1", "0"), ("1", "nan"), ("1", "inf"), ("1", "-inf")])
+    def test_plot_rejects_a_row_outside_the_positive_reals(self, tmp_path, capsys, d, lam):
+        # such a row used to crash plot (a math domain error, exit 1) or exit 2
+        from hessbif import cli
+        from hessbif.branch import Branch
+        from hessbif.errors import InvalidInputError
+
+        path = tmp_path / "b.csv"
+        path.write_text(f"index,d,lambda,is_fold\n0,0.5,3.0,0\n1,{d},{lam},0\n")
+        with pytest.raises(InvalidInputError):
+            Branch.from_csv(path)
+        rc = cli.main(["plot", "--branch", str(path), "--out", str(tmp_path / "x.svg")])
+        assert rc == cli.EXIT_INVALID
+        assert "0 < d < inf and 0 < lambda < inf" in capsys.readouterr().err
+        assert not (tmp_path / "x.svg").exists()
+
     def test_plot_bad_interval(self, specdir):
         r = run(["trace", "--spec", "linear.json", "--out-branch", "f.csv",
                  "--n-points", "17"], specdir)
@@ -292,6 +309,25 @@ class TestExitCodes:
             rc = cli.main(argv + ["--root-tol", "1e-5"])
         assert rc == cli.EXIT_INVALID
         assert "unrecognized arguments: --root-tol" in err.getvalue()
+
+    @pytest.mark.parametrize("argv", [
+        ["eigen", "--N", "1", "--k", "1", "--out"],
+        ["verify", "--spec", "saturating.json", "--n-points", "17", "--out-report"],
+        ["trace", "--spec", "saturating.json", "--n-points", "17", "--out-branch"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_output_invalid(self, specdir, monkeypatch, capsys, argv):
+        # an output in a missing directory used to end in a traceback with exit 1, after
+        # verify had printed its verdict
+        from hessbif import cli
+
+        monkeypatch.chdir(specdir)
+        path = os.path.join("missing", "out")
+        rc = cli.main(argv + [path])
+        out, err = capsys.readouterr()
+        assert rc == cli.EXIT_INVALID
+        assert err.splitlines() == [
+            f"invalid input: cannot write {path}: No such file or directory"]
+        assert "overall" not in out
 
     def test_help_exits_zero(self, tmp_path):
         r = run(["verify", "--help"], tmp_path)

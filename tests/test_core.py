@@ -1,8 +1,11 @@
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+from hessbif import core, system
 from hessbif.core import (
     LimitClass,
     NonlinearitySpec,
@@ -179,7 +182,64 @@ class TestClassifyLimits:
             declared_finf=LimitClass.finite(1.0),
         )
         with pytest.raises(UnclassifiableLimitError):
-            classify_limits(wob, check_declared=False)
+            classify_limits(wob)
+
+
+# param sets per table row that reach every branch of the row's classes: exponents
+# p < 1, p = 1 and p > 1 at each end, and a < b, a = b and a > b
+ROW_PARAMS = {
+    "linear": [{}], "saturating": [{}], "superlinear": [{}], "quadratic_over_linear": [{}],
+    "log_bump": [{}],
+    "power": [{"p": 0.5}, {"p": 1.0}, {"p": 2.0}],
+    "sum_of_powers": [{"p": 0.5, "q": 0.8, "c": 1.0}, {"p": 0.5, "q": 1.0, "c": 2.0},
+                      {"p": 1.0, "q": 1.0, "c": 2.0}, {"p": 1.0, "q": 2.0, "c": 0.5},
+                      {"p": 1.5, "q": 3.0, "c": 1.0}],
+    "root_sum_powers": [{"a": 1.0, "b": 2.0, "c": 1.0}, {"a": 2.0, "b": 2.0, "c": 3.0},
+                        {"a": 2.0, "b": 1.0, "c": 1.0}, {"a": 0.5, "b": 3.0, "c": 2.0}],
+}
+PAIR_ROW_PARAMS = {"rational": [{"b": 0.5}, {"b": 3.0}]}
+
+
+class TestKindTables:
+    """Each kind is one table row; the classes a row declares are the ones its formula has."""
+
+    @pytest.mark.parametrize("kind", sorted(core._FORMULAS))
+    def test_scalar_row_classes_match_the_classifier(self, kind):
+        for params in ROW_PARAMS[kind]:
+            spec = NonlinearitySpec(kind, params)
+            f0, finf = classify_limits(spec)   # raises LimitConflictError on disagreement
+            assert f0.agrees_with(spec.declared_f0), params
+            assert finf.agrees_with(spec.declared_finf), params
+
+    @pytest.mark.parametrize("base", sorted(system._PAIR_BASES))
+    def test_pair_row_classes_match_the_classifier(self, base):
+        # g(0, x) / x = w(x), whose limits are the row's (lim0, liminf)
+        for params in PAIR_ROW_PARAMS.get(base, [{}]):
+            g = system.NonlinearitySpec2(base + "_t", params)
+            w = [g(0.0, 10.0**-j) / 10.0**-j for j in range(1, 9)]
+            assert core._classify_end(w).agrees_with(g.lim0), params
+            w = [g(0.0, 10.0**j) / 10.0**j for j in range(1, 9)]
+            assert core._classify_end(w).agrees_with(g.liminf), params
+
+    def test_rows_build_fresh_classes(self):
+        a, b = NonlinearitySpec("linear"), NonlinearitySpec("linear")
+        assert a.declared_f0 == b.declared_f0 and a.declared_f0 is not b.declared_f0
+        g, h = system.NonlinearitySpec2("linear_t"), system.NonlinearitySpec2("linear_s")
+        assert g.lim0 == h.lim0 and g.lim0 is not h.lim0
+
+    def test_readme_lists_the_table_rows(self):
+        # the README's "Available kinds" and "Two-argument kinds" lists name exactly the rows
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+        def listed(start):
+            text = re.search(re.escape(start) + r"(.*?)\.\s", readme, re.S)[1]
+            n = 1
+            while n:   # drop parenthesised remarks, innermost first
+                text, n = re.subn(r"\([^()]*\)", "", text)
+            return set(re.findall(r"`([a-z_]+)`", text))
+
+        assert listed("Available kinds") == set(core._FORMULAS) | {"tabulated"}
+        assert listed("Two-argument kinds are") == set(system._PAIR_BASES)
 
 
 class TestLimitClass:

@@ -642,7 +642,7 @@ def _bits(fn, *args):
 LOG_GRID = [10.0 ** e for e in range(-300, 301, 10)]
 SCALAR_PARAMS = {"power": {"p": 2.5}, "sum_of_powers": {"p": 0.5, "q": 2.0, "c": 3.0},
                  "root_sum_powers": {"a": 2.0, "b": 5.0, "c": 0.5}}
-PAIR_BASES = ["linear", "saturating", "superlinear", "rational", "powermix", "logbump"]
+PAIR_BASES = sorted(system._PAIR_BASES)
 
 
 def _pair(base):
