@@ -56,7 +56,6 @@ from .system import (
     system_apriori_monitor,
     system_boundary_values,
     trace_system_branch,
-    write_system_csv,
 )
 from .plotting import render_branches_svg
 

@@ -127,11 +127,18 @@ class Branch:
         return out
 
     def to_csv(self, path) -> None:
+        """The branch as CSV: index, the fields of its point type but admissible and seed
+        (lam headed lambda), and is_fold.  CSV_HEADER for BranchPoints and for no points;
+        index,d_u,d_v,lambda,res_u,res_v,is_fold for system.SystemBranchPoints."""
+        fields = ([f for f in self.points[0]._fields if f not in ("admissible", "seed")]
+                  if self.points else ["d", "lam"])
         fold_idx = {f.index for f in self.folds}
         with open(path, "w", newline="") as fh:
-            fh.write(CSV_HEADER + "\n")
+            fh.write(",".join(["index", *("lambda" if f == "lam" else f for f in fields),
+                               "is_fold"]) + "\n")
             for i, p in enumerate(self.points):
-                fh.write(f"{i},{p.d:.17g},{p.lam:.17g},{1 if i in fold_idx else 0}\n")
+                cells = "".join(f"{getattr(p, f):.17g}," for f in fields)
+                fh.write(f"{i},{cells}{1 if i in fold_idx else 0}\n")
 
     @staticmethod
     def from_csv(path) -> "Branch":
@@ -245,9 +252,7 @@ def count_solutions(branch: Branch, lam: float) -> int:
     folds = branch.folds if branch.folds else detect_folds(branch)
     for f in folds:
         if abs(lam - f.lam) <= PLATEAU_REL * max(abs(lam), abs(f.lam)):
-            others = [d for d, i in _crossings(branch, lam)
-                      if abs(i - f.index) > 1]
-            raise AtFoldError(lam, f.lam, 1, len(others))
+            raise AtFoldError(lam, f.lam)
     return len(_crossings(branch, lam))
 
 
@@ -411,7 +416,7 @@ def _count_off_fold(branch: Branch, lam: float) -> tuple[float, int]:
             return lam * bump, count_solutions(branch, lam * bump)
         except AtFoldError:
             continue
-    raise AtFoldError(lam, lam, 1, 0)
+    raise AtFoldError(lam, lam)
 
 
 def _certify_crossings(rep: VerificationReport, branch: Branch, lam: float,

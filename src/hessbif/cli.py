@@ -2,10 +2,11 @@
 
 Exit codes: 0 success (all checks pass), 1 verification failure (a theorem
 predicate failed on the traced branch), 2 numerical failure, 3 invalid input,
-malformed command-line arguments and unwritable output paths included.  Runs
-are randomness-free; identical configurations produce byte-identical
-artifacts.  verify and system-verify share one report path: _verdict, then
-_report.
+malformed command-line arguments and unwritable output paths included; an
+--out, --out-report or --out-branch in a missing directory fails before any
+solve.  Runs are randomness-free; identical configurations produce
+byte-identical artifacts.  verify and system-verify share one report path:
+_verdict, then _report.
 
 main builds its parser on its first call and reuses it for the rest of the
 process, so in-process callers pay for the build once; importing the module
@@ -15,6 +16,7 @@ builds none.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -48,7 +50,6 @@ from .system import (
     power_pair_constant,
     system_apriori_monitor,
     trace_system_branch,
-    write_system_csv,
 )
 
 EXIT_OK = 0
@@ -157,7 +158,7 @@ def cmd_system_trace(args) -> int:
     spec = SystemSpec.from_json(read_json(args.spec))
     grid = log_grid(args.d_min, args.d_max, args.n_points)
     branch = trace_system_branch(spec, grid, args.tol)
-    write_system_csv(branch, args.out_branch)
+    branch.to_csv(args.out_branch)
     print(f"traced {len(branch.points)} system points "
           f"({len(branch.folds)} folds, {len(branch.gaps)} gaps) -> {args.out_branch}")
     return EXIT_OK
@@ -169,7 +170,7 @@ def cmd_system_verify(args) -> int:
     grid = log_grid(args.d_min, args.d_max, args.n_points)
     branch = trace_system_branch(spec, grid, args.tol, lambda_scale=lam1)
     if args.out_branch:
-        write_system_csv(branch, args.out_branch)
+        branch.to_csv(args.out_branch)
 
     if spec.matched_classes:
         rep = _verdict(branch, spec.mu, spec.nu, lam1, args.samples)
@@ -382,6 +383,10 @@ def main(argv=None) -> int:
     ap = _parser()
     try:
         args = ap.parse_args(argv)
+        for name in ("out", "out_report", "out_branch"):   # fail before any solve
+            path = getattr(args, name, None)
+            if path and not os.path.isdir(os.path.dirname(path) or "."):
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
         return args.fn(args)
     except (InvalidInputError, LimitConflictError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)

@@ -36,11 +36,9 @@ class OutOfTableError(HessbifError):
 class AtFoldError(HessbifError):
     """Solution counting was requested within plateau tolerance of a fold value."""
 
-    def __init__(self, lam, fold_lambda, fold_count, other_crossings):
+    def __init__(self, lam, fold_lambda):
         super().__init__(
             f"lambda={lam!r} is within plateau tolerance of fold at {fold_lambda!r}"
         )
         self.lam = lam
         self.fold_lambda = fold_lambda
-        self.fold_count = fold_count
-        self.other_crossings = other_crossings

@@ -4,18 +4,16 @@ Dormand-Prince 8(5,3) pair (DOP853; Hairer, Norsett & Wanner, Solving ODEs I,
 2nd ed. 1993, II.10): twelve stages, 8th order propagation, and Hairer's error
 estimate from an embedded 5th and 3rd order pair.  States are plain lists of
 floats; the radial shooting systems here have 2 or 4 components, where
-python-float arithmetic beats array overhead by an order of magnitude.  Two
-modes:
-
-  * free stepping to the right endpoint (terminal value, and on request every
-    accepted state with the slope there) - the hot path of root solves and branch points;
-  * step clamping onto a fixed output grid, recording the state at every grid
-    point - used when a full profile is requested;
-
-and, in either mode, an optional stop where component 0 first changes sign,
-located inside the last accepted step by re-stepping from its saved state.
-zeroin (Brent) finds that zero over the step length; it is the package's one
-bracketed root finder, and system and shooting resolve their roots with it.
+python-float arithmetic beats array overhead by an order of magnitude.  Every
+run steps one way, freely to the right endpoint, with an optional stop where
+component 0 first changes sign; it returns the terminal state and, on request,
+every accepted state with the slope there.  Other states are read off the
+accepted ones by re-stepping (Hairer, Norsett & Wanner I, II.6): the zero is
+located inside the last accepted step from its saved state, and each point of
+an output grid is one step from the accepted state before it, so a run given a
+grid takes the steps of the run without one.  zeroin (Brent) finds the zero
+over the step length; it is the package's one bracketed root finder, and
+system and shooting resolve their roots with it.
 
 The error of a step of length h is h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n),
 with e5 = sum E5_j k_j and e3 = sum (B_j - BHH_j) k_j scaled componentwise by
@@ -139,11 +137,12 @@ _TANGENT_REACH = 1.001   # root mode: a trial ends at most this far along the ta
 
 
 class RKResult:
-    """Terminal state plus, when an output grid was given, the recorded states.
+    """Terminal state plus, when an output grid was given, the states on it.
 
     n_steps and n_rejected count the attempts of the stepper.  n_rhs counts
-    its rhs calls: 11 per attempt and per zero-locating trial, and one slope
-    per state stepped from; an attempt cut short by OverflowError counts all 11.
+    its rhs calls: 11 per attempt, per zero-locating trial and per grid state
+    re-stepped, and one slope per state stepped from; an attempt cut short by
+    OverflowError counts all 11.
     """
 
     __slots__ = ("t", "y", "grid_states", "n_steps", "n_rejected", "n_rhs")
@@ -357,11 +356,13 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
     state stepped from.
 
     atol is a per-component sequence (same length as y0).  output_ts, when
-    given, must be ascending values in [t0, t1]; the stepper lands on each
-    exactly and records the state there.  With root_tol, integration stops
-    where component 0 first changes sign: the crossing is located inside the
-    last accepted step to root_tol relative and returned as (t, y), t < t1;
-    outputs beyond it are not recorded.  A trajectory list receives (t, y, k)
+    given, must be ascending values in [t0, t1]; the steps do not change, and
+    after the run grid_states holds the state at each: one step of length
+    s - t_j from the accepted state t_j before s, or a copy where s is an
+    accepted time (or within roundoff beyond t1).  With root_tol, integration
+    stops where component 0 first changes sign: the crossing is located inside
+    the last accepted step to root_tol relative and returned as (t, y), t < t1;
+    grid points beyond it are dropped.  A trajectory list receives (t, y, k)
     for each state stepped from, t0 and every accepted state before the last,
     with k the slope rhs(t, y) that the step evaluated there as its first
     stage, and then (t, y, None) for the returned state; so a caller that
@@ -389,16 +390,8 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
     if len(atol) != n:
         raise NumericalFailureError("atol length mismatch")
 
-    outputs = None
-    out_idx = 0
-    grid_states = None
-    if output_ts is not None:
-        outputs = [float(v) for v in output_ts]
-        grid_states = []
-        while out_idx < len(outputs) and outputs[out_idx] <= t:
-            grid_states.append(list(y))
-            out_idx += 1
-
+    if output_ts is not None and trajectory is None:
+        trajectory = []   # the accepted states that the grid states are stepped from
     step = _dop853_step(n, slope)
     if inputs is None:
         inputs = rhs
@@ -428,19 +421,9 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
         h = h_ctrl
         if root_tol is not None and y[0] < 0.0 < k0[0]:
             h = min(h, max(_TANGENT_REACH * -y[0] / k0[0], h_min))
-        # clamp the attempted step onto the next output point / right endpoint
-        hit_output = False
-        if outputs is not None and out_idx < len(outputs) and t + h >= outputs[out_idx]:
-            h = outputs[out_idx] - t
-            hit_output = True
-        elif t + h > t1:
+        if t + h > t1:
             h = t1 - t
         clamped = h < h_ctrl
-        if hit_output and h <= 0.0:
-            # grid point coincides with the current time up to roundoff
-            grid_states.append(list(y))
-            out_idx += 1
-            continue
         if h < h_min:
             raise NumericalFailureError(f"step size underflow at t={t!r}")
 
@@ -465,22 +448,17 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
                 t, y, trials = _locate_zero(inputs, t, y, k0, h, y_new, rtol, atol, root_tol,
                                             slope)
                 n_rhs += _RHS_PER_ATTEMPT * trials
-                if trajectory is not None:
-                    trajectory.append((t, y, None))
-                return RKResult(t, y, grid_states, n_steps, n_rejected, n_rhs)
+                break
             t = t + h
             y = y_new
             k0 = None
-            if hit_output:
-                grid_states.append(list(y))
-                out_idx += 1
             factor = _MAX_FACTOR if err == 0.0 else min(
                 _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err**_ORDER_EXP))
             if rejected:   # no growth on the first step accepted after a rejection
                 factor = min(factor, 1.0)
             rejected = False
             if clamped:
-                # a grid-shortened step must not erase the controller's memory
+                # a step shortened to t1 or the tangent cap must not erase the controller's memory
                 h_ctrl = max(h_ctrl, h * factor)
             else:
                 h_ctrl = h * factor
@@ -492,12 +470,23 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
             else:
                 h_ctrl = h * max(_MIN_FACTOR, _SAFETY * err**_ORDER_EXP)
 
-    if outputs is not None:
-        while out_idx < len(outputs):
-            # trailing outputs at (or beyond, by roundoff) the right endpoint
-            grid_states.append(list(y))
-            out_idx += 1
-
     if trajectory is not None:
         trajectory.append((t, y, None))
+    grid_states = None
+    if output_ts is not None:
+        # after a break at a zero, crossed is still True: grid points beyond it are dropped
+        grid_states = []
+        run = trajectory[len(trajectory) - n_steps - 1:]   # this run's n_steps + 1 states
+        j = 0
+        for s in map(float, output_ts):
+            while j + 1 < len(run) and run[j + 1][0] <= s:
+                j += 1
+            t_j, y_j, k_j = run[j]
+            if s <= t_j or k_j is None:   # on an accepted state, or beyond the last one
+                if s > t_j and crossed:
+                    break
+                grid_states.append(list(y_j))
+            else:
+                grid_states.append(step(inputs, t_j, y_j, s - t_j, k_j, rtol, atol)[0])
+                n_rhs += _RHS_PER_ATTEMPT
     return RKResult(t, y, grid_states, n_steps, n_rejected, n_rhs)

@@ -24,7 +24,9 @@ negative or non-finite weight w_i, and steps one decade tighter than the
 caller's tolerance tol (STEP_TOL_FACTOR = 0.1): relative tolerance 0.1 tol, and
 absolute tolerance 0.1 tol 1e-3 max(d_i, 1) for u_i and 0.1 tol 1e-3
 max(F_i^k R^N / C(N,k), 1e-30) for m_i, the value m(R) of constant forcing
-F_i(d).  flux_profiles samples it on a grid of grid_points points.  tol is one
+F_i(d).  flux_profiles samples it on a grid of grid_points points, from the
+steps of the fixed-R shot (rk.integrate re-steps to each grid point from the
+accepted state before it), so a profile ends at that shot's u(R).  tol is one
 float, TOL by default, passed down from every entry; each shot refuses a tol
 outside (0, MAX_TOL) before its first IVP (_check_shot).
 
@@ -295,6 +297,9 @@ def flux_profiles(N: int, k: int, R: float, lam: float, weights, amplitudes, tol
                   *, grid_points: int = GRID_POINTS) -> tuple:
     """One RadialProfile per component of flux_ivp on grid_points points of [0, R].
 
+    The run steps as the fixed-R shot does (shoot_boundary_value,
+    system.system_boundary_values), and its grid states are read off its
+    accepted states, so the profiles end at that shot's (u_i(R)) bit for bit.
     u'' comes from the flux state and the rhs's m'; each profile's consistency
     residual is sup over interior grid points of |S_k(u_i'', u_i'/r) - F_i^k|,
     u_i'' there by central differences of u_i', so it cross-checks the integral

@@ -429,16 +429,6 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
 # ---------------------------------------------------------------------------
 
 
-def write_system_csv(branch: Branch, path) -> None:
-    """A traced system branch as CSV: index,d_u,d_v,lambda,res_u,res_v,is_fold."""
-    fold_idx = {f.index for f in branch.folds}
-    with open(path, "w", newline="") as fh:
-        fh.write("index,d_u,d_v,lambda,res_u,res_v,is_fold\n")
-        for i, p in enumerate(branch.points):
-            fh.write(f"{i},{p.d_u:.17g},{p.d_v:.17g},{p.lam:.17g},{p.res_u:.17g},"
-                     f"{p.res_v:.17g},{1 if i in fold_idx else 0}\n")
-
-
 def trace_system_branch(spec: SystemSpec, d_grid, tol: float = TOL,
                         *, lambda_scale: float | None = None) -> Branch:
     """System branch over total amplitude d = d_u + d_v (d_u = d / 2 drives, d_v solved),

@@ -55,6 +55,30 @@ def test_tracer_boundaries_and_summaries(tmp_path):
     assert metrics["rk.steps"] > 0
 
 
+def test_profile_integrate_span_reports_a_grid():
+    # the tracer counts rk.grid_ivps from RKResult.grid_states: a profile's IVP, which
+    # steps as a free run, must still return its grid states
+    from hessbif import shooting
+    from hessbif.core import NonlinearitySpec, ProblemSpec
+
+    tr = _load("tracer")
+    spec = ProblemSpec(N=2, k=1, R=1.0, f=NonlinearitySpec("saturating"))
+    tracer = tr.Tracer()
+    tracer.install()
+    try:
+        shooting.integrate_profile(spec, 1.0, 1.0, grid_points=64)
+    finally:
+        tracer.uninstall()
+    spans = tracer.take()
+    [(profile, _)] = [(sid, span) for sid, span in enumerate(spans)
+                      if tr._FN[span[0]] == "integrate_profile"]
+    [info] = [info for idx, _, parent, _, _, info in spans
+              if tr._FN[idx] == "integrate" and parent == profile]
+    assert info[2] is True
+    metrics = tr.layer_metrics(spans)
+    assert (metrics["rk.grid_ivps"], metrics["shooting.profiles"]) == (1, 1)
+
+
 def test_workload_roundtrip_calls(tmp_path, monkeypatch):
     # the scalar workload's verify and round-trip operations on its power spec: the round
     # trip loads the spec and the verify CSV and re-verifies them through the library

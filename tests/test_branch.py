@@ -6,6 +6,7 @@ import pytest
 
 from hessbif.branch import (
     AT_LEAST_ONE,
+    CSV_HEADER,
     JUMP_REL,
     MAX_REFINE_DEPTH,
     AsymptoteEstimate,
@@ -121,7 +122,7 @@ class TestCountSolutions:
         br = synthetic([0.1, 0.5, 2.0, 4.0, 2.0, 0.5, 0.1])
         with pytest.raises(AtFoldError) as err:
             count_solutions(br, 4.0)
-        assert err.value.fold_count == 1
+        assert (err.value.lam, err.value.fold_lambda) == (4.0, 4.0)
 
     def test_amplitude_interpolation(self):
         # lambda = d on a two-point branch: crossing at the geometric scale
@@ -878,6 +879,10 @@ class TestBranchCsv:
         assert len(back.points) == len(gelfand_branch.points)
         for a, b in zip(back.points, gelfand_branch.points):
             assert a.d == b.d and a.lam == b.lam
+
+    def test_empty_branch_writes_the_header(self, tmp_path):
+        Branch(points=[]).to_csv(tmp_path / "empty.csv")
+        assert (tmp_path / "empty.csv").read_text() == CSV_HEADER + "\n"
 
     def test_reads_the_residual_header(self, tmp_path, gelfand_branch):
         # CSVs written before the residual column was dropped: index,d,lambda,residual,is_fold

@@ -314,10 +314,13 @@ class TestExitCodes:
         ["eigen", "--N", "1", "--k", "1", "--out"],
         ["verify", "--spec", "saturating.json", "--n-points", "17", "--out-report"],
         ["trace", "--spec", "saturating.json", "--n-points", "17", "--out-branch"],
+        ["system-verify", "--spec", "system.json", "--n-points", "16", "--out-branch"],
+        ["power-pair", "--N", "2", "--k", "2", "--alpha", "2", "--beta", "2", "--out"],
+        ["sweep-k", "--spec", "saturating.json", "--n-points", "16", "--out"],
     ], ids=lambda argv: argv[0])
-    def test_unwritable_output_invalid(self, specdir, monkeypatch, capsys, argv):
+    def test_unwritable_output_invalid(self, specdir, monkeypatch, capsys, ivps, argv):
         # an output in a missing directory used to end in a traceback with exit 1, after
-        # verify had printed its verdict
+        # verify had printed its verdict; it is refused before the first IVP
         from hessbif import cli
 
         monkeypatch.chdir(specdir)
@@ -328,6 +331,7 @@ class TestExitCodes:
         assert err.splitlines() == [
             f"invalid input: cannot write {path}: No such file or directory"]
         assert "overall" not in out
+        assert ivps == []
 
     def test_help_exits_zero(self, tmp_path):
         r = run(["verify", "--help"], tmp_path)

@@ -88,6 +88,27 @@ class TestIntegrate:
         got = np.array([s[0] for s in res.grid_states])
         assert np.max(np.abs(got + np.cos(ts[:16]))) < 1e-9
 
+    @pytest.mark.parametrize("root_tol", [None, 1e-10])
+    def test_output_grid_keeps_the_free_steps(self, root_tol):
+        # grid states are re-stepped from the accepted states, so the run steps as the
+        # free run does, and a grid point on an accepted time is that state itself
+        free_traj, grid_traj = [], []
+        free = integrate(harmonic, 0.0, [-1.0, 0.0], 3.0, rtol=1e-10, atol=[1e-13, 1e-13],
+                         root_tol=root_tol, trajectory=free_traj)
+        ts = sorted([t for t, _, _ in free_traj[:4]] + list(np.linspace(0.05, 3.0, 60)))
+        res = integrate(harmonic, 0.0, [-1.0, 0.0], 3.0, rtol=1e-10, atol=[1e-13, 1e-13],
+                        output_ts=ts, root_tol=root_tol, trajectory=grid_traj)
+        assert (res.n_steps, res.n_rejected, res.t, res.y) == (
+            free.n_steps, free.n_rejected, free.t, free.y)
+        assert grid_traj == free_traj
+        states = {t: y for t, y, _ in free_traj}
+        assert [res.grid_states[i] for i, t in enumerate(ts) if t in states] == [
+            states[t] for t in ts if t in states]
+        assert len(res.grid_states) == sum(t <= res.t for t in ts)
+        # one step per grid point off the accepted states
+        re_steps = sum(t not in states for t in ts[:len(res.grid_states)])
+        assert res.n_rhs == free.n_rhs + 11 * re_steps
+
     def test_no_crossing_runs_to_endpoint(self):
         res = integrate(harmonic, 0.0, [-1.0, 0.0], 1.0, rtol=1e-10,
                         atol=[1e-13, 1e-13], root_tol=1e-10)

@@ -66,6 +66,15 @@ class TestIntegrateProfile:
         assert np.max(np.abs(prof.u[1:] - exact)) < 1e-8
         assert prof.u[0] == -1.0
 
+    @pytest.mark.parametrize("kind", ["linear", "superlinear", "sqrt", "log_bump"])
+    @pytest.mark.parametrize("N,k", [(1, 1), (3, 2), (8, 1), (5, 5)])
+    def test_boundary_value_is_the_fixed_r_shot(self, kind, N, k):
+        # the profile run steps as the fixed-R shot does, so its u(R) is that shot's bits
+        spec = ProblemSpec(N=N, k=k, R=1.13, f=core.registry()[kind])
+        for lam, d in ((1.0, 1.0), (3.0, 0.2), (0.1, 8.0)):
+            assert integrate_profile(spec, lam, d, grid_points=256).boundary_value == (
+                shoot_boundary_value(spec, lam, d)), (lam, d)
+
     def test_invalid_inputs(self):
         spec = linear_spec(1, 1)
         with pytest.raises(InvalidInputError):

@@ -28,7 +28,6 @@ from hessbif.system import (
     system_apriori_monitor,
     system_boundary_values,
     trace_system_branch,
-    write_system_csv,
 )
 
 from _oracles import newton_pair
@@ -110,6 +109,16 @@ class TestIntegrateSystem:
             for prof in (pu, pv):
                 for got, want in ((prof.u, scalar.u), (prof.uprime, scalar.uprime)):
                     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (N, k)
+
+    @pytest.mark.parametrize("base", ["saturating", "superlinear", "rational", "logbump"])
+    @pytest.mark.parametrize("N,k", [(1, 1), (2, 1), (3, 2)])
+    def test_profiles_end_at_the_fixed_r_shot(self, base, N, k):
+        # the profile run steps as the fixed-R shot does, so (u(R), v(R)) are its bits
+        spec = coupled(N, k, base, {"b": 3.0} if base == "rational" else None, R=0.93)
+        for lam, d_u, d_v in ((1.0, 1.0, 1.0), (4.0, 0.5, 2.0), (0.2, 7.0, 3.0)):
+            pu, pv = integrate_system(spec, lam, d_u, d_v, grid_points=256)
+            assert (pu.boundary_value, pv.boundary_value) == system_boundary_values(
+                spec, lam, d_u, d_v), (lam, d_u, d_v)
 
     def test_eigenvalue_boundary_zero(self):
         ru, rv = system_boundary_values(coupled(1, 1, "linear"), LAM_COS, 1.0, 1.0)
@@ -704,7 +713,7 @@ class TestTraceSystemBranch:
         assert polish_solves > 0 and polish_ivps == 2 * polish_solves
         # no amplitude became a gap, and the branch CSV marks the polished apex as the fold
         assert sb.gaps == []
-        write_system_csv(sb, tmp_path / "b.csv")
+        sb.to_csv(tmp_path / "b.csv")
         rows = [row.split(",") for row in (tmp_path / "b.csv").read_text().splitlines()[1:]]
         assert [int(row[0]) for row in rows if row[-1] == "1"] == [f.index for f in sb.folds]
         assert float(rows[fold.index][3]) == added[0].lam
@@ -732,12 +741,17 @@ class TestTraceSystemBranch:
         sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16),
                                  lambda_scale=lam1)
         path = tmp_path / "system.csv"
-        write_system_csv(sb, path)
+        sb.to_csv(path)
         lines = path.read_text().splitlines()
         assert lines[0] == "index,d_u,d_v,lambda,res_u,res_v,is_fold"
         assert len(lines) == len(sb.points) + 1
         cells = lines[1].split(",")
         assert len(cells) == 7
+        # the rows of the system writer that Branch.to_csv replaced, byte for byte
+        folds = {f.index for f in sb.folds}
+        assert lines[1:] == [f"{i},{p.d_u:.17g},{p.d_v:.17g},{p.lam:.17g},{p.res_u:.17g},"
+                             f"{p.res_v:.17g},{1 if i in folds else 0}"
+                             for i, p in enumerate(sb.points)]
 
 
 class TestAdmissibility:
