@@ -409,9 +409,20 @@ class VerificationReport:
         }
 
 
-def _count_off_fold(branch: Branch, lam: float) -> tuple[float, int]:
-    """(lambda counted, count): lam, or lam nudged off a fold value it accidentally hits."""
-    for bump in (1.0, 1.0 + 1e-4, 1.0 - 1e-4, 1.0 + 1e-3):
+def _count_off_fold(branch: Branch, lam: float, width: float | None = None
+                    ) -> tuple[float, int]:
+    """(lambda counted, count): lam, or lam nudged off a fold value it accidentally hits.
+
+    Given width, lam is also nudged off any vertex lambda within width relative
+    of it, where a certificate could pass only by the vertex rule; a nudge that
+    stays that close is tried only after all the others.
+    """
+    bumps = (1.0, 1.0 + 1e-4, 1.0 - 1e-4, 1.0 + 1e-3)
+    if width is not None:
+        vertices = branch.lam_values()
+        bumps = sorted(bumps, key=lambda bump: any(   # stable: off-vertex bumps first
+            abs(lam * bump - v) <= width * abs(v) for v in vertices))
+    for bump in bumps:
         try:
             return lam * bump, count_solutions(branch, lam * bump)
         except AtFoldError:
@@ -430,7 +441,9 @@ def _certify_crossings(rep: VerificationReport, branch: Branch, lam: float,
     solution with amplitude inside the interval, whatever the monotonicity of
     f.  Otherwise the check passes only as "vertex within tolerance", where
     |u(R)| / d <= eigen_rel_tol(tol) at an end: lam then sits on a vertex
-    lambda to rounding, and u(R) there is noise around 0.
+    lambda to rounding, and u(R) there is noise around 0.  verify_predictions
+    nudges its samples off the vertices first (_count_off_fold), so this rule
+    is a fallback.
     """
     width = eigen_rel_tol(tol)
     points = branch.points
@@ -477,7 +490,8 @@ def verify_predictions(branch: Branch, prediction: TheoremPrediction,
     against the predicted bifurcation points, and runs the norm-bound monitor
     in the superlinear cases.  Given the branch's spec, every crossing behind
     a "count >= 1" or "count = 2" check is also certified by two fixed-R shots
-    at tol (_certify_crossings).  Predicate failures are report entries,
+    at tol (_certify_crossings), with the sample nudged off any vertex lambda
+    within eigen_rel_tol(tol) of it.  Predicate failures are report entries,
     never exceptions; lambda_samples < 1 is invalid input.
     """
     if lambda_samples < 1:
@@ -486,7 +500,7 @@ def verify_predictions(branch: Branch, prediction: TheoremPrediction,
     folds = branch.folds if branch.folds else detect_folds(branch)
 
     def count(name, lam, predicted, holds):
-        lam, n = _count_off_fold(branch, lam)
+        lam, n = _count_off_fold(branch, lam, None if spec is None else eigen_rel_tol(tol))
         rep.add(name, predicted, f"count = {n}", holds(n))
         if spec is not None:   # a "count = 0" that holds has no crossing to certify
             _certify_crossings(rep, branch, lam, spec, tol)

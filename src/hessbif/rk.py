@@ -19,9 +19,17 @@ The error of a step of length h is h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n),
 with e5 = sum E5_j k_j and e3 = sum (B_j - BHH_j) k_j scaled componentwise by
 atol + rtol max(|y|, |y_new|).  Neither weight vector uses a stage at t + h, so
 an attempt costs 11 rhs calls, and the slope at an accepted state is the first
-stage of the next step.  Step control is the rule 0.9 * err^(-1/8) with growth
-clamped to [0.2, 5.0] per step, and no growth on the first accepted step after
-a rejection (as in Hairer's codes).
+stage of the next step.  A rejected step is cut by the factor 0.9 err^(-1/8),
+at least 0.2.  An accepted step grows or shrinks by the smaller of that factor
+(at most 5.0) and Gustafsson's predictive factor
+0.9 (h / h_acc) (err_acc / err^2)^(1/8), at least 0.2, where h_acc and err_acc
+belong to the accepted step before and both errors are floored at 1e-2
+(K. Gustafsson, ACM TOMS 20, 1994; Hairer & Wanner, Solving ODEs II, IV.8, as
+in RADAU5); the first step accepted after a rejection does not grow (as in
+Hairer's codes).  The predictive factor follows a trend in the error: toward a
+zero of component 0 its error scale atol + rtol |y| shrinks, so at a fixed h
+the error of each step rises, and the first factor alone alternates accepted
+and rejected attempts.
 
 A stop at a sign change of component 0 is a switching point: the radial
 shooting systems switch their forcing off there, so the solution has a kink,
@@ -130,6 +138,7 @@ _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 _ORDER_EXP = -1.0 / 8.0  # 1 / (error order + 1)
+_Q_MAX = 1e-2**_ORDER_EXP   # q = min(p, _Q_MAX): the predictive factor floors errors at 1e-2
 _MAX_ZEROIN_ITER = 100
 _MAX_STEPS = 500_000   # integrate's budget of step attempts, accepted and rejected
 _RHS_PER_ATTEMPT = len(_A) - 1   # stages 1..11; stage 0 is k0
@@ -369,11 +378,13 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
     tests the slopes along the run calls rhs no more.  The first trial step is
     first_step, by default (t1 - t0) / 64.  A trial step whose state is not
     finite, or whose arithmetic raises OverflowError, is rejected and retried
-    at _MIN_FACTOR of its length; the first step accepted after a rejection
-    does not grow the step size.  Raises NumericalFailureError on NaN/inf
-    states, step-size underflow, _MAX_STEPS attempts, or an OverflowError of
-    the slope at a state stepped from, which no shorter step avoids (the
-    message quotes the line that overflowed).
+    at _MIN_FACTOR of its length.  After an accepted step of length h the next
+    is h times the smaller of the two factors of the module docstring, 0.9
+    err^(-1/8) and the predictive 0.9 (h / h_acc) (err_acc / err^2)^(1/8); the
+    first step accepted after a rejection does not grow.  Raises
+    NumericalFailureError on NaN/inf states, step-size underflow, _MAX_STEPS
+    attempts, or an OverflowError of the slope at a state stepped from, which
+    no shorter step avoids (the message quotes the line that overflowed).
 
     With root_tol the trials aim at the zero (module docstring): while
     y[0] < 0 < y'[0], a trial is at most max(h_min, _TANGENT_REACH * -y[0]/y'[0])
@@ -402,6 +413,10 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
     n_rhs = 0
     k0 = None   # rhs(t, y), kept across rejected attempts
     rejected = False   # the last attempt was rejected
+    h_acc = 0.0   # the last accepted step (0.0 before the first) and its q
+    q_acc = 1.0
+    isfinite = math.isfinite
+    rooting = root_tol is not None
 
     while t < t1:
         if n_steps + n_rejected >= _MAX_STEPS:
@@ -419,8 +434,10 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
             if trajectory is not None:
                 trajectory.append((t, y, k0))
         h = h_ctrl
-        if root_tol is not None and y[0] < 0.0 < k0[0]:
-            h = min(h, max(_TANGENT_REACH * -y[0] / k0[0], h_min))
+        if rooting and y[0] < 0.0 < k0[0]:
+            reach = _TANGENT_REACH * -y[0] / k0[0]
+            if reach < h:   # h = min(h, max(reach, h_min))
+                h = reach if reach > h_min or h_min > h else h_min
         if t + h > t1:
             h = t1 - t
         clamped = h < h_ctrl
@@ -433,7 +450,7 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
         except OverflowError:   # a float power overflowed inside a trial stage
             err = math.inf
 
-        if not math.isfinite(err):
+        if not isfinite(err):
             n_rejected += 1
             rejected = True
             h_ctrl = h * _MIN_FACTOR
@@ -441,7 +458,7 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
                 raise NumericalFailureError(f"non-finite state at t={t!r}")
             continue
 
-        crossed = root_tol is not None and (y_new[0] < 0.0) != (y[0] < 0.0)
+        crossed = rooting and (y_new[0] < 0.0) != (y[0] < 0.0)
         if err <= 1.0:
             n_steps += 1
             if crossed:
@@ -452,23 +469,35 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
             t = t + h
             y = y_new
             k0 = None
-            factor = _MAX_FACTOR if err == 0.0 else min(
-                _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err**_ORDER_EXP))
+            # one power p = err^(-1/8) serves the standard factor 0.9 p and Gustafsson's
+            # predictive 0.9 (h / h_acc) q^2 / q_acc, where q is p with err floored at 1e-2
+            p = err**_ORDER_EXP if err > 0.0 else math.inf
+            factor = _SAFETY * p
+            if factor > _MAX_FACTOR:
+                factor = _MAX_FACTOR
+            q = p if p < _Q_MAX else _Q_MAX
+            if h_acc:
+                predicted = _SAFETY * h / h_acc * q * q / q_acc
+                if predicted < factor:
+                    factor = predicted if predicted > _MIN_FACTOR else _MIN_FACTOR
+            h_acc = h
+            q_acc = q
             if rejected:   # no growth on the first step accepted after a rejection
-                factor = min(factor, 1.0)
-            rejected = False
-            if clamped:
-                # a step shortened to t1 or the tangent cap must not erase the controller's memory
-                h_ctrl = max(h_ctrl, h * factor)
-            else:
-                h_ctrl = h * factor
+                if factor > 1.0:
+                    factor = 1.0
+                rejected = False
+            # a step shortened to t1 or the tangent cap must not erase the controller's memory
+            h_new = h * factor
+            if not clamped or h_new > h_ctrl:
+                h_ctrl = h_new
         else:
             n_rejected += 1
             rejected = True
             if crossed:
                 h_ctrl = _SAFETY * h
             else:
-                h_ctrl = h * max(_MIN_FACTOR, _SAFETY * err**_ORDER_EXP)
+                factor = _SAFETY * err**_ORDER_EXP
+                h_ctrl = h * (factor if factor > _MIN_FACTOR else _MIN_FACTOR)
 
     if trajectory is not None:
         trajectory.append((t, y, None))

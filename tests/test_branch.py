@@ -14,6 +14,8 @@ from hessbif.branch import (
     BranchPoint,
     TWO_ABOVE_MIN_FOLD,
     TWO_BELOW_MAX_FOLD,
+    VerificationReport,
+    _certify_crossings,
     _polish_folds,
     _solve_point,
     asymptote_estimates,
@@ -850,22 +852,32 @@ class TestCertificates:
         assert failed.observed.startswith("no sign change")
         assert [c.observed for c in moved.checks if c.name.startswith("existence")] == ["count = 1"]
 
-    def test_sample_on_a_vertex_is_within_tolerance(self, monkeypatch, square_branch):
-        # the vertex rule: u(R) at a vertex whose lambda the sample matches to rounding
-        # is ~2e-13 d, of either sign; it passes as "vertex within tolerance" only
-        import hessbif.branch as branch_mod
-
+    def test_samples_are_nudged_off_vertices(self, square_branch):
+        # the middle of 5 samples lands on the vertex at d = 1 to rounding: it is nudged
+        # off it, so every certificate is a sign change
         lam1 = first_eigenvalue(3, 2, 1.13).lambda1
         f = SQUARE_N3K2.f
         pred = predicted_interval(f.declared_f0, f.declared_finf, lam1)
         rep = verify_predictions(square_branch, pred, 5, SQUARE_N3K2)
         assert rep.passed
-        observed = [c.observed.split(":")[0] for c in _certificates(rep)]
-        assert sorted(observed) == ["sign change"] * 4 + ["vertex within tolerance"]
+        assert [c.observed.split(":")[0] for c in _certificates(rep)] == ["sign change"] * 5
+
+    def test_sample_on_a_vertex_is_within_tolerance(self, monkeypatch, square_branch):
+        # the vertex rule, the fallback when no nudge leaves the vertex: at lam equal to
+        # the vertex lambda at d = 1, u(R; lam, 1) is ~3e-15, noise of either sign; the
+        # certificate passes as "vertex within tolerance" only
+        import hessbif.branch as branch_mod
+
+        lam = square_branch.points[12].lam
+        rep = VerificationReport(notes=[])
+        _certify_crossings(rep, square_branch, lam, SQUARE_N3K2, TOL)
+        [cert] = _certificates(rep)
+        assert cert.passed and cert.observed.startswith("vertex within tolerance")
         monkeypatch.setattr(branch_mod, "eigen_rel_tol", lambda tol: 0.0)
-        strict = verify_predictions(square_branch, pred, 5, SQUARE_N3K2)
-        assert [c.observed.split(":")[0] for c in strict.checks if not c.passed] == [
-            "no sign change"]
+        strict = VerificationReport(notes=[])
+        _certify_crossings(strict, square_branch, lam, SQUARE_N3K2, TOL)
+        [cert] = _certificates(strict)
+        assert not cert.passed and cert.observed.startswith("no sign change")
 
 
 class TestBranchCsv:

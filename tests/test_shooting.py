@@ -499,7 +499,8 @@ class TestRootIvpCounts:
 
     def test_first_trial_accepted_on_the_horizon_span(self, monkeypatch):
         # saturating N5k2, d = 100, out to HORIZON * R: a first trial of span/64 = 17.7
-        # was rejected 7 times (35 rejected, 36 accepted in all)
+        # was rejected 7 times (35 rejected, 36 accepted in all); without the predictive
+        # cap on growth, 20 of 54 attempts were rejected as the error scale of u shrank
         f = NonlinearitySpec("saturating")
         lam0 = first_eigenvalue(5, 2, self.R).lambda1 * 100.0 / f(100.0)
         log = _logged_attempts(monkeypatch)
@@ -507,15 +508,14 @@ class TestRootIvpCounts:
                        root_tol=1e-10)[0]
         assert log[0][0] == pytest.approx(self.R / 64.0, rel=1e-6)   # (R - r0) / 64
         assert log[0][3] <= 1.0   # accepted
-        assert (res.n_steps, res.n_rejected, res.n_rhs) == (34, 20, 639)
+        assert (res.n_steps, res.n_rejected, res.n_rhs) == (36, 3, 476)
 
     def test_one_rejected_trial_crosses_the_zero(self, monkeypatch):
-        # the tracer's IVP for linear N2k1 at d = 1 (reference lambda1): 11 rejected
-        # trials crossed the zero of u (16 rejected, 21 accepted in all)
-        lin = NonlinearitySpec("linear")
-        lam1 = first_eigenvalue(2, 1, self.R).lambda1
+        # saturating N2k1 at d = 0.1 and its reference lambda = lambda1 d / f(d)
+        f = NonlinearitySpec("saturating")
+        lam = first_eigenvalue(2, 1, self.R).lambda1 * 0.1 / f(0.1)
         log = _logged_attempts(monkeypatch)
-        res = flux_ivp(2, 1, self.R, lam1, lin, (1.0,), 1e-10, HORIZON * self.R,
+        res = flux_ivp(2, 1, self.R, lam, f, (0.1,), 1e-10, HORIZON * self.R,
                        root_tol=1e-10)[0]
         attempts = log[:res.n_steps + res.n_rejected]
         crossing = [i for i, (_, u, u_new, err) in enumerate(attempts)
@@ -525,6 +525,25 @@ class TestRootIvpCounts:
         i = crossing[0]
         assert attempts[i + 1][0] == 0.9 * attempts[i][0]
         assert (res.n_steps, res.n_rejected, res.n_rhs) == (16, 2, 225)
+
+
+class TestStepControl:
+    R = 1.13
+
+    def test_no_growth_on_the_first_step_accepted_after_a_rejection(self, monkeypatch):
+        # the fixed-R shot of power p = 2 at N5k2, d = 1: attempts[22] follows a rejection
+        # and is accepted at err = 0.405, where 0.9 err^(-1/8) = 1.008 would grow the step
+        f = NonlinearitySpec("power", {"p": 2.0})
+        lam1 = first_eigenvalue(5, 2, self.R).lambda1
+        log = _logged_attempts(monkeypatch)
+        res = flux_ivp(5, 2, self.R, lam1, f, (1.0,), 1e-10, self.R)[0]
+        assert (res.n_steps, res.n_rejected, res.n_rhs) == (34, 8, 496)
+        attempts = log[:res.n_steps + res.n_rejected]
+        after = [i for i in range(1, len(attempts) - 1)
+                 if attempts[i - 1][3] > 1.0 >= attempts[i][3]]
+        assert all(attempts[i + 1][0] <= attempts[i][0] for i in after)
+        assert attempts[21][3] > 1.0 and 0.9 * attempts[22][3] ** -0.125 > 1.0
+        assert attempts[23][0] == attempts[22][0]
 
 
 class TestFluxKernel:

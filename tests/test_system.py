@@ -232,6 +232,16 @@ class TestOneDimensionalRoot:
         assert got.lam == pytest.approx(want.lam, rel=1e-9)
         assert got.d_v == pytest.approx(want.d_v, rel=1e-9)
 
+    @pytest.mark.parametrize("d_u", [1e-2, 1.0, 50.0])
+    def test_saturating_pair_within_1e9_of_a_tight_run(self, d_u):
+        # the pair whose step counts the predictive step control moves most; on this
+        # symmetric pair d_v = d_u, so lambda carries the comparison
+        spec = coupled(2, 1, "saturating", R=1.13)
+        got = solve_system_shooting(spec, d_u, cold_start(spec, d_u))
+        want = solve_system_shooting(spec, d_u, cold_start(spec, d_u), tol=1e-13)
+        assert got.lam == pytest.approx(want.lam, rel=1e-9)
+        assert got.d_v == pytest.approx(want.d_v, rel=1e-9)
+
     def test_detuned_root_fails_the_fixed_radius_check(self, monkeypatch):
         import hessbif.system as system_mod
 
