@@ -39,7 +39,7 @@ normal float.  A power of exponent 0 or 1 is dropped, which keeps every bit:
 at k = 1 (the semilinear case), N = k (Monge-Ampere) and N <= 2 most of the
 stage powers go, all of them at N = 2, k = 1.  A weight with a formula
 (core.Formula: every registry kind but tabulated, every two-argument kind and
-the power-pair weights of system.power_pair_constant) is inlined from the same
+every system._BoundWeight) is inlined from the same
 source that its call evaluates, so the called and the inlined weight agree bit
 for bit; lambda and the weight params are kernel inputs, so one kernel serves
 every value of them at its (N, k).  Only a tabulated f, which has no formula,

@@ -10,9 +10,11 @@ with forcing F_u = lambda g and F_v = lambda h.  At fixed u-amplitude d_u,
 ball-radius scaling (as for lambda(d) in shooting.py) turns the Dirichlet
 conditions (u(R), v(R)) = (0, 0) into one root in log d_v: u and v of the pair
 IVP at a reference lambda_ref vanish at the same rho, lambda = lambda_ref (rho / R)^2,
-and one fixed-R shot confirms the point (_confirmed_zero).  branch.trace traces the
-branch over d = d_u + d_v with that point solver and returns a plain Branch of
-SystemBranchPoints, which the scalar report path (cli) checks as it checks scalar ones.
+and one fixed-R shot of the pair confirms the point (_confirmed_zero).  Where g(s, s) =
+h(s, s), u = v at d_v = d_u, and a search from there takes rho from an IVP of u alone.
+branch.trace traces the branch over d = d_u + d_v with that point solver and returns a
+plain Branch of SystemBranchPoints, which the scalar report path (cli) checks as it
+checks scalar ones.
 
 The power-pair eigenproblem S_k(D^2 u) = lambda (-v)^alpha, S_k(D^2 v) =
 mu (-u)^beta (alpha beta = k^2) takes the same confirmed root at lambda = 1 with weights
@@ -232,6 +234,29 @@ class SystemBranchPoint(NamedTuple):
         return self.d_u + self.d_v
 
 
+class _BoundWeight(NamedTuple):
+    """A weight as formula with its params bound to formula_values, called or, by the
+    flux kernels, inlined: the power-pair weights and a pair's diagonal weight."""
+
+    formula: Formula
+    formula_values: tuple
+
+    def __call__(self, *x: float) -> float:
+        return self.formula.function(self.formula_values)(*x)
+
+
+def _diagonal_weight(weights):
+    """g(s, s) as a _BoundWeight over s when the weights (g, h) agree as formulas on the
+    diagonal s = t (equal source with t renamed s, params and values); else None."""
+    g, h = ((w.formula.rename({"t": "s"}), w.formula.params, w.formula_values)
+            for w in weights)
+    if g != h:
+        return None
+    source, params, values = g
+    return _BoundWeight(Formula(f"{weights[0].formula.kind}(s, s)", source, ("s",), params),
+                        values)
+
+
 def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, tol, z_tol=None):
     """(rho, d_v) where u and v of the pair IVP at lam_ref, weights (g, h) and (d_u, d_v)
     vanish together.
@@ -240,7 +265,10 @@ def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, tol, z_tol=None):
     no zero before shooting.HORIZON R counts as F = +inf.  Steps of 0.1, 0.2, 0.4, ... in
     z = log d_v bracket its sign change, and rk.zeroin resolves it to z_tol (tol if None)
     in z.  The root is zeroin's end of smaller |F|, an evaluated IVP, so rho and d_v
-    always belong to one run."""
+    always belong to one run.  When dv0 == d_u and the weights agree on the diagonal
+    (_diagonal_weight), v = u, so F = 0 wherever u has a zero: rho is the first zero of
+    one IVP of u alone, and d_v = d_u.  Without a zero there F = +inf at dv0, and the
+    march starts from that."""
     horizon = shooting.HORIZON * R
 
     def point(d_v):   # (log d_v, F, (rho_u, d_v)), rho_u None when u has no zero
@@ -251,13 +279,14 @@ def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, tol, z_tol=None):
         z = math.log(d_v)
         if res.t >= horizon:
             return z, math.inf, (None, d_v)
-        # v(rho_u) == u(rho_u) when u and v coincide, though the located u(rho_u) may be
-        # a tiny nonzero; rho_u is then their common zero
-        return z, 0.0 if res.y[2] == res.y[0] else res.y[2] / d_v, (res.t, d_v)
+        return z, res.y[2] / d_v, (res.t, d_v)
 
-    prev = point(dv0)
-    if prev[1] == 0.0:   # u and v coincide, as on symmetric pairs at d_v = d_u
-        return prev[2]
+    diagonal = _diagonal_weight(weights) if dv0 == d_u else None
+    if diagonal is not None:
+        rho = flux_ivp(N, k, R, lam_ref, diagonal, (d_u,), tol, horizon, root_tol=tol)[0].t
+        if rho < horizon:
+            return rho, d_u
+    prev = point(dv0) if diagonal is None else (math.log(dv0), math.inf, (None, dv0))
     up = prev[1] > 0.0
     for n in range(10):   # ten doublings reach log(d_v / dv0) = +-102.3
         cur = point(math.exp(prev[0] + (0.1 if up else -0.1) * 2.0**n))
@@ -293,8 +322,9 @@ def _confirmed_zero(N, k, R, weights, d_u, lam_ref, dv0, tol, trajectory=None, z
 def solve_system_shooting(spec: SystemSpec, d_u: float, init,
                           tol: float = TOL) -> SystemBranchPoint:
     """Dirichlet point at d_u from init = (lambda_ref, d_v0): the root of _common_zero with
-    lambda = lambda_ref (rho / R)^2, confirmed by _confirmed_zero's fixed-R shot, whose
-    accepted states give the admissibility flag (shooting.trajectory_admissible)."""
+    lambda = lambda_ref (rho / R)^2 (from one IVP of u alone when d_v0 = d_u on a pair
+    with g(s, s) = h(s, s)), confirmed by _confirmed_zero's fixed-R shot of the pair,
+    whose accepted states give the admissibility flag (shooting.trajectory_admissible)."""
     lam_ref, dv0 = init
     _check_shot(lam_ref, (d_u, dv0), tol)
     if lam_ref == 0.0:
@@ -334,17 +364,6 @@ def confirm_coupled_eigenvalue(N: int, k: int, R: float, lam1: float,
 # (c, a, k_inv) = (lambda_ref, alpha, 1/k) and (mu_ref, beta, 1/k)
 _POWER_T = Formula("power_t", "(c * t**a) ** k_inv", ("s", "t"), ("c", "a", "k_inv"))
 _POWER_S = Formula("power_s", "(c * s**a) ** k_inv", ("s", "t"), ("c", "a", "k_inv"))
-
-
-class _PowerWeight(NamedTuple):
-    """A power-pair weight: formula with its params bound to formula_values, called or,
-    by the flux kernels, inlined."""
-
-    formula: Formula
-    formula_values: tuple
-
-    def __call__(self, s: float, t: float) -> float:
-        return self.formula.function(self.formula_values)(s, t)
 
 
 class PowerPairResult(NamedTuple):
@@ -407,8 +426,8 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
         # moves rho off R instead of the sample inheriting its neighbour's product
         lam_ref = 1.17 * lam_prev * (mu_prev / mu_ref) ** (alpha / k)
         nominal = 0.91 * dv_prev * (mu_ref / mu_prev) ** (1.0 / k)
-        weights = (_PowerWeight(_POWER_T, (lam_ref, alpha, 1.0 / k)),
-                   _PowerWeight(_POWER_S, (mu_ref, beta, 1.0 / k)))
+        weights = (_BoundWeight(_POWER_T, (lam_ref, alpha, 1.0 / k)),
+                   _BoundWeight(_POWER_S, (mu_ref, beta, 1.0 / k)))
         rho, d_v, *_ = _confirmed_zero(N, k, R, weights, 1.0, 1.0, offset * nominal, tol,
                                        z_tol=0.1 * tol)
         lam, mu = lam_ref * (rho / R) ** (2 * k), mu_ref * (rho / R) ** (2 * k)
@@ -434,8 +453,9 @@ def trace_system_branch(spec: SystemSpec, d_grid, tol: float = TOL,
     """System branch over total amplitude d = d_u + d_v (d_u = d / 2 drives, d_v solved),
     traced by branch.trace: one solve_system_shooting per amplitude, from the geometric
     means of lambda and d_v / d_u over its resolved neighbours (so symmetric pairs start
-    at d_v = d_u exactly) or, cold, from lambda1 d_u / g(d_u, d_u) and d_v = d_u.  Its
-    NumericalFailureError (no usable cold start, no root, a failed fixed-R check) is a gap.
+    at d_v = d_u exactly, two IVPs a solve) or, cold, from lambda1 d_u / g(d_u, d_u) and
+    d_v = d_u.  Its NumericalFailureError (no usable cold start, no root, a failed
+    fixed-R check) is a gap.
     """
     if lambda_scale is None:
         lambda_scale = first_eigenvalue(spec.N, spec.k, spec.R, tol).lambda1

@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 
@@ -10,6 +11,7 @@ from hessbif.branch import VerificationReport
 from hessbif.core import LimitClass, NonlinearitySpec, ProblemSpec
 from hessbif.errors import InvalidInputError, NumericalFailureError, TracingFailureError
 from hessbif.shooting import (
+    HORIZON,
     TOL,
     first_eigenvalue,
     flux_ivp,
@@ -31,6 +33,8 @@ from hessbif.system import (
 )
 
 from _oracles import newton_pair
+from claims_matrix import PAIR_NK, PAIRS
+from claims_matrix import R as MATRIX_R
 
 LAM_COS = 2.4674011002723395
 
@@ -278,8 +282,10 @@ class TestOneDimensionalRoot:
 
         def recording(N, k, R, lam, weights, amplitudes, *args, **kwargs):
             out = real(N, k, R, lam, weights, amplitudes, *args, **kwargs)
-            no_zero = out[0].t >= 1e3 * R
-            shots.append((math.log(amplitudes[1]), no_zero or out[0].y[2] > 0.0, no_zero))
+            if len(amplitudes) == 2:   # not the tight run's shot of u alone at d_v = d_u
+                no_zero = out[0].t >= 1e3 * R
+                shots.append((math.log(amplitudes[1]), no_zero or out[0].y[2] > 0.0,
+                              no_zero))
             return out
 
         monkeypatch.setattr(system_mod, "flux_ivp", recording)
@@ -347,8 +353,9 @@ class TestOneDimensionalRoot:
             "powermix-N2k1", "logbump-N3k1"])
     def test_symmetric_warm_start_is_exact(self, monkeypatch, ivps, N, k, base, params):
         # d_u (d_v / d_u) of one neighbour, or d_u times the root of both ratios, is d_u
-        # itself, so every solve (base point, refinement or fold polish) takes the F = 0
-        # return of _common_zero: one root IVP and one fixed-R shot per solve
+        # itself, so every solve (base point, refinement or fold polish) starts at
+        # d_v = d_u and takes _common_zero's diagonal root: one IVP of u alone (2
+        # components) and one fixed-R shot of the pair (4 components) per solve
         import hessbif.system as system_mod
 
         spec = coupled(N, k, base, params)
@@ -366,9 +373,59 @@ class TestOneDimensionalRoot:
         sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16),
                                  lambda_scale=lam1)
         assert len(calls) == 2 * len(solves)
+        assert [len(ivp.args[2]) for ivp in calls] == [2, 4] * len(solves)
+        assert all("root_tol" in ivp.kwargs for ivp in calls[::2])
         # fold polish keeps one point of its several solves; without a fold each solve is a point
         assert (len(solves) > len(sb.points)) == bool(sb.folds)
         assert all(p.d_v == p.d_u for p in sb.points)
+
+
+class TestDiagonalRoot:
+    @pytest.mark.parametrize("N, k", PAIR_NK, ids=[f"N{N}k{k}" for N, k in PAIR_NK])
+    @pytest.mark.parametrize("base, params", PAIRS, ids=[base for base, _ in PAIRS])
+    def test_diagonal_rho_is_the_coupled_rho(self, ivps, N, k, base, params):
+        # the root IVP of u alone against the pair's own IVP at the same (d_u, lambda_ref)
+        # and d_v = d_u, on the claims matrix's symmetric pairs
+        import hessbif.system as system_mod
+
+        spec = coupled(N, k, base, params, R=MATRIX_R)
+        for d_u in (1e-2, 1.0, 1e2):
+            lam_ref, _ = cold_start(spec, d_u)
+            ivps.clear()
+            rho, d_v = system_mod._common_zero(N, k, spec.R, (spec.g, spec.h), d_u, lam_ref,
+                                               d_u, TOL)
+            assert d_v == d_u and [len(ivp.args[2]) for ivp in ivps] == [2]
+            pair = flux_ivp(N, k, spec.R, lam_ref, (spec.g, spec.h), (d_u, d_u), TOL,
+                            HORIZON * spec.R, root_tol=TOL)[0]
+            assert abs(rho / pair.t - 1.0) <= 1e-11, d_u
+
+    @pytest.mark.parametrize("case, n_ivps", [
+        ("rational b 2/3", 9), ("saturating/rational", 13), ("coupled eigenvalue", 8),
+        ("power pair N1k1", 28), ("power pair N2k2", 35)])
+    def test_no_diagonal_root_off_symmetric_starts(self, monkeypatch, ivps, case, n_ivps):
+        # unequal params, unequal bases, d_v0 != d_u (the coupled eigenvalue) and the
+        # power pair, whose weights agree as formulas at alpha = beta = k but not in their
+        # values: every IVP integrates both components, as many as before the diagonal
+        # root, so lambda0 = lambda1 stays a check that does not assume u = v
+        import hessbif.system as system_mod
+
+        eigen = {(N, k): first_eigenvalue(N, k, 1.0) for N, k in ((1, 1), (2, 1), (2, 2))}
+        monkeypatch.setattr(system_mod, "first_eigenvalue", lambda N, k, *_: eigen[N, k])
+        pairs = {"rational b 2/3": SystemSpec(N=2, k=1, R=1.0,
+                                              g=NonlinearitySpec2("rational_t", {"b": 2.0}),
+                                              h=NonlinearitySpec2("rational_s", {"b": 3.0})),
+                 "saturating/rational": asymmetric(2, "saturating_t", "rational_s",
+                                                   {"b": 3.0})}
+        runs = {name: functools.partial(solve_system_shooting, spec, 1.0,
+                                        cold_start(spec, 1.0))   # d_v0 = d_u
+                for name, spec in pairs.items()}
+        runs["coupled eigenvalue"] = functools.partial(confirm_coupled_eigenvalue, 2, 1, 1.0,
+                                                       eigen[2, 1].lambda1)
+        runs["power pair N1k1"] = functools.partial(power_pair_constant, 1, 1, 1.0, 1.0)
+        runs["power pair N2k2"] = functools.partial(power_pair_constant, 2, 2, 4.0, 1.0)
+        ivps.clear()
+        runs[case]()
+        assert [len(ivp.args[2]) for ivp in ivps] == [4] * n_ivps
 
 
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
@@ -694,7 +751,7 @@ class TestTraceSystemBranch:
     def test_fold_polish_adds_the_apex(self, monkeypatch, ivps, tmp_path):
         # the powermix pair's maximum is polished as on scalar branches; each polish solve
         # starts from d_u times the root of the bracket's ratios, d_u itself on this
-        # symmetric pair, so it takes the F = 0 return of _common_zero: 2 IVPs
+        # symmetric pair, so it takes _common_zero's diagonal root: 2 IVPs
         import hessbif.branch as branch_mod
         import hessbif.system as system_mod
 
