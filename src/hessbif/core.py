@@ -556,7 +556,7 @@ class ProblemSpec:
 
 
 class EigenvalueResult(NamedTuple):
-    """First eigenvalue of the radial operator with its boundary residual."""
+    """First eigenvalue of the radial operator, u(R) at it, and the count of IVPs behind it."""
 
     lambda1: float
     residual: float

@@ -35,18 +35,18 @@ stage of its step and also compiles as the rhs(r, y) that flux_ivp returns, so
 the two cannot drift apart.  One kernel is compiled per (weight formulas, N, k),
 on first use, with the geometry folded in as literals: N - 1, N - k, k, 1/k,
 (k - N)/k, the constant k / C(N-1,k-1) and the range of r where r^(N-k) is a
-normal float.  A power of exponent 0 or 1 is dropped, which keeps every bit:
-at k = 1 (the semilinear case), N = k (Monge-Ampere) and N <= 2 most of the
-stage powers go, all of them at N = 2, k = 1.  A weight with a formula
-(core.Formula: every registry kind but tabulated, every two-argument kind and
-every system._BoundWeight) is inlined from the same
-source that its call evaluates, so the called and the inlined weight agree bit
-for bit; lambda and the weight params are kernel inputs, so one kernel serves
-every value of them at its (N, k).  Only a tabulated f, which has no formula,
-is called.  u' = (m / r^(N-k))^(1/k) takes one float power where r^(N-k) and
-the quotient are normal floats, and exp(log(m)/k + (k-N)/k log(r)) elsewhere:
-r0^59 underflows to 0.0 at N = 60, k = 1, R = 1e-3, where the quotient would
-divide by zero.
+normal float.  A power of exponent 0 or 1 and a factor 1.0 are dropped, which
+keeps every bit: at k = 1 (the semilinear case), N = k (Monge-Ampere) and
+N <= 2 most of the stage powers go, all of them at N = 2, k = 1.  A weight with
+a formula (core.Formula: every registry kind but tabulated, every two-argument
+kind and every system._BoundWeight) is inlined from the same source that its
+call evaluates, so the called and the inlined weight agree bit for bit; lambda
+and the weight params are kernel inputs, so one kernel serves every value of
+them at its (N, k).  Only a tabulated f, which has no formula, is called.
+u' = (m / r^(N-k))^(1/k) takes one float power where r^(N-k) and the quotient
+are normal floats, and exp(log(m)/k + (k-N)/k log(r)) elsewhere: r0^59
+underflows to 0.0 at N = 60, k = 1, R = 1e-3, where the quotient would divide
+by zero.
 
 f is extended below zero by f(max(s, 0)): past the (single) zero crossing of a
 too-strongly-forced profile the forcing switches off, keeping the boundary
@@ -66,12 +66,12 @@ of lambda_at_amplitude), from the slopes that the stepper recorded at its
 accepted states: the scaling maps it exactly onto the Dirichlet solution, the
 cone test is invariant under it, and its accepted states end at the zero, so
 none lies past it.  The first eigenvalue comes from the same device.  The
-fixed-R residual u(R; lambda) stays as the independent path: it confirms
-lambda1, certifies the solution counts of branch.verify_predictions, and the
-tests use it through solve_lambda, which scans it in lambda and resolves each
-sign change by rk.zeroin.
-first_eigenvalue shoots u(R) at lambda1, then at lambda1 (1 -/+ w) on the side
-where the residual's root must lie, and requires a sign change between them.
+fixed-R residual u(R; lambda) stays as the independent path: it certifies the
+solution counts of branch.verify_predictions, and the tests use it through
+solve_lambda, which scans it in lambda and resolves each sign change by
+rk.zeroin.  first_eigenvalue confirms lambda1 with one fixed-lambda1 run read at
+R sqrt(1 -/+ w) and R, which the scaling makes u(R) at lambda1 (1 -/+ w) and at
+lambda1, and requires u(R) < 0 at the low end and > 0 at the high end.
 
 numpy is imported only inside radial_derivatives, flux_profiles,
 _consistency_residuals, profile_admissible and solve_lambda, so only the
@@ -171,6 +171,11 @@ def _power(base: str, exp) -> str:
     return base if exp == 1 else f"{base} ** {exp!r}"
 
 
+def _times(coef: float, x: str) -> str:
+    """coef * x as source, with the coefficient 1.0 folded: 1.0 * x is x in IEEE arithmetic."""
+    return x if coef == 1.0 else f"{coef!r} * {x}"
+
+
 @functools.cache
 def _flux_slope(formulas, N: int, k: int) -> rk.Slope:
     """The flux slope of len(formulas) components at (N, k) as an rk.Slope: the one
@@ -178,10 +183,11 @@ def _flux_slope(formulas, N: int, k: int) -> rk.Slope:
     that is None, called as the input fn<i>.
 
     The geometry is folded in as repr literals, which round-trip exactly, and a power
-    of exponent 0 or 1 is dropped, so the kernel gives the bits of the template with
-    N - 1, N - k, k and 1/k as inputs: r ** 0 is 1.0, multiplied or divided away; at
-    k = 1, r^(N-1) is r^(N-k) and is taken once; and at N = k the range test on r goes
-    (r^0 is 1.0 for every r > 0), as does the r term of the log form, 0.0 * log(r)."""
+    of exponent 0 or 1 and a factor 1.0 are dropped, so the kernel gives the bits of
+    the template with N - 1, N - k, k and 1/k as inputs: r ** 0 is 1.0, multiplied or
+    divided away; at k = 1, r^(N-1) is r^(N-k) and is taken once, and ra and the log
+    form lose their factor 1.0; and at N = k the range test on r goes (r^0 is 1.0 for
+    every r > 0), as does the r term of the log form, 0.0 * log(r)."""
     n = len(formulas)
     ss = [f"s{i}" for i in range(n)]
     names = ["lam"]   # the inputs, in the order flux_kernel passes them
@@ -209,24 +215,20 @@ def _flux_slope(formulas, N: int, k: int) -> rk.Slope:
     lines.append(f"    refuse({ws[0]}, s0)" if n == 1 else
                  f"    refuse(({', '.join(ws)}), ({', '.join(ss)}))")
     coef, k_inv = k / binom(N - 1, k - 1), 1.0 / k
-    r_n1 = _power("r", N - 1)
-    if k == 1 and N > 2:
-        lines.append(f"rN1 = {r_n1}")
-        r_n1 = "rN1"
-    lines.append(f"ra = {coef!r}" if N == 1 else f"ra = {coef!r} * {r_n1}")
+    lines.append(f"ra = {coef!r}" if N == 1 else f"ra = {_times(coef, _power('r', N - 1))}")
     if N != k:
         # r^(N-k) is a normal float, by a wide margin, for r_lo < r < r_hi
         r_lo, r_hi = 1e-300 ** (1.0 / (N - k)), 1e300 ** (1.0 / (N - k))
-        r_nk = r_n1 if k == 1 else _power("r", N - k)
+        r_nk = "ra" if k == 1 else _power("r", N - k)   # k = 1: ra = 1.0 * r^(N-1)
         lines.append(f"rNk = {r_nk} if {r_lo!r} < r < {r_hi!r} else inf")
     for i in range(n):
         # u' = (m / r^(N-k))^(1/k) where r^(N-k) and the quotient are normal floats
         if N == k:
             q, test = f"m{i}", f"m{i}"
-            log_form = f"exp({k_inv!r} * log(m{i}))"
+            log_form = f"exp({_times(k_inv, f'log(m{i})')})"
         else:
             q, test = "q", f"(q := m{i} / rNk)"
-            log_form = f"exp({k_inv!r} * log(m{i}) + {(k - N) / k!r} * log(r))"
+            log_form = f"exp({_times(k_inv, f'log(m{i})')} + {(k - N) / k!r} * log(r))"
         lines += [f"{{k{2 * i}}} = ({_power(q, k_inv)} if {sys.float_info.min!r} <= {test} < inf"
                   f" else {log_form} if m{i} > 0.0 else 0.0)",
                   f"{{k{2 * i + 1}}} = ra * {_power(f'(lam * w{i})', k)}"]
@@ -509,27 +511,25 @@ def first_eigenvalue(N: int, k: int, R: float, tol: float = TOL) -> EigenvalueRe
 
     Degree-k homogeneity makes the amplitude irrelevant, so the linear problem
     runs at d = 1, and ball-radius scaling gives lambda1 = (rho / R)^2 from the
-    first zero rho of one IVP at lambda = 1 / R^2.  The fixed-R residual
-    r = u(R; lambda1) is shot next, and then u(R) on the far side of its root:
-    at lambda1 (1 - w) when r > 0, at lambda1 (1 + w) when r < 0, with
-    w = eigen_rel_tol(tol).  The two must differ in sign, an independent check
-    that the fixed-R root lies within relative w of the scaled value;
-    otherwise NumericalFailureError.  iterations counts the IVPs: 3, or 2 when
-    r is exactly 0.
+    first zero rho of one IVP at lambda = 1 / R^2.  The same scaling gives
+    u(R; lambda1 (1 + e)) = u(R sqrt(1 + e); lambda1), so one fixed-lambda1 run
+    out to R sqrt(1 + w), read at R sqrt(1 - w) and R (w = eigen_rel_tol(tol)),
+    gives u(R) at lambda1 (1 - w), lambda1 and lambda1 (1 + w).  u(R) increases
+    with lambda, and the two ends must be a shot on each side of its root,
+    u_lo < 0 < u_hi: an independent check that the fixed-R root lies within
+    relative w of the scaled value; otherwise NumericalFailureError.  residual
+    is the value at R, and iterations counts the IVPs: 2.
     """
     spec = ProblemSpec(N=N, k=k, R=float(R), f=NonlinearitySpec("linear"))
     lam = lambda_at_amplitude(spec, 1.0, 1.0 / R**2, tol)
     if lam is None:
         raise NumericalFailureError(f"no first eigenvalue found for N={N}, k={k}, R={R!r}")
-    residual = shoot_boundary_value(spec, lam, 1.0, tol)
-    if residual == 0.0:
-        return EigenvalueResult(lambda1=lam, residual=residual, iterations=2)
-    # u(R) increases with lambda: r > 0 puts its root below lambda1, r < 0 above
-    w = eigen_rel_tol(tol)
-    lam_far = lam * (1.0 - w) if residual > 0.0 else lam * (1.0 + w)
-    r_far = shoot_boundary_value(spec, lam_far, 1.0, tol)
-    if not (r_far < 0.0 < residual or residual < 0.0 < r_far):
+    w, R = eigen_rel_tol(tol), spec.R
+    res = flux_ivp(N, k, R, lam, spec.f, (1.0,), tol, R * math.sqrt(1.0 + w),
+                   output_ts=(R * math.sqrt(1.0 - w), R))[0]
+    (u_lo, _), (residual, _) = res.grid_states
+    if not u_lo < 0.0 < res.y[0]:
         raise NumericalFailureError(
             f"fixed-R residual does not change sign across the scaled eigenvalue {lam!r}: "
-            f"u(R; {lam!r}) = {residual!r}, u(R; {lam_far!r}) = {r_far!r}")
-    return EigenvalueResult(lambda1=lam, residual=residual, iterations=3)
+            f"u(R; {lam * (1.0 - w)!r}) = {u_lo!r}, u(R; {lam * (1.0 + w)!r}) = {res.y[0]!r}")
+    return EigenvalueResult(lambda1=lam, residual=residual, iterations=2)

@@ -39,6 +39,7 @@ from hessbif.errors import (
 )
 from hessbif.shooting import (
     TOL,
+    eigen_rel_tol,
     first_eigenvalue,
     flux_ivp,
     flux_kernel,
@@ -558,7 +559,22 @@ class TestAdmissibility:
             _cone_flag(rhs_of[id(trajectory)], trajectory) for trajectory, _ in flagged]
 
     @pytest.mark.parametrize("kind", ["scalar", "system"])
-    def test_traces_integrate_on_no_output_grid(self, ivps, kind):
+    def test_traces_integrate_on_no_output_grid(self, monkeypatch, ivps, kind):
+        # every branch-point IVP is grid-free; the one gridded IVP is first_eigenvalue's
+        # fixed-lambda1 run, read at R sqrt(1 - w) and R
+        import hessbif.branch as branch_mod
+        import hessbif.system as system_mod
+
+        eigen_ivps = []
+
+        def recording(*args):
+            start = len(ivps)
+            res = first_eigenvalue(*args)
+            eigen_ivps.extend(ivps[start:])
+            return res
+
+        monkeypatch.setattr(branch_mod if kind == "scalar" else system_mod,
+                            "first_eigenvalue", recording)
         if kind == "scalar":
             spec = ProblemSpec(N=2, k=2, R=1.13, f=NonlinearitySpec("log_bump"))
             trace_branch(spec, 1e-2, 1e2, 16)
@@ -566,8 +582,12 @@ class TestAdmissibility:
             spec = SystemSpec(N=2, k=1, R=1.0, g=NonlinearitySpec2("saturating_t"),
                               h=NonlinearitySpec2("saturating_s"))
             trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16))
-        gridded = [len(ivp.args) > 6 or ivp.kwargs.get("output_ts") is not None for ivp in ivps]
-        assert gridded and not any(gridded)
+        gridded = [ivp for ivp in ivps
+                   if len(ivp.args) > 6 or ivp.kwargs.get("output_ts") is not None]
+        assert len(ivps) > len(eigen_ivps) == 2
+        assert len(gridded) == 1 and gridded[0] is eigen_ivps[1]
+        w = eigen_rel_tol(TOL)
+        assert gridded[0].kwargs["output_ts"] == (spec.R * math.sqrt(1.0 - w), spec.R)
 
 
 def _refine(lam_of_d, grid, declines=lambda a, b: False):

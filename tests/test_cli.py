@@ -60,13 +60,13 @@ class TestEigen:
         obj = json.loads((tmp_path / "e.json").read_text())
         assert obj["lambda0"] == pytest.approx(obj["lambda1"], rel=1e-8)
 
-    def test_coupled_takes_eleven_ivps(self, ivps):
-        # three for lambda1, seven for the coupled root and one fixed-R shot
+    def test_coupled_takes_ten_ivps(self, ivps):
+        # two for lambda1, seven for the coupled root and one fixed-R shot
         from hessbif import cli
 
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["eigen", "--N", "2", "--k", "1", "--coupled"]) == cli.EXIT_OK
-        assert len(ivps) == 11
+        assert len(ivps) == 10
 
     def test_overflowing_forcing_is_named(self, capsys):
         # lambda = 1 / R^2 = 1e6 at N = k = 60: the seed and atol of m stay floats, but
@@ -262,7 +262,7 @@ class TestExitCodes:
                            "--out", str(tmp_path / "e.json")])
         assert rc == cli.EXIT_OK
         assert f"lambda1({N},{k},R=1) = " in out.getvalue()
-        assert json.loads((tmp_path / "e.json").read_text())["iterations"] == 3
+        assert json.loads((tmp_path / "e.json").read_text())["iterations"] == 2
 
     @pytest.mark.parametrize("value", ["inf", "0.02"], ids=["tol-inf", "tol-0.02"])
     def test_unusable_tolerance_invalid(self, value):
@@ -741,7 +741,7 @@ class TestCachedParser:
         assert reused == fresh
         assert [r[0] for r in reused] == [cli.EXIT_OK, ("SystemExit", 0), cli.EXIT_INVALID,
                                           cli.EXIT_INVALID, cli.EXIT_OK, cli.EXIT_OK]
-        assert json.loads(reused[0][3])["iterations"] == 3
+        assert json.loads(reused[0][3])["iterations"] == 2
 
     def test_two_calls_build_nine_parsers(self, monkeypatch):
         # the top-level parser and its eight subcommands, built once

@@ -1,6 +1,7 @@
 import functools
 import math
 import random
+import re
 import sys
 import traceback
 
@@ -217,12 +218,10 @@ class TestScaledFirstEigenvalue:
     CASES = ([(N, k) for N in range(1, 6) for k in range(1, N + 1)]
              + [(8, 1), (8, 4), (8, 8), (20, 7), (60, 60)])
 
-    def test_at_most_four_ivps(self, ivps):
-        # one scaled IVP, the residual at lambda1 and one fixed-R bracket residual
-        calls = ivps
+    def test_two_ivps(self, ivps):
+        # one scaled IVP and one fixed-lambda1 run read on both sides of R
         res = first_eigenvalue(2, 2, 1.13)
-        assert len(calls) <= 3
-        assert res.iterations == len(calls)
+        assert len(ivps) == res.iterations == 2
 
     def test_detuned_scaled_value_fails_the_bracket(self, monkeypatch):
         import hessbif.shooting as shooting
@@ -247,29 +246,27 @@ class TestScaledFirstEigenvalue:
         monkeypatch.setattr(shooting, "lambda_at_amplitude",
                             lambda *args: real(*args) * (1.0 + detune))
         if not fails:
-            assert first_eigenvalue(2, 1, 1.0).iterations == 3
+            assert first_eigenvalue(2, 1, 1.0).iterations == 2
             return
         with pytest.raises(NumericalFailureError) as exc:
             first_eigenvalue(2, 1, 1.0)
         message = str(exc.value)
         assert message.count("u(R; ") == 2 and "does not change sign" in message
 
-    def test_zero_residual_needs_no_bracket_shot(self, monkeypatch, ivps):
-        import hessbif.shooting as shooting
-
-        lam1 = first_eigenvalue(2, 1, 1.0).lambda1
-        real_shoot = shooting.shoot_boundary_value
-
-        def zero_at_lam1(spec, lam, d, tol):
-            value = real_shoot(spec, lam, d, tol)
-            return 0.0 if lam == lam1 else value
-
-        monkeypatch.setattr(shooting, "shoot_boundary_value", zero_at_lam1)
-        ivps.clear()
-        calls = ivps
-        res = first_eigenvalue(2, 1, 1.0)
-        assert (res.lambda1, res.residual) == (lam1, 0.0)
-        assert len(calls) == res.iterations == 2
+    @pytest.mark.parametrize("N,k,R", [(2, 1, 1.0), (3, 2, 1.13), (60, 1, 1e-3)])
+    def test_one_run_is_read_on_both_sides_of_R(self, ivps, N, k, R):
+        # u(R; lambda1 (1 + e)) = u(R sqrt(1 + e); lambda1): one run at lambda1 out to
+        # R sqrt(1 + w), read at R sqrt(1 - w) and R, gives both bracket ends and the residual
+        w = eigen_rel_tol(TOL)
+        res = first_eigenvalue(N, k, R)
+        assert len(ivps) == 2
+        run = ivps[1]
+        assert run.kwargs["inputs"][0] == res.lambda1
+        assert run.args[3] == R * math.sqrt(1.0 + w)
+        assert run.kwargs["output_ts"] == (R * math.sqrt(1.0 - w), R)
+        (u_lo, _), (residual, _) = run.result.grid_states
+        assert u_lo < 0.0 < run.result.y[0]
+        assert res.residual == residual
 
     @pytest.mark.parametrize("R", [1.0, 1.37])
     def test_sixty_ball_against_bessel_zero(self, R):
@@ -286,7 +283,7 @@ class TestScaledFirstEigenvalue:
 
     @pytest.mark.parametrize("N,k", CASES + [(60, 1)])
     def test_bracket_holds_at_loose_tolerances(self, N, k):
-        assert first_eigenvalue(N, k, 0.71, tol=1e-5).iterations == 3
+        assert first_eigenvalue(N, k, 0.71, tol=1e-5).iterations == 2
 
 
 
@@ -747,6 +744,14 @@ class TestSingleSource:
         "lambda": lambda s: s * s / (1.0 + s),
         "rational pair": _pair("rational"),
     }
+
+    @pytest.mark.parametrize("N", [1, 2, 3, 5, 60])
+    def test_unit_coefficients_are_folded_at_k1(self, N):
+        # at k = 1 both k / C(N-1, k-1) and 1/k are 1.0, and 1.0 * x is x: no kernel
+        # multiplies by them (the -1.0 of (k - N)/k at N = 2 is not a unit factor)
+        for weights in self.WEIGHTS.values():
+            body = flux_kernel(N, 1, 3.7, weights)[0].body
+            assert re.search(r"(?<![-\w.])1\.0 \*", body) is None, body
 
     @pytest.mark.parametrize("name", sorted(WEIGHTS))
     @pytest.mark.parametrize("N,k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 4),

@@ -588,10 +588,10 @@ class TestPowerPair:
                          "--beta", "1", "--out", "pp.json"]) == cli.EXIT_NUMERICAL
         assert not (tmp_path / "pp.json").exists()
 
-    @pytest.mark.parametrize("N,k,alpha,beta,count", [(1, 1, 1.0, 1.0, 31),
-                                                      (2, 2, 4.0, 1.0, 38)])
+    @pytest.mark.parametrize("N,k,alpha,beta,count", [(1, 1, 1.0, 1.0, 30),
+                                                      (2, 2, 4.0, 1.0, 37)])
     def test_ivp_count(self, ivps, N, k, alpha, beta, count):
-        # three for first_eigenvalue, then per sample the root's IVPs and one fixed-R shot
+        # two for first_eigenvalue, then per sample the root's IVPs and one fixed-R shot
         calls = ivps
         power_pair_constant(N, k, alpha, beta)
         assert len(calls) == count
