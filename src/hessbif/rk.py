@@ -6,14 +6,14 @@ estimate from an embedded 5th and 3rd order pair.  States are plain lists of
 floats; the radial shooting systems here have 2 or 4 components, where
 python-float arithmetic beats array overhead by an order of magnitude.  Every
 run steps one way, freely to the right endpoint, with an optional stop where
-component 0 first changes sign; it returns the terminal state and, on request,
-every accepted state with the slope there.  Other states are read off the
-accepted ones by re-stepping (Hairer, Norsett & Wanner I, II.6): the zero is
-located inside the last accepted step from its saved state, and each point of
-an output grid is one step from the accepted state before it, so a run given a
-grid takes the steps of the run without one.  zeroin (Brent) finds the zero
-over the step length; it is the package's one bracketed root finder, and
-system and shooting resolve their roots with it.
+component 0, or one more named component, first changes sign; it returns the
+terminal state and, on request, every accepted state with the slope there.
+Other states are read off the accepted ones by re-stepping (Hairer, Norsett &
+Wanner I, II.6): a zero is located inside the last accepted step from its
+saved state, and each point of an output grid is one step from the accepted
+state before it, so a run given a grid takes the steps of the run without one.
+zeroin (Brent) finds the zero over the step length; it is the package's one
+bracketed root finder, and system and shooting resolve their roots with it.
 
 The error of a step of length h is h |e5|^2 / sqrt((|e5|^2 + 0.01 |e3|^2) n),
 with e5 = sum E5_j k_j and e3 = sum (B_j - BHH_j) k_j scaled componentwise by
@@ -31,16 +31,17 @@ zero of component 0 its error scale atol + rtol |y| shrinks, so at a fixed h
 the error of each step rises, and the first factor alone alternates accepted
 and rejected attempts.
 
-A stop at a sign change of component 0 is a switching point: the radial
-shooting systems switch their forcing off there, so the solution has a kink,
-and a trial that crosses it far fails the 8th order error test.  In that mode
-the trials step onto the zero rather than across it (Gear & Osterby, ACM TOMS
-10, 1984; Hairer, Norsett & Wanner I, II.6): each trial ends at most 1.001
-times the tangent distance -y0/y0' ahead, so the step that crosses does so by
-a sliver and is accepted, and a rejected trial that crossed is retried at 0.9
-of its length, not cut by the error estimate, which measures the kink and not
-the smoothness of the solution.  Callers may set the first trial step (the
-default is a 64th of the span).
+A stop at a sign change is a switching point: the radial shooting systems
+switch a forcing off at the zero of u, or of v for a pair, so the solution has
+a kink, and a trial that crosses it far fails the 8th order error test.  In
+that mode the trials step onto the zeros rather than across them (Gear &
+Osterby, ACM TOMS 10, 1984; Hairer, Norsett & Wanner I, II.6): each trial ends
+at most 1.001 times the tangent distance -y_c/y_c' to the nearer zero, so the
+step that crosses does so by a sliver and is accepted, and a rejected trial
+that crossed is retried at 0.9 of its length, not cut by the error estimate,
+which measures the kink and not the smoothness of the solution.  A step across
+both zeros is searched for each (one search on max(u, v) would meet a kink at
+a common zero).  Callers may set the first trial step (default: span / 64).
 
 The step itself is generated from the tableau, once per (component count,
 slope) and on first use: Python source with every stage and every component
@@ -322,8 +323,8 @@ def zeroin(fun, a, b, tol):
         f"zeroin did not converge in {_MAX_ZEROIN_ITER} steps: bracket [{b[0]!r}, {c[0]!r}]")
 
 
-def _locate_zero(inputs, t, y, k0, h, y_end, rtol, atol, root_tol, slope=CALL):
-    """(t*, y*, trials) where component 0 changes sign inside the step (t, y) -> (t + h, y_end).
+def _locate_zero(inputs, t, y, k0, h, y_end, rtol, atol, root_tol, slope=CALL, c=0):
+    """(t*, y*, trials) where component c changes sign inside the step (t, y) -> (t + h, y_end).
 
     zeroin on the step length s in [0, h], to root_tol (t + h), each trial a fresh
     step of _dop853_step(len(y), slope) from the saved state; t and y are then
@@ -345,18 +346,18 @@ def _locate_zero(inputs, t, y, k0, h, y_end, rtol, atol, root_tol, slope=CALL):
             except OverflowError:   # a rejected trial: retry shorter
                 s = s_lo + _MIN_FACTOR * (s - s_lo)
                 continue
-            if (y_s[0] < 0.0) == (y[0] < 0.0):
+            if (y_s[c] < 0.0) == (y[c] < 0.0):
                 s_lo = max(s_lo, s)
-            return s, y_s[0], y_s
+            return s, y_s[c], y_s
 
-    (s_b, f_b, y_b), (s_c, f_c, y_c) = zeroin(trial, (0.0, y[0], y), (h, y_end[0], y_end),
+    (s_b, f_b, y_b), (s_c, f_c, y_c) = zeroin(trial, (0.0, y[c], y), (h, y_end[c], y_end),
                                               root_tol * (t + h))
     w = f_b / (f_b - f_c)
     return t + s_b + w * (s_c - s_b), [p + w * (q - p) for p, q in zip(y_b, y_c)], trials
 
 
 def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajectory=None,
-              first_step=None, slope=CALL, inputs=None):
+              first_step=None, slope=CALL, inputs=None, also_stop=None):
     """Integrate y' = rhs(t, y) from t0 to t1 (t1 > t0).
 
     The step inlines slope at its stages, unpacking inputs into slope.inputs;
@@ -369,12 +370,13 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
     after the run grid_states holds the state at each: one step of length
     s - t_j from the accepted state t_j before s, or a copy where s is an
     accepted time (or within roundoff beyond t1).  With root_tol, integration
-    stops where component 0 first changes sign: the crossing is located inside
-    the last accepted step to root_tol relative and returned as (t, y), t < t1;
-    grid points beyond it are dropped.  A trajectory list receives (t, y, k)
-    for each state stepped from, t0 and every accepted state before the last,
-    with k the slope rhs(t, y) that the step evaluated there as its first
-    stage, and then (t, y, None) for the returned state; so a caller that
+    stops where component 0, or also_stop if given, first changes sign: the
+    crossing is located inside the last accepted step to root_tol relative, on
+    each component that changed sign, and the earlier returned as (t, y),
+    t < t1; grid points beyond it are dropped.  A trajectory list receives
+    (t, y, k) for each state stepped from, t0 and every accepted state before
+    the last, with k the slope rhs(t, y) that the step evaluated there as its
+    first stage, and then (t, y, None) for the returned state; so a caller that
     tests the slopes along the run calls rhs no more.  The first trial step is
     first_step, by default (t1 - t0) / 64.  A trial step whose state is not
     finite, or whose arithmetic raises OverflowError, is rejected and retried
@@ -386,10 +388,10 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
     attempts, or an OverflowError of the slope at a state stepped from, which
     no shorter step avoids (the message quotes the line that overflowed).
 
-    With root_tol the trials aim at the zero (module docstring): while
-    y[0] < 0 < y'[0], a trial is at most max(h_min, _TANGENT_REACH * -y[0]/y'[0])
-    long, and a rejected trial of length h that crossed the zero is retried at
-    0.9 h.
+    With root_tol the trials aim at the zeros (module docstring): while
+    y[c] < 0 < y'[c], a trial is at most max(h_min, _TANGENT_REACH * -y[c]/y'[c])
+    long (2 h_min for c = also_stop), and a rejected trial of length h that
+    crossed a zero is retried at 0.9 h.
     """
     n = len(y0)
     y = [float(v) for v in y0]
@@ -417,6 +419,8 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
     q_acc = 1.0
     isfinite = math.isfinite
     rooting = root_tol is not None
+    also = also_stop if rooting else None
+    t_end, crossed = t1, False   # t1, or also's tangent cap; True once stopped at a zero
 
     while t < t1:
         if n_steps + n_rejected >= _MAX_STEPS:
@@ -433,13 +437,17 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
             n_rhs += 1
             if trajectory is not None:
                 trajectory.append((t, y, k0))
+            if also:   # aim at also's zero too
+                reach = (_TANGENT_REACH * -y[also] / k0[also] if y[also] < 0.0 < k0[also]
+                         else math.inf)
+                t_end = min(t1, t + max(reach, 2.0 * h_min))   # 2 h_min keeps t_end - t > h_min
         h = h_ctrl
         if rooting and y[0] < 0.0 < k0[0]:
             reach = _TANGENT_REACH * -y[0] / k0[0]
             if reach < h:   # h = min(h, max(reach, h_min))
                 h = reach if reach > h_min or h_min > h else h_min
-        if t + h > t1:
-            h = t1 - t
+        if t + h > t_end:
+            h = t_end - t
         clamped = h < h_ctrl
         if h < h_min:
             raise NumericalFailureError(f"step size underflow at t={t!r}")
@@ -458,13 +466,21 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
                 raise NumericalFailureError(f"non-finite state at t={t!r}")
             continue
 
-        crossed = rooting and (y_new[0] < 0.0) != (y[0] < 0.0)
         if err <= 1.0:
             n_steps += 1
-            if crossed:
-                t, y, trials = _locate_zero(inputs, t, y, k0, h, y_new, rtol, atol, root_tol,
-                                            slope)
+            if rooting and ((y_new[0] < 0.0) != (y[0] < 0.0)
+                            or also and (y_new[also] < 0.0) != (y[also] < 0.0)):
+                crossed = (y_new[0] < 0.0) != (y[0] < 0.0)   # else only also's changed sign
+                zero = _locate_zero(inputs, t, y, k0, h, y_new, rtol, atol, root_tol, slope,
+                                    0 if crossed else also)
+                if crossed and also and (y_new[also] < 0.0) != (y[also] < 0.0):   # both crossed
+                    other = _locate_zero(inputs, t, y, k0, h, y_new, rtol, atol, root_tol, slope,
+                                         also)
+                    n_rhs += _RHS_PER_ATTEMPT * other[2]
+                    zero = min(zero, other)   # the earlier zero
+                t, y, trials = zero
                 n_rhs += _RHS_PER_ATTEMPT * trials
+                crossed = True
                 break
             t = t + h
             y = y_new
@@ -493,7 +509,8 @@ def integrate(rhs, t0, y0, t1, rtol, atol, output_ts=None, root_tol=None, trajec
         else:
             n_rejected += 1
             rejected = True
-            if crossed:
+            if rooting and ((y_new[0] < 0.0) != (y[0] < 0.0)
+                            or also and (y_new[also] < 0.0) != (y[also] < 0.0)):
                 h_ctrl = _SAFETY * h
             else:
                 factor = _SAFETY * err**_ORDER_EXP

@@ -52,7 +52,8 @@ f is extended below zero by f(max(s, 0)): past the (single) zero crossing of a
 too-strongly-forced profile the forcing switches off, keeping the boundary
 residual u(R) continuous and increasing in lambda.  Accepted Dirichlet
 solutions never use the extension (u <= 0 up to root tolerance).  m' has a
-kink at that zero, so a run to it steps onto it, not across (rk.integrate).
+kink at that zero, so a run to it steps onto it, not across (rk.integrate);
+a pair's root IVP stops at the first zero of u or v, for the same reason.
 
 lambda(d) comes from one IVP by ball-radius scaling (Joseph & Lundgren 1973):
 S_k(D^2 u)^(1/k) is homogeneous of degree 2 under x -> s x, so the solution
@@ -271,8 +272,9 @@ def flux_ivp(N: int, k: int, R: float, lam: float, weights, amplitudes, tol: flo
     docstring.  The first trial step is (R - r0)/64 whatever t1 is, so a run to
     the first zero of u, out to HORIZON * R, does not start with a trial 10^3
     times too long.  With root_tol, rk.integrate aims its trials at that zero,
-    where the forcing switches off.  Returns (result, rhs, curvatures): the
-    slope as a function and the series curvatures a_i = u_i''(0).
+    where the forcing switches off, and at v's with also_stop=2.  Returns
+    (result, rhs, curvatures): the slope as a function and the series
+    curvatures a_i = u_i''(0).
     """
     tol *= STEP_TOL_FACTOR
     c_full = binom(N, k)

@@ -9,9 +9,10 @@ integrated simultaneously by the scalar problem's kernel, shooting.flux_ivp,
 with forcing F_u = lambda g and F_v = lambda h.  At fixed u-amplitude d_u,
 ball-radius scaling (as for lambda(d) in shooting.py) turns the Dirichlet
 conditions (u(R), v(R)) = (0, 0) into one root in log d_v: u and v of the pair
-IVP at a reference lambda_ref vanish at the same rho, lambda = lambda_ref (rho / R)^2,
-and one fixed-R shot of the pair confirms the point (_confirmed_zero).  Where g(s, s) =
-h(s, s), u = v at d_v = d_u, and a search from there takes rho from an IVP of u alone.
+IVP at a reference lambda_ref vanish at the same rho, lambda = lambda_ref (rho / R)^2.
+Each IVP of that root stops at the first zero of u or v, and one fixed-R shot of the
+pair confirms the point (_confirmed_zero).  Where g(s, s) = h(s, s), u = v at
+d_v = d_u, and a search from there takes rho from an IVP of u alone.
 branch.trace traces the branch over d = d_u + d_v with that point solver and returns a
 plain Branch of SystemBranchPoints, which the scalar report path (cli) checks as it
 checks scalar ones.
@@ -22,10 +23,10 @@ mu (-u)^beta (alpha beta = k^2) takes the same confirmed root at lambda = 1 with
 (lambda_ref, mu_ref) (rho / R)^(2k).  That scaling moves a sample along the ray
 mu / lambda = const and multiplies lambda mu^(alpha/k) by (rho / R)^(2k + 2 alpha),
 so the product is constant across samples only through amplitude homogeneity,
-which the root never applies.  Each sample's d_v starts at the offset from its seed
-that the previous root showed, a guess that homogeneity makes good, but the root is
-still bracketed and resolved on the sample's own IVPs, so a wrong guess costs IVPs,
-not accuracy: the checked claim stays independent of homogeneity.
+which the root never applies.  Each sample's d_v starts at the previous root's image
+under that homogeneity, but the root is still bracketed and resolved on the sample's
+own IVPs, so a wrong guess costs IVPs, not accuracy: the checked claim stays
+independent of homogeneity.
 
 Two-argument nonlinearities are weight forms phi(x) * w(s + t), with phi = t
 for the u-equation ("_t" kinds) and phi = s for the v-equation ("_s" kinds).
@@ -245,6 +246,16 @@ class _BoundWeight(NamedTuple):
         return self.formula.function(self.formula_values)(*x)
 
 
+def _pair_gap(ivp, horizon):
+    """F = (v / v' - u / u') / rho, from one slope at the stop rho of a pair root IVP
+    (ivp = flux_ivp(...) run out to horizon); +inf when neither u nor v vanished."""
+    res, rhs, _ = ivp
+    if res.t >= horizon:
+        return math.inf
+    y, slope = res.y, rhs(res.t, res.y)
+    return (y[2] / slope[2] - y[0] / slope[0]) / res.t
+
+
 def _diagonal_weight(weights):
     """g(s, s) as a _BoundWeight over s when the weights (g, h) agree as formulas on the
     diagonal s = t (equal source with t renamed s, params and values); else None."""
@@ -261,25 +272,27 @@ def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, tol, z_tol=None):
     """(rho, d_v) where u and v of the pair IVP at lam_ref, weights (g, h) and (d_u, d_v)
     vanish together.
 
-    F = v(rho_u) / d_v at u's first zero rho_u falls as d_v grows (g rises in t, h in s);
-    no zero before shooting.HORIZON R counts as F = +inf.  Steps of 0.1, 0.2, 0.4, ... in
-    z = log d_v bracket its sign change, and rk.zeroin resolves it to z_tol (tol if None)
-    in z.  The root is zeroin's end of smaller |F|, an evaluated IVP, so rho and d_v
-    always belong to one run.  When dv0 == d_u and the weights agree on the diagonal
+    The IVP stops at the first zero rho of u or of v, where one slope evaluation gives
+    the gap F = (v / v' - u / u') / rho between the Newton estimates of the two zeros:
+    F > 0 when v vanishes first, F < 0 when u does, and F and its slope are continuous
+    through the root.  F falls as d_v grows (g rises in t, h in s); no zero of either
+    before shooting.HORIZON R counts as F = +inf.  A march in z = log d_v brackets its sign
+    change: a first step of 0.1, then the secant of its last two finite F, overshot by
+    2%, at most 0.2, 0.4, 0.8, ...  rk.zeroin resolves it to z_tol (tol if None) in z.
+    The root is zeroin's end of smaller |F|, an evaluated IVP, so rho and d_v always
+    belong to one run.  When dv0 == d_u and the weights agree on the diagonal
     (_diagonal_weight), v = u, so F = 0 wherever u has a zero: rho is the first zero of
     one IVP of u alone, and d_v = d_u.  Without a zero there F = +inf at dv0, and the
     march starts from that."""
     horizon = shooting.HORIZON * R
 
-    def point(d_v):   # (log d_v, F, (rho_u, d_v)), rho_u None when u has no zero
+    def point(d_v):   # (log d_v, F, (rho, d_v)), rho None when neither u nor v vanishes
         if not d_v > 0.0:
             raise NumericalFailureError(f"d_v underflows to {d_v!r} (d_u = {d_u!r})")
-        res = flux_ivp(N, k, R, lam_ref, weights, (d_u, d_v), tol, horizon,
-                       root_tol=tol)[0]
-        z = math.log(d_v)
-        if res.t >= horizon:
-            return z, math.inf, (None, d_v)
-        return z, res.y[2] / d_v, (res.t, d_v)
+        ivp = flux_ivp(N, k, R, lam_ref, weights, (d_u, d_v), tol, horizon, root_tol=tol,
+                       also_stop=2)
+        rho = ivp[0].t
+        return math.log(d_v), _pair_gap(ivp, horizon), (rho if rho < horizon else None, d_v)
 
     diagonal = _diagonal_weight(weights) if dv0 == d_u else None
     if diagonal is not None:
@@ -288,14 +301,21 @@ def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, tol, z_tol=None):
             return rho, d_u
     prev = point(dv0) if diagonal is None else (math.log(dv0), math.inf, (None, dv0))
     up = prev[1] > 0.0
+    before = None   # the point evaluated before prev
     for n in range(10):   # ten doublings reach log(d_v / dv0) = +-102.3
-        cur = point(math.exp(prev[0] + (0.1 if up else -0.1) * 2.0**n))
+        step = (0.1 if up else -0.1) * 2.0**n
+        if n and math.isfinite(before[1]) and math.isfinite(prev[1]):
+            secant = 1.02 * prev[1] * (prev[0] - before[0]) / (before[1] - prev[1])
+            if 0.0 < secant / step < 1.0:
+                step = secant
+        cur = point(math.exp(prev[0] + step))
         if (cur[1] > 0.0) != up:
             break
-        prev = cur
+        before, prev = prev, cur
     else:
         reason = (f"u has no zero before {shooting.HORIZON:g} R" if prev[2][0] is None
-                  else "v(rho_u) did not change sign after 10 doublings")
+                  else "the gap between the zeros of u and v did not change sign "
+                       "after 10 doublings")
         raise NumericalFailureError(
             f"{reason} from d_v = {dv0!r} (d_u = {d_u!r}, lambda_ref = {lam_ref!r})")
     return rk.zeroin(lambda z: point(math.exp(z)), prev, cur,
@@ -384,19 +404,18 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
     _confirmed_zero confirms, with the u-amplitude normalized to 1 (degree-k^2
     homogeneity), so it lands at mu = mu_ref (rho / R)^(2k).  Its lambda_ref is the
     previous sample's product on the new ray, detuned by 1.17 so that rho moves off R.
-    Its d_v starts at the nominal seed (the previous root's d_v moved to the new ray and
-    detuned by 0.91) times the offset d_v / nominal seed that the previous root showed.
-    Where the product is constant every sample after the first solves the same scaled
-    root problem, so from the third sample on zeroin stops at that seed's own IVP or one
-    step from it: a sample takes 3 or 4 IVPs instead of 7 to 9.  The seed only shortens
+    Its d_v starts at 1.17^(-1/(k + alpha)) (mu_ref / mu_prev)^(1/k) d_v,prev, the image
+    of the previous root on the detuned ray under u -> u, v -> b v, which maps
+    (lambda, mu) to (lambda b^-alpha, mu b^k).  Where the product is constant that
+    image is the sample's root, so every sample after the first, and the first at
+    alpha = beta = k, takes 2 root IVPs and the fixed-R shot.  The seed only shortens
     the search: the root is still zeroin's end of a bracket of evaluated IVPs of
     opposite F, and a seed that missed, as it would if the product were not constant,
-    costs IVPs, not accuracy.  zeroin runs to tol / 10 in log d_v, since at tol it stops
-    at seeds whose error then drifts along the chain: at N2k2 a sample moved 2.2e-9
-    from a two-residual Newton and the deviation rose from 5.6e-10 to 1.9e-9, against
-    2.5e-10 and 1.2e-10 at tol / 10.  Samples come in increasing mu; the constant is
-    the geometric mean of the products and the maximum relative deviation quantifies
-    the constancy.
+    costs IVPs, not accuracy.  zeroin runs to tol / 10 in log d_v: with the seed
+    scaled by 0.7, a root to tol moves samples up to 3.0e-10 from a tol-1e-13 run
+    (N2k2), against 3.1e-11 at tol / 10.  Samples come in increasing mu; the constant
+    is the geometric mean of the products and the maximum relative deviation
+    quantifies the constancy.
     """
     if not (alpha > 0.0 and beta > 0.0):
         raise InvalidInputError("alpha and beta must be positive")
@@ -418,21 +437,20 @@ def power_pair_constant(N: int, k: int, alpha: float, beta: float, R: float = 1.
 
     samples = []
     lam_prev, dv_prev, mu_prev = lam1**k, 1.0, lam1**k   # the eigenpoint at alpha = beta = k
-    offset = 1.0   # the previous root's d_v over its nominal seed
     for i in range(n_samples):
         t = i / (n_samples - 1)
         mu_ref = mu_lo ** (1.0 - t) * mu_hi**t   # mu_hi / mu_lo may overflow
         # seeded on the previous sample's product and ray, and detuned so that every root
         # moves rho off R instead of the sample inheriting its neighbour's product
         lam_ref = 1.17 * lam_prev * (mu_prev / mu_ref) ** (alpha / k)
-        nominal = 0.91 * dv_prev * (mu_ref / mu_prev) ** (1.0 / k)
+        # the previous root's image under v -> b v: (lambda, mu) -> (lambda b^-alpha, mu b^k)
+        dv0 = 1.17 ** (-1.0 / (k + alpha)) * (mu_ref / mu_prev) ** (1.0 / k) * dv_prev
         weights = (_BoundWeight(_POWER_T, (lam_ref, alpha, 1.0 / k)),
                    _BoundWeight(_POWER_S, (mu_ref, beta, 1.0 / k)))
-        rho, d_v, *_ = _confirmed_zero(N, k, R, weights, 1.0, 1.0, offset * nominal, tol,
-                                       z_tol=0.1 * tol)
+        rho, d_v, *_ = _confirmed_zero(N, k, R, weights, 1.0, 1.0, dv0, tol, z_tol=0.1 * tol)
         lam, mu = lam_ref * (rho / R) ** (2 * k), mu_ref * (rho / R) ** (2 * k)
         samples.append((lam, mu))
-        lam_prev, dv_prev, mu_prev, offset = lam, d_v, mu, d_v / nominal
+        lam_prev, dv_prev, mu_prev = lam, d_v, mu
     samples.sort(key=lambda sample: sample[1])
 
     products = [lam * mu ** (alpha / k) for lam, mu in samples]

@@ -60,13 +60,13 @@ class TestEigen:
         obj = json.loads((tmp_path / "e.json").read_text())
         assert obj["lambda0"] == pytest.approx(obj["lambda1"], rel=1e-8)
 
-    def test_coupled_takes_ten_ivps(self, ivps):
-        # two for lambda1, seven for the coupled root and one fixed-R shot
+    def test_coupled_takes_eight_ivps(self, ivps):
+        # two for lambda1, five for the coupled root and one fixed-R shot
         from hessbif import cli
 
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["eigen", "--N", "2", "--k", "1", "--coupled"]) == cli.EXIT_OK
-        assert len(ivps) == 10
+        assert len(ivps) == 8
 
     def test_overflowing_forcing_is_named(self, capsys):
         # lambda = 1 / R^2 = 1e6 at N = k = 60: the seed and atol of m stay floats, but

@@ -159,6 +159,19 @@ class TestIntegrate:
         assert res.t == pytest.approx(1e-16, rel=1e-9)
         assert abs(res.y[0]) < 1e-25
 
+    @pytest.mark.parametrize("zeros", [(1.0005, 1.0), (1.0, 1.0005)])
+    def test_a_step_across_both_stop_zeros_gets_the_earlier(self, zeros):
+        # y0' = y2' = 1, zeros at 1 and 1.0005: from a first trial of 2 the tangent cap ends
+        # the one step at 1.001, beyond both, and each zero is located on its own
+        a, b = zeros
+        res = integrate(lambda t, y: [1.0, 0.0, 1.0, 0.0], 0.0, [-a, 0.0, -b, 0.0], 10.0,
+                        rtol=1e-10, atol=[1e-13] * 4, root_tol=1e-10, first_step=2.0,
+                        also_stop=2)
+        first, other = (0, 2) if a < b else (2, 0)
+        assert (res.n_steps, res.n_rejected) == (1, 0)
+        assert res.t == pytest.approx(1.0, rel=1e-12)
+        assert abs(res.y[first]) < 1e-12 and res.y[other] == pytest.approx(-5e-4, rel=1e-9)
+
     def test_overflow_in_a_trial_step_is_a_rejection(self):
         # y' = -y^3, y(0) = 1: the first trial step, span/64 = 100, drives a stage
         # state so large that the float power y**3 raises OverflowError

@@ -200,6 +200,13 @@ def asymmetric(N, g, h, h_params=None):
                       h=NonlinearitySpec2(h, dict(h_params or {})))
 
 
+# asymmetric pairs (N, k, g, its params, h, its params) whose traces the pair root serves
+ASYMMETRIC_TRACES = [(2, 1, "saturating_t", None, "rational_s", {"b": 3.0}),
+                     (2, 1, "linear_t", None, "superlinear_s", None),
+                     (2, 2, "powermix_t", None, "superlinear_s", None),
+                     (3, 1, "rational_t", {"b": 3.0}, "saturating_s", None)]
+
+
 class TestOneDimensionalRoot:
     @pytest.mark.parametrize("N", [2, 3])
     @pytest.mark.parametrize("g,h,h_params", [("saturating_t", "rational_s", {"b": 3.0}),
@@ -262,36 +269,39 @@ class TestOneDimensionalRoot:
             solve_system_shooting(spec, 1.0, cold_start(spec, 1.0))
 
     def test_asymmetric_trace_ivp_bound(self, ivps):
-        # zeroin takes 228 IVPs for these 16 points (Illinois regula falsi took 281)
+        # 197 IVPs for these 16 points and 17 solves
         spec = SystemSpec(N=2, k=1, R=0.93, g=NonlinearitySpec2("saturating_t"),
                           h=NonlinearitySpec2("rational_s", {"b": 3.0}))
         lam1 = first_eigenvalue(2, 1, 0.93).lambda1
         ivps.clear()
         sb = trace_system_branch(spec, np.geomspace(1e-2, 1e2, 16), lambda_scale=lam1)
-        assert sb.gaps == [] and len(ivps) <= 230
+        assert sb.gaps == [] and len(ivps) <= 197
 
     def test_end_without_a_zero_of_u_is_bisected(self, monkeypatch):
-        # from d_v = 10 the march steps down past the root d_v = d_u = 1 of this symmetric
-        # pair to a d_v where u has no zero before 1000 R (F = +inf).  While that end
-        # bounds the bracket, zeroin bisects in log d_v instead of interpolating.
+        # at lambda_ref = 1.5e-5 and d_v = 1.1 neither u nor v of this symmetric pair
+        # vanishes before 1000 R (F = +inf), and the march steps up to a d_v where u does
+        # (F < 0).  While that infinite end bounds the bracket, zeroin bisects in log d_v
+        # instead of interpolating.  The first zero of u or v comes latest at a common
+        # zero, so no d_v has one here: the end zeroin returns, where u's zero leaves the
+        # horizon, is no root, and its fixed-R check fails.
         import hessbif.system as system_mod
 
         spec = coupled(3, 1, "saturating")
-        shots = []   # (log d_v, F > 0, u has no zero)
+        shots = []   # (log d_v, F > 0, neither u nor v has a zero)
         real = system_mod.flux_ivp
 
         def recording(N, k, R, lam, weights, amplitudes, *args, **kwargs):
             out = real(N, k, R, lam, weights, amplitudes, *args, **kwargs)
-            if len(amplitudes) == 2:   # not the tight run's shot of u alone at d_v = d_u
-                no_zero = out[0].t >= 1e3 * R
-                shots.append((math.log(amplitudes[1]), no_zero or out[0].y[2] > 0.0,
-                              no_zero))
+            if "root_tol" in kwargs:
+                gap = system_mod._pair_gap(out, 1e3 * R)
+                shots.append((math.log(amplitudes[1]), gap > 0.0, gap == math.inf))
             return out
 
         monkeypatch.setattr(system_mod, "flux_ivp", recording)
-        rho, d_v = system_mod._common_zero(3, 1, 1.0, (spec.g, spec.h), 1.0, 5.0, 10.0,
+        rho, d_v = system_mod._common_zero(3, 1, 1.0, (spec.g, spec.h), 1.0, 1.5e-5, 1.1,
                                            TOL)
-        first = next(i for i, shot in enumerate(shots) if shot[2])
+        assert shots[0][2]
+        first = next(i for i, shot in enumerate(shots) if not shot[1])
         bisected = 0
         for i in range(first + 1, len(shots)):
             if not all(no_zero for _, up, no_zero in shots[:i] if up):
@@ -301,10 +311,76 @@ class TestOneDimensionalRoot:
             assert shots[i][0] == pytest.approx(0.5 * (z_up + z_down), abs=1e-12)
             bisected += 1
         assert bisected >= 2
-        assert d_v == pytest.approx(1.0, rel=1e-9)
-        tight = 1e-13
-        want, _ = system_mod._common_zero(3, 1, 1.0, (spec.g, spec.h), 1.0, 5.0, 1.0, tight)
-        assert rho == pytest.approx(want, rel=1e-9)
+        assert 0.9e3 < rho < 1e3 and d_v > 1.1
+        with pytest.raises(NumericalFailureError, match="fixed-R residual check failed"):
+            solve_system_shooting(spec, 1.0, (1.5e-5, 1.1))
+
+    def test_v_first_ivp_stops_at_the_zero_of_v(self, monkeypatch):
+        # the coupled eigenvalue's root at N1k1 starts at d_v = 0.9, where v vanishes
+        # first (F > 0): the IVP ends there, and steps no further than one where u does
+        import hessbif.system as system_mod
+
+        runs = []   # (F, accepted steps, u, v, d_v) at the stop of each root IVP
+        real = system_mod.flux_ivp
+
+        def recording(*args, **kwargs):
+            out = real(*args, **kwargs)
+            if "root_tol" in kwargs:
+                res = out[0]
+                runs.append((system_mod._pair_gap(out, args[7]), res.n_steps, res.y[0],
+                             res.y[2], args[5][1]))
+            return out
+
+        monkeypatch.setattr(system_mod, "flux_ivp", recording)
+        coupled_eigenvalue(1, 1, 1.0)
+        v_first = [run for run in runs if run[0] > 0.0]
+        u_steps = max(steps for F, steps, *_ in runs if F < 0.0)
+        assert v_first and len(v_first) < len(runs)
+        for _, steps, u, v, d_v in v_first:
+            assert u < 0.0 and abs(v) <= TOL * d_v
+            assert steps <= u_steps + 2
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6])
+    @pytest.mark.parametrize("case", ["linear N1k1", "saturating/rational N2k1"])
+    def test_gap_is_smooth_through_the_root(self, case, eps):
+        # F = (v / v' - u / u') / rho changes sign across the root with one slope: a stop
+        # at the zero of u alone, or a search on max(u, v), would put a kink there
+        import hessbif.system as system_mod
+
+        if case == "linear N1k1":   # the coupled eigenvalue's root
+            spec, lam_ref, dv0 = coupled(1, 1, "linear"), 1.07 * LAM_COS, 0.9
+        else:
+            spec = asymmetric(2, "saturating_t", "rational_s", {"b": 3.0})
+            lam_ref, dv0 = cold_start(spec, 1.0)
+        weights, horizon = (spec.g, spec.h), HORIZON * spec.R
+        _, d_v = system_mod._common_zero(spec.N, spec.k, spec.R, weights, 1.0, lam_ref, dv0,
+                                         TOL)
+
+        def gap(x):
+            return system_mod._pair_gap(flux_ivp(spec.N, spec.k, spec.R, lam_ref, weights,
+                                                 (1.0, x), TOL, horizon, root_tol=TOL,
+                                                 also_stop=2), horizon)
+
+        above, below = gap(d_v * math.exp(eps)), gap(d_v * math.exp(-eps))
+        assert below > 0.0 > above
+        assert above / -eps == pytest.approx(below / eps, rel=1e-2)
+
+    @pytest.mark.parametrize("N, k, g, g_params, h, h_params", ASYMMETRIC_TRACES,
+                             ids=[f"{g}-{h}-N{N}k{k}" for N, k, g, _, h, _ in ASYMMETRIC_TRACES])
+    def test_asymmetric_trace_within_1e9_of_a_tight_run(self, N, k, g, g_params, h,
+                                                         h_params):
+        spec = SystemSpec(N=N, k=k, R=1.0, g=NonlinearitySpec2(g, g_params),
+                          h=NonlinearitySpec2(h, h_params))
+        lam1 = first_eigenvalue(N, k, 1.0).lambda1
+        grid = np.geomspace(1e-2, 1e2, 16)
+        got = trace_system_branch(spec, grid, lambda_scale=lam1)
+        want = {p.d_u: p for p in trace_system_branch(spec, grid, 1e-13,
+                                                      lambda_scale=lam1).points}
+        matched = [p for p in got.points if p.d_u in want]
+        assert got.gaps == [] and len(matched) >= 16
+        for p in matched:
+            assert p.lam == pytest.approx(want[p.d_u].lam, rel=1e-9), p.d_u
+            assert p.d_v == pytest.approx(want[p.d_u].d_v, rel=1e-9), p.d_u
 
     def test_no_zero_of_u_is_named(self):
         # N > 2k and saturating g < 1: at lambda_ref = 1e-6, u levels off below
@@ -312,6 +388,14 @@ class TestOneDimensionalRoot:
         spec = coupled(3, 1, "saturating")
         with pytest.raises(NumericalFailureError, match="u has no zero before 1000 R"):
             solve_system_shooting(spec, 1.0, (1e-6, 1.0))
+
+    def test_gap_without_a_sign_change_is_named(self):
+        # saturating g caps u's forcing at lambda, while superlinear h drives v in
+        # proportion to its amplitude: v vanishes first however large d_v grows
+        spec = asymmetric(2, "saturating_t", "superlinear_s")
+        with pytest.raises(NumericalFailureError, match="the gap between the zeros of u and v "
+                                                        "did not change sign after 10 doublings"):
+            solve_system_shooting(spec, 5.0, cold_start(spec, 5.0))
 
     def test_too_few_points_is_a_tracing_failure(self, monkeypatch, tmp_path):
         import hessbif.cli as cli
@@ -380,6 +464,12 @@ class TestOneDimensionalRoot:
         assert all(p.d_v == p.d_u for p in sb.points)
 
 
+# (case, IVPs): starts that take no diagonal root, each IVP of both components
+OFF_SYMMETRIC_STARTS = [("rational b 2/3", 7), ("saturating/rational", 12),
+                        ("coupled eigenvalue", 6), ("power pair N1k1", 24),
+                        ("power pair N2k2", 28)]
+
+
 class TestDiagonalRoot:
     @pytest.mark.parametrize("N, k", PAIR_NK, ids=[f"N{N}k{k}" for N, k in PAIR_NK])
     @pytest.mark.parametrize("base, params", PAIRS, ids=[base for base, _ in PAIRS])
@@ -399,9 +489,8 @@ class TestDiagonalRoot:
                             HORIZON * spec.R, root_tol=TOL)[0]
             assert abs(rho / pair.t - 1.0) <= 1e-11, d_u
 
-    @pytest.mark.parametrize("case, n_ivps", [
-        ("rational b 2/3", 9), ("saturating/rational", 13), ("coupled eigenvalue", 8),
-        ("power pair N1k1", 28), ("power pair N2k2", 35)])
+    @pytest.mark.parametrize("case, n_ivps", OFF_SYMMETRIC_STARTS,
+                             ids=[case for case, _ in OFF_SYMMETRIC_STARTS])
     def test_no_diagonal_root_off_symmetric_starts(self, monkeypatch, ivps, case, n_ivps):
         # unequal params, unequal bases, d_v0 != d_u (the coupled eigenvalue) and the
         # power pair, whose weights agree as formulas at alpha = beta = k but not in their
@@ -476,6 +565,14 @@ class TestSystemEigenvalue:
         else:
             assert coupled_eigenvalue(2, 1, 1.0) == first_eigenvalue(2, 1, 1.0).lambda1
 
+    @pytest.mark.parametrize("R", [0.7, 1.3])
+    @pytest.mark.parametrize("N,k", [(1, 1), (2, 1), (2, 2), (3, 1), (3, 3), (5, 2), (8, 4)])
+    def test_coupled_root_within_1e10_of_lambda1(self, N, k, R):
+        # the root that confirm_coupled_eigenvalue checks to eigen_rel_tol, to 1e-10
+        lam1 = first_eigenvalue(N, k, R).lambda1
+        point = solve_system_shooting(coupled(N, k, "linear", R=R), 1.0, (1.07 * lam1, 0.9))
+        assert abs(point.lam - lam1) <= 1e-10 * lam1
+
     @pytest.mark.parametrize("N,k", [(1, 1), (2, 1), (2, 2), (3, 3), (5, 2), (8, 4)])
     def test_loose_tolerances_agree(self, N, k):
         # the asymmetric solve is 7e-7..8e-6 off at 1e-5, above a fixed 1e-6 bound
@@ -491,9 +588,10 @@ POWER_PAIR_TABLE = [
 
 
 def recorded_power_pair(monkeypatch, case, factor=1.0):
-    """power_pair_constant(*case) with the d_v seed of every sample after the first, which
-    carries the previous root's offset, scaled by factor; returns the result and, per
-    sample, its root (rho, d_v) and the (d_v, F) of each root IVP it evaluated."""
+    """power_pair_constant(*case) with the d_v seed of every sample after the first, the
+    previous root's image under amplitude homogeneity, scaled by factor; returns the
+    result and, per sample, its root (rho, d_v) and the (d_v, F) of each root IVP it
+    evaluated, F read by system._pair_gap as the root reads it."""
     import hessbif.system as system_mod
 
     real_zero, real_ivp = system_mod._common_zero, system_mod.flux_ivp
@@ -507,9 +605,8 @@ def recorded_power_pair(monkeypatch, case, factor=1.0):
 
     def flux_ivp(*args, **kwargs):
         result = real_ivp(*args, **kwargs)
-        if "root_tol" in kwargs:   # F = v(rho_u) / d_v, +inf when u has no zero
-            res, d_v = result[0], args[5][1]
-            evals[-1].append((d_v, math.inf if res.t >= args[7] else res.y[2] / d_v))
+        if "root_tol" in kwargs:
+            evals[-1].append((args[5][1], system_mod._pair_gap(result, args[7])))
         return result
 
     with monkeypatch.context() as patch:
@@ -588,8 +685,9 @@ class TestPowerPair:
                          "--beta", "1", "--out", "pp.json"]) == cli.EXIT_NUMERICAL
         assert not (tmp_path / "pp.json").exists()
 
-    @pytest.mark.parametrize("N,k,alpha,beta,count", [(1, 1, 1.0, 1.0, 30),
-                                                      (2, 2, 4.0, 1.0, 37)])
+    @pytest.mark.parametrize("N,k,alpha,beta,count", [(1, 1, 1.0, 1.0, 26),
+                                                      (2, 2, 4.0, 1.0, 30)],
+                             ids=["N1k1", "N2k2"])
     def test_ivp_count(self, ivps, N, k, alpha, beta, count):
         # two for first_eigenvalue, then per sample the root's IVPs and one fixed-R shot
         calls = ivps
@@ -598,18 +696,19 @@ class TestPowerPair:
 
     @pytest.mark.parametrize("N,k,alpha,beta,R", POWER_PAIR_TABLE)
     def test_seeded_samples_take_at_most_four_ivps(self, monkeypatch, N, k, alpha, beta, R):
-        # from the third sample on the seed carries the offset of a root of the same
-        # scaled problem: at most 3 root IVPs, then the fixed-R shot
+        # from the second sample on the seed is the previous root's image under amplitude
+        # homogeneity, a root of the same scaled problem: at most 3 root IVPs (2 on this
+        # table), then the fixed-R shot
         _, samples = recorded_power_pair(monkeypatch, (N, k, alpha, beta, R))
         root_ivps = [len(evals) for _, evals in samples]
         assert len(root_ivps) == 8
-        assert max(root_ivps[2:]) <= 3, root_ivps
+        assert max(root_ivps[1:]) <= 3, root_ivps
 
     @pytest.mark.parametrize("factor", [0.7, 1.4])
     @pytest.mark.parametrize("N,k,alpha,beta,R", POWER_PAIR_TABLE)
     def test_doctored_seed_cannot_steer_the_samples(self, monkeypatch, N, k, alpha, beta, R,
                                                     factor):
-        # the carried offset only shortens the search: with it off by factor, every
+        # the homogeneity seed only shortens the search: with it off by factor, every
         # sample is the same root, and each root is an evaluated IVP inside a bracket of
         # evaluated IVPs of opposite F
         case = (N, k, alpha, beta, R)
