@@ -13,20 +13,48 @@ the problem into the first-order system
 
 which has no singularity to integrate through and keeps u' >= 0 by
 construction, so admissibility holds wherever the right-hand side is positive.
-The origin is seeded by the quadratic series u ~ -d + a r^2/2 with curvature
-a = lambda f(d) / C(N,k)^(1/k).
+
+Each run starts from the origin series.  In x = r^2, with curvature
+a = lambda f(d) / C(N,k)^(1/k) and C = k / C(N-1,k-1),
+
+    u = -d + u1 x + u2 x^2 + u3 x^3 + ...,   m = r^N (mu0 + mu1 x + mu2 x^2 + ...),
+
+where mu_j = C G_j / (N + 2j) for the Taylor coefficients G_j of (lambda
+f(s(x)))^k along the solution, u1 = a/2, u2 = a nu1/4, u3 = a nu2/6, nu1 = p1/k
+and nu2 = p2/k + (1-k)/(2k^2) p1^2, p_j = mu_j/mu0 (the k-th root of m r^(k-N)
+= r^k mu0 (1 + p1 x + p2 x^2), integrated).  Because m ~ r^N, a run from a tiny
+radius takes steps h ~ r for decades of r.  So at N >= SERIES_MIN_N = 4 a run
+starts from these three terms at the largest r_s <= SERIES_CAP R = R/16 where
+each first omitted term, estimated as the last term times the larger of the
+last two ratios of terms, is at most a tenth of the step tolerance on u, atol +
+rtol d: for u, and for m through the constant flux offset it leaves, which
+moves u by e a x / (k (N - 2)) for a relative error e of m.  At N <= 3, where a
+term is not finite or raises, where lambda f(d) is not positive and where r_s
+<= r0, a run starts at r0 = 1e-8 R (or where r0^N stays a float) from the
+quadratic seed u = -d + a r^2/2, m = a^k r^N.  At N = 8 a first_eigenvalue
+takes 125 attempts from the series and 219 from r0; at N <= 3 the first trial
+from r0 is accepted already, and the series costs about what it saves.  G_j
+come from the forcing F = lambda f: G_1 / G_0 = k F_1 / F_0 and G_2 / G_0 = k
+F_2 / F_0 + k (k - 1)/2 (F_1 / F_0)^2, with F_1 and F_2 from central
+differences along s(x) that move s by at most SERIES_STEP d = 1e-3 d (fourth
+order for F_1, which also takes s 2e-3 d away), so their error does not grow
+with k.
 
 flux_ivp is the one shooting kernel, for this problem and for the two-component
 system of system.py.  Each component i has forcing F_i = lambda w_i(s) with
 S_k(D^2 u_i) = F_i^k: w = f here, w = g, h of (s_u, s_v) for the system.  It
-seeds every component from its series (a_i = F_i(d) / C(N,k)^(1/k)), refuses a
+starts every component from its origin series (a_i = F_i(d) / C(N,k)^(1/k); a
+pair's F_2 comes from a second pass along s_i = d_i - u1_i x - u2_i x^2, while
+one s moves along one line, so u2 x^2 adds F_1 u2 / u1 to its F_2), refuses an
+F_i(d) > 0 whose k-th power underflows to 0.0 (u would never leave -d) and a
 negative or non-finite weight w_i, and steps one decade tighter than the
 caller's tolerance tol (STEP_TOL_FACTOR = 0.1): relative tolerance 0.1 tol, and
 absolute tolerance 0.1 tol 1e-3 max(d_i, 1) for u_i and 0.1 tol 1e-3
 max(F_i^k R^N / C(N,k), 1e-30) for m_i, the value m(R) of constant forcing
 F_i(d).  flux_profiles samples it on a grid of grid_points points, from the
 steps of the fixed-R shot (rk.integrate re-steps to each grid point from the
-accepted state before it), so a profile ends at that shot's u(R).  tol is one
+accepted state before it), so a profile ends at that shot's u(R); grid points
+at or below the start take u, u' and u'' from the series.  tol is one
 float, TOL by default, passed down from every entry; each shot refuses a tol
 outside (0, MAX_TOL) before its first IVP (_check_shot).
 
@@ -44,9 +72,9 @@ call evaluates, so the called and the inlined weight agree bit for bit; lambda
 and the weight params are kernel inputs, so one kernel serves every value of
 them at its (N, k).  Only a tabulated f, which has no formula, is called.
 u' = (m / r^(N-k))^(1/k) takes one float power where r^(N-k) and the quotient
-are normal floats, and exp(log(m)/k + (k-N)/k log(r)) elsewhere: r0^59
-underflows to 0.0 at N = 60, k = 1, R = 1e-3, where the quotient would divide
-by zero.
+are normal floats, and exp(log(m)/k + (k-N)/k log(r)) elsewhere: r^59
+underflows to 0.0 below r = 8.2e-6, where the series starts at N = 60, k = 1,
+R = 1e-4, and the quotient would divide by zero.
 
 f is extended below zero by f(max(s, 0)): past the (single) zero crossing of a
 too-strongly-forced profile the forcing switches off, keeping the boundary
@@ -86,6 +114,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
+from typing import NamedTuple
 
 from . import rk
 from .core import (
@@ -114,6 +143,9 @@ GRID_POINTS = 1024   # points of a sampled profile on [0, R], at least 64
 # puts none there (worst 8.7e-10 scalar, 5.1e-10 coupled; medians ~1e-12).
 STEP_TOL_FACTOR = 0.1
 HORIZON = 1e3   # lambda_at_amplitude looks for the first zero out to HORIZON * R
+SERIES_MIN_N = 4   # flux_ivp starts from the three-term origin series at N >= SERIES_MIN_N
+SERIES_STEP = 1e-3   # the series' differences move each s_i by at most SERIES_STEP d_i
+SERIES_CAP = 1.0 / 16.0   # the series starts at most at SERIES_CAP R
 
 
 class RadialProfile:
@@ -262,6 +294,102 @@ def _power_product(x, p, y, q):
         return math.exp(p * math.log(x) + q * math.log(y))
 
 
+class OriginSeries(NamedTuple):
+    """The series that a flux_ivp run starts from: start, the radius of its first state,
+    and per component (d, u1, u2, u3), u = -d + u1 x + u2 x^2 + u3 x^3 in x = r^2."""
+
+    start: float
+    terms: tuple
+
+    def profile(self, i, r):
+        """(u, u', u'') of component i at radii r <= start, from the series."""
+        d, u1, u2, u3 = self.terms[i]
+        x = r * r
+        return (-d + x * (u1 + x * (u2 + x * u3)),
+                2.0 * r * (u1 + x * (2.0 * u2 + 3.0 * x * u3)),
+                2.0 * u1 + x * (12.0 * u2 + 30.0 * x * u3))
+
+
+def _origin_series(N, k, R, lam, weights, amplitudes, forcing, curvatures, tol):
+    """(series, y0): the OriginSeries of a flux_ivp run and its state at series.start,
+    the three-term series or the quadratic seed at r0 (module docstring); tol is the
+    step tolerance."""
+    if N >= SERIES_MIN_N and all(F > 0.0 for F in forcing):
+        try:
+            three = _three_terms(N, k, R, lam, weights, amplitudes, forcing, curvatures, tol)
+        except (ArithmeticError, ValueError):
+            three = None
+        if three is not None:
+            return three
+    r0 = _origin_radius(N, R)
+    y0, terms = [], ()
+    for d, a in zip(amplitudes, curvatures):
+        y0 += (-d + 0.5 * a * r0 * r0, _power_product(a, k, r0, N))
+        terms += ((d, 0.5 * a, 0.0, 0.0),)
+    return OriginSeries(r0, terms), y0
+
+
+def _three_terms(N, k, R, lam, weights, amplitudes, forcing, curvatures, tol):
+    """The three-term series and its state (module docstring), or None where a term is
+    not finite or r_s <= r0.
+
+    o1 = F_1 / F_0 is the fourth-order central difference over x = +-dx and +-2dx
+    along s = d - u1 x, where dx moves each s_i by at most SERIES_STEP d_i, and
+    o2 = F_2 / F_0 the second-order one over +-dx, for a pair along
+    s = d - u1 x - u2 x^2 once o1 has given u2."""
+    pair = len(amplitudes) == 2
+    ws = weights if pair else (weights,)
+    dx = SERIES_STEP * min([2.0 * d / a for d, a in zip(amplitudes, curvatures)])
+    hi, lo, hi2, lo2, o1, u2, o2 = [], [], [], [], [], [], []
+    for d, a in zip(amplitudes, curvatures):
+        hi.append(d - dx * 0.5 * a)
+        lo.append(d + dx * 0.5 * a)
+        hi2.append(d - dx * a)
+        lo2.append(d + dx * a)
+    for w, F, a in zip(ws, forcing, curvatures):
+        f_hi, f_lo = lam * w(*hi), lam * w(*lo)
+        o = (8.0 * (f_hi - f_lo) - lam * (w(*hi2) - w(*lo2))) / (12.0 * dx * F)
+        b2 = a * N * o / (4.0 * (N + 2))   # a nu1 / 4, nu1 = p1 / k = N o1 / (N + 2)
+        o1.append(o)
+        u2.append(b2)
+        if not pair:
+            o2.append((f_hi + f_lo - 2.0 * F) / (2.0 * dx * dx * F) + 2.0 * o * b2 / a)
+    if pair:
+        for i in range(2):
+            hi[i] -= dx * dx * u2[i]
+            lo[i] -= dx * dx * u2[i]
+        for w, F in zip(ws, forcing):
+            o2.append((lam * w(*hi) + lam * w(*lo) - 2.0 * F) / (2.0 * dx * dx * F))
+    x4 = (R * SERIES_CAP) ** 8
+    terms, ps = [], []
+    for d, a, b2, o, oo in zip(amplitudes, curvatures, u2, o1, o2):
+        c = 0.5 * a
+        p = N * k * o / (N + 2)
+        q = N * k * (oo + 0.5 * (k - 1) * o * o) / (N + 4)
+        b3 = a * (q / k + (1 - k) / (2 * k * k) * p * p) / 6.0
+        if not math.isfinite(p + q + b2 + b3):
+            return None
+        # x^4 bounds: u4 x^4 ~ u3 x^4 max(|u3 / u2|, |u2 / u1|) for u, and for m the
+        # relative truncation e = p2 x^3 max(|p2 / p1|, |p1|), which moves u by
+        # e a x / (k (N - 2))
+        budget = 0.1 * tol * (1e-3 * max(d, 1.0) + d)   # a tenth of u's step tolerance
+        if b3:
+            x4 = min(x4, budget / abs(b3 * max(abs(b3 / b2), abs(b2 / c))))
+        if q:
+            x4 = min(x4, budget * k * (N - 2) / abs(a * q * max(abs(q / p), abs(p))))
+        terms.append((d, c, b2, b3))
+        ps.append((p, q))
+    x = math.sqrt(math.sqrt(x4))
+    start = math.sqrt(x)
+    if not start > _origin_radius(N, R):
+        return None
+    y0 = []
+    for (d, c, b2, b3), a, (p, q) in zip(terms, curvatures, ps):
+        y0 += (-d + x * (c + x * (b2 + x * b3)),
+               _power_product(a, k, start, N) * (1.0 + x * (p + x * q)))
+    return OriginSeries(start, tuple(terms)), y0
+
+
 def flux_ivp(N: int, k: int, R: float, lam: float, weights, amplitudes, tol: float,
              t1: float, **kw):
     """rk.integrate(**kw) of one or two flux components from the origin series out to t1.
@@ -269,32 +397,40 @@ def flux_ivp(N: int, k: int, R: float, lam: float, weights, amplitudes, tol: flo
     One component: weights = f, amplitudes = (d,), state (u, m).  Two: weights =
     (g, h), amplitudes = (d_u, d_v), state (u, m_u, v, m_v).  Forcing, series,
     tolerances, the slope kernel and the weight check are as in the module
-    docstring.  The first trial step is (R - r0)/64 whatever t1 is, so a run to
-    the first zero of u, out to HORIZON * R, does not start with a trial 10^3
-    times too long.  With root_tol, rk.integrate aims its trials at that zero,
-    where the forcing switches off, and at v's with also_stop=2.  Returns
-    (result, rhs, curvatures): the slope as a function and the series
-    curvatures a_i = u_i''(0).
+    docstring.  A forcing lam w_i(d) > 0 whose k-th power underflows to 0.0
+    raises NumericalFailureError before any step: u would never leave -d.  The
+    run starts at series.start, and output_ts at or below it are dropped (the
+    series gives those).  The first trial step is (R - start)/64 whatever t1 is,
+    so a run to the first zero of u, out to HORIZON * R, does not start with a
+    trial 10^3 times too long.  With root_tol, rk.integrate aims its trials at
+    that zero, where the forcing switches off, and at v's with also_stop=2.
+    Returns (result, rhs, series): the slope as a function and the OriginSeries.
     """
     tol *= STEP_TOL_FACTOR
-    c_full = binom(N, k)
     slope, inputs, rhs = flux_kernel(N, k, lam, weights)
     if len(amplitudes) == 1:
         forcing = (lam * weights(amplitudes[0]),)
     else:
         forcing = tuple(lam * w(*amplitudes) for w in weights)
-
-    r0 = _origin_radius(N, R)
-    curvatures, y0, atol = [], [], []
+    c_full = binom(N, k)
+    root = c_full ** (1.0 / k)
+    curvatures, atol = [], []
     for d, F in zip(amplitudes, forcing):
-        a = F / c_full ** (1.0 / k)
-        curvatures.append(a)
-        y0 += (-d + 0.5 * a * r0 * r0, _power_product(a, k, r0, N))
+        if 0.0 < F < 1.0 and F**k == 0.0:
+            raise NumericalFailureError(
+                f"forcing underflows: (lambda w(d))^k = ({F!r})^{k} is 0.0 at "
+                f"lambda = {lam!r}, d = {d!r}, k = {k}")
+        curvatures.append(F / root)
         atol += (tol * 1e-3 * max(d, 1.0),
                  tol * 1e-3 * max(_power_product(F, k, R, N) / c_full, 1e-30))
-    res = rk.integrate(rhs, r0, y0, t1, rtol=tol, atol=atol, first_step=(R - r0) / 64.0,
+    series, y0 = _origin_series(N, k, R, lam, weights, amplitudes, forcing, curvatures, tol)
+    start = series.start
+    ts = kw.get("output_ts")
+    if ts is not None and len(ts) and ts[0] <= start:   # ascending
+        kw["output_ts"] = [s for s in ts if s > start]
+    res = rk.integrate(rhs, start, y0, t1, rtol=tol, atol=atol, first_step=(R - start) / 64.0,
                        slope=slope, inputs=inputs, **kw)
-    return res, rhs, curvatures
+    return res, rhs, series
 
 
 def flux_profiles(N: int, k: int, R: float, lam: float, weights, amplitudes, tol: float,
@@ -304,30 +440,28 @@ def flux_profiles(N: int, k: int, R: float, lam: float, weights, amplitudes, tol
     The run steps as the fixed-R shot does (shoot_boundary_value,
     system.system_boundary_values), and its grid states are read off its
     accepted states, so the profiles end at that shot's (u_i(R)) bit for bit.
-    u'' comes from the flux state and the rhs's m'; each profile's consistency
-    residual is sup over interior grid points of |S_k(u_i'', u_i'/r) - F_i^k|,
-    u_i'' there by central differences of u_i', so it cross-checks the integral
-    form against the differential form.
+    Grid points at or below the run's start take u, u' and u'' from its origin
+    series.  Beyond it u'' comes from the flux state and the rhs's m'; each
+    profile's consistency residual is sup over interior grid points of
+    |S_k(u_i'', u_i'/r) - F_i^k|, u_i'' there by central differences of u_i', so
+    it cross-checks the integral form against the differential form.
     """
     import numpy as np
 
     if grid_points < 64:
         raise InvalidInputError(f"grid_points must be >= 64, got {grid_points}")
     grid = np.linspace(0.0, R, grid_points)
-    series = grid <= _origin_radius(N, R)
-    outer = grid[~series]   # nonempty: grid_points >= 64 puts grid[1] far beyond r0
-    res, rhs, curvatures = flux_ivp(N, k, R, lam, weights, amplitudes, tol, R,
-                                    output_ts=outer)
+    res, rhs, series = flux_ivp(N, k, R, lam, weights, amplitudes, tol, R, output_ts=grid)
+    inner = grid <= series.start
+    outer = grid[~inner]   # nonempty: the start is at most R / 16
     states = np.asarray(res.grid_states)
     slopes = np.array([rhs(r, y) for r, y in zip(outer, res.grid_states)])
     profiles = []
-    for i, (d, a) in enumerate(zip(amplitudes, curvatures)):
+    for i, d in enumerate(amplitudes):
         u, up, upp = np.empty_like(grid), np.empty_like(grid), np.empty_like(grid)
-        u[series] = -d + 0.5 * a * grid[series] ** 2
-        up[series] = a * grid[series]
-        upp[series] = a
-        u[~series] = states[:, 2 * i]
-        up[~series], upp[~series] = radial_derivatives(
+        u[inner], up[inner], upp[inner] = series.profile(i, grid[inner])
+        u[~inner] = states[:, 2 * i]
+        up[~inner], upp[~inner] = radial_derivatives(
             outer, states[:, 2 * i + 1], slopes[:, 2 * i + 1], N, k)
         profiles.append(RadialProfile(r=grid, u=u, uprime=up, upp=upp, lam=lam, d=d))
     for prof, res_i in zip(profiles, _consistency_residuals(profiles, lam, weights, N, k)):

@@ -45,6 +45,7 @@ where the class pair is (lim_{x->0} w, lim_{x->inf} w) relative to |t| (resp.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -259,13 +260,21 @@ def _pair_gap(ivp, horizon):
 def _diagonal_weight(weights):
     """g(s, s) as a _BoundWeight over s when the weights (g, h) agree as formulas on the
     diagonal s = t (equal source with t renamed s, params and values); else None."""
-    g, h = ((w.formula.rename({"t": "s"}), w.formula.params, w.formula_values)
-            for w in weights)
-    if g != h:
+    g, h = weights
+    formula = _diagonal_formula(g.formula, h.formula)
+    if formula is None or g.formula_values != h.formula_values:
         return None
-    source, params, values = g
-    return _BoundWeight(Formula(f"{weights[0].formula.kind}(s, s)", source, ("s",), params),
-                        values)
+    return _BoundWeight(formula, g.formula_values)
+
+
+@functools.cache
+def _diagonal_formula(g, h):
+    """g(s, s) as a Formula over s when the formulas g and h have equal source with t
+    renamed s and equal params, else None: renamed once per pair of formulas."""
+    source = g.rename({"t": "s"})
+    if (source, g.params) != (h.rename({"t": "s"}), h.params):
+        return None
+    return Formula(f"{g.kind}(s, s)", source, ("s",), g.params)
 
 
 def _common_zero(N, k, R, weights, d_u, lam_ref, dv0, tol, z_tol=None):

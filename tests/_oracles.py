@@ -221,3 +221,66 @@ def time_map_fold(f, d_lo, d_hi, R, kind, rel_tol=1e-7):
             e = a + ratio * (b - a)
             ge = g(e)
     return sign * min(gc, ge)
+
+
+# Truncated power series in x = r^2, as lists of coefficients of one length: the
+# Taylor oracle of the origin series (origin_taylor) composes the registry weights
+# from these exactly, with no difference quotient.
+
+def series_mul(a, b):
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(len(a))]
+
+
+def series_pow(a, q):
+    """a^q by J. C. P. Miller's recurrence; a[0] > 0."""
+    b = [a[0] ** q]
+    for n in range(1, len(a)):
+        b.append(sum(((q + 1.0) * j - n) * a[j] * b[n - j] for j in range(1, n + 1))
+                 / (n * a[0]))
+    return b
+
+
+def series_log(a):
+    out = [math.log(a[0])]
+    for n in range(1, len(a)):
+        out.append((a[n] - sum(j * out[j] * a[n - j] for j in range(1, n)) / n) / a[0])
+    return out
+
+
+def _plus_one(a):
+    return [1.0 + a[0]] + a[1:]
+
+
+# the registry kinds (core.registry) as functions of the series of s
+REGISTRY_SERIES = {
+    "linear": lambda s: s,
+    "saturating": lambda s: series_mul(s, series_pow(_plus_one(s), -1.0)),
+    "superlinear": lambda s: series_mul(s, _plus_one(s)),
+    "quadratic_over_linear": lambda s: series_mul(series_mul(s, s),
+                                                  series_pow(_plus_one(s), -1.0)),
+    "sqrt": lambda s: series_pow(s, 0.5),
+    "square": lambda s: series_mul(s, s),
+    "sqrt_plus_square": lambda s: [p + q for p, q in zip(series_pow(s, 0.5),
+                                                         series_mul(s, s))],
+    "log_bump": lambda s: series_log(_plus_one(series_mul(s, s))),
+}
+
+
+def origin_taylor(N, k, lam, d, w_series, terms=16):
+    """(u, mu): Taylor coefficients in x = r^2 of u and of m / r^N for the radial
+    problem S_k(D^2 u) = (lam w(-u))^k with u(0) = -d, w(s) given as w_series of the
+    series of s.
+
+    With G = (lam w(s))^k, m' = C r^(N-1) G gives mu_j = C G_j / (N + 2j),
+    C = k / C(N-1, k-1), and u' = (m r^(k-N))^(1/k) = r mu_0^(1/k) (mu / mu_0)^(1/k)
+    gives u_{j+1} = mu_0^(1/k) [(mu / mu_0)^(1/k)]_j / (2 (j + 1)).  Each pass fixes
+    one more coefficient of u, so terms passes give them all."""
+    C = k / _binom(N - 1, k - 1)
+    u = [-d] + [0.0] * (terms - 1)
+    for _ in range(terms):
+        G = series_pow([lam * c for c in w_series([-c for c in u])], float(k))
+        mu = [C * g / (N + 2 * j) for j, g in enumerate(G)]
+        root = series_pow([c / mu[0] for c in mu], 1.0 / k)
+        a = mu[0] ** (1.0 / k)
+        u = [-d] + [a * root[j] / (2.0 * (j + 1)) for j in range(terms - 1)]
+    return u, mu

@@ -35,3 +35,10 @@ def ivps(monkeypatch):
 
     monkeypatch.setattr(rk, "integrate", recording)
     return log
+
+
+def ivp_counts(log):
+    """(attempts, rhs calls) of an ivps log: n_steps + n_rejected and n_rhs summed over its
+    finished IVPs."""
+    done = [ivp.result for ivp in log if ivp.result is not None]
+    return sum(r.n_steps + r.n_rejected for r in done), sum(r.n_rhs for r in done)

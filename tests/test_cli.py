@@ -79,6 +79,28 @@ class TestEigen:
         assert "slope overflows" in err and "(lam * w0) ** 60" in err
         assert "Numerical result out of range" not in err
 
+    def test_underflowing_forcing_is_named(self, capsys):
+        # lambda = 1 / R^2 = 1e-6 at N = k = 60: the forcing (lam * w0) ** 60 = 1e-360 is
+        # 0.0, so u would never leave -d; the root IVP refuses it before its first step
+        from hessbif import cli
+
+        rc = cli.main(["eigen", "--N", "60", "--k", "60", "--R", "1e3"])
+        err = capsys.readouterr().err
+        assert rc == cli.EXIT_NUMERICAL, err
+        assert ("forcing underflows: (lambda w(d))^k = (1e-06)^60 is 0.0 at lambda = 1e-06, "
+                "d = 1.0, k = 60") in err
+        assert "step size underflow" not in err
+
+    @pytest.mark.parametrize("R,lam1", [(30.0, 0.004259802839713744),
+                                        (100.0, 0.0003833822555741813)])
+    def test_small_forcing_that_stays_normal_passes(self, capsys, R, lam1):
+        # (1 / R^2)^60 is 1e-178 at R 30 and 1e-240 at R 100: normal floats
+        from hessbif import cli
+
+        assert cli.main(["eigen", "--N", "60", "--k", "60", "--R", repr(R)]) == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert float(out.rsplit("=", 1)[1]) == pytest.approx(lam1, rel=1e-9)
+
     def test_unattainable_tolerance_is_numerical_failure(self, tmp_path):
         r = run(["eigen", "--N", "1", "--k", "1", "--tol", "1e-30"], tmp_path)
         assert r.returncode == 2, r.stderr

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hessbif import core, rk, system
+from hessbif import core, rk, shooting, system
 from hessbif.core import NonlinearitySpec, ProblemSpec
 from hessbif.errors import InvalidInputError, NumericalFailureError
 from hessbif.shooting import (
     HORIZON,
+    STEP_TOL_FACTOR,
     TOL,
     RadialProfile,
     eigen_rel_tol,
@@ -29,7 +30,14 @@ from hessbif.shooting import (
     solve_lambda,
 )
 
-from _oracles import eigen_value, time_map_fold, time_map_lambda
+from _oracles import (
+    REGISTRY_SERIES,
+    eigen_value,
+    origin_taylor,
+    time_map_fold,
+    time_map_lambda,
+)
+from conftest import ivp_counts
 
 LAM_COS = (math.pi / 2) ** 2        # 2.4674011002723395, interval eigenvalue
 LAM_SINC = math.pi**2               # 9.869604401089358, 3-ball eigenvalue
@@ -289,8 +297,9 @@ class TestScaledFirstEigenvalue:
 
 class TestExtremeRadii:
     """first_eigenvalue where r^(N-k) leaves the normal floats near the origin or far
-    out: at N = 60, k = 1, R = 1e-3 the series radius r0 = 2.2e-8 has r0^59 = 0.0,
-    so the slope u' = (m / r^(N-k))^(1/k) must fall back to its log form there."""
+    out: at N = 60, k = 1 a radius below 8.2e-6 has r^59 = 0.0, so the slope
+    u' = (m / r^(N-k))^(1/k) must fall back to its log form there (the runs start at
+    the origin series' R / 16, below that radius at R = 1e-4, TestOriginSeries)."""
 
     @pytest.mark.parametrize("R", [1e-3, 0.1, 1e3])
     def test_sixty_ball_against_bessel_zero(self, R):
@@ -304,6 +313,120 @@ class TestExtremeRadii:
         R = 1e-3
         got = first_eigenvalue(N, k, R).lambda1 * R * R
         assert abs(got - want) <= 1e-12 * want
+
+class TestOriginSeries:
+    """flux_ivp's start from the three-term origin series at N >= SERIES_MIN_N."""
+
+    R = 1.13
+    NK = [(4, 1), (5, 2), (8, 4), (20, 1), (20, 20)]
+
+    @staticmethod
+    def start(N, k, R, lam, weights, amplitudes):
+        """(series, y0) of a flux_ivp run at TOL."""
+        ws = (weights,) if len(amplitudes) == 1 else weights
+        forcing = [lam * w(*amplitudes) for w in ws]
+        curvatures = [F / core.binom(N, k) ** (1.0 / k) for F in forcing]
+        return shooting._origin_series(N, k, R, lam, weights, amplitudes, forcing, curvatures,
+                                       STEP_TOL_FACTOR * TOL)
+
+    @pytest.mark.parametrize("N,k", NK)
+    @pytest.mark.parametrize("kind", sorted(core.registry()))
+    def test_state_at_the_start_matches_the_taylor_oracle(self, kind, N, k):
+        # origin_taylor sums 16 exact Taylor terms of the same solution.  A tol-1e-13 run
+        # from r0 is no reference here: its error reaches 1.2e-11 d on its way up the
+        # r^N ramp (saturating N4k1, d = 100), more than the budget below
+        f = core.registry()[kind]
+        lam1 = first_eigenvalue(N, k, self.R).lambda1
+        for d in (0.01, 1.0, 100.0):
+            lam = lam1 * d / f(d)
+            series, (u, m) = self.start(N, k, self.R, lam, f, (d,))
+            r = series.start
+            x = r * r
+            assert shooting._origin_radius(N, self.R) < r <= self.R / 16.0
+            cu, cm = origin_taylor(N, k, lam, d, REGISTRY_SERIES[kind])
+            want_u = math.fsum(c * x**j for j, c in enumerate(cu))
+            want_m = r**N * math.fsum(c * x**j for j, c in enumerate(cm))
+            # the rules hold each omitted term to a tenth of the step tolerance on u,
+            # atol + rtol |u|, and estimate it from the last two ratios of terms: within
+            # twice that here
+            budget = 0.1 * STEP_TOL_FACTOR * TOL * (1e-3 * max(d, 1.0) + d)
+            a = 2.0 * series.terms[0][1]
+            assert abs(u - want_u) <= 2.0 * budget, (d, u, want_u)
+            assert abs(m / want_m - 1.0) * a * x / (k * (N - 2)) <= 2.0 * budget, (d, m, want_m)
+
+    @pytest.mark.parametrize("base", ["linear", "saturating", "powermix", "logbump"])
+    def test_pair_on_the_diagonal_starts_as_its_scalar_problem(self, base):
+        # a symmetric pair at d_u = d_v has u = v, the solution of the scalar problem with
+        # f(s) = g(s, s).  The pair takes G_2 from a second pass along s = d - u1 x - u2 x^2,
+        # the scalar from G_1 u2 / u1, and the two agree to the differences' error
+        g, h = system.NonlinearitySpec2(f"{base}_t"), system.NonlinearitySpec2(f"{base}_s")
+        f = system._diagonal_weight((g, h))
+        for N, k in self.NK:
+            lam = first_eigenvalue(N, k, self.R).lambda1 / f(1.0)
+            pair, y_pair = self.start(N, k, self.R, lam, (g, h), (1.0, 1.0))
+            scalar = self.start(N, k, self.R, lam, f, (1.0,))[0]
+            assert pair.start == pytest.approx(scalar.start, rel=1e-6)
+            assert pair.terms[0] == pair.terms[1]
+            (_, u1, u2, u3), = scalar.terms
+            assert pair.terms[0][:3] == (1.0, u1, pytest.approx(u2, rel=1e-12))
+            assert pair.terms[0][3] == pytest.approx(u3, rel=1e-5)
+            u_scalar = scalar.profile(0, pair.start)[0]
+            assert abs(y_pair[0] - u_scalar) <= 0.1 * STEP_TOL_FACTOR * TOL * 1e-3
+
+    @pytest.mark.parametrize("N,k", [(1, 1), (2, 2), (3, 1), (3, 3)])
+    def test_low_dimensions_keep_the_quadratic_seed(self, N, k):
+        f = NonlinearitySpec("saturating")
+        series, (u, m) = self.start(N, k, self.R, 10.0, f, (1.0,))
+        r0 = shooting._origin_radius(N, self.R)
+        assert series.start == r0
+        a = 10.0 * f(1.0) / core.binom(N, k) ** (1.0 / k)
+        assert series.terms == ((1.0, 0.5 * a, 0.0, 0.0),)
+        assert (u, m) == (-1.0 + 0.5 * a * r0 * r0, a**k * r0**N)
+
+    # j_{N/2-1,1}^2, the eigenvalue of the unit N-ball at k = 1:
+    # mpmath.besseljzero(N / 2 - 1, 1) ** 2
+    @pytest.mark.parametrize("N,want", [
+        (8, 40.706465818200319742), (12, 76.93892833364739651), (20, 178.33734124162951127),
+        (40, 592.35039473127947395), (60, 1227.612331324376198)])
+    def test_ball_eigenvalue_against_bessel_zero(self, N, want):
+        assert abs(first_eigenvalue(N, 1, 1.0).lambda1 - want) <= 1e-11 * want
+
+    @pytest.mark.parametrize("N,k,ceiling", [(8, 1, 125), (20, 1, 408), (60, 60, 440)])
+    def test_first_eigenvalue_attempts(self, ivps, N, k, ceiling):
+        # from the quadratic seed at r0: 219, 594 and 636 attempts
+        first_eigenvalue(N, k, 1.0)
+        assert ivp_counts(ivps)[0] <= ceiling
+
+    @pytest.mark.parametrize("N,k", [(5, 2), (8, 4)])
+    def test_profile_ends_at_the_fixed_R_shot(self, monkeypatch, N, k):
+        spec = ProblemSpec(N=N, k=k, R=1.0, f=NonlinearitySpec("saturating"))
+        lam = lambda_at_amplitude(spec, 1.0, first_eigenvalue(N, k, 1.0).lambda1 / spec.f(1.0))
+        prof = integrate_profile(spec, lam, 1.0)
+        assert prof.u[-1] == shoot_boundary_value(spec, lam, 1.0)   # bit for bit
+        series = flux_ivp(N, k, 1.0, lam, spec.f, (1.0,), TOL, 1.0)[2]
+        inner = prof.r <= series.start
+        assert np.count_nonzero(inner) > 8
+        for got, want in zip((prof.u, prof.uprime, prof.upp), series.profile(0, prof.r[inner])):
+            assert np.array_equal(got[inner], want)
+        assert profile_admissible(prof, N, k)
+        # the consistency residual is that of a profile from the quadratic seed at r0
+        monkeypatch.setattr(shooting, "SERIES_MIN_N", sys.maxsize)
+        seeded = integrate_profile(spec, lam, 1.0)
+        assert prof.max_consistency_residual <= 1.01 * seeded.max_consistency_residual
+
+    def test_start_where_r_to_the_59_is_no_normal_float(self):
+        # N = 60, k = 1, R = 1e-4: the series starts at R / 16 = 6.25e-6, below
+        # 1e-300^(1/59) = 8.2e-6, so the slope takes its log form from the start
+        R = 1e-4
+        series = flux_ivp(60, 1, R, 1.0 / R**2, NonlinearitySpec("linear"), (1.0,), TOL, R)[2]
+        assert series.start < 1e-300 ** (1.0 / 59.0)
+        got = first_eigenvalue(60, 1, R).lambda1 * R * R
+        assert abs(got - J29SQ) <= 1e-9 * J29SQ
+
+    def test_underflowing_forcing_refused(self):
+        with pytest.raises(NumericalFailureError, match=r"forcing underflows: .* k = 60"):
+            flux_ivp(60, 60, 1e3, 1e-6, NonlinearitySpec("linear"), (1.0,), TOL, 1e6)
+
 
 @functools.lru_cache(maxsize=None)
 def _unit_ball_oracle(N, k):
@@ -497,15 +620,16 @@ class TestRootIvpCounts:
     def test_first_trial_accepted_on_the_horizon_span(self, monkeypatch):
         # saturating N5k2, d = 100, out to HORIZON * R: a first trial of span/64 = 17.7
         # was rejected 7 times (35 rejected, 36 accepted in all); without the predictive
-        # cap on growth, 20 of 54 attempts were rejected as the error scale of u shrank
+        # cap on growth, 20 of 54 attempts were rejected as the error scale of u shrank.
+        # From the quadratic seed at r0 it took (36, 3, 476)
         f = NonlinearitySpec("saturating")
         lam0 = first_eigenvalue(5, 2, self.R).lambda1 * 100.0 / f(100.0)
         log = _logged_attempts(monkeypatch)
-        res = flux_ivp(5, 2, self.R, lam0, f, (100.0,), 1e-10, HORIZON * self.R,
-                       root_tol=1e-10)[0]
-        assert log[0][0] == pytest.approx(self.R / 64.0, rel=1e-6)   # (R - r0) / 64
+        res, _, series = flux_ivp(5, 2, self.R, lam0, f, (100.0,), 1e-10, HORIZON * self.R,
+                                  root_tol=1e-10)
+        assert log[0][0] == (self.R - series.start) / 64.0
         assert log[0][3] <= 1.0   # accepted
-        assert (res.n_steps, res.n_rejected, res.n_rhs) == (36, 3, 476)
+        assert (res.n_steps, res.n_rejected, res.n_rhs) == (33, 2, 440)
 
     def test_one_rejected_trial_crosses_the_zero(self, monkeypatch):
         # saturating N2k1 at d = 0.1 and its reference lambda = lambda1 d / f(d)
@@ -528,19 +652,20 @@ class TestStepControl:
     R = 1.13
 
     def test_no_growth_on_the_first_step_accepted_after_a_rejection(self, monkeypatch):
-        # the fixed-R shot of power p = 2 at N5k2, d = 1: attempts[22] follows a rejection
-        # and is accepted at err = 0.405, where 0.9 err^(-1/8) = 1.008 would grow the step
+        # the fixed-R shot of power p = 2 at N5k2, d = 0.3: attempts[12] follows a rejection
+        # and is accepted at err = 0.019, where 0.9 err^(-1/8) = 1.48 would grow the step.
+        # From the quadratic seed at r0 the case was d = 1, (34, 8, 496), attempts[22]
         f = NonlinearitySpec("power", {"p": 2.0})
         lam1 = first_eigenvalue(5, 2, self.R).lambda1
         log = _logged_attempts(monkeypatch)
-        res = flux_ivp(5, 2, self.R, lam1, f, (1.0,), 1e-10, self.R)[0]
-        assert (res.n_steps, res.n_rejected, res.n_rhs) == (34, 8, 496)
+        res = flux_ivp(5, 2, self.R, lam1, f, (0.3,), 1e-10, self.R)[0]
+        assert (res.n_steps, res.n_rejected, res.n_rhs) == (23, 2, 298)
         attempts = log[:res.n_steps + res.n_rejected]
         after = [i for i in range(1, len(attempts) - 1)
                  if attempts[i - 1][3] > 1.0 >= attempts[i][3]]
         assert all(attempts[i + 1][0] <= attempts[i][0] for i in after)
-        assert attempts[21][3] > 1.0 and 0.9 * attempts[22][3] ** -0.125 > 1.0
-        assert attempts[23][0] == attempts[22][0]
+        assert attempts[11][3] > 1.0 and 0.9 * attempts[12][3] ** -0.125 > 1.0
+        assert attempts[13][0] == attempts[12][0]
 
 
 class TestFluxKernel:
